@@ -41,6 +41,16 @@ def _contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
     return g <= EQ_TOL, CHAIN_BAND[0] < g < CHAIN_BAND[1]
 
 
+def _m_at(ms: list[Subspace], k: int) -> Subspace:
+    """M_k, read past the end of a stabilized chain as its last entry."""
+    return ms[k] if k < len(ms) else ms[-1]
+
+
+def _n_at(ns: list[Subspace], k: int) -> Subspace:
+    """N_k (1-based), read past the end of a stabilized chain as its last entry."""
+    return ns[k - 1] if k - 1 < len(ns) else ns[-1]
+
+
 @dataclass
 class ChainReport:
     """Chains, stabilization data and containment table for one pair."""
@@ -106,10 +116,18 @@ def nu(a: LinearRelation, b: LinearRelation) -> float:
     N(A) inside N(B) is a sufficient condition for +inf and is honored
     directly; otherwise the stabilized chain decides.
     """
+    return _nu(a, b, None)
+
+
+def _nu(a: LinearRelation, b: LinearRelation,
+        chain: list[Subspace] | None) -> float:
+    """:func:`nu`, reading the M chain from ``chain`` when the caller has
+    already built it to stabilization."""
     n1 = a.kernel
     if sub.contains(b.kernel, n1):
         return math.inf
-    chain = m_chain(a, b)
+    if chain is None:
+        chain = m_chain(a, b)
     for n in range(1, len(chain)):
         if not sub.contains(chain[n], n1):
             return n
@@ -131,23 +149,17 @@ def check_equivalent_conditions(a: LinearRelation, b: LinearRelation,
     ms = m_chain(a, b, max_n=max(n, a.x_dim + 1))
     ns = n_chain(a, b, max_n=max(n + 1, a.x_dim + 1))
 
-    def m_at(k: int) -> Subspace:
-        return ms[k] if k < len(ms) else ms[-1]
-
-    def n_at(k: int) -> Subspace:
-        return ns[k - 1] if k - 1 < len(ns) else ns[-1]
-
     ill = False
     conditions = []
     for r in range(1, n + 1):
-        ok, flag = _contained(m_at(n - r + 1), n_at(r))
+        ok, flag = _contained(_m_at(ms, n - r + 1), _n_at(ns, r))
         conditions.append(ok)
         ill = ill or flag
     kappa = True
     for k in range(1, n + 1):
-        target = rel.preimage(b, rel.image(a, n_at(k + 1)))
-        ok1, f1 = _contained(target, n_at(k))
-        ok2, f2 = _contained(b.domain, n_at(k))
+        target = rel.preimage(b, rel.image(a, _n_at(ns, k + 1)))
+        ok1, f1 = _contained(target, _n_at(ns, k))
+        ok2, f2 = _contained(b.domain, _n_at(ns, k))
         kappa = kappa and ok1 and ok2
         ill = ill or f1 or f2
     all_true = all(conditions)
@@ -180,13 +192,13 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
         report["applicable"] = False
         return report
 
-    nu_primal = nu(a, b)
     a_adj, b_adj = rel.adjoint(a), rel.adjoint(b)
-    nu_dual = nu(a_adj, b_adj)
     ms_dual = m_chain(a_adj, b_adj)
     ns_dual = n_chain(a_adj, b_adj)
     ms = m_chain(a, b)
     ns = n_chain(a, b)
+    nu_primal = _nu(a, b, ms)
+    nu_dual = _nu(a_adj, b_adj, ms_dual)
 
     b_n1_perp = sub.annihilator(rel.image(b, ns[0]))
     report["equality_m"] = ms_dual[1].is_same(b_n1_perp) if len(ms_dual) > 1 else False
@@ -197,13 +209,11 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     # Adjoint-sequence containments up to the shorter stabilization.
     fwd, bwd = [], []
     for n in range(1, len(ms_dual)):
-        n_n = ns[n - 1] if n - 1 < len(ns) else ns[-1]
-        fwd.append(sub.contains(sub.annihilator(rel.image(b, n_n)), ms_dual[n]))
+        target = sub.annihilator(rel.image(b, _n_at(ns, n)))
+        fwd.append(sub.contains(target, ms_dual[n]))
     for n in range(1, len(ns_dual) + 1):
-        m_prev = ms[n - 1] if n - 1 < len(ms) else ms[-1]
-        target = sub.annihilator(rel.image(a, m_prev))
-        got = ns_dual[n - 1] if n - 1 < len(ns_dual) else ns_dual[-1]
-        bwd.append(sub.contains(target, got))
+        target = sub.annihilator(rel.image(a, _m_at(ms, n - 1)))
+        bwd.append(sub.contains(target, ns_dual[n - 1]))
     report["adjoint_sequences_m"] = fwd
     report["adjoint_sequences_n"] = bwd
     report["adjoint_sequences_hold"] = all(fwd) and all(bwd)
@@ -219,21 +229,16 @@ def chain_report(a: LinearRelation, b: LinearRelation,
     ms = m_chain(a, b, max_n)
     ns = n_chain(a, b, max_n)
     depth = a.x_dim + 1 if max_n is None else max_n
-
-    def m_at(k: int) -> Subspace:
-        return ms[k] if k < len(ms) else ms[-1]
-
-    def n_at(k: int) -> Subspace:
-        return ns[k - 1] if k - 1 < len(ns) else ns[-1]
-
     ill = False
     table = []
     for n in range(1, depth + 1):
         row = []
         for k in range(1, n + 1):
-            ok, flag = _contained(m_at(n - k + 1), n_at(k))
+            ok, flag = _contained(_m_at(ms, n - k + 1), _n_at(ns, k))
             row.append(ok)
             ill = ill or flag
         table.append(row)
-    return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=nu(a, b),
+    # max_n may cut the chain short of stabilization; then it cannot decide nu.
+    nu_val = _nu(a, b, ms if max_n is None else None)
+    return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=nu_val,
                        containment_table=table, ill_conditioned=ill)

@@ -18,10 +18,8 @@ import sys
 from . import __version__
 from . import chains as chn
 from . import metrics as met
-from . import relation as rel
 from . import serialize as ser
 from . import stability as stab
-from . import subspace as sub
 from . import suites as sts
 from .tolerances import tolerance_header
 
@@ -102,10 +100,6 @@ def cmd_gen(args) -> int:
 
 
 def _relation_metrics(t, eps_list) -> dict:
-    adj = rel.adjoint(t)
-    ga, gt = met.gamma(adj), met.gamma(t)
-    gamma_ok = (math.isinf(ga) and math.isinf(gt)) or \
-               (math.isfinite(ga) and math.isfinite(gt) and abs(ga - gt) <= 1e-8)
     return {
         "alpha": met.alpha(t),
         "beta": met.beta(t),
@@ -114,25 +108,16 @@ def _relation_metrics(t, eps_list) -> dict:
         "alpha_prime": [{"eps": e, "value": met.alpha_prime_eps(t, e)}
                         for e in eps_list],
         "beta_prime": met.beta_prime(t),
-        "duality": {
-            "null_space_a": adj.kernel.is_same(sub.annihilator(t.range)),
-            "null_space_b": adj.multivalued_part.is_same(sub.annihilator(t.domain)),
-            "null_space_c": t.kernel.is_same(sub.pre_annihilator(adj.range)),
-            "null_space_d": t.multivalued_part.is_same(sub.pre_annihilator(adj.domain)),
-            "alpha_adjoint_equals_beta": met.alpha(adj) == met.beta(t),
-            "norm_invariant": abs(met.norm(adj) - met.norm(t)) <= 1e-8,
-            "gamma_invariant": gamma_ok,
-        },
+        "duality": {lemma: ok for lemma, ok, _ in sts.duality_checks(t)},
     }
 
 
 def cmd_analyze(args) -> int:
     a, b, _ = _load_instance(args.input)
-    eps_list = [float(e) for e in args.eps.split(",")] if args.eps else [0.25, 0.5, 1.0]
     doc = {
         "header": _header(seed=args.seed, instance_hash=ser.instance_hash(a, b)),
-        "A": _relation_metrics(a, eps_list),
-        "B": _relation_metrics(b, eps_list),
+        "A": _relation_metrics(a, args.eps),
+        "B": _relation_metrics(b, args.eps),
     }
     pair: dict = {"nu": chn.nu(a, b)}
     try:
@@ -243,6 +228,33 @@ def _run_replay(args) -> int:
     return _EXIT_FALSIFIED if total else _EXIT_OK
 
 
+def _nonneg_float(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _nonneg_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _eps_list(text: str) -> list[float]:
+    """argparse type: comma-separated finite numbers >= 0."""
+    return [_nonneg_float(e) for e in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linrel",
@@ -267,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="indices, norms and duality "
                                                   "checks for one instance")
     analyze.add_argument("input")
-    analyze.add_argument("--sigma", type=float, default=None)
-    analyze.add_argument("--tau", type=float, default=None)
-    analyze.add_argument("--eps", default=None,
+    analyze.add_argument("--sigma", type=_nonneg_float, default=None)
+    analyze.add_argument("--tau", type=_nonneg_float, default=None)
+    analyze.add_argument("--eps", type=_eps_list, default=[0.25, 0.5, 1.0],
                          help="comma-separated eps list for approximate nullity")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--out", default=None)
@@ -277,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = commands.add_parser("sweep", help="pencil sweep to JSON + CSV")
     swp.add_argument("input")
-    swp.add_argument("--sigma", type=float, default=None)
-    swp.add_argument("--tau", type=float, default=None)
-    swp.add_argument("--grid-points", type=int, default=64,
+    swp.add_argument("--sigma", type=_nonneg_float, default=None)
+    swp.add_argument("--tau", type=_nonneg_float, default=None)
+    swp.add_argument("--grid-points", type=_nonneg_int, default=64,
                      help="log-spaced moduli count (0 gives a header-only CSV)")
-    swp.add_argument("--phases", type=int, default=8)
+    swp.add_argument("--phases", type=_nonneg_int, default=8)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--out", required=True,
                      help="output base path; writes BASE.json and BASE.csv")

@@ -61,14 +61,12 @@ class HypothesisError(ValueError):
 class OperatorPart:
     """The single-valued operator induced by a relation.
 
-    ``matrix_full`` maps coordinates of D(T) (columns of ``dom_basis``)
-    to the complement of T(0); ``matrix_quot`` is its restriction to
-    coordinates of D(T) ^ N(T)-perp (columns of ``quot_dom_basis``) and
-    is injective whenever that subdomain is nonzero.
+    ``matrix_full`` maps coordinates of D(T) (columns of the domain
+    basis) to the complement of T(0); ``matrix_quot`` is its restriction
+    to coordinates of D(T) ^ N(T)-perp (columns of ``quot_dom_basis``)
+    and is injective whenever that subdomain is nonzero.
     """
 
-    relation: LinearRelation
-    dom_basis: np.ndarray
     quot_dom_basis: np.ndarray
     matrix_full: np.ndarray
     matrix_quot: np.ndarray
@@ -87,20 +85,11 @@ def operator_part(t: LinearRelation) -> OperatorPart:
         return cached
     dom = t.domain
     ker = t.kernel
-    mv = t.multivalued_part
     # N(T) sits inside D(T), so D ^ N-perp is the complement of N within D.
     quot = sub.span(dom.basis - ker.basis @ (ker.basis.conj().T @ dom.basis)
                     if ker.dim else dom.basis, ambient=t.x_dim)
-
-    def induced(basis: np.ndarray) -> np.ndarray:
-        if basis.shape[1] == 0:
-            return np.zeros((t.y_dim, 0), dtype=complex)
-        coeff, *_ = np.linalg.lstsq(t.graph.basis[: t.x_dim, :], basis, rcond=None)
-        y = t.graph.basis[t.x_dim:, :] @ coeff
-        return y - mv.basis @ (mv.basis.conj().T @ y) if mv.dim else y
-
-    part = OperatorPart(t, dom.basis, quot.basis,
-                        induced(dom.basis), induced(quot.basis))
+    part = OperatorPart(quot.basis, _restricted_quotient_matrix(t, dom.basis),
+                        _restricted_quotient_matrix(t, quot.basis))
     t.__dict__["_operator_part"] = part
     return part
 
@@ -217,15 +206,15 @@ def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndar
 
 
 def fit_relative_bound(a: LinearRelation, b: LinearRelation, tau: float = 0.0,
-                       starts: int = 32, seed: int = 0) -> RelativeBound:
+                       seed: int = 0) -> RelativeBound:
     """Smallest sigma with ||B x|| <= sigma ||x|| + tau ||A x|| on D(A).
 
     tau = 0 is exact: sigma is the largest singular value of B's induced
     operator restricted to D(A).  tau > 0 maximizes the residual
-    (||B x|| - tau ||A x||) over the unit sphere of D(A) by multi-start
-    projected gradient ascent with deterministic seeds; the result is a
-    heuristic lower envelope and carries the certified tau = 0 value as
-    ``sigma_upper``.
+    (||B x|| - tau ||A x||) over the unit sphere of D(A) by projected
+    gradient ascent from B's top and A's bottom singular direction and 32
+    random starts drawn from ``seed``; the result is a heuristic lower
+    envelope and carries the certified tau = 0 value as ``sigma_upper``.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -280,7 +269,7 @@ def fit_relative_bound(a: LinearRelation, b: LinearRelation, tau: float = 0.0,
     if mat_a.size:
         va = np.linalg.svd(mat_a)[2]
         candidates.append(va[-1].conj())
-    for _ in range(starts):
+    for _ in range(32):
         candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     best_val, best_c = -math.inf, None
     for c0 in candidates:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import subspace as sub
 from .subspace import Subspace
-from .tolerances import EQ_TOL, RANK_ABS, RANK_REL
+from .tolerances import EQ_TOL
 
 __all__ = [
     "LinearRelation",
@@ -102,18 +102,14 @@ class LinearRelation:
                 f"graph dim {self.graph.dim})")
 
 
-def _nullspace(m: np.ndarray, tol: float = RANK_REL) -> np.ndarray:
+def _nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis of a (possibly empty) matrix."""
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] <= RANK_ABS:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > max(tol * s[0], RANK_ABS)))
-    return vh[rank:].conj().T
+    return vh[sub._rank(s):].conj().T
 
 
 def from_matrix(a) -> LinearRelation:
@@ -146,7 +142,7 @@ def zero_relation(x_dim: int, y_dim: int) -> LinearRelation:
 
 def inverse(t: LinearRelation) -> LinearRelation:
     """Block-swapped graph: (x, y) -> (y, x).  An involution."""
-    graph = Subspace(t.y_dim + t.x_dim, np.vstack([t._gy, t._gx]), t.graph.tol,
+    graph = Subspace(t.y_dim + t.x_dim, np.vstack([t._gy, t._gx]),
                      sv_near_cut=t.graph.sv_near_cut)
     return LinearRelation(t.y_dim, t.x_dim, graph)
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import chains as chn
 from . import metrics as met
@@ -233,8 +231,8 @@ def random_feasible_spec(rng, max_dim: int = 8, everywhere_defined: bool = False
 
 
 def default_grid(radius_full: float, gamma_a: float, points: int = 64,
-                 phases: int = 8, frac: float = 0.999) -> list[complex]:
-    """lambda = 0 plus ``points`` log-spaced moduli over (0, frac * radius]
+                 phases: int = 8) -> list[complex]:
+    """lambda = 0 plus ``points`` log-spaced moduli over (0, 0.999 * radius]
     at ``phases`` equally spaced arguments.
 
     An infinite radius falls back to gamma(A) (or 1 when that is also
@@ -244,7 +242,7 @@ def default_grid(radius_full: float, gamma_a: float, points: int = 64,
         return []
     rmax = radius_full if math.isfinite(radius_full) else (
         gamma_a if math.isfinite(gamma_a) else 1.0)
-    rmax *= frac
+    rmax *= 0.999
     moduli = np.geomspace(rmax * 1e-4, rmax, points)
     grid = [0j]
     for mdl in moduli:
@@ -506,6 +504,11 @@ def affine_gap_witness(x, m: Subspace, n: Subspace, eps: float,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
+    # Imported here: nothing else in the package needs scipy, and it
+    # dominates start-up time.
+    import scipy.linalg
+    import scipy.optimize
+
     x = np.asarray(x, dtype=complex).reshape(-1)
     if sub.distance(x, n) <= EQ_TOL:
         raise ValueError("x lies in N; the coset is N itself")

@@ -24,7 +24,6 @@ __all__ = [
     "intersect",
     "orth_complement",
     "annihilator",
-    "pre_annihilator",
     "distance",
     "gap",
     "contains",
@@ -55,16 +54,13 @@ class Subspace:
         Dimension of the surrounding coordinate space (positive).
     basis : (ambient, dim) complex ndarray
         Orthonormal columns spanning the subspace; read-only.
-    tol : float
-        Relative rank tolerance used at construction.
     sv_near_cut : bool
         True when the construction saw a normalized singular value inside
         the indeterminate band; downstream rank decisions built on this
         subspace should be treated as fragile.
     """
 
-    def __init__(self, ambient: int, basis: np.ndarray, tol: float = RANK_REL,
-                 sv_near_cut: bool = False):
+    def __init__(self, ambient: int, basis: np.ndarray, sv_near_cut: bool = False):
         if ambient <= 0:
             raise ValueError("ambient dimension must be positive")
         basis = np.asarray(basis, dtype=complex).reshape(ambient, -1)
@@ -77,7 +73,6 @@ class Subspace:
         basis.setflags(write=False)
         self.ambient = int(ambient)
         self.basis = basis
-        self.tol = float(tol)
         self.sv_near_cut = bool(sv_near_cut)
 
     @property
@@ -115,27 +110,30 @@ def full_space(ambient: int) -> Subspace:
     return Subspace(ambient, np.eye(ambient, dtype=complex))
 
 
-def _rank_from_svals(s: np.ndarray, tol: float) -> tuple[int, bool]:
-    """Rank cut against the largest singular value, with absolute floor.
+def _rank(s: np.ndarray) -> int:
+    """Rank cut of descending singular values: those above ``RANK_REL``
+    times the largest one, with the absolute floor ``RANK_ABS``."""
+    if s.size == 0 or s[0] <= RANK_ABS:
+        return 0
+    return int(np.count_nonzero(s > max(RANK_REL * s[0], RANK_ABS)))
 
-    Returns the rank and whether any normalized singular value fell in
-    the indeterminate band.
-    """
+
+def _rank_from_svals(s: np.ndarray) -> tuple[int, bool]:
+    """:func:`_rank` plus whether any normalized singular value fell in
+    the indeterminate band."""
     if s.size == 0 or s[0] <= RANK_ABS:
         # Decisively zero unless the top value sits just under the floor.
-        near = bool(s.size and s[0] > RANK_ABS / 10)
-        return 0, near
-    cut = max(tol * s[0], RANK_ABS)
+        return 0, bool(s.size and s[0] > RANK_ABS / 10)
     normalized = s / s[0]
     near = bool(np.any((normalized > SV_BAND[0]) & (normalized < SV_BAND[1])))
-    return int(np.count_nonzero(s > cut)), near
+    return _rank(s), near
 
 
-def span(vectors, tol: float = RANK_REL, ambient: int | None = None) -> Subspace:
+def span(vectors, ambient: int | None = None) -> Subspace:
     """Orthonormal basis of the column span.
 
-    Columns whose singular value is at most ``tol`` times the largest one
-    (with an absolute floor for near-zero input) are discarded.
+    Columns whose singular value is at most ``RANK_REL`` times the largest
+    one (with an absolute floor for near-zero input) are discarded.
     """
     m = _as_complex_matrix(vectors)
     n = m.shape[0] if ambient is None else int(ambient)
@@ -144,10 +142,10 @@ def span(vectors, tol: float = RANK_REL, ambient: int | None = None) -> Subspace
     if m.shape[0] != n:
         raise ValueError(f"vectors have {m.shape[0]} rows, ambient is {n}")
     if m.shape[1] == 0:
-        return Subspace(n, m, tol)
+        return Subspace(n, m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank, near = _rank_from_svals(s, tol)
-    return Subspace(n, u[:, :rank], tol, sv_near_cut=near)
+    rank, near = _rank_from_svals(s)
+    return Subspace(n, u[:, :rank], sv_near_cut=near)
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -164,7 +162,7 @@ def orth_complement(s: Subspace) -> Subspace:
     # Full SVD of the basis: the trailing left singular vectors span the
     # complement exactly (the basis is orthonormal, all svals are 1).
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(s.ambient, u[:, s.dim:], s.tol)
+    return Subspace(s.ambient, u[:, s.dim:])
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -181,12 +179,7 @@ def annihilator(s: Subspace) -> Subspace:
     so the annihilator is the entrywise conjugate of the orthogonal
     complement.  Conjugation preserves orthonormality.
     """
-    return Subspace(s.ambient, orth_complement(s).basis.conj(), s.tol)
-
-
-def pre_annihilator(s: Subspace) -> Subspace:
-    """Same computation as :func:`annihilator`, named for the dual side."""
-    return annihilator(s)
+    return Subspace(s.ambient, orth_complement(s).basis.conj())
 
 
 def distance(v, s: Subspace) -> float:
@@ -217,12 +210,12 @@ def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:
     return gap(inner, outer) <= tol
 
 
-def apply_map(f, s: Subspace, tol: float = RANK_REL) -> Subspace:
+def apply_map(f, s: Subspace) -> Subspace:
     """Image of the subspace under a linear map given as a matrix."""
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[1] != s.ambient:
         raise ValueError(f"map shape {f.shape} does not act on ambient {s.ambient}")
-    return span(f @ s.basis, tol=tol, ambient=f.shape[0])
+    return span(f @ s.basis, ambient=f.shape[0])
 
 
 def random_subspace(ambient: int, dim: int, seed) -> Subspace:

@@ -10,18 +10,12 @@ excluded from assertions.
 Per-case randomness (sampled vectors, random test subspaces) is derived
 from the case content hash, so replaying a serialized case reproduces
 the verdict bit for bit.
-
-The optional LINREL_THREADS environment variable fans cases out across
-a thread pool; results are merged by case index, so the summary is
-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +31,7 @@ from .subspace import Subspace
 from .tolerances import EQ_TOL, INEQ_SLACK
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all", "run_replay",
-           "sampled_gap"]
+           "sampled_gap", "duality_checks"]
 
 SUITE_NAMES = ("algebra", "duality", "gap", "chains", "perturbation", "stability")
 
@@ -104,31 +98,13 @@ def _merge(result: SuiteResult, case_payload: dict, rec: _Recorder,
             result.failures.append({**f, "case": case_payload})
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LINREL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_cases(result: SuiteResult, build, check) -> SuiteResult:
-    """Build cases by index, check each, merge deterministically by index."""
-    indices = range(result.trials)
-    workers = _workers()
-
-    def one(i: int):
+    """Build, check and merge each case in index order."""
+    digest = hashlib.sha256()
+    for i in range(result.trials):
         payload = build(i)
         rec = _Recorder()
         check(payload, rec)
-        return payload, rec
-
-    if workers == 1:
-        outcomes = [one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, indices))
-    digest = hashlib.sha256()
-    for payload, rec in outcomes:
         _merge(result, payload, rec, digest)
     result.instances_digest = digest.hexdigest()
     return result
@@ -177,31 +153,34 @@ def _decode_pair(payload: dict) -> tuple[LinearRelation, LinearRelation]:
 # ---------------------------------------------------------------------------
 # duality suite
 
+def duality_checks(t: LinearRelation) -> list[tuple[str, bool, str]]:
+    """The duality lemmas for T and its adjoint, as (lemma, ok, detail)."""
+    adj = rel.adjoint(t)
+    aa, bt = met.alpha(adj), met.beta(t)
+    na, nt = met.norm(adj), met.norm(t)
+    ga, gt = met.gamma(adj), met.gamma(t)
+    same_gamma = (math.isinf(ga) and math.isinf(gt)) or \
+        (math.isfinite(ga) and math.isfinite(gt) and abs(ga - gt) <= EQ_TOL)
+    return [
+        ("null_space_a", adj.kernel.is_same(sub.annihilator(t.range)),
+         "N(T') != R(T)-perp"),
+        ("null_space_b", adj.multivalued_part.is_same(sub.annihilator(t.domain)),
+         "T'(0) != D(T)-perp"),
+        ("null_space_c", t.kernel.is_same(sub.annihilator(adj.range)),
+         "N(T) != R(T')-pre-perp"),
+        ("null_space_d", t.multivalued_part.is_same(sub.annihilator(adj.domain)),
+         "T(0) != D(T')-pre-perp"),
+        ("alpha_adjoint_equals_beta", aa == bt, f"alpha(T')={aa} beta(T)={bt}"),
+        ("norm_adjoint_invariant", abs(na - nt) <= EQ_TOL, f"|T'|={na} |T|={nt}"),
+        ("gamma_adjoint_invariant", same_gamma, f"gamma(T')={ga} gamma(T)={gt}"),
+    ]
+
+
 def _check_duality(payload: dict, rec: _Recorder) -> None:
     a, b = _decode_pair(payload)
     for t in (a, b):
-        adj = rel.adjoint(t)
-        rec.check("null_space_a", adj.kernel.is_same(sub.annihilator(t.range)),
-                  "N(T') != R(T)-perp")
-        rec.check("null_space_b",
-                  adj.multivalued_part.is_same(sub.annihilator(t.domain)),
-                  "T'(0) != D(T)-perp")
-        rec.check("null_space_c",
-                  t.kernel.is_same(sub.pre_annihilator(adj.range)),
-                  "N(T) != R(T')-pre-perp")
-        rec.check("null_space_d",
-                  t.multivalued_part.is_same(sub.pre_annihilator(adj.domain)),
-                  "T(0) != D(T')-pre-perp")
-        rec.check("alpha_adjoint_equals_beta",
-                  met.alpha(adj) == met.beta(t),
-                  f"alpha(T')={met.alpha(adj)} beta(T)={met.beta(t)}")
-        rec.check("norm_adjoint_invariant",
-                  abs(met.norm(adj) - met.norm(t)) <= EQ_TOL,
-                  f"|T'|={met.norm(adj)} |T|={met.norm(t)}")
-        ga, gt = met.gamma(adj), met.gamma(t)
-        same = (math.isinf(ga) and math.isinf(gt)) or \
-               (math.isfinite(ga) and math.isfinite(gt) and abs(ga - gt) <= EQ_TOL)
-        rec.check("gamma_adjoint_invariant", same, f"gamma(T')={ga} gamma(T)={gt}")
+        for lemma, ok, detail in duality_checks(t):
+            rec.check(lemma, ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +223,8 @@ def _check_algebra(payload: dict, rec: _Recorder) -> None:
                   f"(lam T)' != lam T' at lam={lam}")
 
         # T(M + N) = T(M) + T(N) for N inside D(T).
-        n_in = _random_sub_of(t.domain, rng)
+        dom = t.domain
+        n_in = stab._sub_subspace(dom, int(rng.integers(0, dom.dim + 1)), rng)
         lhs = rel.image(t, sub.sum(m_x, n_in))
         rhs = sub.sum(rel.image(t, m_x), rel.image(t, n_in))
         rec.check("image_additive", lhs.is_same(rhs), "T(M+N) != T(M)+T(N)")
@@ -252,15 +232,6 @@ def _check_algebra(payload: dict, rec: _Recorder) -> None:
         _check_affine_fiber(t, rec, rng)
 
     _check_pair_algebra(a, b, rec, rng)
-
-
-def _random_sub_of(host: Subspace, rng) -> Subspace:
-    dim = int(rng.integers(0, host.dim + 1))
-    if dim == 0:
-        return sub.zero_subspace(host.ambient)
-    g = rng.standard_normal((host.dim, dim)) + 1j * rng.standard_normal((host.dim, dim))
-    q, _ = np.linalg.qr(g)
-    return Subspace(host.ambient, host.basis @ q[:, :dim])
 
 
 def _random_point(host: Subspace, rng) -> np.ndarray | None:

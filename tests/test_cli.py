@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,42 @@ def test_analyze_malformed_json_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(bad)])
     assert exc.value.code == 2
+
+
+def test_analyze_duality_keys_match_suite_lemmas(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "A": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
+        "B": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+    }))
+    analysis, summary = tmp_path / "analysis.json", tmp_path / "summary.json"
+    assert main(["analyze", str(inst), "--out", str(analysis)]) == 0
+    assert main(["verify", "--suite", "duality", "--trials", "3", "--seed", "1",
+                 "--out", str(summary)]) == 0
+    keys = set(json.loads(analysis.read_text())["A"]["duality"])
+    lemmas = set(json.loads(summary.read_text())["suites"]["duality"]["lemmas"])
+    assert keys == lemmas
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--sigma", "-1"],
+    ["analyze", "--tau", "-1"],
+    ["analyze", "--eps", "-0.5"],
+    ["sweep", "--sigma", "nan"],
+    ["sweep", "--grid-points", "-1"],
+], ids=["analyze-sigma", "analyze-tau", "analyze-eps", "sweep-sigma-nan",
+        "sweep-grid-points"])
+def test_invalid_number_is_input_error(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "A": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
+        "B": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+    }))
+    command, *options = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(inst), *options, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert options[0] in capsys.readouterr().err
 
 
 def test_sweep_outputs(tmp_path):
@@ -194,6 +232,18 @@ def test_verify_replay_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))
     assert main(["verify", "--replay", str(bad)]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = ("import sys, linrel.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

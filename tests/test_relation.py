@@ -183,8 +183,26 @@ def test_null_space_duality_lemma(rng):
         adj = rel.adjoint(t)
         assert adj.kernel.is_same(sub.annihilator(t.range))
         assert adj.multivalued_part.is_same(sub.annihilator(t.domain))
-        assert t.kernel.is_same(sub.pre_annihilator(adj.range))
-        assert t.multivalued_part.is_same(sub.pre_annihilator(adj.domain))
+        assert t.kernel.is_same(sub.annihilator(adj.range))
+        assert t.multivalued_part.is_same(sub.annihilator(adj.domain))
+
+
+@pytest.mark.parametrize("svals, rank", [
+    ([1.0, 2e-9, 5e-10], 2),     # the relative cut RANK_REL * s0 decides
+    ([1e-6, 3e-12, 5e-13], 2),   # the absolute floor RANK_ABS decides
+    ([2e-12, 5e-13], 1),
+    ([5e-13, 1e-13], 0),         # top value under the floor
+])
+def test_span_and_nullspace_share_rank_cut(rng, svals, rank):
+    k = len(svals)
+
+    def unitary(n):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q
+
+    m = unitary(5)[:, :k] @ np.diag(svals) @ unitary(k + 1)[:, :k].conj().T
+    assert sub.span(m).dim == rank
+    assert sub.span(m).dim + rel._nullspace(m).shape[1] == m.shape[1]
 
 
 def test_t_tinv_identities(rng):

@@ -27,13 +27,6 @@ def test_suite_determinism():
     assert ser.canonical_json(a.to_dict()) == ser.canonical_json(b.to_dict())
 
 
-def test_suite_thread_fanout_matches_sequential(monkeypatch):
-    seq = sts.run_suite("duality", trials=10, seed=4)
-    monkeypatch.setenv("LINREL_THREADS", "4")
-    par = sts.run_suite("duality", trials=10, seed=4)
-    assert ser.canonical_json(seq.to_dict()) == ser.canonical_json(par.to_dict())
-
-
 def test_replay_reproduces_cases():
     cases = [sts._gap_case(7, i) for i in range(5)]
     replay = sts.run_replay({"suite": "gap", "seed": 7, "cases": cases})
