@@ -73,14 +73,20 @@ class ChainReport:
         }
 
 
+def _step_limit(a: LinearRelation, b: LinearRelation, max_n: int | None) -> int:
+    """Steps a chain may take: ``max_n``, or enough to stabilize if None."""
+    if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
+        raise ValueError("dimension mismatch between the pair")
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    return a.x_dim + 1 if max_n is None else max_n
+
+
 def m_chain(a: LinearRelation, b: LinearRelation,
             max_n: int | None = None) -> list[Subspace]:
     """[M_0, M_1, ...] up to stabilization (or max_n steps)."""
-    if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
-        raise ValueError("dimension mismatch between the pair")
-    limit = a.x_dim + 1 if max_n is None else max_n
     chain = [sub.full_space(a.x_dim)]
-    for _ in range(limit):
+    for _ in range(_step_limit(a, b, max_n)):
         nxt = rel.preimage(b, rel.image(a, chain[-1]))
         chain.append(nxt)
         if nxt.is_same(chain[-2]):
@@ -91,11 +97,8 @@ def m_chain(a: LinearRelation, b: LinearRelation,
 def n_chain(a: LinearRelation, b: LinearRelation,
             max_n: int | None = None) -> list[Subspace]:
     """[N_1, N_2, ...] up to stabilization (or max_n steps); N_1 = N(A)."""
-    if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
-        raise ValueError("dimension mismatch between the pair")
-    limit = a.x_dim + 1 if max_n is None else max_n
     chain = [a.kernel]
-    for _ in range(limit - 1):
+    for _ in range(_step_limit(a, b, max_n) - 1):
         nxt = rel.preimage(a, rel.image(b, chain[-1]))
         chain.append(nxt)
         if nxt.is_same(chain[-2]):

@@ -301,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     chains_p = commands.add_parser("chains", help="chain report for one instance")
     chains_p.add_argument("input")
-    chains_p.add_argument("--max-n", type=int, default=None)
+    chains_p.add_argument("--max-n", type=_nonneg_int, default=None)
     chains_p.add_argument("--out", default=None)
     chains_p.set_defaults(func=cmd_chains)
 
     verify = commands.add_parser("verify", help="run property suites")
     verify.add_argument("--suite", default="all",
                         choices=list(sts.SUITE_NAMES) + ["all"])
-    verify.add_argument("--trials", type=int, default=200)
+    verify.add_argument("--trials", type=_nonneg_int, default=200)
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--replay", default=None,
                         help="re-run serialized cases from a summary/replay file")

@@ -12,6 +12,7 @@ empty set, which is represented implicitly (no sentinel values).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "scalar_mul",
     "add",
     "pencil",
+    "pencil_family",
     "image",
     "preimage",
     "adjoint",
@@ -74,24 +76,32 @@ class LinearRelation:
         return self.graph.basis[self.x_dim:, :]
 
     @cached_property
-    def domain(self) -> Subspace:
-        return sub.span(self._gx, ambient=self.x_dim)
+    def _x_svd(self) -> tuple[Subspace, np.ndarray]:
+        """D(T) and a null-space basis of Gx, from one full SVD of Gx."""
+        return _span_and_null(self._gx)
 
     @cached_property
+    def _y_svd(self) -> tuple[Subspace, np.ndarray]:
+        """R(T) and a null-space basis of Gy, from one full SVD of Gy."""
+        return _span_and_null(self._gy)
+
+    @property
+    def domain(self) -> Subspace:
+        return self._x_svd[0]
+
+    @property
     def range(self) -> Subspace:
-        return sub.span(self._gy, ambient=self.y_dim)
+        return self._y_svd[0]
 
     @cached_property
     def kernel(self) -> Subspace:
         """Vectors x with (x, 0) in the graph; the X slice of G ^ (X (+) 0)."""
-        null = _nullspace(self._gy)
-        return sub.span(self._gx @ null, ambient=self.x_dim)
+        return sub.span(self._gx @ self._y_svd[1], ambient=self.x_dim)
 
     @cached_property
     def multivalued_part(self) -> Subspace:
         """T(0): vectors y with (0, y) in the graph."""
-        null = _nullspace(self._gx)
-        return sub.span(self._gy @ null, ambient=self.y_dim)
+        return sub.span(self._gy @ self._x_svd[1], ambient=self.y_dim)
 
     @property
     def single_valued(self) -> bool:
@@ -106,10 +116,18 @@ def _nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis of a (possibly empty) matrix."""
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     return vh[sub._rank(s):].conj().T
+
+
+def _span_and_null(m: np.ndarray) -> tuple[Subspace, np.ndarray]:
+    """``sub.span(m)`` and an orthonormal null-space basis of ``m``, read
+    off one full SVD."""
+    if m.shape[1] == 0:
+        return Subspace(m.shape[0], m), np.zeros((0, 0), dtype=complex)
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank, near = sub._rank_from_svals(s)
+    return Subspace(m.shape[0], u[:, :rank], sv_near_cut=near), vh[rank:].conj().T
 
 
 def from_matrix(a) -> LinearRelation:
@@ -159,20 +177,27 @@ def scalar_mul(lam: complex, t: LinearRelation) -> LinearRelation:
 
 
 def add(s: LinearRelation, t: LinearRelation) -> LinearRelation:
-    """Elementwise sum: graph {(x, y+z) : (x,y) in G(S), (x,z) in G(T)}.
+    """Elementwise sum: graph {(x, y+z) : (x,y) in G(S), (x,z) in G(T)},
+    the pencil S - lam*T at lam = -1."""
+    return pencil_family(s, t)(-1.0)
 
-    Realized by intersecting the two lifts inside X (+) Y (+) Y and applying
-    (x, y, z) -> (x, y+z); the intersection reduces to one rank computation,
-    the null space of the stacked x-blocks.
+
+def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
+    """lam -> A - lam*B, graph {(x, y1 - lam*y2) : (x,y1) in G(A), (x,y2) in G(B)}.
+
+    null([Gx_A, -Gx_B]) parametrizes the pairs once, for every lam; then
+    each lam costs one span of [X; Y1 - lam*Y2].
     """
-    if s.x_dim != t.x_dim or s.y_dim != t.y_dim:
+    if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
-    # (c1, c2) with equal x-parts parametrize the lift intersection.
-    null = _nullspace(np.hstack([s._gx, -t._gx]))
-    c1, c2 = null[: s.graph.dim, :], null[s.graph.dim:, :]
-    cols = np.vstack([s._gx @ c1, s._gy @ c1 + t._gy @ c2])
-    return LinearRelation(s.x_dim, s.y_dim,
-                          sub.span(cols, ambient=s.x_dim + s.y_dim))
+    null = _nullspace(np.hstack([a._gx, -b._gx]))
+    c1, c2 = null[: a.graph.dim, :], null[a.graph.dim:, :]
+    x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
+
+    def at(lam: complex) -> LinearRelation:
+        return LinearRelation(a.x_dim, a.y_dim, sub.span(np.vstack([x, y1 - lam * y2])))
+
+    return at
 
 
 def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation:
@@ -182,7 +207,7 @@ def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation
     A(x) ^ lam*B(x) != empty whenever D(B) contains D(A) and B(0) is
     contained in A(0).
     """
-    return add(a, scalar_mul(-lam, b))
+    return pencil_family(a, b)(lam)
 
 
 def image(t: LinearRelation, m: Subspace) -> Subspace:
@@ -223,16 +248,18 @@ def equals(s: LinearRelation, t: LinearRelation, tol: float = EQ_TOL) -> bool:
 def particular_solution(t: LinearRelation, x, tol: float = EQ_TOL) -> np.ndarray:
     """Some y with (x, y) in the graph; raises DomainError off the domain.
 
-    Any two particular solutions differ by an element of T(0), so every
+    A matrix ``x`` is solved column by column in one call.  Any two
+    particular solutions differ by an element of T(0), so every
     quotient-norm quantity downstream is independent of the choice made
     here (least squares against the graph basis).
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = np.asarray(x, dtype=complex)
+    x = x if x.ndim == 2 else x.reshape(-1)
     if x.shape[0] != t.x_dim:
         raise ValueError(f"vector length {x.shape[0]} != x_dim {t.x_dim}")
-    scale = max(1.0, float(np.linalg.norm(x)))
     c, *_ = np.linalg.lstsq(t._gx, x, rcond=None)
-    residual = float(np.linalg.norm(t._gx @ c - x))
-    if residual > tol * scale:
-        raise DomainError("vector outside the domain", residual)
+    residual = np.linalg.norm(t._gx @ c - x, axis=0)
+    off = residual > tol * np.maximum(1.0, np.linalg.norm(x, axis=0))
+    if np.any(off):
+        raise DomainError("vector outside the domain", float(np.max(residual * off)))
     return t._gy @ c

@@ -309,8 +309,9 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     records = []
     indeterminate = 0
     degenerate_violations = 0
+    pencil = rel.pencil_family(a, b)
     for lam in grid:
-        p = rel.pencil(a, b, lam)
+        p = pencil(lam)
         kernel_p = p.kernel
         gamma_p = met.gamma(p)
         abs_lam = abs(lam)
@@ -411,12 +412,13 @@ def verify_gap_bound(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     kernel_a = a.kernel
     checked = skipped = 0
     failures = []
+    pencil = rel.pencil_family(a, b)
     for lam in grid:
         fb = met.finishing_bound(gamma_a, bound, abs(lam))
         if fb is None:
             skipped += 1
             continue
-        g = sub.gap(kernel_a, rel.pencil(a, b, lam).kernel)
+        g = sub.gap(kernel_a, pencil(lam).kernel)
         checked += 1
         if g > fb + BOUND_SLACK:
             failures.append({"lambda": lam, "gap": g, "bound": fb})

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from linrel import chains as chn
 from linrel import relation as rel
@@ -150,3 +151,9 @@ def test_nu_duality_random_everywhere_defined(rng):
         assert rep["adjoint_sequences_hold"]
         seen += 1
     assert seen == 15
+
+
+def test_negative_max_n_is_rejected(diag01):
+    for build in (chn.m_chain, chn.n_chain, chn.chain_report):
+        with pytest.raises(ValueError, match="max_n"):
+            build(diag01, rel.identity_relation(2), -2)

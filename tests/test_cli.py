@@ -119,8 +119,9 @@ def test_analyze_duality_keys_match_suite_lemmas(tmp_path):
     ["analyze", "--eps", "-0.5"],
     ["sweep", "--sigma", "nan"],
     ["sweep", "--grid-points", "-1"],
+    ["chains", "--max-n", "-2"],
 ], ids=["analyze-sigma", "analyze-tau", "analyze-eps", "sweep-sigma-nan",
-        "sweep-grid-points"])
+        "sweep-grid-points", "chains-max-n"])
 def test_invalid_number_is_input_error(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
@@ -211,6 +212,16 @@ def test_verify_trials_zero_vacuous(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["conclusion_failures"] == 0
     assert doc["suites"]["duality"]["lemmas"] == {}
+
+
+def test_verify_negative_trials_is_input_error(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "gap", "--trials", "-3", "--seed", "1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_replay_round_trip(tmp_path):

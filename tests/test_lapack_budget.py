@@ -1,0 +1,62 @@
+"""LAPACK call budgets of the pencil sweep and of the relative-bound check.
+
+``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
+point of a sweep may cost one SVD of the pencil graph, one full SVD per
+graph block, the kernel and quotient-domain spans, the induced operator's
+singular values and two gaps: 8 SVDs and 1 least-squares solve.
+"""
+
+import numpy as np
+import pytest
+
+from linrel import metrics as met
+from linrel import relation as rel
+from linrel import stability as stab
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"svd": 0, "lstsq": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def _fresh_pair():
+    """Pair, exact bound and grid as ``linrel sweep`` has them, with
+    relations rebuilt from their graphs so that no cache is warm."""
+    spec = stab.InstanceSpec(8, 8, alpha=2, beta=2, force_nu_infinite=True, seed=101)
+    a, b = stab.generate(spec)
+    bound = met.fit_relative_bound(a, b, 0.0)
+    gamma_a = met.gamma(a)
+    grid = stab.default_grid(met.stability_radius(gamma_a, bound, "full"), gamma_a,
+                             points=2, phases=4)
+    a, b = (rel.from_graph(t.graph, 8, 8) for t in (a, b))
+    return a, b, bound, grid
+
+
+def _counted(calls, fn) -> dict:
+    before = dict(calls)
+    fn()
+    return {k: calls[k] - before[k] for k in calls}
+
+
+def test_sweep_lambda_point_budget(calls):
+    a, b, bound, grid = _fresh_pair()
+    stab.sweep(a, b, bound, [], validate_bound=False)  # cache A's parts
+    setup = _counted(calls, lambda: stab.sweep(a, b, bound, [], validate_bound=False))
+    total = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
+    per_point = {k: (total[k] - setup[k]) / len(grid) for k in total}
+    assert per_point["svd"] <= 8 and per_point["lstsq"] <= 1, per_point
+
+
+def test_check_relative_bound_budget(calls):
+    a, b, bound, _ = _fresh_pair()
+    used = _counted(calls, lambda: met.check_relative_bound(a, b, bound))
+    assert used["lstsq"] <= 3, used

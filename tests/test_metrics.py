@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +177,25 @@ def test_check_relative_bound():
     assert ok
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_check_relative_bound_residual_is_pointwise(rng, tau):
+    # The batched check must report at its witness what the one-vector
+    # norms give there.
+    for _ in range(6):
+        spec = stab.random_feasible_spec(rng, max_dim=6)
+        a, b = stab.generate(spec)
+        bound = met.RelativeBound(0.3, tau)
+        ok, worst = met.check_relative_bound(a, b, bound, trials=16, seed=2)
+        x = worst["witness"]
+        if x is None:
+            assert a.domain.dim == 0
+            continue
+        pointwise = (met.relation_norm_at(b, x)
+                     - (0.3 * np.linalg.norm(x) + tau * met.relation_norm_at(a, x)))
+        assert worst["residual"] == pytest.approx(pointwise, rel=1e-12, abs=1e-13)
+        assert ok == (worst["residual"] <= 1e-9)
+
+
 def test_stability_radius_formulas():
     assert met.stability_radius(1.0, met.RelativeBound(1.0, 0.0), "full") == pytest.approx(1 / 3)
     assert met.stability_radius(1.0, met.RelativeBound(0.0, 1.0), "full") == pytest.approx(1.0)
@@ -219,6 +240,24 @@ def test_operator_part_cached(e3):
     assert p1 is p2
     assert p1.matrix_quot.shape == (2, 1)
     assert float(p1.quot_svals[-1]) > 0  # induced operator injective
+
+
+def test_cached_parts_leave_no_reference_cycle():
+    # A cycle would hold the relation and its arrays until the cyclic
+    # collector runs; plain reference counting must free them.
+    a, b = stab.generate(stab.InstanceSpec(5, 5, alpha=1, beta=1, mv_dim=2,
+                                           dom_codim=2, seed=3))
+    gc.disable()
+    try:
+        for build in (lambda: rel.from_graph(a.graph, 5, 5),
+                      lambda: rel.pencil(a, b, 0.25), lambda: rel.adjoint(b)):
+            t = build()
+            met.gamma(t), met.norm(t), t.kernel, t.multivalued_part
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_seminorm_form_oracle_agrees(e3):

@@ -106,6 +106,37 @@ def test_pencil(diag01):
     assert rel.pencil(diag01, diag01, 1.0).kernel.is_same(diag01.domain)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-3 - 2e-3j, -1.7 + 0.9j],
+                         ids=["zero", "small", "beyond-unit"])
+def test_pencil_family_matches_sum_of_scaled(lam):
+    # mv and codim > 0 for A; B(0) is 0, 1 and 2-dimensional for seeds 1, 5, 3.
+    b_mv = set()
+    for seed in (1, 5, 3):
+        a, b = stab.generate(stab.InstanceSpec(5, 5, alpha=1, beta=1, mv_dim=2,
+                                               dom_codim=2, seed=seed))
+        b_mv.add(b.multivalued_part.dim)
+        expected = rel.add(a, rel.scalar_mul(-lam, b))
+        assert rel.equals(rel.pencil_family(a, b)(lam), expected)
+        assert rel.equals(rel.pencil(a, b, lam), expected)
+        assert rel.equals(expected, lift_add_oracle(a, rel.scalar_mul(-lam, b)))
+    assert b_mv == {0, 1, 2}
+
+
+def test_domain_and_range_bases_are_those_of_span(rng):
+    # Bit for bit: downstream gamma, norms and instance digests depend on them.
+    relations = []
+    for _ in range(8):
+        relations.extend(stab.generate(stab.random_feasible_spec(rng, max_dim=8)))
+        x, y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        k = int(rng.integers(0, x + y + 1))
+        relations.append(rel.from_graph(sub.random_subspace(x + y, k, rng), x, y))
+    for t in relations:
+        for part, block in ((t.domain, t._gx), (t.range, t._gy)):
+            ref = sub.span(block)
+            assert np.array_equal(part.basis, ref.basis)
+            assert part.sv_near_cut == ref.sv_near_cut
+
+
 def test_image(e3, diag01):
     e1 = sub.span(_e(2, 0)[:, None])
     assert rel.image(diag01, e1).dim == 0
@@ -241,6 +272,11 @@ def test_particular_solution_domain_error(e3):
     with pytest.raises(rel.DomainError) as err:
         rel.particular_solution(e3, [0.0, 1.0])
     assert err.value.residual > 0.9
+    # columns are checked one by one: e1 is in D, e2 is not
+    with pytest.raises(rel.DomainError) as err:
+        rel.particular_solution(e3, np.eye(2))
+    assert err.value.residual > 0.9
+    assert rel.particular_solution(e3, np.array([[1.0], [0.0]])).shape == (2, 1)
 
 
 def test_adjoint_of_scalar_and_sum(rng):
