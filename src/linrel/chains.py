@@ -15,6 +15,7 @@ the adjoint pair.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from . import relation as rel
@@ -39,16 +40,6 @@ def _contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
     """Containment verdict plus an ill-conditioning flag for the gap."""
     g = sub.gap(inner, outer)
     return g <= EQ_TOL, CHAIN_BAND[0] < g < CHAIN_BAND[1]
-
-
-def _m_at(ms: list[Subspace], k: int) -> Subspace:
-    """M_k, read past the end of a stabilized chain as its last entry."""
-    return ms[k] if k < len(ms) else ms[-1]
-
-
-def _n_at(ns: list[Subspace], k: int) -> Subspace:
-    """N_k (1-based), read past the end of a stabilized chain as its last entry."""
-    return ns[k - 1] if k - 1 < len(ns) else ns[-1]
 
 
 @dataclass
@@ -106,6 +97,48 @@ def n_chain(a: LinearRelation, b: LinearRelation,
     return chain
 
 
+class _ChainSet:
+    """One pair's M and N chains and their containment verdicts, memoised by
+    chain index; an index past the end of a stabilized chain reads its last
+    entry.  The set holds no reference to the pair: callers pass it in."""
+
+    def __init__(self, a: LinearRelation, b: LinearRelation):
+        self.m_limit = self.n_limit = a.x_dim + 1
+        self.ms, self.ns = m_chain(a, b), n_chain(a, b)
+        self._gaps, self._kappa = {}, {}
+
+    @classmethod
+    def of(cls, a: LinearRelation, b: LinearRelation, m_limit: int, n_limit: int):
+        """The pair's set, kept on ``a`` beside a weak reference to ``b`` (a new
+        partner reusing a dead ``b``'s id gets its own).  A chain that its step
+        limit cut short is rebuilt to the longer limit, extending the old one."""
+        slot = a.__dict__.get("_chain_slot")
+        if slot is None or slot[0]() is not b:
+            slot = a.__dict__["_chain_slot"] = (weakref.ref(b), cls(a, b))
+        chains = slot[1]
+        if m_limit > chains.m_limit and len(chains.ms) == chains.m_limit + 1:
+            chains.ms, chains.m_limit = m_chain(a, b, m_limit), m_limit
+        if n_limit > chains.n_limit and len(chains.ns) == chains.n_limit:
+            chains.ns, chains.n_limit = n_chain(a, b, n_limit), n_limit
+        return chains
+
+    def contained(self, i: int, k: int) -> tuple[bool, bool]:
+        """``_contained(M_i, N_k)``."""
+        key = (min(i, len(self.ms) - 1), min(k, len(self.ns)) - 1)
+        if key not in self._gaps:
+            self._gaps[key] = _contained(self.ms[key[0]], self.ns[key[1]])
+        return self._gaps[key]
+
+    def kappa(self, a: LinearRelation, b: LinearRelation, k: int) -> tuple:
+        """``_contained`` of N_k in B^{-1}(A(N_{k+1})) and in D(B)."""
+        key = (min(k, len(self.ns)) - 1, min(k + 1, len(self.ns)) - 1)
+        if key not in self._kappa:
+            nk = self.ns[key[0]]
+            target = rel.preimage(b, rel.image(a, self.ns[key[1]]))
+            self._kappa[key] = (_contained(target, nk), _contained(b.domain, nk))
+        return self._kappa[key]
+
+
 def dual_chains(a: LinearRelation, b: LinearRelation,
                 max_n: int | None = None) -> tuple[list[Subspace], list[Subspace]]:
     """The M and N chains of the adjoint pair (both live in Y')."""
@@ -149,20 +182,16 @@ def check_equivalent_conditions(a: LinearRelation, b: LinearRelation,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ms = m_chain(a, b, max_n=max(n, a.x_dim + 1))
-    ns = n_chain(a, b, max_n=max(n + 1, a.x_dim + 1))
-
+    chains = _ChainSet.of(a, b, max(n, a.x_dim + 1), max(n + 1, a.x_dim + 1))
     ill = False
     conditions = []
     for r in range(1, n + 1):
-        ok, flag = _contained(_m_at(ms, n - r + 1), _n_at(ns, r))
+        ok, flag = chains.contained(n - r + 1, r)
         conditions.append(ok)
         ill = ill or flag
     kappa = True
     for k in range(1, n + 1):
-        target = rel.preimage(b, rel.image(a, _n_at(ns, k + 1)))
-        ok1, f1 = _contained(target, _n_at(ns, k))
-        ok2, f2 = _contained(b.domain, _n_at(ns, k))
+        (ok1, f1), (ok2, f2) = chains.kappa(a, b, k)
         kappa = kappa and ok1 and ok2
         ill = ill or f1 or f2
     all_true = all(conditions)
@@ -198,8 +227,8 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     a_adj, b_adj = rel.adjoint(a), rel.adjoint(b)
     ms_dual = m_chain(a_adj, b_adj)
     ns_dual = n_chain(a_adj, b_adj)
-    ms = m_chain(a, b)
-    ns = n_chain(a, b)
+    chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
+    ms, ns = chains.ms[:a.x_dim + 2], chains.ns[:a.x_dim + 1]
     nu_primal = _nu(a, b, ms)
     nu_dual = _nu(a_adj, b_adj, ms_dual)
 
@@ -212,10 +241,10 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     # Adjoint-sequence containments up to the shorter stabilization.
     fwd, bwd = [], []
     for n in range(1, len(ms_dual)):
-        target = sub.annihilator(rel.image(b, _n_at(ns, n)))
+        target = sub.annihilator(rel.image(b, ns[min(n, len(ns)) - 1]))
         fwd.append(sub.contains(target, ms_dual[n]))
     for n in range(1, len(ns_dual) + 1):
-        target = sub.annihilator(rel.image(a, _m_at(ms, n - 1)))
+        target = sub.annihilator(rel.image(a, ms[min(n - 1, len(ms) - 1)]))
         bwd.append(sub.contains(target, ns_dual[n - 1]))
     report["adjoint_sequences_m"] = fwd
     report["adjoint_sequences_n"] = bwd
@@ -229,19 +258,19 @@ def chain_report(a: LinearRelation, b: LinearRelation,
 
     Table row n (1-based) holds [N_k inside M_{n-k+1} for k = 1..n].
     """
-    ms = m_chain(a, b, max_n)
-    ns = n_chain(a, b, max_n)
-    depth = a.x_dim + 1 if max_n is None else max_n
+    depth = _step_limit(a, b, max_n)
+    chains = _ChainSet.of(a, b, depth, depth)
+    ms, ns = chains.ms[:depth + 1], chains.ns[:max(depth, 1)]
     ill = False
     table = []
     for n in range(1, depth + 1):
         row = []
         for k in range(1, n + 1):
-            ok, flag = _contained(_m_at(ms, n - k + 1), _n_at(ns, k))
+            ok, flag = chains.contained(n - k + 1, k)
             row.append(ok)
             ill = ill or flag
         table.append(row)
-    # max_n may cut the chain short of stabilization; then it cannot decide nu.
-    nu_val = _nu(a, b, ms if max_n is None else None)
+    # max_n may cut ms short of stabilization; nu reads what m_chain(a, b) gives.
+    nu_val = _nu(a, b, chains.ms[:a.x_dim + 2])
     return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=nu_val,
                        containment_table=table, ill_conditioned=ill)

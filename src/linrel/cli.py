@@ -149,7 +149,7 @@ def cmd_sweep(args) -> int:
     grid = stab.default_grid(radius, gamma_a, points=args.grid_points,
                              phases=args.phases)
     try:
-        report = stab.sweep(a, b, bound, grid)
+        report = stab.sweep(a, b, bound, grid, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mv", type=int, default=0, help="dim A(0)")
     gen.add_argument("--codim", type=int, default=0, help="codim of D(A)")
     gen.add_argument("--force-nu-infinite", action="store_true")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonneg_int, default=0)
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
 
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tau", type=_nonneg_float, default=None)
     analyze.add_argument("--eps", type=_eps_list, default=[0.25, 0.5, 1.0],
                          help="comma-separated eps list for approximate nullity")
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument("--seed", type=_nonneg_int, default=0)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--grid-points", type=_nonneg_int, default=64,
                      help="log-spaced moduli count (0 gives a header-only CSV)")
     swp.add_argument("--phases", type=_nonneg_int, default=8)
-    swp.add_argument("--seed", type=int, default=0)
+    swp.add_argument("--seed", type=_nonneg_int, default=0)
     swp.add_argument("--out", required=True,
                      help="output base path; writes BASE.json and BASE.csv")
     swp.set_defaults(func=cmd_sweep)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all",
                         choices=list(sts.SUITE_NAMES) + ["all"])
     verify.add_argument("--trials", type=_nonneg_int, default=200)
-    verify.add_argument("--seed", type=int, default=1)
+    verify.add_argument("--seed", type=_nonneg_int, default=1)
     verify.add_argument("--replay", default=None,
                         help="re-run serialized cases from a summary/replay file")
     verify.add_argument("--out", default=None)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -157,3 +159,135 @@ def test_negative_max_n_is_rejected(diag01):
     for build in (chn.m_chain, chn.n_chain, chn.chain_report):
         with pytest.raises(ValueError, match="max_n"):
             build(diag01, rel.identity_relation(2), -2)
+
+
+# ---------------------------------------------------------------------------
+# One chain set per pair: the reports read shared chains and verdicts, and
+# must equal the path that rebuilt both chains for every call.
+
+def _old_conditions(a, b, n):
+    """``check_equivalent_conditions`` on chains built afresh for this n."""
+    ms = chn.m_chain(a, b, max(n, a.x_dim + 1))
+    ns = chn.n_chain(a, b, max(n + 1, a.x_dim + 1))
+    m_at = lambda i: ms[min(i, len(ms) - 1)]  # noqa: E731
+    n_at = lambda k: ns[min(k, len(ns)) - 1]  # noqa: E731
+    ill, conditions = False, []
+    for r in range(1, n + 1):
+        ok, flag = chn._contained(m_at(n - r + 1), n_at(r))
+        conditions.append(ok)
+        ill = ill or flag
+    kappa = True
+    for k in range(1, n + 1):
+        target = rel.preimage(b, rel.image(a, n_at(k + 1)))
+        ok1, f1 = chn._contained(target, n_at(k))
+        ok2, f2 = chn._contained(b.domain, n_at(k))
+        kappa = kappa and ok1 and ok2
+        ill = ill or f1 or f2
+    return {"n": n, "conditions": conditions, "kappa": kappa,
+            "all_agree": len(set(conditions)) <= 1,
+            "implication_holds": (not all(conditions)) or kappa,
+            "ill_conditioned": ill}
+
+
+def _old_report(a, b, max_n):
+    """``chain_report(a, b, max_n).to_dict()`` on chains built afresh."""
+    ms, ns = chn.m_chain(a, b, max_n), chn.n_chain(a, b, max_n)
+    depth = a.x_dim + 1 if max_n is None else max_n
+    ill, table = False, []
+    for n in range(1, depth + 1):
+        row = []
+        for k in range(1, n + 1):
+            ok, flag = chn._contained(ms[min(n - k + 1, len(ms) - 1)],
+                                      ns[min(k, len(ns)) - 1])
+            row.append(ok)
+            ill = ill or flag
+        table.append(row)
+    return {"m_dims": [s.dim for s in ms], "n_dims": [s.dim for s in ns],
+            "stabilized_at": len(ms) - 1, "nu": chn.nu(a, b),
+            "containment_table": table, "ill_conditioned": ill}
+
+
+def _deep_pair(x, depth, seed):
+    """A = B C with C a rotated nilpotent Jordan block of size ``depth`` plus
+    an invertible block, so both chains move one step at a time."""
+    rng = np.random.default_rng(seed)
+    core = np.zeros((x, x))
+    core[np.arange(depth - 1), np.arange(1, depth)] = 1.0
+    core[depth:, depth:] = rng.standard_normal((x - depth,) * 2) + 3 * np.eye(x - depth)
+    q, _ = np.linalg.qr(rng.standard_normal((x, x)))
+    bm = rng.standard_normal((x, x)) + 3 * np.eye(x)
+    return rel.from_matrix(bm @ q @ core @ q.T), rel.from_matrix(bm)
+
+
+def _pairs(rng):
+    """Generated pairs plus deep ones, each as a factory of fresh relations."""
+    specs = [stab.random_feasible_spec(rng, max_dim=5, everywhere_defined=(i % 2 == 1))
+             for i in range(8)]
+    yield from (lambda spec=spec: stab.generate(spec) for spec in specs)
+    yield lambda: _deep_pair(7, 5, seed=3)
+    yield lambda: _deep_pair(6, 6, seed=4)
+
+
+def _check_identity(make):
+    a, b = make()
+    x = a.x_dim
+    old_conditions = [_old_conditions(a, b, n) for n in range(1, x + 4)]
+    old_reports = {m: _old_report(a, b, m) for m in (None, 0, 1, 2, x + 3)}
+    for report_first in (False, True):
+        a, b = make()
+        if report_first:
+            assert chn.chain_report(a, b).to_dict() == old_reports[None]
+        for n in range(1, x + 4):
+            assert chn.check_equivalent_conditions(a, b, n) == old_conditions[n - 1], n
+        for m, old in old_reports.items():
+            assert chn.chain_report(a, b, m).to_dict() == old, m
+
+
+def test_shared_chains_match_per_call_chains(rng):
+    for make in _pairs(rng):
+        _check_identity(make)
+
+
+def test_shared_chains_match_when_chains_never_stabilize(rng, monkeypatch):
+    # With is_same always False every chain runs to its step limit, so a
+    # longer n or max_n has to rebuild the shared chains longer.
+    monkeypatch.setattr(sub.Subspace, "is_same", lambda self, other, tol=0.0: False)
+    for make in _pairs(rng):
+        _check_identity(make)
+
+
+def _built_pair():
+    spec = stab.InstanceSpec(4, 4, alpha=1, beta=1, seed=5)
+    a, b = stab.generate(spec)
+    chn.chain_report(a, b)
+    chn.check_equivalent_conditions(a, b, 2)
+    chn.verify_nu_duality(a, b)
+    return a, b
+
+
+def test_chain_set_keeps_no_relation_alive():
+    gc.disable()
+    try:
+        a, b = _built_pair()
+        a_ref, b_ref = weakref.ref(a), weakref.ref(b)
+        del b
+        assert b_ref() is None, "a's chain set keeps its partner alive"
+        del a
+        assert a_ref() is None, "a relation with a chain set needs the cyclic GC"
+    finally:
+        gc.enable()
+
+
+def test_new_partner_gets_its_own_chains():
+    gc.disable()
+    try:
+        a, b = _built_pair()
+        old = chn.chain_report(a, b).to_dict()
+        graph = rel.zero_relation(4, 4).graph  # N(B) = X, so every M_n is X
+        del b
+        # Allocated right after b died, the partner usually takes b's id.
+        fresh = rel.LinearRelation(4, 4, graph)
+        assert chn.chain_report(a, fresh).to_dict() == _old_report(a, fresh, None)
+        assert chn.chain_report(a, fresh).to_dict() != old
+    finally:
+        gc.enable()

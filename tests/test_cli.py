@@ -135,6 +135,51 @@ def test_invalid_number_is_input_error(tmp_path, capsys, argv):
     assert options[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--xdim", "2", "--ydim", "2", "--alpha", "1", "--beta", "1"],
+    ["analyze", "INST"],
+    ["sweep", "INST", "--out", "OUT"],
+    ["verify", "--suite", "gap", "--trials", "2"],
+], ids=["gen", "analyze", "sweep", "verify"])
+def test_negative_seed_is_input_error(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "A": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
+        "B": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+    }))
+    argv = [{"INST": str(inst), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_sweep_seed_reaches_bound_check(tmp_path, monkeypatch):
+    import inspect
+
+    from linrel import metrics as met
+    real = met.check_relative_bound
+    seeds = []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(real).bind(*args, **kwargs)
+        call.apply_defaults()
+        seeds.append(call.arguments["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(met, "check_relative_bound", spy)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "A": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
+        "B": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
+    }))
+    assert main(["sweep", str(inst), "--sigma", "0", "--tau", "1", "--grid-points", "2",
+                 "--seed", "7", "--out", str(tmp_path / "sweep")]) == 0
+    assert seeds == [7]
+    assert json.loads((tmp_path / "sweep.json").read_text())["header"]["seed"] == 7
+
+
 def test_sweep_outputs(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

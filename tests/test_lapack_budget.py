@@ -4,11 +4,15 @@
 point of a sweep may cost one SVD of the pencil graph, one full SVD per
 graph block, the kernel and quotient-domain spans, the induced operator's
 singular values and two gaps: 8 SVDs and 1 least-squares solve.
+
+The chain reports of one pair build its M and N chains once, and
+``verify_nu_duality`` builds those of the adjoint pair once more.
 """
 
 import numpy as np
 import pytest
 
+from linrel import chains as chn
 from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
@@ -60,3 +64,22 @@ def test_check_relative_bound_budget(calls):
     a, b, bound, _ = _fresh_pair()
     used = _counted(calls, lambda: met.check_relative_bound(a, b, bound))
     assert used["lstsq"] <= 3, used
+
+
+def test_chain_builds_once_per_pair(monkeypatch):
+    built = {"m_chain": 0, "n_chain": 0}
+    for name in built:
+        real = getattr(chn, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(chn, name, counted)
+    spec = stab.InstanceSpec(6, 6, alpha=2, beta=2, seed=7)
+    a, b = stab.generate(spec)
+    chn.chain_report(a, b)
+    for n in range(1, a.x_dim + 1):
+        chn.check_equivalent_conditions(a, b, n)
+    assert chn.verify_nu_duality(a, b)["applicable"]
+    assert built == {"m_chain": 2, "n_chain": 2}, built
