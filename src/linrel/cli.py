@@ -27,6 +27,10 @@ _EXIT_OK = 0
 _EXIT_FALSIFIED = 1
 _EXIT_INPUT = 2
 
+# Deepest `chains --max-n`.  The containment table has max_n (max_n + 1) / 2
+# cells, and every chain of a pair in dimension x has stabilized by step x + 1.
+_MAX_N_CEILING = 256
+
 
 def _header(seed=None, **extra) -> dict:
     h = {"version": __version__, "tolerances": tolerance_header()}
@@ -250,6 +254,15 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _max_n(text: str) -> int:
+    """argparse type: an integer from 0 to the ceiling."""
+    value = _nonneg_int(text)
+    if value > _MAX_N_CEILING:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {_MAX_N_CEILING}, got {text!r}")
+    return value
+
+
 def _eps_list(text: str) -> list[float]:
     """argparse type: comma-separated finite numbers >= 0."""
     return [_nonneg_float(e) for e in text.split(",")]
@@ -301,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     chains_p = commands.add_parser("chains", help="chain report for one instance")
     chains_p.add_argument("input")
-    chains_p.add_argument("--max-n", type=_nonneg_int, default=None)
+    chains_p.add_argument("--max-n", type=_max_n, default=None,
+                          help=f"chain steps to report, 0 to {_MAX_N_CEILING} "
+                               "(default: until the chains stabilize)")
     chains_p.add_argument("--out", default=None)
     chains_p.set_defaults(func=cmd_chains)
 

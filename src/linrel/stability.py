@@ -36,7 +36,6 @@ __all__ = [
     "default_grid",
     "sweep",
     "verify_perturbation",
-    "verify_gap_bound",
     "verify_stability",
     "affine_gap_witness",
 ]
@@ -386,50 +385,6 @@ def verify_perturbation(a: LinearRelation, b: LinearRelation,
     return report
 
 
-def verify_gap_bound(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
-                     grid: list[complex]) -> dict:
-    """Check gap(N(A), N(A - lambda B)) against the predicted bound.
-
-    Requires nu(A:B) = inf; a finite nu makes the report not-applicable.
-    Grid points whose denominator is not positive are skipped.
-    """
-    report: dict = {"applicable": False}
-    try:
-        met._check_standing_hypotheses(a, b)
-    except met.HypothesisError as exc:
-        report["reason"] = str(exc)
-        return report
-    nu_val = chn.nu(a, b)
-    report["nu"] = nu_val
-    if not math.isinf(nu_val):
-        report["reason"] = "nu(A:B) finite"
-        return report
-    ok, worst = met.check_relative_bound(a, b, bound)
-    if not ok:
-        report["reason"] = f"bound invalid (residual {worst['residual']:.3e})"
-        return report
-    report["applicable"] = True
-    gamma_a = met.gamma(a)
-    kernel_a = a.kernel
-    checked = skipped = 0
-    failures = []
-    pencil = rel.pencil_family(a, b)
-    for lam in grid:
-        fb = met.finishing_bound(gamma_a, bound, abs(lam))
-        if fb is None:
-            skipped += 1
-            continue
-        g = sub.gap(kernel_a, pencil(lam).kernel)
-        checked += 1
-        if g > fb + BOUND_SLACK:
-            failures.append({"lambda": lam, "gap": g, "bound": fb})
-    report["checked"] = checked
-    report["skipped"] = skipped
-    report["failures"] = failures
-    report["ok"] = not failures
-    return report
-
-
 def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
                      grid: list[complex]) -> dict:
     """Constancy of alpha and beta strictly inside the k = 3 radius, the
@@ -440,6 +395,11 @@ def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     N(A) inside N(B), which forces an infinite nu.  (The reversed
     containment admits the pair A = diag(0,1), B = I whose nullity jumps
     1 -> 0 arbitrarily close to lambda = 0, so it cannot gate anything.)
+
+    An applicable report carries a "gap_bound" block: gap(N(A),
+    N(A - lambda B)) against the predicted bound, read off the same
+    sweep.  It needs nu(A:B) = inf, and skips grid points whose bound
+    denominator is not positive.
     """
     report: dict = {"applicable": False}
     try:
@@ -492,74 +452,47 @@ def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     report["degenerate_violations"] = rep.degenerate_violations
     report["failures"] = failures
     report["ok"] = not failures and rep.degenerate_violations == 0
+    if not math.isinf(nu_val):
+        report["gap_bound"] = {"applicable": False, "reason": "nu(A:B) finite"}
+        return report
+    rated = [r for r in rep.records if r["bound"] is not None]
+    gap_failures = [{"lambda": complex(r["re"], r["im"]), "gap": r["gap_fwd"],
+                     "bound": r["bound"]}
+                    for r in rated if r["gap_fwd"] > r["bound"] + BOUND_SLACK]
+    report["gap_bound"] = {"applicable": True, "checked": len(rated),
+                           "skipped": len(rep.records) - len(rated),
+                           "failures": gap_failures, "ok": not gap_failures}
     return report
 
 
-def affine_gap_witness(x, m: Subspace, n: Subspace, eps: float,
-                       starts: int = 8, seed: int = 0) -> dict:
-    """Search the coset x + N for x0 with dist(x0, M)/||x0|| above
+def affine_gap_witness(x, m: Subspace, n: Subspace, eps: float) -> dict:
+    """Find x0 in the coset x + N with dist(x0, M)/||x0|| above
     (1 - eps)(1 - delta)/(1 + delta), delta = gap(M, N).
 
-    The maximizer is heuristic (multi-start ascent over coset coordinates
-    with 1-d refinements, seeded by the generalized-eigenvector optimum),
-    so it can only under-report: a witness above the bound is a sound
-    pass, a miss is inconclusive, never a falsification.
+    The ratio is the exact supremum of dist(w, M)/||w|| over the coset.
+    The ratio is invariant under scaling and the points of span[x, N]
+    with a nonzero x-coordinate are dense in it, so with Q an orthonormal
+    basis of that span the supremum is the largest singular value of
+    (I - P_M)Q.  x0 is the top right singular vector in coset
+    coordinates; when its x-coordinate vanishes the supremum is only
+    approached, and x0 follows that direction from x-coordinate 1e-6.
+    A ratio at the bound is a pass; one below it is inconclusive, since
+    the lemma's hypotheses are not checked here.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    # Imported here: nothing else in the package needs scipy, and it
-    # dominates start-up time.
-    import scipy.linalg
-    import scipy.optimize
-
     x = np.asarray(x, dtype=complex).reshape(-1)
     if sub.distance(x, n) <= EQ_TOL:
         raise ValueError("x lies in N; the coset is N itself")
     delta = sub.gap(m, n)
     bound = (1 - eps) * (1 - delta) / (1 + delta)
 
-    w = np.hstack([x[:, None], n.basis])
-    resid = w - m.basis @ (m.basis.conj().T @ w) if m.dim else w
-    quad_num = resid.conj().T @ resid
-    quad_den = w.conj().T @ w
-
-    def ratio(coef: np.ndarray) -> float:
-        z = np.concatenate([[1.0 + 0j], coef])
-        num = float((z.conj() @ quad_num @ z).real)
-        den = float((z.conj() @ quad_den @ z).real)
-        return math.sqrt(max(num, 0.0) / den)
-
-    k = n.dim
-    if k == 0:
-        r0 = ratio(np.zeros(0, dtype=complex))
-        return {"x0": x, "ratio": r0, "bound": bound, "delta": delta,
-                "status": "pass" if r0 >= bound - 1e-12 else "inconclusive"}
-
-    # Generalized-eigenvector start: the Rayleigh optimum over the span.
-    vals, vecs = scipy.linalg.eigh(quad_num, quad_den)
-    top = vecs[:, -1]
-    if abs(top[0]) > 1e-10:
-        eig_start = top[1:] / top[0]
-    else:
-        eig_start = top[1:] / 1e-6  # approach the supremum along the coset
-
-    rng = np.random.default_rng(seed)
-    candidates = [eig_start, np.zeros(k, dtype=complex)]
-    for _ in range(starts):
-        candidates.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
-
-    def objective(params: np.ndarray) -> float:
-        coef = params[:k] + 1j * params[k:]
-        return -ratio(coef)
-
-    best_ratio, best_coef = -1.0, np.zeros(k, dtype=complex)
-    for c0 in candidates:
-        params0 = np.concatenate([np.asarray(c0).real, np.asarray(c0).imag])
-        res = scipy.optimize.minimize(objective, params0, method="Powell",
-                                      options={"maxiter": 400, "xtol": 1e-10})
-        if -res.fun > best_ratio:
-            best_ratio = -res.fun
-            best_coef = res.x[:k] + 1j * res.x[k:]
-    x0 = x + n.basis @ best_coef
-    return {"x0": x0, "ratio": best_ratio, "bound": bound, "delta": delta,
-            "status": "pass" if best_ratio >= bound - 1e-12 else "inconclusive"}
+    q, r = np.linalg.qr(np.hstack([x[:, None], n.basis]))
+    resid = q - m.basis @ (m.basis.conj().T @ q)
+    _, svals, vh = np.linalg.svd(resid, full_matrices=False)
+    ratio = float(svals[0])
+    z = np.linalg.solve(r, vh[0].conj())  # coordinates in [x, N]
+    lead = z[0] if abs(z[0]) > 1e-10 else 1e-6
+    x0 = x + n.basis @ (z[1:] / lead)
+    return {"x0": x0, "ratio": ratio, "bound": bound, "delta": delta,
+            "status": "pass" if ratio >= bound - 1e-12 else "inconclusive"}

@@ -81,14 +81,7 @@ class _Recorder:
         self.record(lemma, "pass" if ok else "fail", detail)
 
 
-def _case_rng(case_payload: dict) -> np.random.Generator:
-    digest = hashlib.sha256(ser.canonical_json(case_payload).encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
-def _merge(result: SuiteResult, case_payload: dict, rec: _Recorder,
-           digest: "hashlib._Hash") -> None:
-    digest.update(ser.canonical_json(case_payload).encode())
+def _merge(result: SuiteResult, case_payload: dict, rec: _Recorder) -> None:
     for lemma, counts in rec.lemmas.items():
         agg = result.lemmas.setdefault(lemma, {s: 0 for s in _STATUSES})
         for s in _STATUSES:
@@ -99,13 +92,20 @@ def _merge(result: SuiteResult, case_payload: dict, rec: _Recorder,
 
 
 def _run_cases(result: SuiteResult, build, check) -> SuiteResult:
-    """Build, check and merge each case in index order."""
+    """Build, check and merge each case in index order.
+
+    Each case is encoded once; its canonical text seeds the case RNG and
+    feeds the suite digest.
+    """
     digest = hashlib.sha256()
     for i in range(result.trials):
         payload = build(i)
+        text = ser.canonical_json(payload).encode()
+        case_seed = int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
         rec = _Recorder()
-        check(payload, rec)
-        _merge(result, payload, rec, digest)
+        check(payload, rec, np.random.default_rng(case_seed))
+        digest.update(text)
+        _merge(result, payload, rec)
     result.instances_digest = digest.hexdigest()
     return result
 
@@ -176,7 +176,7 @@ def duality_checks(t: LinearRelation) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_duality(payload: dict, rec: _Recorder) -> None:
+def _check_duality(payload: dict, rec: _Recorder, rng) -> None:
     a, b = _decode_pair(payload)
     for t in (a, b):
         for lemma, ok, detail in duality_checks(t):
@@ -186,9 +186,8 @@ def _check_duality(payload: dict, rec: _Recorder) -> None:
 # ---------------------------------------------------------------------------
 # algebra suite
 
-def _check_algebra(payload: dict, rec: _Recorder) -> None:
+def _check_algebra(payload: dict, rec: _Recorder, rng) -> None:
     a, b = _decode_pair(payload)
-    rng = _case_rng(payload)
     for t in (a, b):
         rec.check("fiber_dimension",
                   t.graph.dim == t.domain.dim + t.multivalued_part.dim
@@ -366,10 +365,9 @@ def _gap_case(seed: int, idx: int) -> dict:
     return {"M": ser.subspace_to_dict(m), "N": ser.subspace_to_dict(n)}
 
 
-def _check_gap(payload: dict, rec: _Recorder) -> None:
+def _check_gap(payload: dict, rec: _Recorder, rng) -> None:
     m = ser.subspace_from_dict(payload["M"])
     n = ser.subspace_from_dict(payload["N"])
-    rng = _case_rng(payload)
     delta = sub.gap(m, n)
     rec.check("gap_range", 0.0 <= delta <= 1.0, f"gap={delta}")
     rec.check("gap_self", sub.gap(m, m) <= 1e-12, "gap(M,M) != 0")
@@ -422,7 +420,7 @@ def _chains_case(seed: int, idx: int) -> dict:
                       force_nu=(idx % 5 == 0))
 
 
-def _check_chains(payload: dict, rec: _Recorder) -> None:
+def _check_chains(payload: dict, rec: _Recorder, rng) -> None:
     a, b = _decode_pair(payload)
     report = chn.chain_report(a, b)
     if report.ill_conditioned:
@@ -493,9 +491,8 @@ def _perturbation_case(seed: int, idx: int) -> dict:
     return ser.instance_to_dict(a, b)
 
 
-def _check_perturbation(payload: dict, rec: _Recorder) -> None:
+def _check_perturbation(payload: dict, rec: _Recorder, rng) -> None:
     a, b = _decode_pair(payload)
-    rng = _case_rng(payload)
     rep = stab.verify_perturbation(a, b)
     if not rep["applicable"]:
         rec.record("perturbation_inequalities", "not_applicable")
@@ -569,10 +566,9 @@ def _stability_case(seed: int, idx: int) -> dict:
     return payload
 
 
-def _check_stability(payload: dict, rec: _Recorder) -> None:
+def _check_stability(payload: dict, rec: _Recorder, rng) -> None:
     a, b = _decode_pair(payload)
     bound = ser.bound_from_dict(payload["bound"])
-    rng = _case_rng(payload)
     gamma_a = met.gamma(a)
     radii = {k: met.stability_radius(gamma_a, bound, k)
              for k in ("pencil", "alpha", "full")}
@@ -585,6 +581,7 @@ def _check_stability(payload: dict, rec: _Recorder) -> None:
     srep = stab.verify_stability(a, b, bound, grid)
     if not srep["applicable"]:
         rec.record("stability_alpha_beta", "not_applicable")
+        rec.record("gap_bound", "not_applicable")
     else:
         by_check: dict[str, bool] = {}
         for fail in srep["failures"]:
@@ -597,13 +594,12 @@ def _check_stability(payload: dict, rec: _Recorder) -> None:
                   "gamma(pencil) beneath the quantitative floor")
         rec.check("degenerate_dichotomy", srep["degenerate_violations"] == 0,
                   "totally degenerate pencil strictly inside the k=1 radius")
-
-    grep = stab.verify_gap_bound(a, b, bound, grid)
-    if not grep["applicable"]:
-        rec.record("gap_bound", "not_applicable")
-    else:
-        rec.check("gap_bound", grep["ok"],
-                  f"{len(grep['failures'])} grid points violate the gap bound")
+        gap_rep = srep["gap_bound"]
+        if not gap_rep["applicable"]:
+            rec.record("gap_bound", "not_applicable")
+        else:
+            rec.check("gap_bound", gap_rep["ok"],
+                      f"{len(gap_rep['failures'])} grid points violate the gap bound")
 
     _check_eigen_condition(a, b, rec, rng)
 

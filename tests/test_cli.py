@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from linrel import cli
 from linrel.cli import main
 
 
@@ -120,8 +121,9 @@ def test_analyze_duality_keys_match_suite_lemmas(tmp_path):
     ["sweep", "--sigma", "nan"],
     ["sweep", "--grid-points", "-1"],
     ["chains", "--max-n", "-2"],
+    ["chains", "--max-n", str(cli._MAX_N_CEILING + 1)],
 ], ids=["analyze-sigma", "analyze-tau", "analyze-eps", "sweep-sigma-nan",
-        "sweep-grid-points", "chains-max-n"])
+        "sweep-grid-points", "chains-max-n", "chains-max-n-above-ceiling"])
 def test_invalid_number_is_input_error(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

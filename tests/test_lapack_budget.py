@@ -7,6 +7,10 @@ singular values and two gaps: 8 SVDs and 1 least-squares solve.
 
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.
+
+One stability-suite case checks the relative bound once, computes nu once
+and builds two pencil families: one for the sweep that both the stability
+and the gap-bound verdicts read, one for the eigen-condition check.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ from linrel import chains as chn
 from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
+from linrel import suites as sts
 
 
 @pytest.fixture
@@ -83,3 +88,21 @@ def test_chain_builds_once_per_pair(monkeypatch):
         chn.check_equivalent_conditions(a, b, n)
     assert chn.verify_nu_duality(a, b)["applicable"]
     assert built == {"m_chain": 2, "n_chain": 2}, built
+
+
+def test_stability_case_budget(monkeypatch):
+    payload = sts._stability_case(1, 0)
+    used = {"check_relative_bound": 0, "nu": 0, "pencil_family": 0}
+    for module, name in ((met, "check_relative_bound"), (chn, "nu"),
+                         (rel, "pencil_family")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            used[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rec = sts._Recorder()
+    sts._check_stability(payload, rec, np.random.default_rng(0))
+    assert rec.lemmas["gap_bound"]["pass"] == 1, rec.lemmas
+    assert used == {"check_relative_bound": 1, "nu": 1, "pencil_family": 2}, used

@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard library's ast.
 
 Every name in a module's ``__all__`` must be bound at its top level
-(tools such as tracers call ``getattr`` on each entry), and no module may
-import a name it never uses.
+(tools such as tracers call ``getattr`` on each entry), no module may
+import a name it never uses, and no module imports scipy, which is not
+a dependency.
 """
 
 import ast
@@ -63,3 +64,13 @@ def test_no_unused_imports(path):
               and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
               for name in _imported(node) if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    imported = [alias.name if isinstance(node, ast.Import) else node.module or ""
+                for node in ast.walk(_tree(path))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    scipy = [name for name in imported if name.split(".")[0] == "scipy"]
+    assert not scipy, f"{path.name} imports {scipy}"

@@ -126,13 +126,14 @@ def test_verify_perturbation_cases(diag01):
 def test_verify_gap_bound_cases(diag01):
     bound = met.RelativeBound(0.0, 1.0)
     grid = stab.default_grid(1.0, 1.0, points=4, phases=4)
-    rep = stab.verify_gap_bound(diag01, diag01, bound, grid)
-    assert rep["applicable"] and rep["ok"]
-    assert rep["checked"] > 0
+    gap_rep = stab.verify_stability(diag01, diag01, bound, grid)["gap_bound"]
+    assert gap_rep["applicable"] and gap_rep["ok"]
+    assert gap_rep["checked"] > 0
 
+    # nu = 1 closes every gate, so no gap_bound block is reported.
     ident = rel.identity_relation(2)
-    rep = stab.verify_gap_bound(diag01, ident, met.RelativeBound(1.0, 0.0), grid)
-    assert not rep["applicable"]
+    rep = stab.verify_stability(diag01, ident, met.RelativeBound(1.0, 0.0), grid)
+    assert not rep["applicable"] and "gap_bound" not in rep
     assert rep["nu"] == 1
 
 
@@ -165,6 +166,17 @@ def test_verify_stability_kernel_gate_admits():
     rep = stab.verify_stability(a, b, met.RelativeBound(0.0, 0.0),
                                 [0j, 0.5 + 0.5j])
     assert rep["kernel_gate"] and rep["applicable"] and rep["ok"]
+    assert rep["gap_bound"]["applicable"] and rep["gap_bound"]["ok"]
+
+
+def test_gap_bound_needs_infinite_nu(monkeypatch):
+    # Should the kernel gate alone admit a pair, the gap bound does not apply.
+    a = rel.from_matrix(np.diag([0.0, 2.0]))
+    b = rel.from_matrix(np.zeros((2, 2)))
+    monkeypatch.setattr(chn, "nu", lambda a, b: 3)
+    rep = stab.verify_stability(a, b, met.RelativeBound(0.0, 0.0), [0j])
+    assert rep["applicable"] and rep["nu"] == 3
+    assert rep["gap_bound"] == {"applicable": False, "reason": "nu(A:B) finite"}
 
 
 def test_verify_stability_random_instances(rng):
@@ -177,7 +189,7 @@ def test_verify_stability_random_instances(rng):
         rep = stab.verify_stability(a, b, bound, grid)
         assert rep["applicable"]
         assert rep["ok"], rep["failures"]
-        gap_rep = stab.verify_gap_bound(a, b, bound, grid)
+        gap_rep = rep["gap_bound"]
         assert gap_rep["applicable"] and gap_rep["ok"]
 
 
@@ -220,6 +232,29 @@ def test_affine_gap_witness_rejects_x_in_n(rng):
         stab.affine_gap_witness(np.array([0.0, 1.0]), sub.full_space(2), n, 0.1)
     with pytest.raises(ValueError, match="eps"):
         stab.affine_gap_witness(np.array([1.0, 0.0]), sub.full_space(2), n, 1.5)
+
+
+def test_affine_gap_witness_is_the_coset_supremum(rng):
+    for _ in range(30):
+        ambient = int(rng.integers(2, 7))
+        m = sub.random_subspace(ambient, int(rng.integers(0, ambient + 1)), rng)
+        n = sub.random_subspace(ambient, int(rng.integers(0, ambient)), rng)
+        x = rng.standard_normal(ambient) + 1j * rng.standard_normal(ambient)
+        res = stab.affine_gap_witness(x, m, n, eps=0.1)
+        # dense sample of x + N, its coordinates spread over six decades
+        k = n.dim
+        coef = rng.standard_normal((k, 4096)) + 1j * rng.standard_normal((k, 4096))
+        coef *= np.geomspace(1e-3, 1e3, 4096)
+        points = x[:, None] + n.basis @ coef
+        resid = points - m.basis @ (m.basis.conj().T @ points)
+        sampled = float(np.max(np.linalg.norm(resid, axis=0)
+                               / np.linalg.norm(points, axis=0)))
+        # 1e-15 absolute covers M = C^n, where both are rounding noise
+        assert res["ratio"] >= sampled * (1 - 1e-12) - 1e-15
+        x0 = res["x0"]
+        assert sub.distance(x0 - x, n) <= 1e-12 * np.linalg.norm(x0)
+        attained = sub.distance(x0, m) / np.linalg.norm(x0)
+        assert attained == pytest.approx(res["ratio"], rel=1e-12, abs=1e-12)
 
 
 def test_radii_ordering(rng):

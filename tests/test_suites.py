@@ -21,6 +21,23 @@ def test_each_suite_small_run_clean(name):
     assert len(r.instances_digest) == 64
 
 
+def test_each_case_is_encoded_once(monkeypatch):
+    encoded = {"calls": 0}
+    real = ser.canonical_json
+
+    def counted(*args, **kwargs):
+        encoded["calls"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ser, "canonical_json", counted)
+    per_suite = {}
+    for name in sts.SUITE_NAMES:
+        before = encoded["calls"]
+        sts.run_suite(name, trials=3, seed=5)
+        per_suite[name] = encoded["calls"] - before
+    assert per_suite == {name: 3 for name in sts.SUITE_NAMES}
+
+
 def test_suite_determinism():
     a = sts.run_suite("stability", trials=6, seed=9)
     b = sts.run_suite("stability", trials=6, seed=9)
