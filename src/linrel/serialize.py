@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -56,11 +57,18 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
+    """17 significant digits of a real number; infinities as the strings
+    "inf" and "-inf".  NaN raises ValueError, a non-number TypeError."""
+    if type(x) is not float:
+        if not isinstance(x, numbers.Real):
+            raise TypeError(f"cannot format {type(x).__name__} as a number")
+        x = float(x)
+    text = format(x, ".17g")
+    if text == "inf" or text == "-inf":
+        return f'"{text}"'
+    if text == "nan":
         raise ValueError("NaN is not serializable")
-    return format(float(x), ".17g")
+    return text
 
 
 def canonical_json(obj) -> str:
@@ -71,20 +79,20 @@ def canonical_json(obj) -> str:
 
 
 def _encode(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, complex):
-        _encode([obj.real, obj.imag], out)
+    # Floats first, and inline inside lists: they are most of a payload.
+    # Lists and dicts next; every later test rejects them anyway.
+    if type(obj) is float:
+        out.append(fmt_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            if type(v) is float:
+                out.append(fmt_float(v))
+            else:
+                _encode(v, out)
+        out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -96,13 +104,20 @@ def _encode(obj, out: list[str]) -> None:
             out.append(":")
             _encode(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _encode(v, out)
-        out.append("]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, complex):
+        _encode([obj.real, obj.imag], out)
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     else:

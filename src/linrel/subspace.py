@@ -40,7 +40,7 @@ def _as_complex_matrix(vectors) -> np.ndarray:
         m = m[:, None]
     if m.ndim != 2:
         raise ValueError(f"expected a matrix of column vectors, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries are not admitted into a basis")
     return m
 
@@ -65,10 +65,13 @@ class Subspace:
             raise ValueError("ambient dimension must be positive")
         basis = np.asarray(basis, dtype=complex).reshape(ambient, -1)
         if basis.size:
-            if not np.all(np.isfinite(basis)):
+            if not np.isfinite(basis).all():
                 raise ValueError("non-finite entries are not admitted into a basis")
+            # The Gram matrix minus the identity, formed in place: x - 1.0
+            # rounds exactly as x - (1+0j), so the decision is unchanged.
             gram = basis.conj().T @ basis
-            if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-10:
+            gram.flat[::basis.shape[1] + 1] -= 1.0
+            if np.abs(gram).max() > 1e-10:
                 raise ValueError("basis columns are not orthonormal; use span()")
         basis.setflags(write=False)
         self.ambient = int(ambient)
@@ -113,20 +116,25 @@ def full_space(ambient: int) -> Subspace:
 def _rank(s: np.ndarray) -> int:
     """Rank cut of descending singular values: those above ``RANK_REL``
     times the largest one, with the absolute floor ``RANK_ABS``."""
-    if s.size == 0 or s[0] <= RANK_ABS:
+    # Python floats: the same IEEE products, quotients and comparisons as
+    # array arithmetic, without a NumPy dispatch per step on tiny inputs.
+    v = s.tolist()
+    if not v or v[0] <= RANK_ABS:
         return 0
-    return int(np.count_nonzero(s > max(RANK_REL * s[0], RANK_ABS)))
+    cut = max(RANK_REL * v[0], RANK_ABS)
+    return len([x for x in v if x > cut])
 
 
 def _rank_from_svals(s: np.ndarray) -> tuple[int, bool]:
     """:func:`_rank` plus whether any normalized singular value fell in
     the indeterminate band."""
-    if s.size == 0 or s[0] <= RANK_ABS:
+    v = s.tolist()
+    if not v or v[0] <= RANK_ABS:
         # Decisively zero unless the top value sits just under the floor.
-        return 0, bool(s.size and s[0] > RANK_ABS / 10)
-    normalized = s / s[0]
-    near = bool(np.any((normalized > SV_BAND[0]) & (normalized < SV_BAND[1])))
-    return _rank(s), near
+        return 0, bool(v and v[0] > RANK_ABS / 10)
+    top = v[0]
+    lo, hi = SV_BAND
+    return _rank(s), any([lo < x / top < hi for x in v])
 
 
 def span(vectors, ambient: int | None = None) -> Subspace:

@@ -114,6 +114,53 @@ def test_analyze_duality_keys_match_suite_lemmas(tmp_path):
     assert keys == lemmas
 
 
+def _graph_a(**changes) -> dict:
+    """A = graph span{(1, 0)} in C x C, in the graph schema."""
+    a = {"x_dim": 1, "y_dim": 1,
+         "graph": {"ambient": 2, "basis": [[[1.0, 0.0], [0.0, 0.0]]]}}
+    a.update(changes)
+    return a
+
+
+def _with_entry(entry) -> dict:
+    return _graph_a(graph={"ambient": 2, "basis": [[entry, [0.0, 0.0]]]})
+
+
+_BAD_INSTANCES = {
+    "inf-entry": {"A": _with_entry("inf"), "B": {"matrix": [[1.0]]}},
+    "three-element-entry": {"A": _with_entry([1.0, 0.0, 0.0]), "B": {"matrix": [[1.0]]}},
+    "short-column": {"A": _graph_a(graph={"ambient": 2, "basis": [[[1.0, 0.0]]]}),
+                     "B": {"matrix": [[1.0]]}},
+    "x-dim-mismatch": {"A": _graph_a(x_dim=2), "B": {"matrix": [[1.0]]}},
+    "ambient-zero": {"A": _graph_a(graph={"ambient": 0, "basis": []}),
+                     "B": {"matrix": [[1.0]]}},
+    "non-numeric-string": {"A": _with_entry("one"), "B": {"matrix": [[1.0]]}},
+    "missing-B": {"A": _graph_a()},
+    "ragged-matrix": {"A": {"matrix": [[1.0, 0.0], [1.0]]}, "B": {"matrix": [[1.0]]}},
+    "null-entry": {"A": _with_entry(None), "B": {"matrix": [[1.0]]}},
+    "matrix-inf-entry": {"A": _graph_a(), "B": {"matrix": [["inf"]]}},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "chains"])
+def test_bad_instance_base_is_valid(tmp_path, command):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"A": _graph_a(), "B": {"matrix": [[1.0]]}}))
+    assert main([command, str(inst), "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "chains"])
+@pytest.mark.parametrize("case", list(_BAD_INSTANCES))
+def test_bad_instance_is_input_error(tmp_path, capsys, command, case):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_BAD_INSTANCES[case]))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(inst), "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert "is not an instance file" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--sigma", "-1"],
     ["analyze", "--tau", "-1"],

@@ -74,3 +74,84 @@ def test_no_scipy_import(path):
                 for alias in node.names]
     scipy = [name for name in imported if name.split(".")[0] == "scipy"]
     assert not scipy, f"{path.name} imports {scipy}"
+
+
+def _name(node: ast.AST) -> str:
+    """``f`` for ``f`` and for ``x.f``; empty for anything else."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _subspace_bypasses(tree: ast.Module) -> list[str]:
+    """Ways round ``Subspace.__init__``'s finiteness and Gram checks: a
+    ``.basis`` (or ``setattr(..., "basis", ...)``) assignment anywhere
+    but that constructor, a ``Subspace.__new__`` or ``object.__new__``
+    call, and ``setflags`` with ``write`` other than False, which can make
+    a checked basis writable again."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Subspace":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    allowed.update(id(n) for n in ast.walk(item))
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            for t in ast.walk(target):
+                if (isinstance(t, ast.Attribute) and t.attr == "basis"
+                        and id(t) not in allowed):
+                    found.append(f"{where}: assigns .basis")
+        if not isinstance(node, ast.Call):
+            continue
+        name = _name(node.func)
+        args = list(node.args) + [k.value for k in node.keywords]
+        if name in ("setattr", "__setattr__") and any(
+                isinstance(a, ast.Constant) and a.value == "basis" for a in args):
+            found.append(f"{where}: sets basis through {name}")
+        if name == "__new__" and isinstance(node.func, ast.Attribute):
+            owner = _name(node.func.value)
+            if owner in ("Subspace", "object"):
+                found.append(f"{where}: calls {owner}.__new__")
+        write = [k.value for k in node.keywords if k.arg == "write"] + node.args[:1]
+        if name == "setflags" and any(
+                not (isinstance(w, ast.Constant) and w.value is False) for w in write):
+            found.append(f"{where}: calls setflags with write not False")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_subspace_is_checked(path):
+    bypasses = _subspace_bypasses(_tree(path))
+    assert not bypasses, f"{path.name}: {bypasses}"
+
+
+@pytest.mark.parametrize("source", [
+    "s.basis = b",
+    "s.basis += b",
+    "s.basis: object = b",
+    "a, s.basis = 1, b",
+    "setattr(s, 'basis', b)",
+    "object.__setattr__(s, 'basis', b)",
+    "s = Subspace.__new__(Subspace)",
+    "s = sub.Subspace.__new__(sub.Subspace)",
+    "s = object.__new__(Subspace)",
+    "b.setflags(write=True)",
+    "b.setflags(True)",
+    "b.setflags(write=flag)",
+    "class Subspace:\n    def rebase(self, b):\n        self.basis = b",
+], ids=["assign", "augassign", "annassign", "tuple-target", "setattr", "object-setattr",
+        "subspace-new", "qualified-new", "object-new", "setflags-write", "setflags-positional",
+        "setflags-variable", "other-method"])
+def test_subspace_bypass_detector(source):
+    assert _subspace_bypasses(ast.parse(source))
+
+
+def test_subspace_bypass_detector_allows_constructor():
+    source = ("class Subspace:\n"
+              "    def __init__(self, basis):\n"
+              "        basis.setflags(write=False)\n"
+              "        self.basis = basis\n")
+    assert not _subspace_bypasses(ast.parse(source))

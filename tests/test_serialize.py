@@ -7,6 +7,8 @@ import pytest
 from linrel import metrics as met
 from linrel import relation as rel
 from linrel import serialize as ser
+from linrel import stability as stab
+from linrel import suites as sts
 from linrel import subspace as sub
 
 
@@ -97,3 +99,123 @@ def test_sweep_csv_golden():
     assert lines[0] == ser.SWEEP_CSV_HEADER
     assert lines[1] == "0.5,-0.25,1,2,inf,0.125,0,,1,0,0,0"
     assert ser.sweep_csv([]).strip() == ser.SWEEP_CSV_HEADER
+
+
+# ---------------------------------------------------------------------------
+# the canonical encoder against the recursive formulation it replaced
+
+def _oracle_fmt_float(x) -> str:
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if math.isnan(x):
+        raise ValueError("NaN is not serializable")
+    return format(float(x), ".17g")
+
+
+def _oracle_encode(obj, out: list) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_oracle_fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, complex):
+        _oracle_encode([obj.real, obj.imag], out)
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            if not isinstance(k, str):
+                raise TypeError(f"non-string key {k!r}")
+            out.append(json.dumps(k))
+            out.append(":")
+            _oracle_encode(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _oracle_encode(v, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _oracle_encode(obj.tolist(), out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _oracle_json(obj) -> str:
+    pieces: list = []
+    _oracle_encode(obj, pieces)
+    return "".join(pieces)
+
+
+def _reports() -> list:
+    """A verify_stability and a sweep report on a stability case with
+    finite gamma(A) and fitted sigma > 0."""
+    payload = sts._stability_case(1, 1)
+    a, b = ser.instance_from_dict(payload)
+    bound = ser.bound_from_dict(payload["bound"])
+    gamma_a = met.gamma(a)
+    grid = stab.default_grid(met.stability_radius(gamma_a, bound, "full"), gamma_a,
+                             points=4, phases=3)
+    return [stab.verify_stability(a, b, bound, grid),
+            stab.sweep(a, b, bound, grid).to_dict()]
+
+
+@pytest.mark.parametrize("suite", sts.SUITE_NAMES)
+def test_canonical_json_matches_oracle_on_case_payloads(suite):
+    build = sts._SUITES[suite][0](3)
+    for i in range(3):
+        payload = build(i)
+        assert ser.canonical_json(payload) == _oracle_json(payload)
+
+
+def test_canonical_json_matches_oracle_on_reports_and_edges():
+    docs = _reports() + [
+        [-0.0, 5e-324, 1e22, 1e-7, math.inf, -math.inf],
+        [1, 2.0, True, None],
+        (0.5, "t", (1,)),
+        [np.float64(0.1), np.float32(0.1), np.float16(2.5), np.int64(-3), np.int8(7)],
+        [1 + 2j, complex(-0.0, math.inf)],
+        [[], [[]], [[], [[0.25]]]],
+        {"a": {"b": {"c": [0.1, {"d": None}]}, "e": {}}, "f": np.arange(3.0)},
+        0.1, 7, "plain", None,
+    ]
+    for doc in docs:
+        assert ser.canonical_json(doc) == _oracle_json(doc)
+
+
+@pytest.mark.parametrize("doc, exc", [
+    ([0.5, math.nan], ValueError),
+    ({"x": math.nan}, ValueError),
+    (np.float64(math.nan), ValueError),
+    ([object()], TypeError),
+    ([np.bool_(True)], TypeError),
+    ({1: "non-string key"}, TypeError),
+    ({"x": {2.0: 1}}, TypeError),
+], ids=["nan-in-list", "nan-in-dict", "numpy-nan", "object", "numpy-bool",
+        "int-key", "float-key"])
+def test_canonical_json_errors_match_oracle(doc, exc):
+    with pytest.raises(exc):
+        _oracle_json(doc)
+    with pytest.raises(exc):
+        ser.canonical_json(doc)
+
+
+def test_fmt_float_errors_and_numbers():
+    for bad, exc in [(math.nan, ValueError), (-math.nan, ValueError),
+                     ("x", TypeError), ("1.5", TypeError), (None, TypeError)]:
+        with pytest.raises(exc):
+            ser.fmt_float(bad)
+        with pytest.raises(exc):
+            _oracle_fmt_float(bad)
+    for x in [3, True, np.float64(-0.0), np.float32(0.1), np.int64(2**40), 1e308]:
+        assert ser.fmt_float(x) == _oracle_fmt_float(x)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel import subspace as sub
+from linrel.tolerances import RANK_ABS, RANK_REL, SV_BAND
 
 from oracles import intersect_oracle, sampled_sup_distance
 
@@ -213,3 +214,119 @@ def test_gap_bounds_and_dimension_property(seed, n):
     if delta < 1 - 1e-6:
         assert m.dim <= s.dim
     assert (delta <= 1e-8) == sub.contains(s, m)
+
+
+# ---------------------------------------------------------------------------
+# the constructor's contract: every Subspace checks finiteness, then the
+# Gram matrix against the identity to 1e-10 in the largest entry modulus
+
+def _two_columns(off: complex) -> np.ndarray:
+    """Columns e1 and off*e1 + sqrt(1 - off^2)*e2 of C^3: Gram entry
+    (0, 1) is exactly ``off``, the diagonal is 1 to rounding."""
+    basis = np.zeros((3, 2), dtype=complex)
+    basis[0, 0] = 1.0
+    basis[0, 1] = off
+    basis[1, 1] = math.sqrt(1.0 - abs(off) ** 2)
+    return basis
+
+
+@pytest.mark.filterwarnings("error")
+def test_constructor_rejects_non_orthonormal():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(2, np.array([2.0, 0.0]))
+    # A finite basis whose Gram entry overflows is not orthonormal either.
+    # The constructor lets NumPy's overflow warning through, so it is
+    # silenced here.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(2, np.array([1e200, 0.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)],
+                         ids=["nan", "inf", "-inf", "imag-inf"])
+def test_constructor_rejects_non_finite(bad):
+    basis = _two_columns(0.0)
+    basis[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sub.Subspace(3, basis)
+    with pytest.raises(ValueError, match="non-finite"):
+        sub.span(basis)
+
+
+@pytest.mark.filterwarnings("error")
+def test_constructor_gram_tolerance():
+    assert sub.Subspace(3, _two_columns(5e-11)).dim == 2
+    assert sub.Subspace(3, _two_columns(-5e-11j)).dim == 2
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(3, _two_columns(2e-10))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(3, _two_columns(2e-10j))
+    long_e1 = np.zeros((3, 1), dtype=complex)
+    long_e1[0, 0] = math.sqrt(1.0 + 2e-10)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(3, long_e1)
+    long_e1[0, 0] = math.sqrt(1.0 + 5e-11)
+    assert sub.Subspace(3, long_e1).dim == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_constructor_shapes():
+    empty = sub.Subspace(3, np.zeros((3, 0)))
+    assert empty.dim == 0 and empty.basis.shape == (3, 0)
+    assert sub.Subspace(2, np.array([])).dim == 0
+    line = sub.Subspace(3, np.array([0.0, 1.0, 0.0]))
+    assert line.dim == 1 and line.basis.dtype == complex
+    assert not line.basis.flags.writeable
+    full = sub.Subspace(4, np.eye(4))
+    assert full.dim == 4 and not full.basis.flags.writeable
+    with pytest.raises(ValueError, match="ambient"):
+        sub.Subspace(0, np.zeros((0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the rank cut against the array formulation it replaced
+
+def _array_rank(s: np.ndarray) -> int:
+    if s.size == 0 or s[0] <= RANK_ABS:
+        return 0
+    return int(np.count_nonzero(s > max(RANK_REL * s[0], RANK_ABS)))
+
+
+def _array_rank_from_svals(s: np.ndarray) -> tuple[int, bool]:
+    if s.size == 0 or s[0] <= RANK_ABS:
+        return 0, bool(s.size and s[0] > RANK_ABS / 10)
+    normalized = s / s[0]
+    near = bool(np.any((normalized > SV_BAND[0]) & (normalized < SV_BAND[1])))
+    return _array_rank(s), near
+
+
+def _assert_same_cut(s: np.ndarray) -> None:
+    assert sub._rank(s) == _array_rank(s), s
+    assert sub._rank_from_svals(s) == _array_rank_from_svals(s), s
+
+
+def test_rank_cut_matches_array_formulation_random():
+    g = np.random.default_rng(7)
+    for _ in range(4000):
+        k = int(g.integers(1, 13))
+        s = np.sort(10.0 ** g.uniform(-22, 3, size=k))[::-1].copy()
+        _assert_same_cut(s)
+    _assert_same_cut(np.zeros(0))
+    _assert_same_cut(np.zeros(3))
+
+
+@pytest.mark.parametrize("top", [1.0, 3.7, 1e-3, 2e-11, 1e3])
+def test_rank_cut_matches_array_formulation_at_thresholds(top):
+    marks = [RANK_ABS, RANK_ABS / 10, RANK_REL * top,
+             SV_BAND[0] * top, SV_BAND[1] * top]
+    values = []
+    for m in marks:
+        values += [np.nextafter(m, math.inf), m, np.nextafter(m, 0.0)]
+    tail = np.array(sorted((v for v in values if v <= top), reverse=True))
+    _assert_same_cut(np.concatenate([[top], tail]))
+    for v in values:
+        # each mark alone below the top value, and each as the top value
+        _assert_same_cut(np.array([top, v]) if v <= top else np.array([v, top]))
+        _assert_same_cut(np.array([v]))
