@@ -75,9 +75,7 @@ def _load_instance(path: str):
 def _bound_from_args(args, a, b) -> met.RelativeBound:
     if args.sigma is not None:
         return met.RelativeBound(args.sigma, args.tau or 0.0, "supplied")
-    if args.tau:
-        return met.fit_relative_bound(a, b, args.tau)
-    return met.fit_relative_bound(a, b, 0.0)
+    return met.fit_relative_bound(a, b, args.tau or 0.0)
 
 
 def cmd_gen(args) -> int:

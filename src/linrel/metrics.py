@@ -84,8 +84,7 @@ def operator_part(t: LinearRelation) -> OperatorPart:
     dom = t.domain
     ker = t.kernel
     # N(T) sits inside D(T), so D ^ N-perp is the complement of N within D.
-    quot = sub.span(dom.basis - ker.basis @ (ker.basis.conj().T @ dom.basis)
-                    if ker.dim else dom.basis, ambient=t.x_dim)
+    quot = sub.span(ker.residual(dom.basis), ambient=t.x_dim)
     part = OperatorPart(quot.basis, _restricted_quotient_matrix(t, quot.basis))
     t.__dict__["_operator_part"] = part
     return part
@@ -95,8 +94,7 @@ def relation_norm_at(t: LinearRelation, x) -> float | np.ndarray:
     """||T x||: distance of any particular solution to T(0); a matrix
     ``x`` gives the value at each column from one least-squares solve."""
     y = rel.particular_solution(t, x)
-    mv = t.multivalued_part
-    r = y - mv.basis @ (mv.basis.conj().T @ y) if mv.dim else y
+    r = t.multivalued_part.residual(y)
     return np.linalg.norm(r, axis=0) if r.ndim == 2 else float(np.linalg.norm(r))
 
 
@@ -202,8 +200,7 @@ def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndar
         return np.zeros((t.y_dim, 0), dtype=complex)
     coeff, *_ = np.linalg.lstsq(t.graph.basis[: t.x_dim, :], basis, rcond=None)
     y = t.graph.basis[t.x_dim:, :] @ coeff
-    mv = t.multivalued_part
-    return y - mv.basis @ (mv.basis.conj().T @ y) if mv.dim else y
+    return t.multivalued_part.residual(y)
 
 
 def fit_relative_bound(a: LinearRelation, b: LinearRelation, tau: float = 0.0,

@@ -78,12 +78,14 @@ class LinearRelation:
     @cached_property
     def _x_svd(self) -> tuple[Subspace, np.ndarray]:
         """D(T) and a null-space basis of Gx, from one full SVD of Gx."""
-        return _span_and_null(self._gx)
+        span, null, near = sub.svd_split(self._gx)
+        return Subspace(self.x_dim, span, sv_near_cut=near), null
 
     @cached_property
     def _y_svd(self) -> tuple[Subspace, np.ndarray]:
         """R(T) and a null-space basis of Gy, from one full SVD of Gy."""
-        return _span_and_null(self._gy)
+        span, null, near = sub.svd_split(self._gy)
+        return Subspace(self.y_dim, span, sv_near_cut=near), null
 
     @property
     def domain(self) -> Subspace:
@@ -110,24 +112,6 @@ class LinearRelation:
     def __repr__(self) -> str:
         return (f"LinearRelation({self.x_dim}->{self.y_dim}, "
                 f"graph dim {self.graph.dim})")
-
-
-def _nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis of a (possibly empty) matrix."""
-    if m.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[sub._rank(s):].conj().T
-
-
-def _span_and_null(m: np.ndarray) -> tuple[Subspace, np.ndarray]:
-    """``sub.span(m)`` and an orthonormal null-space basis of ``m``, read
-    off one full SVD."""
-    if m.shape[1] == 0:
-        return Subspace(m.shape[0], m), np.zeros((0, 0), dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank, near = sub._rank_from_svals(s)
-    return Subspace(m.shape[0], u[:, :rank], sv_near_cut=near), vh[rank:].conj().T
 
 
 def from_matrix(a) -> LinearRelation:
@@ -190,7 +174,7 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
-    null = _nullspace(np.hstack([a._gx, -b._gx]))
+    _, null, _ = sub.svd_split(np.hstack([a._gx, -b._gx]))
     c1, c2 = null[: a.graph.dim, :], null[a.graph.dim:, :]
     x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
 
@@ -215,8 +199,7 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
     # Graph columns whose x-part lies in M: null space of (I - P_M) Gx.
-    gx = t._gx
-    null = _nullspace(gx - m.basis @ (m.basis.conj().T @ gx) if m.dim else gx)
+    _, null, _ = sub.svd_split(m.residual(t._gx))
     return sub.span(t._gy @ null, ambient=t.y_dim)
 
 

@@ -219,10 +219,7 @@ def _csv_number(x) -> str:
         return ""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def sweep_csv(records: list[dict]) -> str:

@@ -106,8 +106,7 @@ def _complement_within(host: Subspace, part: Subspace) -> Subspace:
     """Orthogonal complement of ``part`` inside ``host`` (part within host)."""
     if part.dim == 0:
         return host
-    resid = host.basis - part.basis @ (part.basis.conj().T @ host.basis)
-    return sub.span(resid, ambient=host.ambient)
+    return sub.span(part.residual(host.basis), ambient=host.ambient)
 
 
 def _haar_like(rng, n: int) -> np.ndarray:
@@ -340,8 +339,7 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
                        degenerate_violations)
 
 
-def verify_perturbation(a: LinearRelation, b: LinearRelation,
-                        bound: RelativeBound | None = None) -> dict:
+def verify_perturbation(a: LinearRelation, b: LinearRelation) -> dict:
     """Check the additive perturbation inequalities alpha(A+B) <= alpha(A),
     beta(A+B) <= beta(A) under whichever theorem gate admits.
 
@@ -359,8 +357,7 @@ def verify_perturbation(a: LinearRelation, b: LinearRelation,
     norm_b = met.norm(b)
     report["gamma_a"] = gamma_a
     report["norm_b"] = norm_b
-    if bound is None:
-        bound = met.fit_relative_bound(a, b, 0.0)
+    bound = met.fit_relative_bound(a, b, 0.0)
     report["sigma"] = bound.sigma
     report["tau"] = bound.tau
 
@@ -488,8 +485,7 @@ def affine_gap_witness(x, m: Subspace, n: Subspace, eps: float) -> dict:
     bound = (1 - eps) * (1 - delta) / (1 + delta)
 
     q, r = np.linalg.qr(np.hstack([x[:, None], n.basis]))
-    resid = q - m.basis @ (m.basis.conj().T @ q)
-    _, svals, vh = np.linalg.svd(resid, full_matrices=False)
+    _, svals, vh = np.linalg.svd(m.residual(q), full_matrices=False)
     ratio = float(svals[0])
     z = np.linalg.solve(r, vh[0].conj())  # coordinates in [x, N]
     lead = z[0] if abs(z[0]) > 1e-10 else 1e-6

@@ -7,6 +7,11 @@ operation is total on it.
 
 All suprema over unit spheres are computed spectrally (largest/smallest
 singular values); nothing here samples spheres.
+
+Every rank decision in the library is made by :func:`_rank_cut`, reached
+through :func:`span` (thin SVD) or :func:`svd_split` (full SVD, span and
+null space together).  Every projection residual x - P_S x is
+:meth:`Subspace.residual`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 __all__ = [
     "Subspace",
     "span",
+    "svd_split",
     "sum",
     "intersect",
     "orth_complement",
@@ -63,10 +69,16 @@ class Subspace:
     def __init__(self, ambient: int, basis: np.ndarray, sv_near_cut: bool = False):
         if ambient <= 0:
             raise ValueError("ambient dimension must be positive")
-        basis = np.asarray(basis, dtype=complex).reshape(ambient, -1)
+        # A private copy: no caller keeps a writable handle on a checked basis.
+        basis = np.array(basis, dtype=complex).reshape(ambient, -1)
         if basis.size:
-            if not np.isfinite(basis).all():
-                raise ValueError("non-finite entries are not admitted into a basis")
+            # An entry above 2 in modulus already breaks orthonormality, so
+            # the one bound below refuses it before the Gram product can
+            # overflow; only a refusal pays for the finiteness test.
+            if not np.abs(basis).max() <= 2.0:
+                if not np.isfinite(basis).all():
+                    raise ValueError("non-finite entries are not admitted into a basis")
+                raise ValueError("basis columns are not orthonormal; use span()")
             # The Gram matrix minus the identity, formed in place: x - 1.0
             # rounds exactly as x - (1+0j), so the decision is unchanged.
             gram = basis.conj().T @ basis
@@ -88,11 +100,12 @@ class Subspace:
         p.setflags(write=False)
         return p
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of a vector onto the subspace."""
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """x - P x for a vector or a matrix of columns; ``x`` itself when
+        the subspace is zero."""
         if self.dim == 0:
-            return np.zeros(self.ambient, dtype=complex)
-        return self.basis @ (self.basis.conj().T @ np.asarray(v, dtype=complex))
+            return x
+        return x - self.basis @ (self.basis.conj().T @ x)
 
     def contains(self, inner: "Subspace", tol: float = EQ_TOL) -> bool:
         return contains(self, inner, tol)
@@ -113,28 +126,23 @@ def full_space(ambient: int) -> Subspace:
     return Subspace(ambient, np.eye(ambient, dtype=complex))
 
 
-def _rank(s: np.ndarray) -> int:
-    """Rank cut of descending singular values: those above ``RANK_REL``
-    times the largest one, with the absolute floor ``RANK_ABS``."""
+def _rank_cut(s: np.ndarray) -> tuple[int, bool]:
+    """The rank decision on descending singular values.
+
+    The rank counts the values above ``RANK_REL`` times the largest one,
+    with the absolute floor ``RANK_ABS``.  The flag says whether any
+    normalized singular value fell in the indeterminate band ``SV_BAND``.
+    """
     # Python floats: the same IEEE products, quotients and comparisons as
     # array arithmetic, without a NumPy dispatch per step on tiny inputs.
-    v = s.tolist()
-    if not v or v[0] <= RANK_ABS:
-        return 0
-    cut = max(RANK_REL * v[0], RANK_ABS)
-    return len([x for x in v if x > cut])
-
-
-def _rank_from_svals(s: np.ndarray) -> tuple[int, bool]:
-    """:func:`_rank` plus whether any normalized singular value fell in
-    the indeterminate band."""
     v = s.tolist()
     if not v or v[0] <= RANK_ABS:
         # Decisively zero unless the top value sits just under the floor.
         return 0, bool(v and v[0] > RANK_ABS / 10)
     top = v[0]
+    cut = max(RANK_REL * top, RANK_ABS)
     lo, hi = SV_BAND
-    return _rank(s), any([lo < x / top < hi for x in v])
+    return len([x for x in v if x > cut]), any([lo < x / top < hi for x in v])
 
 
 def span(vectors, ambient: int | None = None) -> Subspace:
@@ -152,8 +160,19 @@ def span(vectors, ambient: int | None = None) -> Subspace:
     if m.shape[1] == 0:
         return Subspace(n, m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank, near = _rank_from_svals(s)
+    rank, near = _rank_cut(s)
     return Subspace(n, u[:, :rank], sv_near_cut=near)
+
+
+def svd_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Orthonormal bases of the column span and of the null space of a
+    (possibly empty) matrix, read off one full SVD, and the rank cut's
+    near-cut flag."""
+    if m.shape[1] == 0:
+        return m, np.zeros((0, 0), dtype=complex), False
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank, near = _rank_cut(s)
+    return u[:, :rank], vh[rank:].conj().T, near
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -195,7 +214,7 @@ def distance(v, s: Subspace) -> float:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != s.ambient:
         raise ValueError(f"vector length {v.shape[0]} != ambient {s.ambient}")
-    return float(np.linalg.norm(v - s.project(v)))
+    return float(np.linalg.norm(s.residual(v)))
 
 
 def gap(m: Subspace, n: Subspace) -> float:
@@ -208,8 +227,7 @@ def gap(m: Subspace, n: Subspace) -> float:
         raise ValueError(f"ambient mismatch: {m.ambient} vs {n.ambient}")
     if m.dim == 0:
         return 0.0
-    residual = m.basis - n.basis @ (n.basis.conj().T @ m.basis) if n.dim else m.basis
-    s = np.linalg.svd(residual, compute_uv=False)
+    s = np.linalg.svd(n.residual(m.basis), compute_uv=False)
     return float(min(1.0, s[0]))
 
 

@@ -30,7 +30,7 @@ from .relation import LinearRelation
 from .subspace import Subspace
 from .tolerances import EQ_TOL, INEQ_SLACK
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all", "run_replay",
+__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_replay",
            "sampled_gap", "duality_checks"]
 
 SUITE_NAMES = ("algebra", "duality", "gap", "chains", "perturbation", "stability")
@@ -92,14 +92,15 @@ def _merge(result: SuiteResult, case_payload: dict, rec: _Recorder) -> None:
 
 
 def _run_cases(result: SuiteResult, build, check) -> SuiteResult:
-    """Build, check and merge each case in index order.
+    """Build, check and merge each case in index order; ``build(seed, i)``
+    gives case ``i``.
 
     Each case is encoded once; its canonical text seeds the case RNG and
     feeds the suite digest.
     """
     digest = hashlib.sha256()
     for i in range(result.trials):
-        payload = build(i)
+        payload = build(result.seed, i)
         text = ser.canonical_json(payload).encode()
         case_seed = int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
         rec = _Recorder()
@@ -146,10 +147,6 @@ def _pair_case(seed: int, idx: int, *, everywhere: bool = False,
     return ser.instance_to_dict(a, b)
 
 
-def _decode_pair(payload: dict) -> tuple[LinearRelation, LinearRelation]:
-    return ser.instance_from_dict(payload)
-
-
 # ---------------------------------------------------------------------------
 # duality suite
 
@@ -177,7 +174,7 @@ def duality_checks(t: LinearRelation) -> list[tuple[str, bool, str]]:
 
 
 def _check_duality(payload: dict, rec: _Recorder, rng) -> None:
-    a, b = _decode_pair(payload)
+    a, b = ser.instance_from_dict(payload)
     for t in (a, b):
         for lemma, ok, detail in duality_checks(t):
             rec.check(lemma, ok, detail)
@@ -187,7 +184,7 @@ def _check_duality(payload: dict, rec: _Recorder, rng) -> None:
 # algebra suite
 
 def _check_algebra(payload: dict, rec: _Recorder, rng) -> None:
-    a, b = _decode_pair(payload)
+    a, b = ser.instance_from_dict(payload)
     for t in (a, b):
         rec.check("fiber_dimension",
                   t.graph.dim == t.domain.dim + t.multivalued_part.dim
@@ -421,7 +418,7 @@ def _chains_case(seed: int, idx: int) -> dict:
 
 
 def _check_chains(payload: dict, rec: _Recorder, rng) -> None:
-    a, b = _decode_pair(payload)
+    a, b = ser.instance_from_dict(payload)
     report = chn.chain_report(a, b)
     if report.ill_conditioned:
         rec.record("chain_conditioning", "indeterminate")
@@ -492,7 +489,7 @@ def _perturbation_case(seed: int, idx: int) -> dict:
 
 
 def _check_perturbation(payload: dict, rec: _Recorder, rng) -> None:
-    a, b = _decode_pair(payload)
+    a, b = ser.instance_from_dict(payload)
     rep = stab.verify_perturbation(a, b)
     if not rep["applicable"]:
         rec.record("perturbation_inequalities", "not_applicable")
@@ -567,7 +564,7 @@ def _stability_case(seed: int, idx: int) -> dict:
 
 
 def _check_stability(payload: dict, rec: _Recorder, rng) -> None:
-    a, b = _decode_pair(payload)
+    a, b = ser.instance_from_dict(payload)
     bound = ser.bound_from_dict(payload["bound"])
     gamma_a = met.gamma(a)
     radii = {k: met.stability_radius(gamma_a, bound, k)
@@ -644,29 +641,21 @@ def _check_eigen_condition(a, b, rec: _Recorder, rng) -> None:
 # public entry points
 
 _SUITES = {
-    "duality": (lambda seed: lambda i: _pair_case(seed, i, raw_every=3),
-                _check_duality),
-    "algebra": (lambda seed: lambda i: _pair_case(seed, i, raw_every=3),
-                _check_algebra),
-    "gap": (lambda seed: lambda i: _gap_case(seed, i), _check_gap),
-    "chains": (lambda seed: lambda i: _chains_case(seed, i), _check_chains),
-    "perturbation": (lambda seed: lambda i: _perturbation_case(seed, i),
-                     _check_perturbation),
-    "stability": (lambda seed: lambda i: _stability_case(seed, i),
-                  _check_stability),
+    "duality": (lambda seed, i: _pair_case(seed, i, raw_every=3), _check_duality),
+    "algebra": (lambda seed, i: _pair_case(seed, i, raw_every=3), _check_algebra),
+    "gap": (_gap_case, _check_gap),
+    "chains": (_chains_case, _check_chains),
+    "perturbation": (_perturbation_case, _check_perturbation),
+    "stability": (_stability_case, _check_stability),
 }
 
 
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    builder, checker = _SUITES[name]
+    build, check = _SUITES[name]
     result = SuiteResult(name=name, trials=trials, seed=seed)
-    return _run_cases(result, builder(seed), checker)
-
-
-def run_all(trials: int, seed: int) -> dict[str, SuiteResult]:
-    return {name: run_suite(name, trials, seed) for name in SUITE_NAMES}
+    return _run_cases(result, build, check)
 
 
 def run_replay(payload: dict) -> SuiteResult:
@@ -674,7 +663,7 @@ def run_replay(payload: dict) -> SuiteResult:
     name = payload["suite"]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    _, checker = _SUITES[name]
+    _, check = _SUITES[name]
     cases = payload["cases"]
     result = SuiteResult(name=name, trials=len(cases), seed=int(payload.get("seed", 0)))
-    return _run_cases(result, lambda i: cases[i], checker)
+    return _run_cases(result, lambda seed, i: cases[i], check)

@@ -2,8 +2,9 @@
 
 Every name in a module's ``__all__`` must be bound at its top level
 (tools such as tracers call ``getattr`` on each entry), no module may
-import a name it never uses, and no module imports scipy, which is not
-a dependency.
+import a name it never uses, no module imports scipy, which is not
+a dependency, and no module but ``subspace`` reads the rank-cut
+tolerances, so every rank decision goes through its one cut.
 """
 
 import ast
@@ -155,3 +156,37 @@ def test_subspace_bypass_detector_allows_constructor():
               "        basis.setflags(write=False)\n"
               "        self.basis = basis\n")
     assert not _subspace_bypasses(ast.parse(source))
+
+
+_CUT_NAMES = {"RANK_REL", "RANK_ABS", "SV_BAND"}
+
+
+def _cut_reads(tree: ast.Module) -> list[str]:
+    """Every mention of a rank-cut tolerance: a bare name, an attribute
+    such as ``tol.RANK_REL`` or an imported name."""
+    found = []
+    for node in ast.walk(tree):
+        names = ([node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [])
+        found += [f"line {node.lineno}: {n}" for n in names if n in _CUT_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_subspace_reads_rank_cut_tolerances(path):
+    reads = _cut_reads(_tree(path))
+    if path.name in ("subspace.py", "tolerances.py"):
+        assert path.name == "tolerances.py" or reads
+    else:
+        assert not reads, f"{path.name} makes its own rank cut: {reads}"
+
+
+@pytest.mark.parametrize("source", [
+    "from .tolerances import SV_BAND",
+    "x = tol.RANK_REL",
+    "cut = RANK_ABS * 2",
+])
+def test_rank_cut_reader_detector(source):
+    assert _cut_reads(ast.parse(source))

@@ -233,7 +233,7 @@ def test_span_and_nullspace_share_rank_cut(rng, svals, rank):
 
     m = unitary(5)[:, :k] @ np.diag(svals) @ unitary(k + 1)[:, :k].conj().T
     assert sub.span(m).dim == rank
-    assert sub.span(m).dim + rel._nullspace(m).shape[1] == m.shape[1]
+    assert sub.span(m).dim + sub.svd_split(m)[1].shape[1] == m.shape[1]
 
 
 def test_t_tinv_identities(rng):

@@ -172,9 +172,9 @@ def _reports() -> list:
 
 @pytest.mark.parametrize("suite", sts.SUITE_NAMES)
 def test_canonical_json_matches_oracle_on_case_payloads(suite):
-    build = sts._SUITES[suite][0](3)
+    build = sts._SUITES[suite][0]
     for i in range(3):
-        payload = build(i)
+        payload = build(3, i)
         assert ser.canonical_json(payload) == _oracle_json(payload)
 
 

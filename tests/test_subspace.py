@@ -303,8 +303,8 @@ def _array_rank_from_svals(s: np.ndarray) -> tuple[int, bool]:
 
 
 def _assert_same_cut(s: np.ndarray) -> None:
-    assert sub._rank(s) == _array_rank(s), s
-    assert sub._rank_from_svals(s) == _array_rank_from_svals(s), s
+    assert sub._rank_cut(s)[0] == _array_rank(s), s
+    assert sub._rank_cut(s) == _array_rank_from_svals(s), s
 
 
 def test_rank_cut_matches_array_formulation_random():
@@ -330,3 +330,116 @@ def test_rank_cut_matches_array_formulation_at_thresholds(top):
         # each mark alone below the top value, and each as the top value
         _assert_same_cut(np.array([top, v]) if v <= top else np.array([v, top]))
         _assert_same_cut(np.array([v]))
+
+
+def test_constructor_copies_caller_array():
+    a = np.eye(3, dtype=complex)
+    s = sub.Subspace(3, a)
+    a[0, 0] = 5
+    assert s.basis[0, 0] == 1
+    gram = s.basis.conj().T @ s.basis
+    assert np.abs(gram - np.eye(3)).max() == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_constructor_refuses_huge_entries_without_warning():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(2, np.array([1e200, 0.0]))
+    # |z| overflows to inf here, but the entry is finite.
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(2, np.array([complex(1.7e308, 1.7e308), 0.0]))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1e300)):
+        with pytest.raises(ValueError, match="non-finite"):
+            sub.Subspace(2, np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("basis", [
+    [[1e200 + 1e200j, 0], [0, 1]],
+    [[1e200 + 1e200j, 1e200 - 1e200j], [1e200, 1]],
+    [[1e308 + 1e308j], [0]],
+], ids=["diagonal", "dense", "column"])
+@pytest.mark.filterwarnings("error")
+def test_constructor_refuses_bases_whose_gram_overflows_to_nan(basis):
+    # An overflowing Gram product once held NaN, and NaN > 1e-10 is False.
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sub.Subspace(2, np.array(basis, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# the residual and the SVD split against the inline code they replaced
+
+def _old_residual(s: sub.Subspace, x: np.ndarray) -> np.ndarray:
+    return x - s.basis @ (s.basis.conj().T @ x) if s.dim else x
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_residual_matches_inline_expression():
+    g = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(g.integers(1, 9))
+        s = sub.random_subspace(n, int(g.integers(0, n + 1)), g)
+        for shape in ((n,), (n, int(g.integers(0, 5)))):
+            x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+            assert _same_bits(s.residual(x), _old_residual(s, x))
+    full = sub.full_space(4)
+    x = g.standard_normal((4, 3)) + 0j
+    assert _same_bits(full.residual(x), _old_residual(full, x))
+
+
+def test_residual_of_zero_subspace_is_its_input():
+    zero = sub.zero_subspace(3)
+    x = np.array([[-0.0, 1.0], [0.0, -0.0j], [complex(-0.0, -0.0), 2.0]])
+    assert zero.residual(x) is x
+    # the unguarded expression the coset witness used gives the same bits
+    assert _same_bits(zero.residual(x), x - zero.basis @ (zero.basis.conj().T @ x))
+    v = np.array([-0.0, 0.0, -0.0], dtype=complex)
+    assert _same_bits(zero.residual(v), v)
+
+
+def test_residual_keeps_signed_zeros_on_nonzero_subspace():
+    s = sub.Subspace(3, np.eye(3)[:, :1])
+    x = np.array([[1.0, -0.0], [-0.0, 0.0], [complex(-0.0, -0.0), -0.0]])
+    assert _same_bits(s.residual(x), _old_residual(s, x))
+
+
+def _old_nullspace(m: np.ndarray) -> np.ndarray:
+    if m.shape[1] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    return vh[_array_rank(s):].conj().T
+
+
+def _old_span_and_null(m: np.ndarray) -> tuple[sub.Subspace, np.ndarray]:
+    if m.shape[1] == 0:
+        return sub.Subspace(m.shape[0], m), np.zeros((0, 0), dtype=complex)
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank, near = _array_rank_from_svals(s)
+    return sub.Subspace(m.shape[0], u[:, :rank], sv_near_cut=near), vh[rank:].conj().T
+
+
+def _split_cases():
+    g = np.random.default_rng(13)
+    for _ in range(150):
+        rows, cols = int(g.integers(1, 8)), int(g.integers(0, 8))
+        r = int(g.integers(0, min(rows, cols) + 1))
+        left = g.standard_normal((rows, r)) + 1j * g.standard_normal((rows, r))
+        right = g.standard_normal((r, cols)) + 1j * g.standard_normal((r, cols))
+        yield left @ right
+    # singular values at the relative cut, the floor and in the band
+    q, _ = np.linalg.qr(g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5)))
+    for svals in ([1.0, 2e-9, 5e-10], [1e-6, 3e-12, 5e-13], [1.0, 1e-8], [5e-13, 1e-13]):
+        yield q[:, :len(svals)] * np.array(svals)
+    yield np.zeros((3, 2), dtype=complex)
+    yield np.zeros((3, 0), dtype=complex)
+
+
+def test_svd_split_matches_old_helpers():
+    for m in _split_cases():
+        span, null, near = sub.svd_split(m)
+        old_span, old_null = _old_span_and_null(m)
+        assert _same_bits(span, old_span.basis) and near == old_span.sv_near_cut
+        assert _same_bits(null, old_null)
+        assert _same_bits(null, _old_nullspace(m))
