@@ -7,6 +7,11 @@ solutions onto the orthogonal complement of T(0).  This realizes the
 quotient map without forming quotient spaces: for the Euclidean norm,
 Y / T(0) is isometric to the complement of T(0).
 
+gamma and alpha-prime read those singular values off the relation's
+cached SVD of the graph's Y block (the CS decomposition), with no solve.
+``norm``, the relative bounds and :func:`operator_part`, the reference
+that gamma is checked against, keep the least-squares path.
+
 Conventions for degenerate relations:
   * D(T) = {0}: the norm is 0 (sup over an empty unit ball).
   * D(T) inside N(T): gamma is +inf, and inf * 0 = 0 wherever the
@@ -59,11 +64,13 @@ class HypothesisError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorPart:
-    """The injective operator induced by a relation.
+    """The injective operator induced by a relation, by least squares.
 
     ``matrix_quot`` maps coordinates of D(T) ^ N(T)-perp (columns of
     ``quot_dom_basis``) to the complement of T(0); it is injective
-    whenever that subdomain is nonzero.
+    whenever that subdomain is nonzero.  This is the reference path, kept
+    for cross-checks of :func:`gamma` and for the perturbation suite's
+    scale, which must not move with gamma's last bits.
     """
 
     quot_dom_basis: np.ndarray
@@ -107,14 +114,33 @@ def norm(t: LinearRelation) -> float:
     return float(np.linalg.svd(full, compute_uv=False)[0])
 
 
+def _induced_svals(t: LinearRelation) -> np.ndarray:
+    """Singular values of the induced injective operator, from the cached
+    full SVD Gy = U S V^H of the graph's Y block.
+
+    The graph basis G = [Gx; Gy] is orthonormal, so Gx^H Gx = I - Gy^H Gy
+    and the columns G v_j are orthogonal with ||Gx v_j||^2 + s_j^2 = 1
+    (the CS decomposition; Paige & Wei, 1994).  The first dim G - dim D(T)
+    of them span {0} (+) T(0); the last dim G - dim R(T) span N(T) (+) {0}.
+    In between, the unit vectors Gx v_j / ||Gx v_j|| are an orthonormal
+    basis of D(T) ^ N(T)-perp, and their images Gy v_j / ||Gx v_j|| are
+    orthogonal to each other and to T(0), of norm s_j / ||Gx v_j||.  Both
+    counts are rank decisions the relation has already made.
+    """
+    split = t._y_svd[1]
+    lo, hi = t.graph.dim - t.domain.dim, t.range.dim
+    if hi <= lo:
+        return np.zeros(0)
+    # ||Gx v_j|| directly, not sqrt(1 - s_j^2), which loses a large value.
+    return split.svals[lo:hi] / np.linalg.norm(t._gx @ split.right[:, lo:hi], axis=0)
+
+
 def gamma(t: LinearRelation) -> float:
     """Minimum modulus: +inf when D(T) is inside N(T), else the smallest
     singular value of the induced injective operator (strictly positive
     because finite-dimensional ranges are closed)."""
-    part = operator_part(t)
-    if part.quot_dom_basis.shape[1] == 0:
-        return math.inf
-    return float(part.quot_svals[-1])
+    svals = _induced_svals(t)
+    return float(svals.min()) if svals.size else math.inf
 
 
 def alpha(t: LinearRelation) -> int:
@@ -135,8 +161,7 @@ def alpha_prime_eps(t: LinearRelation, eps: float) -> int:
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    part = operator_part(t)
-    return alpha(t) + int(np.count_nonzero(part.quot_svals <= eps))
+    return alpha(t) + int(np.count_nonzero(_induced_svals(t) <= eps))
 
 
 def alpha_prime(t: LinearRelation) -> int:

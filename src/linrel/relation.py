@@ -76,16 +76,16 @@ class LinearRelation:
         return self.graph.basis[self.x_dim:, :]
 
     @cached_property
-    def _x_svd(self) -> tuple[Subspace, np.ndarray]:
-        """D(T) and a null-space basis of Gx, from one full SVD of Gx."""
-        span, null, near = sub.svd_split(self._gx)
-        return Subspace(self.x_dim, span, sv_near_cut=near), null
+    def _x_svd(self) -> tuple[Subspace, sub.Split]:
+        """D(T) and the full SVD of Gx it was cut from."""
+        split = sub.svd_split(self._gx)
+        return Subspace(self.x_dim, split.span, sv_near_cut=split.near), split
 
     @cached_property
-    def _y_svd(self) -> tuple[Subspace, np.ndarray]:
-        """R(T) and a null-space basis of Gy, from one full SVD of Gy."""
-        span, null, near = sub.svd_split(self._gy)
-        return Subspace(self.y_dim, span, sv_near_cut=near), null
+    def _y_svd(self) -> tuple[Subspace, sub.Split]:
+        """R(T) and the full SVD of Gy it was cut from."""
+        split = sub.svd_split(self._gy)
+        return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
 
     @property
     def domain(self) -> Subspace:
@@ -98,12 +98,12 @@ class LinearRelation:
     @cached_property
     def kernel(self) -> Subspace:
         """Vectors x with (x, 0) in the graph; the X slice of G ^ (X (+) 0)."""
-        return sub.span(self._gx @ self._y_svd[1], ambient=self.x_dim)
+        return sub.span(self._gx @ self._y_svd[1].null, ambient=self.x_dim)
 
     @cached_property
     def multivalued_part(self) -> Subspace:
         """T(0): vectors y with (0, y) in the graph."""
-        return sub.span(self._gy @ self._x_svd[1], ambient=self.y_dim)
+        return sub.span(self._gy @ self._x_svd[1].null, ambient=self.y_dim)
 
     @property
     def single_valued(self) -> bool:
@@ -170,16 +170,19 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     """lam -> A - lam*B, graph {(x, y1 - lam*y2) : (x,y1) in G(A), (x,y2) in G(B)}.
 
     null([Gx_A, -Gx_B]) parametrizes the pairs once, for every lam; then
-    each lam costs one span of [X; Y1 - lam*Y2].
+    each lam costs one span of [X; Y1 - lam*Y2].  Every graph carries the
+    near-cut flags of that split and of both input graphs.
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
-    _, null, _ = sub.svd_split(np.hstack([a._gx, -b._gx]))
-    c1, c2 = null[: a.graph.dim, :], null[a.graph.dim:, :]
+    split = sub.svd_split(np.hstack([a._gx, -b._gx]))
+    near = split.near or a.graph.sv_near_cut or b.graph.sv_near_cut
+    c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
     x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
 
     def at(lam: complex) -> LinearRelation:
-        return LinearRelation(a.x_dim, a.y_dim, sub.span(np.vstack([x, y1 - lam * y2])))
+        return LinearRelation(a.x_dim, a.y_dim,
+                              sub.span(np.vstack([x, y1 - lam * y2]), near=near))
 
     return at
 
@@ -199,7 +202,7 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
     # Graph columns whose x-part lies in M: null space of (I - P_M) Gx.
-    _, null, _ = sub.svd_split(m.residual(t._gx))
+    null = sub.svd_split(m.residual(t._gx)).null
     return sub.span(t._gy @ null, ambient=t.y_dim)
 
 

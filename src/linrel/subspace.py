@@ -17,6 +17,7 @@ null space together).  Every projection residual x - P_S x is
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 __all__ = [
     "Subspace",
     "span",
+    "Split",
     "svd_split",
     "sum",
     "intersect",
@@ -63,7 +65,8 @@ class Subspace:
     sv_near_cut : bool
         True when the construction saw a normalized singular value inside
         the indeterminate band; downstream rank decisions built on this
-        subspace should be treated as fragile.
+        subspace should be treated as fragile.  Complements and
+        annihilators carry it on.
     """
 
     def __init__(self, ambient: int, basis: np.ndarray, sv_near_cut: bool = False):
@@ -145,11 +148,12 @@ def _rank_cut(s: np.ndarray) -> tuple[int, bool]:
     return len([x for x in v if x > cut]), any([lo < x / top < hi for x in v])
 
 
-def span(vectors, ambient: int | None = None) -> Subspace:
+def span(vectors, ambient: int | None = None, near: bool = False) -> Subspace:
     """Orthonormal basis of the column span.
 
     Columns whose singular value is at most ``RANK_REL`` times the largest
     one (with an absolute floor for near-zero input) are discarded.
+    ``near`` is the fragility of the inputs, OR-ed into the result's flag.
     """
     m = _as_complex_matrix(vectors)
     n = m.shape[0] if ambient is None else int(ambient)
@@ -158,21 +162,34 @@ def span(vectors, ambient: int | None = None) -> Subspace:
     if m.shape[0] != n:
         raise ValueError(f"vectors have {m.shape[0]} rows, ambient is {n}")
     if m.shape[1] == 0:
-        return Subspace(n, m)
+        return Subspace(n, m, sv_near_cut=near)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank, near = _rank_cut(s)
-    return Subspace(n, u[:, :rank], sv_near_cut=near)
+    rank, cut_near = _rank_cut(s)
+    return Subspace(n, u[:, :rank], sv_near_cut=near or cut_near)
 
 
-def svd_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Orthonormal bases of the column span and of the null space of a
-    (possibly empty) matrix, read off one full SVD, and the rank cut's
-    near-cut flag."""
+class Split(NamedTuple):
+    """One full SVD m = U diag(svals) V^H and its rank cut: orthonormal
+    bases of the column span and of the null space (the trailing columns
+    of ``right``, which holds V), the cut's flag and the descending svals."""
+
+    span: np.ndarray
+    null: np.ndarray
+    near: bool
+    svals: np.ndarray
+    right: np.ndarray
+
+
+def svd_split(m: np.ndarray) -> Split:
+    """The column span and null space of a (possibly empty) matrix, read
+    off one full SVD."""
     if m.shape[1] == 0:
-        return m, np.zeros((0, 0), dtype=complex), False
+        empty = np.zeros((0, 0), dtype=complex)
+        return Split(m, empty, False, np.zeros(0), empty)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     rank, near = _rank_cut(s)
-    return u[:, :rank], vh[rank:].conj().T, near
+    right = vh.conj().T
+    return Split(u[:, :rank], right[:, rank:], near, s, right)
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -185,11 +202,11 @@ def sum(s1: Subspace, s2: Subspace) -> Subspace:
 def orth_complement(s: Subspace) -> Subspace:
     """Orthogonal complement under the conjugate inner product."""
     if s.dim == 0:
-        return full_space(s.ambient)
+        return Subspace(s.ambient, np.eye(s.ambient, dtype=complex), s.sv_near_cut)
     # Full SVD of the basis: the trailing left singular vectors span the
     # complement exactly (the basis is orthonormal, all svals are 1).
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(s.ambient, u[:, s.dim:])
+    return Subspace(s.ambient, u[:, s.dim:], s.sv_near_cut)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -206,7 +223,7 @@ def annihilator(s: Subspace) -> Subspace:
     so the annihilator is the entrywise conjugate of the orthogonal
     complement.  Conjugation preserves orthonormality.
     """
-    return Subspace(s.ambient, orth_complement(s).basis.conj())
+    return Subspace(s.ambient, orth_complement(s).basis.conj(), s.sv_near_cut)
 
 
 def distance(v, s: Subspace) -> float:

@@ -480,8 +480,11 @@ def _perturbation_case(seed: int, idx: int) -> dict:
     a, b = stab.generate(spec)
     if idx % 4 != 3:
         # scale B so one of the theorem gates opens; every fourth case
-        # keeps the raw pair to exercise the not-applicable path
-        g = met.gamma(a)
+        # keeps the raw pair to exercise the not-applicable path.  The
+        # scale is hashed into the digest, so gamma(A) comes from the
+        # least-squares reference, not from met.gamma.
+        svals = met.operator_part(a).quot_svals
+        g = float(svals[-1]) if svals.size else math.inf
         nb = met.norm(b)
         if nb > 0 and math.isfinite(g):
             b = rel.scalar_mul(float(0.45 * g / nb * rng.uniform(0.5, 1.0)), b)

@@ -2,8 +2,9 @@
 
 ``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
 point of a sweep may cost one SVD of the pencil graph, one full SVD per
-graph block, the kernel and quotient-domain spans, the induced operator's
-singular values and two gaps: 8 SVDs and 1 least-squares solve.
+graph block, the kernel span and two gaps: 6 SVDs and no least-squares
+solve.  gamma reads the induced operator's singular values off the
+cached full SVD of the graph's Y block, so it adds no call of its own.
 
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.
@@ -62,7 +63,15 @@ def test_sweep_lambda_point_budget(calls):
     setup = _counted(calls, lambda: stab.sweep(a, b, bound, [], validate_bound=False))
     total = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
     per_point = {k: (total[k] - setup[k]) / len(grid) for k in total}
-    assert per_point["svd"] <= 8 and per_point["lstsq"] <= 1, per_point
+    assert per_point["svd"] <= 6 and per_point["lstsq"] == 0, per_point
+
+
+def test_gamma_reads_the_cached_splits(calls):
+    a, b, _, grid = _fresh_pair()
+    for t in (a, b, rel.pencil(a, b, grid[-1]), rel.adjoint(a)):
+        _ = t._y_svd, t.domain  # warm the two cached splits
+        used = _counted(calls, lambda: met.gamma(t))
+        assert used == {"svd": 0, "lstsq": 0}, used
 
 
 def test_check_relative_bound_budget(calls):

@@ -61,6 +61,71 @@ def test_gamma_inverse_cross_identity(rng):
         assert abs(g * inv_norm - 1.0) < 1e-8
 
 
+def _cs_relations():
+    """Generated relations of every shape, raw Haar graphs, and the pairs
+    of the x = y = 64 sweep pool."""
+    rng = np.random.default_rng(90210)
+    relations = []
+    # (x, y, alpha, beta, mv_dim, dom_codim): T(0) != 0, codim > 0,
+    # D inside N, D = {0}, dim G > y.
+    shapes = [(5, 5, 1, 1, 2, 2), (6, 4, 2, 0, 1, 1), (4, 6, 3, 4, 2, 1),
+              (4, 3, 0, 3, 0, 4), (4, 3, 0, 1, 2, 4), (6, 3, 4, 0, 1, 0),
+              (7, 2, 5, 0, 0, 0)]
+    for x, y, al, be, mv, codim in shapes:
+        for seed in range(10):
+            relations.extend(stab.generate(stab.InstanceSpec(
+                x, y, al, be, mv, codim, seed=seed)))
+    for _ in range(100):
+        relations.extend(stab.generate(stab.random_feasible_spec(rng, max_dim=8)))
+    for _ in range(40):
+        x, y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        k = int(rng.integers(0, x + y + 1))
+        relations.append(rel.from_graph(sub.random_subspace(x + y, k, rng), x, y))
+    for seed in (101, 102, 103, 104, 105, 106):
+        relations.extend(stab.generate(stab.InstanceSpec(
+            64, 64, 2, 2, force_nu_infinite=True, seed=seed)))
+    return relations
+
+
+def test_gamma_from_cs_split_matches_operator_part():
+    relations = _cs_relations()
+    assert len(relations) >= 300
+    seen = set()
+    for t in relations:
+        ref = met.operator_part(t).quot_svals
+        g = met.gamma(t)
+        if ref.size == 0:
+            assert math.isinf(g)
+        else:
+            assert abs(g - ref[-1]) <= 1e-12 * ref[-1], (g, ref[-1])
+        assert met._induced_svals(t).size == ref.size
+        # The counts of alpha-prime, away from the reference values.
+        cuts = [0.0, 1e300]
+        cuts += [math.sqrt(hi * lo) for hi, lo in zip(ref[:-1], ref[1:]) if hi > lo * 1.001]
+        cuts += [ref[-1] * 0.5, ref[0] * 2.0] if ref.size else []
+        for eps in cuts:
+            want = met.alpha(t) + int(np.count_nonzero(ref <= eps))
+            assert met.alpha_prime_eps(t, eps) == want
+        seen.add(("mv" if t.multivalued_part.dim else "")
+                 + (" codim" if t.domain.dim < t.x_dim else "")
+                 + (" inf" if ref.size == 0 and t.domain.dim else "")
+                 + (" D0" if t.domain.dim == 0 else "")
+                 + (" tall" if t.graph.dim > t.y_dim else ""))
+    for shape in ("mv", "codim", "inf", "D0", "tall"):
+        assert any(shape in key for key in seen), (shape, seen)
+
+
+def test_gamma_small_from_the_sines():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        u, v = (np.linalg.qr(rng.standard_normal((3, 3))
+                             + 1j * rng.standard_normal((3, 3)))[0] for _ in range(2))
+        m = u @ np.diag([3.0, 1.0, 1e-6]) @ v.conj().T
+        smallest = np.linalg.svd(m, compute_uv=False)[-1]
+        g = met.gamma(rel.from_matrix(m))
+        assert abs(g - smallest) <= 1e-9 * smallest, (g, smallest)
+
+
 def test_alpha_beta(diag01):
     ident = rel.identity_relation(2)
     assert (met.alpha(ident), met.beta(ident)) == (0, 0)

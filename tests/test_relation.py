@@ -321,3 +321,32 @@ def test_image_of_sum_additivity(rng):
         lhs = rel.image(t, sub.sum(m, n))
         rhs = sub.sum(rel.image(t, m), rel.image(t, n))
         assert lhs.is_same(rhs)
+
+
+def test_near_cut_flag_survives_sum_and_intersection():
+    # D(A) = span e1 and D(B) = span(e1 + 1e-8 e2) are decided apart 1e-8
+    # from the cut: both answers are dim 0 and must say they are fragile.
+    a = rel.from_graph(sub.span(np.array([[1.0], [0.0], [1.0], [0.0]])), 2, 2)
+    b = rel.from_graph(sub.span(np.array([[1.0], [1e-8], [0.0], [1.0]])), 2, 2)
+    total = rel.add(a, b).graph
+    assert total.dim == 0 and total.sv_near_cut
+    both = sub.intersect(a.domain, b.domain)
+    assert both.dim == 0 and both.sv_near_cut
+
+
+def test_pencil_graphs_carry_their_inputs_flags():
+    basis = sub.span(np.eye(4)[:, :2]).basis
+    for near_a, near_b in ((False, False), (True, False), (False, True)):
+        a = rel.from_graph(sub.Subspace(4, basis, sv_near_cut=near_a), 2, 2)
+        b = rel.from_graph(sub.Subspace(4, basis, sv_near_cut=near_b), 2, 2)
+        family = rel.pencil_family(a, b)
+        for lam in (0.0, 0.5, -1.0):
+            assert family(lam).graph.sv_near_cut is (near_a or near_b)
+
+
+def test_orth_complement_and_annihilator_pass_the_flag_on():
+    for near in (False, True):
+        for basis in (np.zeros((3, 0)), np.eye(3)[:, :1], np.eye(3)):
+            s = sub.Subspace(3, basis, sv_near_cut=near)
+            assert sub.orth_complement(s).sv_near_cut is near
+            assert sub.annihilator(s).sv_near_cut is near

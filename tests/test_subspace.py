@@ -438,8 +438,16 @@ def _split_cases():
 
 def test_svd_split_matches_old_helpers():
     for m in _split_cases():
-        span, null, near = sub.svd_split(m)
+        span, null, near, svals, right = sub.svd_split(m)
         old_span, old_null = _old_span_and_null(m)
         assert _same_bits(span, old_span.basis) and near == old_span.sv_near_cut
         assert _same_bits(null, old_null)
         assert _same_bits(null, _old_nullspace(m))
+        # The factors the cut was read from: m = U diag(svals) V^H.
+        assert right.shape == (m.shape[1], m.shape[1])
+        assert svals.shape == (min(m.shape) if m.shape[1] else 0,)
+        if m.shape[1]:
+            ref_s = np.linalg.svd(m, full_matrices=True)[1]
+            assert _same_bits(svals, ref_s)
+            assert np.allclose(right.conj().T @ right, np.eye(m.shape[1]), atol=1e-12)
+            assert _same_bits(right[:, right.shape[1] - null.shape[1]:], null)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linrel import metrics as met
 from linrel import serialize as ser
 from linrel import subspace as sub
 from linrel import suites as sts
@@ -73,3 +74,16 @@ def test_case_families_cover_degenerate_shapes():
             partial += 1
     assert mv >= 5, "multivalued instances missing from the mix"
     assert partial >= 5, "partial-domain instances missing from the mix"
+
+
+def test_case_payloads_do_not_read_gamma(monkeypatch):
+    # A case payload is hashed into instances_digest, so a last-bit change
+    # in gamma must not reach it.
+    def build_all():
+        return [ser.canonical_json(build(1, i))
+                for build, _ in sts._SUITES.values() for i in range(8)]
+
+    before = build_all()
+    real = met.gamma
+    monkeypatch.setattr(met, "gamma", lambda t: real(t) * (1 + 1e-13))
+    assert build_all() == before
