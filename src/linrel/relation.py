@@ -55,15 +55,19 @@ class DomainError(ValueError):
 class LinearRelation:
     """A linear relation X -> Y represented by its graph subspace."""
 
-    def __init__(self, x_dim: int, y_dim: int, graph: Subspace):
+    def __init__(self, x_dim: int, y_dim: int, graph: Subspace, *,
+                 domain: Subspace | None = None):
         if x_dim <= 0 or y_dim <= 0:
             raise ValueError("x_dim and y_dim must be positive")
         if graph.ambient != x_dim + y_dim:
             raise ValueError(
                 f"graph ambient {graph.ambient} != x_dim + y_dim = {x_dim + y_dim}")
+        if domain is not None and domain.ambient != x_dim:
+            raise ValueError(f"domain ambient {domain.ambient} != x_dim {x_dim}")
         self.x_dim = int(x_dim)
         self.y_dim = int(y_dim)
         self.graph = graph
+        self._domain = domain
 
     @property
     def _gx(self) -> np.ndarray:
@@ -77,7 +81,8 @@ class LinearRelation:
 
     @cached_property
     def _x_svd(self) -> tuple[Subspace, sub.Split]:
-        """D(T) and the full SVD of Gx it was cut from."""
+        """The span of Gx and the full SVD it was cut from; T(0) reads the
+        null space.  D(T) unless a domain was given."""
         split = sub.svd_split(self._gx)
         return Subspace(self.x_dim, split.span, sv_near_cut=split.near), split
 
@@ -89,7 +94,9 @@ class LinearRelation:
 
     @property
     def domain(self) -> Subspace:
-        return self._x_svd[0]
+        """D(T): the one given at construction (a pencil family's shared
+        D(A) ^ D(B)), else the span of Gx."""
+        return self._x_svd[0] if self._domain is None else self._domain
 
     @property
     def range(self) -> Subspace:
@@ -156,8 +163,8 @@ def scalar_mul(lam: complex, t: LinearRelation) -> LinearRelation:
     multivalued part collapses.
     """
     cols = np.vstack([t._gx, lam * t._gy])
-    return LinearRelation(t.x_dim, t.y_dim,
-                          sub.span(cols, ambient=t.graph.ambient))
+    return LinearRelation(t.x_dim, t.y_dim, sub.span(
+        cols, ambient=t.graph.ambient, near=t.graph.sv_near_cut))
 
 
 def add(s: LinearRelation, t: LinearRelation) -> LinearRelation:
@@ -170,8 +177,10 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     """lam -> A - lam*B, graph {(x, y1 - lam*y2) : (x,y1) in G(A), (x,y2) in G(B)}.
 
     null([Gx_A, -Gx_B]) parametrizes the pairs once, for every lam; then
-    each lam costs one span of [X; Y1 - lam*Y2].  Every graph carries the
-    near-cut flags of that split and of both input graphs.
+    each lam costs one span of [X; Y1 - lam*Y2].  D(A - lam*B) = D(A) ^ D(B)
+    = span(X) for every lam, so every relation shares one domain.  Each
+    graph and the domain carry the near-cut flags of that split and of
+    both input graphs.
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
@@ -179,10 +188,12 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     near = split.near or a.graph.sv_near_cut or b.graph.sv_near_cut
     c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
     x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
+    domain = sub.span(x, ambient=a.x_dim, near=near)
 
     def at(lam: complex) -> LinearRelation:
         return LinearRelation(a.x_dim, a.y_dim,
-                              sub.span(np.vstack([x, y1 - lam * y2]), near=near))
+                              sub.span(np.vstack([x, y1 - lam * y2]), near=near),
+                              domain=domain)
 
     return at
 
@@ -202,8 +213,9 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
     # Graph columns whose x-part lies in M: null space of (I - P_M) Gx.
-    null = sub.svd_split(m.residual(t._gx)).null
-    return sub.span(t._gy @ null, ambient=t.y_dim)
+    split = sub.svd_split(m.residual(t._gx))
+    near = split.near or t.graph.sv_near_cut or m.sv_near_cut
+    return sub.span(t._gy @ split.null, ambient=t.y_dim, near=near)
 
 
 def preimage(t: LinearRelation, n: Subspace) -> Subspace:
@@ -220,7 +232,8 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     operator this is the plain transpose.
     """
     flipped = np.vstack([t._gy, -t._gx])
-    neg_inv_graph = sub.span(flipped, ambient=t.y_dim + t.x_dim)
+    neg_inv_graph = sub.span(flipped, ambient=t.y_dim + t.x_dim,
+                             near=t.graph.sv_near_cut)
     return LinearRelation(t.y_dim, t.x_dim, sub.annihilator(neg_inv_graph))
 
 

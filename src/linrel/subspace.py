@@ -65,8 +65,8 @@ class Subspace:
     sv_near_cut : bool
         True when the construction saw a normalized singular value inside
         the indeterminate band; downstream rank decisions built on this
-        subspace should be treated as fragile.  Complements and
-        annihilators carry it on.
+        subspace should be treated as fragile.  Complements, annihilators
+        and sums carry it on.
     """
 
     def __init__(self, ambient: int, basis: np.ndarray, sv_near_cut: bool = False):
@@ -196,7 +196,8 @@ def sum(s1: Subspace, s2: Subspace) -> Subspace:
     """Span of the union of two subspaces of the same ambient space."""
     if s1.ambient != s2.ambient:
         raise ValueError(f"ambient mismatch: {s1.ambient} vs {s2.ambient}")
-    return span(np.hstack([s1.basis, s2.basis]), ambient=s1.ambient)
+    return span(np.hstack([s1.basis, s2.basis]), ambient=s1.ambient,
+                near=s1.sv_near_cut or s2.sv_near_cut)
 
 
 def orth_complement(s: Subspace) -> Subspace:

@@ -1,10 +1,11 @@
 """LAPACK call budgets of the pencil sweep and of the relative-bound check.
 
 ``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
-point of a sweep may cost one SVD of the pencil graph, one full SVD per
-graph block, the kernel span and two gaps: 6 SVDs and no least-squares
-solve.  gamma reads the induced operator's singular values off the
-cached full SVD of the graph's Y block, so it adds no call of its own.
+point of a sweep may cost one SVD of the pencil graph, one full SVD of
+its Y block, the kernel span and two gaps: 5 SVDs and no least-squares
+solve.  The domain D(A) ^ D(B) is the pencil family's, computed once.
+gamma reads the induced operator's singular values off the cached full
+SVD of the graph's Y block, so it adds no call of its own.
 
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.
@@ -63,7 +64,16 @@ def test_sweep_lambda_point_budget(calls):
     setup = _counted(calls, lambda: stab.sweep(a, b, bound, [], validate_bound=False))
     total = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
     per_point = {k: (total[k] - setup[k]) / len(grid) for k in total}
-    assert per_point["svd"] <= 6 and per_point["lstsq"] == 0, per_point
+    assert per_point["svd"] <= 5 and per_point["lstsq"] == 0, per_point
+
+
+def test_pencil_domain_is_computed_once_per_family(calls):
+    a, b, _, grid = _fresh_pair()
+    family = rel.pencil_family(a, b)
+    pencils = [family(lam) for lam in grid]
+    used = _counted(calls, lambda: [p.domain for p in pencils])
+    assert used == {"svd": 0, "lstsq": 0}, used
+    assert all(p.domain is pencils[0].domain for p in pencils)
 
 
 def test_gamma_reads_the_cached_splits(calls):

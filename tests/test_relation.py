@@ -350,3 +350,69 @@ def test_orth_complement_and_annihilator_pass_the_flag_on():
             s = sub.Subspace(3, basis, sv_near_cut=near)
             assert sub.orth_complement(s).sv_near_cut is near
             assert sub.annihilator(s).sv_near_cut is near
+
+
+def test_sum_scalar_adjoint_and_image_carry_the_flag():
+    # Both inputs are decided 1e-8 from the cut; every answer built on
+    # them inherits that fragility.
+    s = sub.span(np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]]))
+    t = rel.from_graph(sub.span(np.array([[1.0, 1.0], [0.0, 1e-8],
+                                          [1.0, 1.0], [0.0, 0.0]])), 2, 2)
+    assert s.sv_near_cut and t.graph.sv_near_cut
+    full = sub.full_space(2)
+    assert sub.sum(s, sub.zero_subspace(3)).sv_near_cut
+    assert sub.sum(sub.zero_subspace(3), s).sv_near_cut
+    assert rel.scalar_mul(2.0, t).graph.sv_near_cut
+    assert rel.adjoint(t).graph.sv_near_cut
+    assert rel.image(t, full).sv_near_cut
+    assert rel.preimage(t, full).sv_near_cut
+    assert rel.image(rel.identity_relation(3), s).sv_near_cut
+
+
+def _check_pencil_domain(a, b, p):
+    dom = p.domain
+    assert dom.dim == sub.span(p._gx).dim == sub.intersect(a.domain, b.domain).dim
+    assert dom.is_same(sub.span(p._gx))
+    assert dom.is_same(sub.intersect(a.domain, b.domain))
+    if not (p.graph.sv_near_cut or dom.sv_near_cut
+            or p.multivalued_part.sv_near_cut):
+        assert p.graph.dim == dom.dim + p.multivalued_part.dim
+
+
+def test_pencil_domain_is_the_intersection_of_domains(rng, diag01):
+    # D(A - lam*B) = D(A) ^ D(B) at every lam, add (lam = -1) and the
+    # exceptional lam = 1 of diag(0, 1) and I included.
+    shapes = set()
+    for _ in range(50):
+        x, y = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        a, b = (rel.from_graph(sub.random_subspace(x + y, int(rng.integers(0, x + y + 1)),
+                                                   rng), x, y) for _ in range(2))
+        shapes |= {("mv" if t.multivalued_part.dim else "single",
+                    "codim" if t.domain.dim < x else "full",
+                    "empty" if t.domain.dim == 0 else "nonempty") for t in (a, b)}
+        family = rel.pencil_family(a, b)
+        for p in (family(0.0), family(-1.0), family(0.3 - 0.7j), rel.add(a, b)):
+            _check_pencil_domain(a, b, p)
+    assert {s[0] for s in shapes} == {"mv", "single"}
+    assert {s[1] for s in shapes} == {"codim", "full"}
+    assert {s[2] for s in shapes} == {"empty", "nonempty"}
+    ident = rel.identity_relation(2)
+    p = rel.pencil(diag01, ident, 1.0)
+    _check_pencil_domain(diag01, ident, p)
+    assert p.domain.dim == 2 and p.kernel.dim == 1
+
+
+def test_pencil_domain_carries_the_flag():
+    # The reproduction pair: D(A) ^ D(B) is decided 1e-8 from the cut.
+    a = rel.from_graph(sub.span(np.array([[1.0], [0.0], [1.0], [0.0]])), 2, 2)
+    b = rel.from_graph(sub.span(np.array([[1.0], [1e-8], [0.0], [1.0]])), 2, 2)
+    for lam in (0.0, -1.0, 0.5j):
+        dom = rel.pencil(a, b, lam).domain
+        assert dom.dim == 0 and dom.sv_near_cut
+
+
+def test_domain_of_the_wrong_ambient_raises():
+    with pytest.raises(ValueError, match="domain ambient"):
+        rel.LinearRelation(2, 2, sub.full_space(4), domain=sub.full_space(3))
+    given = sub.zero_subspace(2)
+    assert rel.LinearRelation(2, 2, sub.full_space(4), domain=given).domain is given
