@@ -37,9 +37,10 @@ __all__ = [
 
 
 def _contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
-    """Containment verdict plus an ill-conditioning flag for the gap."""
-    g = sub.gap(inner, outer)
-    return g <= EQ_TOL, CHAIN_BAND[0] < g < CHAIN_BAND[1]
+    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut side."""
+    g = 1.0 if inner.dim > outer.dim else sub.gap(inner, outer)  # by dimension count
+    near = outer.sv_near_cut or inner.sv_near_cut
+    return g <= EQ_TOL, near or CHAIN_BAND[0] < g < CHAIN_BAND[1]
 
 
 @dataclass
@@ -73,39 +74,45 @@ def _step_limit(a: LinearRelation, b: LinearRelation, max_n: int | None) -> int:
     return a.x_dim + 1 if max_n is None else max_n
 
 
+class _Chain(list):
+    """Chain entries; ``images[i]`` is the image the step from entry i took."""
+
+
+def _steps(fwd: LinearRelation, back: LinearRelation, start: Subspace, n: int) -> _Chain:
+    """The one step loop of both chains: [start, back^{-1}(fwd(start)), ...]
+    for at most ``n`` steps, stopping when an entry repeats."""
+    chain = _Chain([start])
+    chain.images = []
+    for _ in range(n):
+        chain.images.append(rel.image(fwd, chain[-1]))
+        chain.append(rel.preimage(back, chain.images[-1]))
+        if chain[-1].is_same(chain[-2]):
+            break
+    return chain
+
+
 def m_chain(a: LinearRelation, b: LinearRelation,
             max_n: int | None = None) -> list[Subspace]:
     """[M_0, M_1, ...] up to stabilization (or max_n steps)."""
-    chain = [sub.full_space(a.x_dim)]
-    for _ in range(_step_limit(a, b, max_n)):
-        nxt = rel.preimage(b, rel.image(a, chain[-1]))
-        chain.append(nxt)
-        if nxt.is_same(chain[-2]):
-            break
-    return chain
+    return _steps(a, b, sub.full_space(a.x_dim), _step_limit(a, b, max_n))
 
 
 def n_chain(a: LinearRelation, b: LinearRelation,
             max_n: int | None = None) -> list[Subspace]:
     """[N_1, N_2, ...] up to stabilization (or max_n steps); N_1 = N(A)."""
-    chain = [a.kernel]
-    for _ in range(_step_limit(a, b, max_n) - 1):
-        nxt = rel.preimage(a, rel.image(b, chain[-1]))
-        chain.append(nxt)
-        if nxt.is_same(chain[-2]):
-            break
-    return chain
+    return _steps(b, a, a.kernel, _step_limit(a, b, max_n) - 1)
 
 
 class _ChainSet:
-    """One pair's M and N chains and their containment verdicts, memoised by
-    chain index; an index past the end of a stabilized chain reads its last
-    entry.  The set holds no reference to the pair: callers pass it in."""
+    """One pair's M and N chains, their step images and primal nu; verdicts and image
+    annihilators memoised by chain index (an index past a stabilized chain reads its
+    last entry).  The set holds no reference to the pair: callers pass it in."""
 
     def __init__(self, a: LinearRelation, b: LinearRelation):
         self.m_limit = self.n_limit = a.x_dim + 1
         self.ms, self.ns = m_chain(a, b), n_chain(a, b)
-        self._gaps, self._kappa = {}, {}
+        self.nu = _nu(a, b, self.ms)
+        self._gaps, self._kappa, self._perps = {}, {}, {}
 
     @classmethod
     def of(cls, a: LinearRelation, b: LinearRelation, m_limit: int, n_limit: int):
@@ -137,6 +144,16 @@ class _ChainSet:
             target = rel.preimage(b, rel.image(a, self.ns[key[1]]))
             self._kappa[key] = (_contained(target, nk), _contained(b.domain, nk))
         return self._kappa[key]
+
+    def image_perp(self, a: LinearRelation, b: LinearRelation,
+                   chain: str, i: int) -> Subspace:
+        """(A(M_i))-perp for ``chain`` "m", (B(N_{i+1}))-perp for "n", from
+        the kept image; only a chain's last entry takes a new one."""
+        if (chain, i) not in self._perps:
+            entries, t = (self.ms, a) if chain == "m" else (self.ns, b)
+            kept = entries.images[i:i + 1] or [rel.image(t, entries[i])]
+            self._perps[chain, i] = sub.annihilator(kept[0])
+        return self._perps[chain, i]
 
 
 def dual_chains(a: LinearRelation, b: LinearRelation,
@@ -228,24 +245,20 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     ms_dual = m_chain(a_adj, b_adj)
     ns_dual = n_chain(a_adj, b_adj)
     chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
-    ms, ns = chains.ms[:a.x_dim + 2], chains.ns[:a.x_dim + 1]
-    nu_primal = _nu(a, b, ms)
+    m_len, n_len = min(len(chains.ms), a.x_dim + 2), min(len(chains.ns), a.x_dim + 1)
     nu_dual = _nu(a_adj, b_adj, ms_dual)
 
-    b_n1_perp = sub.annihilator(rel.image(b, ns[0]))
-    report["equality_m"] = ms_dual[1].is_same(b_n1_perp) if len(ms_dual) > 1 else False
-    report["nu"] = nu_primal
+    report["equality_m"] = len(ms_dual) > 1 and ms_dual[1].is_same(
+        chains.image_perp(a, b, "n", 0))
+    report["nu"] = chains.nu
     report["nu_dual"] = nu_dual
-    report["equality_nu"] = (nu_primal == nu_dual)
+    report["equality_nu"] = (chains.nu == nu_dual)
 
     # Adjoint-sequence containments up to the shorter stabilization.
-    fwd, bwd = [], []
-    for n in range(1, len(ms_dual)):
-        target = sub.annihilator(rel.image(b, ns[min(n, len(ns)) - 1]))
-        fwd.append(sub.contains(target, ms_dual[n]))
-    for n in range(1, len(ns_dual) + 1):
-        target = sub.annihilator(rel.image(a, ms[min(n - 1, len(ms) - 1)]))
-        bwd.append(sub.contains(target, ns_dual[n - 1]))
+    fwd = [sub.contains(chains.image_perp(a, b, "n", min(n, n_len) - 1), ms_dual[n])
+           for n in range(1, len(ms_dual))]
+    bwd = [sub.contains(chains.image_perp(a, b, "m", min(n, m_len - 1)), ns_dual[n])
+           for n in range(len(ns_dual))]
     report["adjoint_sequences_m"] = fwd
     report["adjoint_sequences_n"] = bwd
     report["adjoint_sequences_hold"] = all(fwd) and all(bwd)
@@ -261,7 +274,8 @@ def chain_report(a: LinearRelation, b: LinearRelation,
     depth = _step_limit(a, b, max_n)
     chains = _ChainSet.of(a, b, depth, depth)
     ms, ns = chains.ms[:depth + 1], chains.ns[:max(depth, 1)]
-    ill = False
+    # nu read N(B) and the M chain to stabilization, whatever max_n cuts.
+    ill = any(s.sv_near_cut for s in chains.ms[:a.x_dim + 2] + ns + [b.kernel])
     table = []
     for n in range(1, depth + 1):
         row = []
@@ -270,7 +284,5 @@ def chain_report(a: LinearRelation, b: LinearRelation,
             row.append(ok)
             ill = ill or flag
         table.append(row)
-    # max_n may cut ms short of stabilization; nu reads what m_chain(a, b) gives.
-    nu_val = _nu(a, b, chains.ms[:a.x_dim + 2])
-    return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=nu_val,
+    return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=chains.nu,
                        containment_table=table, ill_conditioned=ill)

@@ -112,6 +112,11 @@ class LinearRelation:
         """T(0): vectors y with (0, y) in the graph."""
         return sub.span(self._gy @ self._x_svd[1].null, ambient=self.y_dim)
 
+    @cached_property
+    def _inverse(self) -> "LinearRelation":
+        """:func:`inverse`, built once for every preimage."""
+        return inverse(self)
+
     @property
     def single_valued(self) -> bool:
         return self.multivalued_part.dim == 0
@@ -220,7 +225,7 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
 
 def preimage(t: LinearRelation, n: Subspace) -> Subspace:
     """T^{-1}(N) = image of N under the inverse relation."""
-    return image(inverse(t), n)
+    return image(t._inverse, n)
 
 
 def adjoint(t: LinearRelation) -> LinearRelation:

@@ -250,7 +250,10 @@ def gap(m: Subspace, n: Subspace) -> float:
 
 
 def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:
-    """True iff gap(inner, outer) <= tol; the zero subspace is in everything."""
+    """True iff gap(inner, outer) <= tol; the zero subspace is in everything.
+    A larger inner space (gap 1) is refused below tol 0.5 with no SVD."""
+    if inner.dim > outer.dim and tol < 0.5 and inner.ambient == outer.ambient:
+        return False
     return gap(inner, outer) <= tol
 
 

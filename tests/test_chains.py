@@ -155,6 +155,59 @@ def test_nu_duality_random_everywhere_defined(rng):
     assert seen == 15
 
 
+def _haar(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+@pytest.mark.parametrize("s, nu", [(1e-10, 1), (1e-9, math.inf)])
+def test_near_cut_chains_are_ill_conditioned(s, nu):
+    # One singular value of A at the rank cut: nu flips between 1 and inf
+    # over s, and the chain subspaces are cut near a singular value.
+    rng = np.random.default_rng(0)
+    u, v = _haar(rng, 4), _haar(rng, 4)
+    a = rel.from_matrix(u @ np.diag([1.0, 1.0, 1.0, s]) @ v.conj().T)
+    b = rel.identity_relation(4)
+    rep = chn.chain_report(a, b)
+    assert rep.nu == nu
+    assert any(m.sv_near_cut for m in rep.m_chain + rep.n_chain)
+    assert rep.ill_conditioned
+    # With no table at all, nu still read the near-cut M chain.
+    assert chn.chain_report(a, b, 0).ill_conditioned
+    for n in range(1, 5):
+        assert chn.check_equivalent_conditions(a, b, n)["ill_conditioned"], n
+
+
+def test_chains_clear_of_the_cut_are_not_flagged():
+    rng = np.random.default_rng(0)
+    u, v = _haar(rng, 4), _haar(rng, 4)
+    a = rel.from_matrix(u @ np.diag([1.0, 1.0, 1.0, 1e-5]) @ v.conj().T)
+    b = rel.identity_relation(4)
+    rep = chn.chain_report(a, b)
+    assert math.isinf(rep.nu) and not rep.ill_conditioned
+    for n in range(1, 5):
+        assert not chn.check_equivalent_conditions(a, b, n)["ill_conditioned"], n
+
+
+def test_contained_flags_a_near_cut_side():
+    plane = sub.span(np.eye(3)[:, [0, 1]])
+    near = sub.Subspace(3, np.eye(3)[:, [0]], sv_near_cut=True)
+    assert chn._contained(plane, near) == (True, True)
+    assert chn._contained(near, plane) == (False, True)
+    assert chn._contained(plane, sub.span(np.eye(3)[:, [0]])) == (True, False)
+
+
+def test_contained_refuses_a_larger_inner_space_without_svd(monkeypatch):
+    line = sub.span(np.eye(3)[:, [0]])
+    svds = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: svds.append(1) or real(*args, **kw))
+    assert chn._contained(line, sub.full_space(3)) == (False, False)
+    assert chn._contained(sub.zero_subspace(3), line) == (False, False)
+    assert svds == []
+
+
 def test_negative_max_n_is_rejected(diag01):
     for build in (chn.m_chain, chn.n_chain, chn.chain_report):
         with pytest.raises(ValueError, match="max_n"):
@@ -202,9 +255,39 @@ def _old_report(a, b, max_n):
             row.append(ok)
             ill = ill or flag
         table.append(row)
+    # nu reads N(B) and the whole M chain, whatever max_n cuts off.
+    ill = ill or any(s.sv_near_cut for s in chn.m_chain(a, b) + ns + [b.kernel])
     return {"m_dims": [s.dim for s in ms], "n_dims": [s.dim for s in ns],
             "stabilized_at": len(ms) - 1, "nu": chn.nu(a, b),
             "containment_table": table, "ill_conditioned": ill}
+
+
+def _old_duality(a, b):
+    """``verify_nu_duality`` on chains built afresh, with every image that
+    an annihilator target needs computed anew."""
+    failures = [name for name, ok in (
+        ("D(A) = X", a.domain.dim == a.x_dim), ("D(B) = X", b.domain.dim == b.x_dim),
+        ("B(0) subset of A(0)", sub.contains(a.multivalued_part, b.multivalued_part)))
+        if not ok]
+    if failures:
+        return {"applicable": False, "hypothesis_failures": failures}
+    a_adj, b_adj = rel.adjoint(a), rel.adjoint(b)
+    ms_dual, ns_dual = chn.m_chain(a_adj, b_adj), chn.n_chain(a_adj, b_adj)
+    ms, ns = chn.m_chain(a, b), chn.n_chain(a, b)
+
+    def perp(t, s):
+        return sub.annihilator(rel.image(t, s))
+
+    fwd = [sub.contains(perp(b, ns[min(n, len(ns)) - 1]), ms_dual[n])
+           for n in range(1, len(ms_dual))]
+    bwd = [sub.contains(perp(a, ms[min(n - 1, len(ms) - 1)]), ns_dual[n - 1])
+           for n in range(1, len(ns_dual) + 1)]
+    nu, nu_dual = chn.nu(a, b), chn.nu(a_adj, b_adj)
+    return {"applicable": True, "hypothesis_failures": [],
+            "equality_m": len(ms_dual) > 1 and ms_dual[1].is_same(perp(b, ns[0])),
+            "nu": nu, "nu_dual": nu_dual, "equality_nu": nu == nu_dual,
+            "adjoint_sequences_m": fwd, "adjoint_sequences_n": bwd,
+            "adjoint_sequences_hold": all(fwd) and all(bwd)}
 
 
 def _deep_pair(x, depth, seed):
@@ -233,14 +316,20 @@ def _check_identity(make):
     x = a.x_dim
     old_conditions = [_old_conditions(a, b, n) for n in range(1, x + 4)]
     old_reports = {m: _old_report(a, b, m) for m in (None, 0, 1, 2, x + 3)}
+    old_duality = _old_duality(a, b)
     for report_first in (False, True):
         a, b = make()
         if report_first:
             assert chn.chain_report(a, b).to_dict() == old_reports[None]
+        else:
+            assert chn.verify_nu_duality(a, b) == old_duality
         for n in range(1, x + 4):
             assert chn.check_equivalent_conditions(a, b, n) == old_conditions[n - 1], n
         for m, old in old_reports.items():
             assert chn.chain_report(a, b, m).to_dict() == old, m
+        # After the chains were rebuilt to x + 3 steps where they had not
+        # stabilized: the kept images of the longer chains.
+        assert chn.verify_nu_duality(a, b) == old_duality
 
 
 def test_shared_chains_match_per_call_chains(rng):

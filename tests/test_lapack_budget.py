@@ -8,7 +8,9 @@ gamma reads the induced operator's singular values off the cached full
 SVD of the graph's Y block, so it adds no call of its own.
 
 The chain reports of one pair build its M and N chains once, and
-``verify_nu_duality`` builds those of the adjoint pair once more.
+``verify_nu_duality`` builds those of the adjoint pair once more.  Its
+annihilator targets read the images the chain steps kept, so it computes
+only the images of the two chains' last entries anew.
 
 One stability-suite case checks the relative bound once, computes nu once
 and builds two pencil families: one for the sweep that both the stability
@@ -23,6 +25,8 @@ from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
 from linrel import suites as sts
+
+from test_chains import _deep_pair
 
 
 @pytest.fixture
@@ -107,6 +111,23 @@ def test_chain_builds_once_per_pair(monkeypatch):
         chn.check_equivalent_conditions(a, b, n)
     assert chn.verify_nu_duality(a, b)["applicable"]
     assert built == {"m_chain": 2, "n_chain": 2}, built
+
+
+def test_nu_duality_reads_the_kept_images(monkeypatch):
+    a, b = _deep_pair(7, 5, seed=3)
+    chn.chain_report(a, b)
+    real, seen = rel.image, []
+
+    def counted(t, m):
+        seen.extend(name for name, u in (("a", a), ("b", b)) if t is u)
+        return real(t, m)
+
+    monkeypatch.setattr(rel, "image", counted)
+    assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
+    assert len(seen) <= 2, seen
+    seen.clear()  # every annihilator target is memoised
+    assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
+    assert seen == [], seen
 
 
 def test_stability_case_budget(monkeypatch):

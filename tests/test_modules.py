@@ -4,7 +4,9 @@ Every name in a module's ``__all__`` must be bound at its top level
 (tools such as tracers call ``getattr`` on each entry), no module may
 import a name it never uses, no module imports scipy, which is not
 a dependency, and no module but ``subspace`` reads the rank-cut
-tolerances, so every rank decision goes through its one cut.
+tolerances, so every rank decision goes through its one cut.  In
+``chains`` only the one step loop and the kappa targets take preimages,
+so both chains keep one loop that keeps its images.
 """
 
 import ast
@@ -190,3 +192,42 @@ def test_only_subspace_reads_rank_cut_tolerances(path):
 ])
 def test_rank_cut_reader_detector(source):
     assert _cut_reads(ast.parse(source))
+
+
+_PREIMAGE_CALLERS = {"_steps", "_ChainSet.kappa"}
+
+
+def _preimage_callers(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around every mention of
+    ``preimage`` (``rel.preimage``, a bare ``preimage``, called or
+    aliased); "<module>" at the top level."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+                visit(child, inner)
+                continue
+            if isinstance(child, (ast.Attribute, ast.Name)) and _name(child) == "preimage":
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_chains_take_preimages_in_one_step_loop():
+    callers = _preimage_callers(_tree(SRC / "chains.py"))
+    assert set(callers) == _PREIMAGE_CALLERS, callers
+
+
+@pytest.mark.parametrize("source", [
+    "def m_chain(a, b):\n    return rel.preimage(b, rel.image(a, x))",
+    "class _ChainSet:\n    def nu(self, a, b):\n        return preimage(b, y)",
+    "x = rel.preimage(b, y)",
+    "def _steps():\n    def helper():\n        return rel.preimage(b, y)",
+    "def m_chain(a, b):\n    step = rel.preimage\n    return step(b, y)",
+], ids=["function", "method", "module", "nested", "alias"])
+def test_preimage_caller_detector(source):
+    assert not set(_preimage_callers(ast.parse(source))) <= _PREIMAGE_CALLERS

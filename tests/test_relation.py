@@ -169,6 +169,18 @@ def test_preimage(diag01):
     assert rel.preimage(diag01, sub.zero_subspace(2)).is_same(diag01.kernel)
 
 
+def test_preimage_builds_one_inverse_per_relation(diag01, monkeypatch):
+    real, built = rel.inverse, []
+    monkeypatch.setattr(rel, "inverse", lambda t: built.append(t) or real(t))
+    line = sub.span(np.array([[0.0], [1.0]]))
+    first = rel.preimage(diag01, line)
+    for _ in range(3):
+        again = rel.preimage(diag01, line)
+        np.testing.assert_array_equal(again.basis, first.basis)
+    assert built == [diag01]
+    assert rel.equals(diag01._inverse, real(diag01))
+
+
 def test_adjoint_is_transpose_for_matrices(rng):
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     adj = rel.adjoint(rel.from_matrix(m))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel import subspace as sub
-from linrel.tolerances import RANK_ABS, RANK_REL, SV_BAND
+from linrel.tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 
 from oracles import intersect_oracle, sampled_sup_distance
 
@@ -160,6 +160,49 @@ def test_contains():
     assert sub.contains(plane, e1)
     assert not sub.contains(e1, plane)
     assert sub.contains(e1, sub.zero_subspace(3))
+
+
+def test_contains_refuses_a_larger_inner_space_without_svd(monkeypatch):
+    svds = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: svds.append(1) or real(*args, **kw))
+    g = np.random.default_rng(3)
+    pairs = [(sub.random_subspace(6, lo, g), sub.random_subspace(6, hi, g))
+             for lo in range(6) for hi in range(lo + 1, 7)]
+    for outer, inner in pairs:
+        for tol in (EQ_TOL, 1e-10, 0.49):
+            assert not sub.contains(outer, inner, tol)
+            assert not outer.contains(inner, tol)
+    assert svds == []
+
+
+def test_contains_verdict_is_the_gap_verdict(rng):
+    tols = (EQ_TOL, 1e-10, 0.5, 1.0)
+    seen = {tol: set() for tol in tols}
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        outer = sub.random_subspace(n, int(rng.integers(0, n + 1)), rng)
+        if rng.random() < 0.3:  # an inner space inside the outer one
+            inner = sub.span(outer.basis @ rng.standard_normal((outer.dim, int(
+                rng.integers(0, outer.dim + 1)))), ambient=n)
+        else:
+            inner = sub.random_subspace(n, int(rng.integers(0, n + 1)), rng)
+        for tol in tols:
+            verdict = sub.contains(outer, inner, tol)
+            assert verdict == (sub.gap(inner, outer) <= tol), (outer, inner, tol)
+            seen[tol].add((verdict, inner.dim > outer.dim))
+    assert seen[EQ_TOL] >= {(True, False), (False, False), (False, True)}
+    assert (True, True) in seen[1.0]
+
+
+def test_contains_at_tol_one_admits_everything():
+    line = sub.span(np.eye(3)[:, [0]])
+    plane = sub.span(np.eye(3)[:, [1, 2]])
+    assert sub.contains(line, plane, tol=1.0)
+    assert not sub.contains(line, plane, tol=0.5)
+    with pytest.raises(ValueError, match="ambient"):
+        sub.contains(line, sub.full_space(4))
 
 
 def test_apply_map():
