@@ -53,10 +53,11 @@ class DomainError(ValueError):
 
 
 class LinearRelation:
-    """A linear relation X -> Y represented by its graph subspace."""
+    """A linear relation X -> Y by its graph subspace and any parts already known."""
 
     def __init__(self, x_dim: int, y_dim: int, graph: Subspace, *,
-                 domain: Subspace | None = None):
+                 domain: Subspace | None = None, multivalued: Subspace | None = None,
+                 y_split: Callable[[], sub.Split] | None = None):
         if x_dim <= 0 or y_dim <= 0:
             raise ValueError("x_dim and y_dim must be positive")
         if graph.ambient != x_dim + y_dim:
@@ -68,6 +69,9 @@ class LinearRelation:
         self.y_dim = int(y_dim)
         self.graph = graph
         self._domain = domain
+        self._y_split = y_split
+        if multivalued is not None:
+            self.__dict__["multivalued_part"] = multivalued
 
     @property
     def _gx(self) -> np.ndarray:
@@ -88,8 +92,8 @@ class LinearRelation:
 
     @cached_property
     def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the full SVD of Gy it was cut from."""
-        split = sub.svd_split(self._gy)
+        """R(T) and the full SVD of Gy it was cut from; a pencil brings its own."""
+        split = sub.svd_split(self._gy) if self._y_split is None else self._y_split()
         return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
 
     @property
@@ -181,24 +185,50 @@ def add(s: LinearRelation, t: LinearRelation) -> LinearRelation:
 def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     """lam -> A - lam*B, graph {(x, y1 - lam*y2) : (x,y1) in G(A), (x,y2) in G(B)}.
 
-    null([Gx_A, -Gx_B]) parametrizes the pairs once, for every lam; then
-    each lam costs one span of [X; Y1 - lam*Y2].  D(A - lam*B) = D(A) ^ D(B)
-    = span(X) for every lam, so every relation shares one domain.  Each
-    graph and the domain carry the near-cut flags of that split and of
-    both input graphs.
+    null([Gx_A, -Gx_B]) pairs the columns of [X; Y1] and [X; Y2] once; the
+    family shares D(A - lam*B) = span(X) = span(Q), X = Q S W^H of rank r.
+    In the coordinates [W_r S_r^-1, W_0] the graph is span{[0; P], [Q; Z]}:
+    P spans T(0) = span((Y1 - lam*Y2) W_0), Z is (Y1 - lam*Y2) W_r S_r^-1
+    in coordinates of T(0)-perp.  With Z = U diag(s) V^H, C = (1 + s^2)^-1/2,
+    [[0, QVC], [P, UsC]] is orthonormal (the CS form; Paige & Wei, 1994):
+    dim G = dim D + dim T(0), and Gy = [P, UsC] is its own SVD, cut when
+    first read and no lower than Z's rounding level eps (1 + |lam|) / s_r.
+    Each lam costs one SVD of Z (y x r), and one of the T(0) block when
+    W_0 is not empty.  Graphs, domain and T(0) carry the near-cut flags of
+    these splits and of both input graphs.
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
     split = sub.svd_split(np.hstack([a._gx, -b._gx]))
-    near = split.near or a.graph.sv_near_cut or b.graph.sv_near_cut
     c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
-    x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
-    domain = sub.span(x, ambient=a.x_dim, near=near)
+    y1, y2, xs = a._gy @ c1, b._gy @ c2, sub.svd_split(a._gx @ c1)
+    near = split.near or xs.near or a.graph.sv_near_cut or b.graph.sv_near_cut
+    x_dim, y_dim, q, r = a.x_dim, a.y_dim, xs.span, xs.span.shape[1]
+    domain = Subspace(x_dim, q, sv_near_cut=near)
+    w = xs.right[:, :r] / xs.svals[:r]
+    noise = np.finfo(float).eps / xs.svals[r - 1] if r else 0.0  # in Z, per 1 + |lam|
+    z1, z2, m1, m2 = y1 @ w, y2 @ w, y1 @ xs.null, y2 @ xs.null
 
     def at(lam: complex) -> LinearRelation:
-        return LinearRelation(a.x_dim, a.y_dim,
-                              sub.span(np.vstack([x, y1 - lam * y2]), near=near),
-                              domain=domain)
+        z, p, flag, perp = z1 - lam * z2, np.zeros((y_dim, 0), dtype=complex), near, None
+        if m1.shape[1]:  # P and a basis of T(0)-perp from one SVD, of M^H
+            ts = sub.svd_split((m1 - lam * m2).conj().T)
+            perp, flag = ts.null, near or ts.near
+            p, z = ts.right[:, : y_dim - perp.shape[1]], perp.conj().T @ z
+        u, s, vh = np.linalg.svd(z, full_matrices=r > z.shape[0])
+        u = u if perp is None else perp @ u
+        s = np.concatenate([s, np.zeros(r - s.size)])  # V is r x r; past Z's rows s is 0
+        c, n, floor = 1.0 / np.hypot(1.0, s), p.shape[1], noise * (1 + abs(lam))
+        basis = np.zeros((x_dim + y_dim, n + r), dtype=complex)
+        basis[:x_dim, n:] = q @ (vh.conj().T * c)
+        basis[x_dim:, :n] = p
+        basis[x_dim:, n: n + u.shape[1]] = u * (s * c)[: u.shape[1]]
+        return LinearRelation(
+            x_dim, y_dim, Subspace(x_dim + y_dim, basis, sv_near_cut=flag),
+            domain=domain, multivalued=Subspace(y_dim, p, sv_near_cut=flag),
+            y_split=lambda: sub.diagonal_split(
+                np.hstack([p, u]), np.concatenate([np.ones(n), s * c]),
+                floor / np.hypot(1.0, floor)))
 
     return at
 

@@ -9,9 +9,9 @@ All suprema over unit spheres are computed spectrally (largest/smallest
 singular values); nothing here samples spheres.
 
 Every rank decision in the library is made by :func:`_rank_cut`, reached
-through :func:`span` (thin SVD) or :func:`svd_split` (full SVD, span and
-null space together).  Every projection residual x - P_S x is
-:meth:`Subspace.residual`.
+through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span and
+null space) or :func:`diagonal_split` (a product that is its own SVD).
+Every projection residual x - P_S x is :meth:`Subspace.residual`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "span",
     "Split",
     "svd_split",
+    "diagonal_split",
     "sum",
     "intersect",
     "orth_complement",
@@ -129,12 +130,12 @@ def full_space(ambient: int) -> Subspace:
     return Subspace(ambient, np.eye(ambient, dtype=complex))
 
 
-def _rank_cut(s: np.ndarray) -> tuple[int, bool]:
+def _rank_cut(s: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
     """The rank decision on descending singular values.
 
     The rank counts the values above ``RANK_REL`` times the largest one,
-    with the absolute floor ``RANK_ABS``.  The flag says whether any
-    normalized singular value fell in the indeterminate band ``SV_BAND``.
+    the absolute floor ``RANK_ABS`` and ``floor``.  The flag says whether
+    any normalized singular value fell in the indeterminate band ``SV_BAND``.
     """
     # Python floats: the same IEEE products, quotients and comparisons as
     # array arithmetic, without a NumPy dispatch per step on tiny inputs.
@@ -143,7 +144,7 @@ def _rank_cut(s: np.ndarray) -> tuple[int, bool]:
         # Decisively zero unless the top value sits just under the floor.
         return 0, bool(v and v[0] > RANK_ABS / 10)
     top = v[0]
-    cut = max(RANK_REL * top, RANK_ABS)
+    cut = max(RANK_REL * top, RANK_ABS, floor)
     lo, hi = SV_BAND
     return len([x for x in v if x > cut]), any([lo < x / top < hi for x in v])
 
@@ -190,6 +191,15 @@ def svd_split(m: np.ndarray) -> Split:
     rank, near = _rank_cut(s)
     right = vh.conj().T
     return Split(u[:, :rank], right[:, rank:], near, s, right)
+
+
+def diagonal_split(left: np.ndarray, svals: np.ndarray, floor: float = 0.0) -> Split:
+    """The split of left @ diag(svals), its own SVD with right factor I:
+    ``svals`` descend, ``left`` is orthonormal where they are nonzero, and
+    none at or below ``floor``, their rounding level, counts."""
+    rank, near = _rank_cut(svals, floor)
+    right = np.eye(svals.size, dtype=complex)
+    return Split(left[:, :rank], right[:, rank:], near, svals, right)
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:

@@ -1,11 +1,12 @@
 """LAPACK call budgets of the pencil sweep and of the relative-bound check.
 
 ``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
-point of a sweep may cost one SVD of the pencil graph, one full SVD of
-its Y block, the kernel span and two gaps: 5 SVDs and no least-squares
-solve.  The domain D(A) ^ D(B) is the pencil family's, computed once.
-gamma reads the induced operator's singular values off the cached full
-SVD of the graph's Y block, so it adds no call of its own.
+point of a sweep may cost one SVD of the y x r block Z of the pencil's CS
+form, the kernel span and two gaps: 4 SVDs, none with more than y_dim
+rows, and no least-squares solve.  The domain D(A) ^ D(B) is the pencil
+family's, computed once.  The SVD of the graph's Y block comes in closed
+form with the graph, and gamma reads the induced operator's singular
+values off it, so range and gamma add no call of their own.
 
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.  Its
@@ -16,6 +17,8 @@ One stability-suite case checks the relative bound once, computes nu once
 and builds two pencil families: one for the sweep that both the stability
 and the gap-bound verdicts read, one for the eigen-condition check.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -62,13 +65,25 @@ def _counted(calls, fn) -> dict:
     return {k: calls[k] - before[k] for k in calls}
 
 
-def test_sweep_lambda_point_budget(calls):
+def test_sweep_lambda_point_budget(calls, monkeypatch):
     a, b, bound, grid = _fresh_pair()
+    rows, counted = Counter(), np.linalg.svd
+
+    def svd(m, *args, **kwargs):
+        rows[m.shape[0]] += 1
+        return counted(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     stab.sweep(a, b, bound, [], validate_bound=False)  # cache A's parts
+    rows.clear()
     setup = _counted(calls, lambda: stab.sweep(a, b, bound, [], validate_bound=False))
+    setup_rows = Counter(rows)
     total = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
     per_point = {k: (total[k] - setup[k]) / len(grid) for k in total}
-    assert per_point["svd"] <= 5 and per_point["lstsq"] == 0, per_point
+    assert per_point["svd"] <= 4 and per_point["lstsq"] == 0, per_point
+    in_loop = rows - setup_rows - setup_rows  # both runs did the set-up
+    assert sum(in_loop.values()) == per_point["svd"] * len(grid)
+    assert max(in_loop) <= a.y_dim, in_loop
 
 
 def test_pencil_domain_is_computed_once_per_family(calls):
@@ -86,6 +101,13 @@ def test_gamma_reads_the_cached_splits(calls):
         _ = t._y_svd, t.domain  # warm the two cached splits
         used = _counted(calls, lambda: met.gamma(t))
         assert used == {"svd": 0, "lstsq": 0}, used
+    family = rel.pencil_family(a, b)
+    for lam in grid:
+        p = family(lam)
+        used = _counted(calls, lambda: (p.range, met.gamma(p)))
+        assert used == {"svd": 0, "lstsq": 0}, used
+        used = _counted(calls, lambda: p.kernel)  # its span, no Gy SVD
+        assert used["svd"] <= 1 and used["lstsq"] == 0, used
 
 
 def test_check_relative_bound_budget(calls):

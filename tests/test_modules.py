@@ -4,7 +4,8 @@ Every name in a module's ``__all__`` must be bound at its top level
 (tools such as tracers call ``getattr`` on each entry), no module may
 import a name it never uses, no module imports scipy, which is not
 a dependency, and no module but ``subspace`` reads the rank-cut
-tolerances, so every rank decision goes through its one cut.  In
+tolerances or names ``_rank_cut``, so every rank decision goes through
+its one cut, also where another module supplies a split's values.  In
 ``chains`` only the one step loop and the kappa targets take preimages,
 so both chains keep one loop that keeps its images.
 """
@@ -163,16 +164,17 @@ def test_subspace_bypass_detector_allows_constructor():
 _CUT_NAMES = {"RANK_REL", "RANK_ABS", "SV_BAND"}
 
 
-def _cut_reads(tree: ast.Module) -> list[str]:
-    """Every mention of a rank-cut tolerance: a bare name, an attribute
-    such as ``tol.RANK_REL`` or an imported name."""
+def _cut_reads(tree: ast.Module, watched: set[str] = _CUT_NAMES) -> list[str]:
+    """Every mention of a rank-cut tolerance, or of another ``watched``
+    name: a bare name, an attribute such as ``tol.RANK_REL`` or an
+    imported name."""
     found = []
     for node in ast.walk(tree):
         names = ([node.id] if isinstance(node, ast.Name)
                  else [node.attr] if isinstance(node, ast.Attribute)
                  else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                  else [])
-        found += [f"line {node.lineno}: {n}" for n in names if n in _CUT_NAMES]
+        found += [f"line {node.lineno}: {n}" for n in names if n in watched]
     return found
 
 
@@ -192,6 +194,25 @@ def test_only_subspace_reads_rank_cut_tolerances(path):
 ])
 def test_rank_cut_reader_detector(source):
     assert _cut_reads(ast.parse(source))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_subspace_makes_the_rank_cut(path):
+    mentions = _cut_reads(_tree(path), {"_rank_cut"})
+    if path.name == "subspace.py":
+        assert mentions
+    else:
+        assert not mentions, f"{path.name} calls the rank cut itself: {mentions}"
+
+
+@pytest.mark.parametrize("source", [
+    "rank, near = sub._rank_cut(s)",
+    "from .subspace import _rank_cut",
+    "cut = _rank_cut",
+    "from .subspace import _rank_cut as cut",
+])
+def test_rank_cut_caller_detector(source):
+    assert _cut_reads(ast.parse(source), {"_rank_cut"})
 
 
 _PREIMAGE_CALLERS = {"_steps", "_ChainSet.kappa"}

@@ -1,6 +1,10 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
+from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
 from linrel import subspace as sub
@@ -423,8 +427,176 @@ def test_pencil_domain_carries_the_flag():
         assert dom.dim == 0 and dom.sv_near_cut
 
 
+def test_pencil_graph_carries_the_domain_cut_flag():
+    # A's graph and [Gx_A, -Gx_B] are cut clear of the band, but X is not:
+    # its values are 0.5 and 1e-8.  The graph's dimension rests on that cut.
+    cols = np.array([[1.0, 0.0], [0.0, 1e-8], [1.0, 0.0], [0.0, 1.0]])
+    a = rel.from_graph(sub.Subspace(4, cols / np.linalg.norm(cols, axis=0)), 2, 2)
+    b = rel.identity_relation(2)
+    assert not (b.graph.sv_near_cut or sub.svd_split(np.hstack([a._gx, -b._gx])).near)
+    for lam in (0.0, 0.5, -1.0):
+        p = rel.pencil(a, b, lam)
+        assert p.domain.dim == 2 and p.domain.sv_near_cut and p.graph.sv_near_cut
+
+
 def test_domain_of_the_wrong_ambient_raises():
     with pytest.raises(ValueError, match="domain ambient"):
         rel.LinearRelation(2, 2, sub.full_space(4), domain=sub.full_space(3))
     given = sub.zero_subspace(2)
     assert rel.LinearRelation(2, 2, sub.full_space(4), domain=given).domain is given
+
+
+def _mp_operator(t):
+    """The matrix Gy Gx^-1 of a single-valued, everywhere-defined relation,
+    from its stored graph basis, at 40 digits."""
+    def mat(m):
+        return mpmath.matrix([[mpmath.mpc(v.real, v.imag) for v in row] for row in m])
+    return mat(t._gy) * mpmath.inverse(mat(t._gx))
+
+
+def test_pencil_graph_and_domain_are_cut_at_one_scale():
+    # A - B = diag(-1e5, 0).  Cut at the graph's own scale, the 2e10
+    # direction fell out of the graph but not out of the domain: graph
+    # dim 1, domain dim 2, kernel dim 0, and no flag.
+    a = rel.from_matrix(np.diag([1e5, 2e10]))
+    b = rel.from_matrix(np.diag([2e5, 2e10]))
+    p = rel.pencil(a, b, 1.0)
+    assert (p.graph.dim, p.domain.dim, p.multivalued_part.dim) == (2, 2, 0)
+    assert (p.kernel.dim, p.range.dim) == (1, 1)
+    assert p.kernel.is_same(sub.span(np.array([0.0, 1.0])))
+    # The stored graphs give A - B a zero second column exactly; its first
+    # is -1e5 only to 5e-11 relative, the rounding of A's stored graph.
+    with mpmath.workdps(40):
+        ref = float(max(mpmath.svd_c(_mp_operator(a) - _mp_operator(b),
+                                     compute_uv=False)))
+    assert abs(met.gamma(p) - ref) <= 1e-12 * ref
+    assert abs(ref - 1e5) <= 1e-10 * 1e5
+
+
+def _scaled_pairs(rng):
+    """Generated pairs (multivalued parts and domain codimension included)
+    and pairs of Haar graphs, each side scaled by 1e-8, 1 or 1e8."""
+    pairs = [stab.generate(stab.random_feasible_spec(rng, max_dim=6)) for _ in range(6)]
+    for _ in range(6):
+        x, y = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        pairs.append(tuple(
+            rel.from_graph(sub.random_subspace(x + y, int(rng.integers(0, x + y + 1)), rng),
+                           x, y) for _ in range(2)))
+    return [(rel.scalar_mul(10.0 ** ka, a), rel.scalar_mul(10.0 ** kb, b))
+            for a, b in pairs for ka, kb in ((0, 0), (8, -8), (-8, 8), (8, 8), (-8, -8))]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1j, 1e6, 1e-6],
+                         ids=["zero", "one", "i", "1e6", "1e-6"])
+def test_pencil_dimensions_add_up_at_any_scale(rng, lam):
+    for a, b in _scaled_pairs(rng):
+        p = rel.pencil(a, b, lam)
+        assert (p.graph.dim == p.domain.dim + p.multivalued_part.dim
+                == p.range.dim + p.kernel.dim), (p.graph.dim, p.domain.dim,
+                                                 p.multivalued_part.dim, p.range.dim,
+                                                 p.kernel.dim)
+
+
+def _span_pencil(a, b, lam):
+    """A - lam*B as the span of [X; Y1 - lam*Y2], each cut at its own scale:
+    the construction the CS form replaced, kept here as its reference."""
+    split = sub.svd_split(np.hstack([a._gx, -b._gx]))
+    near = split.near or a.graph.sv_near_cut or b.graph.sv_near_cut
+    c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
+    x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
+    return rel.LinearRelation(a.x_dim, a.y_dim,
+                              sub.span(np.vstack([x, y1 - lam * y2]), near=near),
+                              domain=sub.span(x, ambient=a.x_dim, near=near))
+
+
+def _reference_pencils():
+    """Named (A, B) pairs: x != y; T(0) != 0 with domain codim 1 (the P
+    block); D = {0}; more c-columns than x; a rank-deficient Z."""
+    rng = np.random.default_rng(3)
+    pairs = {
+        "6x5": stab.generate(stab.InstanceSpec(6, 5, alpha=2, beta=1, seed=7)),
+        "mv-codim": stab.generate(stab.InstanceSpec(6, 5, alpha=1, beta=0, mv_dim=1,
+                                                    dom_codim=1, force_nu_infinite=True,
+                                                    seed=11)),
+        "empty-domain": (rel.from_graph(sub.span(np.vstack([np.zeros((3, 2)),
+                                                            rng.standard_normal((4, 2))])),
+                                        3, 4),
+                         rel.from_matrix(rng.standard_normal((4, 3)))),
+        "many-c": tuple(rel.from_graph(sub.random_subspace(6, 5, rng), 2, 4)
+                        for _ in range(2)),
+        "diag01": (rel.from_matrix(np.diag([0.0, 1.0])), rel.identity_relation(2)),
+    }
+    return [(name, a, b, lam) for name, (a, b) in pairs.items()
+            for lam in (0.0, 1.0, 0.3 - 0.2j, 1e6, -1e6j)]
+
+
+@pytest.mark.parametrize("name,a,b,lam", _reference_pencils())
+def test_cs_pencil_matches_the_span_construction(name, a, b, lam):
+    # A - lam*B = -lam (B - A/lam), so past |lam| = 1 the reference is the
+    # span of the reversed pencil, which is well scaled.  Of A - lam*B
+    # itself at |lam| = 1e6 the span loses a graph direction (many-c),
+    # flags a clean graph (6x5, mv-codim) and loses 1e-10 of gamma (diag01
+    # at -1e6j: 999999.99990 for 1e6).
+    new = rel.pencil(a, b, lam)
+    if abs(lam) <= 1:
+        old, scale = _span_pencil(a, b, lam), 1.0
+        assert new.graph.is_same(old.graph)
+    else:
+        old, scale = _span_pencil(b, a, 1 / lam), abs(lam)
+    assert new.graph.dim == old.graph.dim
+    for part in ("domain", "kernel", "range"):
+        assert getattr(new, part).is_same(getattr(old, part)), part
+    # (A - lam*B)(0) = A(0) + lam*B(0); the span's own T(0) of the reversed
+    # empty-domain pencil reads a 1e-11 X block as nonzero.
+    mv = sub.sum(a.multivalued_part, b.multivalued_part) if lam else a.multivalued_part
+    assert new.multivalued_part.is_same(mv)
+    assert (met.alpha(new), met.beta(new)) == (met.alpha(old), met.beta(old))
+    assert [t.sv_near_cut for t in (new.graph, new.kernel, new.range)] == \
+        [t.sv_near_cut for t in (old.graph, old.kernel, old.range)]
+    g_new, g_old = met.gamma(new), scale * met.gamma(old)
+    if g_old >= 1e-3 and math.isfinite(g_old):
+        assert abs(g_new - g_old) <= 1e-12 * g_old, (g_new, g_old)
+    else:
+        assert g_new == g_old or g_new < 1e-3
+
+
+def test_reference_pencils_cover_every_block():
+    seen = set()
+    for name, a, b, lam in _reference_pencils():
+        p = rel.pencil(a, b, lam)
+        seen |= {"x != y"} if a.x_dim != a.y_dim else set()
+        seen |= {"T(0)"} if p.multivalued_part.dim else set()
+        seen |= {"codim"} if 0 < p.domain.dim < a.x_dim else set()
+        seen |= {"D = 0"} if p.domain.dim == 0 else set()
+        c = sub.svd_split(np.hstack([a._gx, -b._gx])).null.shape[1]
+        seen |= {"c > x"} if c > a.x_dim else set()
+        seen |= {"Z rank-deficient"} if p.kernel.dim else set()
+    assert seen == {"x != y", "T(0)", "codim", "D = 0", "c > x", "Z rank-deficient"}
+
+
+@pytest.mark.parametrize("name,a,b,lam", _reference_pencils())
+def test_closed_form_split_is_the_svd_of_gy(name, a, b, lam):
+    p = rel.pencil(a, b, lam)
+    seeded, fresh = p._y_svd[1], sub.svd_split(p._gy)
+    k = fresh.svals.size
+    assert np.allclose(seeded.svals[:k], fresh.svals, rtol=0, atol=1e-13)
+    assert not np.any(seeded.svals[k:])
+    assert seeded.span.shape[1] == fresh.span.shape[1]
+    assert seeded.near == fresh.near
+    assert p.range.is_same(sub.Subspace(p.y_dim, fresh.span))
+
+
+def test_rounding_floor_cuts_only_what_rounding_can_reach():
+    # D(A) has an X part of 1e-11, so Z's rounding level eps (1 + |lam|)/s_r
+    # passes 1 at |lam| = 1e6.  Neither T(0)'s values nor Z's 1e11 may fall.
+    a = rel.from_graph(sub.span(np.array([[1e-11, 0.0], [1.0, 0.0], [0.0, 1.0]])), 1, 2)
+    with mpmath.workdps(40):
+        g = mpmath.matrix([[mpmath.mpf(v.real) for v in row] for row in a.graph.basis])
+        x = mpmath.matrix([[g[0, 0], g[0, 1]]])
+        t0 = g[1:3, :] * mpmath.matrix([g[0, 1], -g[0, 0]])  # x-part 0
+        y = g[1:3, :] * (x.T / mpmath.norm(x) ** 2)  # the image of x = 1
+        ref = float(mpmath.norm(y - t0 * ((t0.T * y)[0] / mpmath.norm(t0) ** 2)))
+    for lam in (0.0, 1e6, -1e6j):
+        p = rel.pencil(a, rel.zero_relation(1, 2), lam)
+        assert (p.domain.dim, p.multivalued_part.dim, p.range.dim, p.kernel.dim) == (1, 1, 2, 0)
+        assert abs(met.gamma(p) - ref) <= 1e-12 * ref
