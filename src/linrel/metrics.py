@@ -20,6 +20,7 @@ Conventions for degenerate relations:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,19 +121,22 @@ def _induced_svals(t: LinearRelation) -> np.ndarray:
 
     The graph basis G = [Gx; Gy] is orthonormal, so Gx^H Gx = I - Gy^H Gy
     and the columns G v_j are orthogonal with ||Gx v_j||^2 + s_j^2 = 1
-    (the CS decomposition; Paige & Wei, 1994).  The first dim G - dim D(T)
-    of them span {0} (+) T(0); the last dim G - dim R(T) span N(T) (+) {0}.
-    In between, the unit vectors Gx v_j / ||Gx v_j|| are an orthonormal
-    basis of D(T) ^ N(T)-perp, and their images Gy v_j / ||Gx v_j|| are
-    orthogonal to each other and to T(0), of norm s_j / ||Gx v_j||.  Both
-    counts are rank decisions the relation has already made.
+    (the CS decomposition; Paige & Wei, 1994).  The last dim G - dim R(T)
+    span N(T) (+) {0}.  Of the first dim R(T), the dim G - dim D(T) of
+    least ||Gx v_j|| (not the first: a tiny X part ties at s_j ~ 1) span
+    {0} (+) T(0); the rest, Gx v_j / ||Gx v_j||, are an orthonormal basis
+    of D(T) ^ N(T)-perp, with images Gy v_j / ||Gx v_j|| orthogonal to
+    each other and to T(0), of norm s_j / ||Gx v_j||.  Both counts are
+    rank decisions the relation has already made.
     """
     split = t._y_svd[1]
-    lo, hi = t.graph.dim - t.domain.dim, t.range.dim
-    if hi <= lo:
+    drop, hi = t.graph.dim - t.domain.dim, t.range.dim
+    if hi <= drop:
         return np.zeros(0)
     # ||Gx v_j|| directly, not sqrt(1 - s_j^2), which loses a large value.
-    return split.svals[lo:hi] / np.linalg.norm(t._gx @ split.right[:, lo:hi], axis=0)
+    nx = np.linalg.norm(t._gx @ split.right[:, :hi], axis=0)
+    keep = np.sort(np.argsort(nx, kind="stable")[drop:])
+    return split.svals[keep] / nx[keep]
 
 
 def gamma(t: LinearRelation) -> float:
@@ -189,24 +193,20 @@ def graph_norm_at(t: LinearRelation, x) -> float:
 class RelativeBound:
     """Constants (sigma, tau) with ||B x|| <= sigma ||x|| + tau ||A x|| on D(A).
 
-    ``provenance`` records how the pair was obtained: "exact" (tau = 0,
-    spectral), "heuristic" (tau > 0, multi-start ascent; ``sigma_upper``
-    then carries the certified tau = 0 cap), or "supplied".
+    ``provenance`` records how the pair was obtained: "exact" (fitted by
+    :func:`fit_relative_bound`) or "supplied".
     """
 
     sigma: float
     tau: float
     provenance: str = "supplied"
     witness: np.ndarray | None = field(default=None, compare=False)
-    sigma_upper: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and math.isfinite(self.tau)):
             raise ValueError("sigma and tau must be finite")
         if self.sigma < 0 or self.tau < 0:
             raise ValueError("sigma and tau must be non-negative")
-        if self.provenance == "exact" and self.tau != 0:
-            raise ValueError("exact bounds have tau = 0")
 
 
 def _check_standing_hypotheses(a: LinearRelation, b: LinearRelation) -> None:
@@ -228,79 +228,78 @@ def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndar
     return t.multivalued_part.residual(y)
 
 
-def fit_relative_bound(a: LinearRelation, b: LinearRelation, tau: float = 0.0,
-                       seed: int = 0) -> RelativeBound:
+def _kernel_top(a: LinearRelation, dom_a: np.ndarray, mat_b: np.ndarray) -> np.ndarray:
+    """Coordinates in ``dom_a`` of B's top direction on N(A), where ||A x|| = 0
+    leaves no slack: one column, or none when N(A) = {0}."""
+    ker = dom_a.conj().T @ a.kernel.basis
+    return ker @ np.linalg.svd(mat_b @ ker)[2][:1].conj().T
+
+
+def fit_relative_bound(a: LinearRelation, b: LinearRelation,
+                       tau: float = 0.0) -> RelativeBound:
     """Smallest sigma with ||B x|| <= sigma ||x|| + tau ||A x|| on D(A).
 
-    tau = 0 is exact: sigma is the largest singular value of B's induced
-    operator restricted to D(A).  tau > 0 maximizes the residual
-    (||B x|| - tau ||A x||) over the unit sphere of D(A) by projected
-    gradient ascent from B's top and A's bottom singular direction and 32
-    random starts drawn from ``seed``; the result is a heuristic lower
-    envelope and carries the certified tau = 0 value as ``sigma_upper``.
+    tau = 0: the top singular value of B's induced operator M_b on D(A).
+    tau > 0: the points (p, q) = (c^H H_b c, c^H H_a c), H = M^H M, c a
+    unit vector, fill a convex set (Toeplitz-Hausdorff); sqrt p - tau sqrt q
+    peaks on the arc exposed by the top eigenvector of cos(phi) H_b -
+    sin(phi) H_a, phi in [0, pi/2] (C. R. Johnson, 1978), which at pi/2 is
+    B's top direction on N(A).  On a supporting line p and q rise together
+    and a stationary point is a maximum only below 0, so the corner of two
+    exposed points' lines bounds the objective (clamped at 0) on the arc
+    between them; so does Kato's sqrt(lambda_max(H_b - tau^2 H_a)).  The
+    sector with the highest corner is halved until the best exposed point,
+    the witness, is within 1e-10 relative (or eps ||M_b||) of it, or it is
+    narrower than 1e-7 rad, where the corner is rounding noise.  sigma is
+    the upper end: never below the supremum, apart from rounding.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
     _check_standing_hypotheses(a, b)
     dom_a = a.domain.basis
-    mat_b = _restricted_quotient_matrix(b, dom_a)
     if dom_a.shape[1] == 0:
-        return RelativeBound(0.0, tau, "exact" if tau == 0 else "heuristic",
-                             witness=None, sigma_upper=None if tau == 0 else 0.0)
-    u, s, vh = np.linalg.svd(mat_b)
-    sigma0 = float(s[0]) if s.size else 0.0
-    top = dom_a @ vh[0].conj() if s.size else dom_a[:, 0]
+        return RelativeBound(0.0, tau, "exact")
+    mat_b = _restricted_quotient_matrix(b, dom_a)
     if tau == 0:
-        return RelativeBound(sigma0, 0.0, "exact", witness=top)
-
+        _, s, vh = np.linalg.svd(mat_b)
+        return RelativeBound(float(s[0]), 0.0, "exact", witness=dom_a @ vh[0].conj())
     mat_a = _restricted_quotient_matrix(a, dom_a)
-    d = dom_a.shape[1]
-    hb = mat_b.conj().T @ mat_b
-    ha = mat_a.conj().T @ mat_a
+    hb, ha = mat_b.conj().T @ mat_b, mat_a.conj().T @ mat_a
 
-    def value(c: np.ndarray) -> float:
-        nb = math.sqrt(max(0.0, float((c.conj() @ hb @ c).real)))
-        na = math.sqrt(max(0.0, float((c.conj() @ ha @ c).real)))
-        return nb - tau * na
+    def value(nb, na) -> float:
+        return max(0.0, float(nb - tau * na))
 
-    def ascend(c: np.ndarray) -> tuple[float, np.ndarray]:
-        c = c / np.linalg.norm(c)
-        best = value(c)
-        step = 0.5
-        for _ in range(200):
-            nb = math.sqrt(max(float((c.conj() @ hb @ c).real), 1e-30))
-            na = math.sqrt(max(float((c.conj() @ ha @ c).real), 1e-30))
-            grad = hb @ c / nb - tau * (ha @ c) / na
-            # project onto the tangent space of the sphere
-            grad = grad - (c.conj() @ grad) * c
-            if np.linalg.norm(grad) < 1e-14:
-                break
-            cand = c + step * grad
-            cand = cand / np.linalg.norm(cand)
-            v = value(cand)
-            if v > best + 1e-15:
-                best, c = v, cand
-                step = min(1.0, step * 1.3)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        return best, c
+    def point(cs, lam, c) -> tuple:
+        return cs, lam, value(np.linalg.norm(mat_b @ c), np.linalg.norm(mat_a @ c)), c
 
-    rng = np.random.default_rng(seed)
-    candidates = [vh[0].conj()]
-    if mat_a.size:
-        va = np.linalg.svd(mat_a)[2]
-        candidates.append(va[-1].conj())
-    for _ in range(32):
-        candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    best_val, best_c = -math.inf, None
-    for c0 in candidates:
-        v, c = ascend(np.asarray(c0, dtype=complex))
-        if v > best_val:
-            best_val, best_c = v, c
-    return RelativeBound(max(0.0, best_val), tau, "heuristic",
-                         witness=dom_a @ best_c, sigma_upper=sigma0)
+    def exposed(cos, sin) -> tuple:
+        # Angles are (cos, sin) pairs, exact at both ends; a sum bisects.
+        r = math.hypot(cos, sin)
+        w, v = np.linalg.eigh(cos / r * hb - sin / r * ha)
+        return point((cos / r, sin / r), float(w[-1]), v[:, -1])
+
+    def sector(e0, e1) -> tuple:
+        ((c0, s0), lam0, *_), ((c1, s1), lam1, *_) = e0, e1
+        det = s0 * c1 - c0 * s1
+        corner = value(math.sqrt(max((lam1 * s0 - lam0 * s1) / det, 0.0)),
+                       math.sqrt(max((lam1 * c0 - lam0 * c1) / det, 0.0)))
+        return -corner, s0, e0, e1
+
+    kato = math.sqrt(max(float(np.linalg.eigvalsh(hb - tau * tau * ha)[-1]), 0.0))
+    top = _kernel_top(a, dom_a, mat_b)
+    first = exposed(1.0, 0.0)
+    last = point((0.0, 1.0), 0.0, top[:, 0]) if top.size else exposed(0.0, 1.0)
+    floor = np.finfo(float).eps * math.sqrt(max(first[1], 0.0))
+    best, heap = max(first, last, key=lambda e: e[2]), [sector(first, last)]
+    while True:
+        neg_corner, _, e0, e1 = heap[0]
+        upper = min(-neg_corner, kato)
+        if upper - best[2] <= max(1e-10 * upper, floor) or math.dist(e0[0], e1[0]) < 1e-7:
+            return RelativeBound(max(upper, best[2]), tau, "exact", witness=dom_a @ best[3])
+        mid = exposed(e0[0][0] + e1[0][0], e0[0][1] + e1[0][1])
+        best = max(best, mid, key=lambda e: e[2])
+        heapq.heapreplace(heap, sector(e0, mid))
+        heapq.heappush(heap, sector(mid, e1))
 
 
 def check_relative_bound(a: LinearRelation, b: LinearRelation,
@@ -308,9 +307,9 @@ def check_relative_bound(a: LinearRelation, b: LinearRelation,
                          seed: int = 0) -> tuple[bool, dict]:
     """Sample the inequality ||B x|| <= sigma ||x|| + tau ||A x|| + slack.
 
-    Samples ``trials`` random unit vectors of D(A) plus the singular
-    directions of both restricted induced operators.  Returns the verdict
-    and the worst-residual witness.
+    Samples ``trials`` random unit vectors of D(A), the singular
+    directions of both restricted induced operators and B's top direction
+    on N(A).  Returns the verdict and the worst-residual witness.
     """
     _check_standing_hypotheses(a, b)
     dom_a = a.domain.basis
@@ -320,10 +319,10 @@ def check_relative_bound(a: LinearRelation, b: LinearRelation,
     # Trial k's real then imaginary part: one standard_normal(d) per part.
     draw = np.random.default_rng(seed).standard_normal((trials, 2, d))
     coords = [(draw[:, 0] + 1j * draw[:, 1]).T]
-    for m in (_restricted_quotient_matrix(b, dom_a),
-              _restricted_quotient_matrix(a, dom_a)):
-        if m.size:
-            coords.append(np.linalg.svd(m)[2].conj().T)
+    mat_b = _restricted_quotient_matrix(b, dom_a)
+    for m in (mat_b, _restricted_quotient_matrix(a, dom_a)):
+        coords.append(np.linalg.svd(m)[2].conj().T)
+    coords.append(_kernel_top(a, dom_a, mat_b))
     coords = np.hstack(coords)
     nc = np.linalg.norm(coords, axis=0)
     keep = nc >= 1e-14

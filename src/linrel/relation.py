@@ -109,12 +109,14 @@ class LinearRelation:
     @cached_property
     def kernel(self) -> Subspace:
         """Vectors x with (x, 0) in the graph; the X slice of G ^ (X (+) 0)."""
-        return sub.span(self._gx @ self._y_svd[1].null, ambient=self.x_dim)
+        split = self._y_svd[1]  # a cut near the threshold here or in G flags it
+        return sub.span(self._gx @ split.null, self.x_dim, split.near or self.graph.sv_near_cut)
 
     @cached_property
     def multivalued_part(self) -> Subspace:
-        """T(0): vectors y with (0, y) in the graph."""
-        return sub.span(self._gy @ self._x_svd[1].null, ambient=self.y_dim)
+        """T(0): vectors y with (0, y) in the graph; flagged as the kernel is."""
+        split = self._x_svd[1]
+        return sub.span(self._gy @ split.null, self.y_dim, split.near or self.graph.sv_near_cut)
 
     @cached_property
     def _inverse(self) -> "LinearRelation":

@@ -15,7 +15,8 @@ LinearRelation  {"x_dim": n, "y_dim": m, "graph": <subspace>} or the
                 everywhere-defined operators (entries numbers or
                 [re, im] pairs; rows map to Y).
 Instance        {"A": <relation>, "B": <relation>, "spec": ..., "measured": ...}
-RelativeBound   {"sigma": s, "tau": t, "provenance": "..."}.
+RelativeBound   {"sigma": s, "tau": t, "provenance": "exact" (fitted) or
+                "supplied"}; an older file's "sigma_upper" is ignored.
 
 Sweep CSV columns (fixed order):
     re, im, alpha, beta, gamma, gap_fwd, gap_bwd, bound,
@@ -177,17 +178,13 @@ def relation_from_dict(d: dict) -> LinearRelation:
 
 
 def bound_to_dict(b: RelativeBound) -> dict:
-    out = {"sigma": b.sigma, "tau": b.tau, "provenance": b.provenance}
-    if b.sigma_upper is not None:
-        out["sigma_upper"] = b.sigma_upper
-    return out
+    return {"sigma": b.sigma, "tau": b.tau, "provenance": b.provenance}
 
 
 def bound_from_dict(d: dict) -> RelativeBound:
+    """Any other key, such as the ``sigma_upper`` of older files, is ignored."""
     return RelativeBound(_parse_number(d["sigma"]), _parse_number(d["tau"]),
-                         str(d.get("provenance", "supplied")),
-                         sigma_upper=(None if d.get("sigma_upper") is None
-                                      else _parse_number(d["sigma_upper"])))
+                         str(d.get("provenance", "supplied")))
 
 
 def instance_to_dict(a: LinearRelation, b: LinearRelation,

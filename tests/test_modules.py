@@ -7,7 +7,9 @@ a dependency, and no module but ``subspace`` reads the rank-cut
 tolerances or names ``_rank_cut``, so every rank decision goes through
 its one cut, also where another module supplies a split's values.  In
 ``chains`` only the one step loop and the kappa targets take preimages,
-so both chains keep one loop that keeps its images.
+so both chains keep one loop that keeps its images.  In ``metrics`` only
+the sampled bound check draws random numbers, so every fit is
+deterministic.
 """
 
 import ast
@@ -218,10 +220,10 @@ def test_rank_cut_caller_detector(source):
 _PREIMAGE_CALLERS = {"_steps", "_ChainSet.kappa"}
 
 
-def _preimage_callers(tree: ast.Module) -> list[str]:
-    """The qualified name of the function around every mention of
-    ``preimage`` (``rel.preimage``, a bare ``preimage``, called or
-    aliased); "<module>" at the top level."""
+def _callers(tree: ast.Module, watched: set[str]) -> list[str]:
+    """The qualified name of the function around every mention of a
+    ``watched`` name (``rel.preimage``, a bare ``preimage``, called,
+    aliased or imported); "<module>" at the top level."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -230,7 +232,10 @@ def _preimage_callers(tree: ast.Module) -> list[str]:
                 inner = child.name if where == "<module>" else f"{where}.{child.name}"
                 visit(child, inner)
                 continue
-            if isinstance(child, (ast.Attribute, ast.Name)) and _name(child) == "preimage":
+            name = (child.name.split(".")[-1] if isinstance(child, ast.alias)
+                    else _name(child) if isinstance(child, (ast.Attribute, ast.Name))
+                    else "")
+            if name in watched:
                 found.append(where)
             visit(child, where)
 
@@ -239,7 +244,7 @@ def _preimage_callers(tree: ast.Module) -> list[str]:
 
 
 def test_chains_take_preimages_in_one_step_loop():
-    callers = _preimage_callers(_tree(SRC / "chains.py"))
+    callers = _callers(_tree(SRC / "chains.py"), {"preimage"})
     assert set(callers) == _PREIMAGE_CALLERS, callers
 
 
@@ -251,4 +256,31 @@ def test_chains_take_preimages_in_one_step_loop():
     "def m_chain(a, b):\n    step = rel.preimage\n    return step(b, y)",
 ], ids=["function", "method", "module", "nested", "alias"])
 def test_preimage_caller_detector(source):
-    assert not set(_preimage_callers(ast.parse(source))) <= _PREIMAGE_CALLERS
+    assert not set(_callers(ast.parse(source), {"preimage"})) <= _PREIMAGE_CALLERS
+
+
+_RANDOM_NAMES = {"random", "default_rng"}
+
+
+def test_only_the_bound_check_draws_random_numbers_in_metrics():
+    # Every fit is deterministic; only the sampled check of a bound draws.
+    callers = _callers(_tree(SRC / "metrics.py"), _RANDOM_NAMES)
+    assert set(callers) == {"check_relative_bound"}, callers
+
+
+@pytest.mark.parametrize("source", [
+    "def fit_relative_bound(a, b, tau, seed):\n    rng = np.random.default_rng(seed)",
+    "def _corner(h):\n    return np.random.standard_normal(3)",
+    "from numpy.random import default_rng",
+    "import numpy.random",
+    "draw = default_rng(0).standard_normal(4)",
+    "def fit(a):\n    def start():\n        return rng.random(3)",
+], ids=["default-rng", "module-function", "import-from", "import", "module", "nested"])
+def test_random_draw_detector(source):
+    assert not set(_callers(ast.parse(source), _RANDOM_NAMES)) <= {"check_relative_bound"}
+
+
+def test_random_draw_detector_allows_the_check():
+    source = ("def check_relative_bound(a, b, bound, seed):\n"
+              "    return np.random.default_rng(seed).standard_normal(3)\n")
+    assert set(_callers(ast.parse(source), _RANDOM_NAMES)) == {"check_relative_bound"}

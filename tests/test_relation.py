@@ -385,6 +385,26 @@ def test_sum_scalar_adjoint_and_image_carry_the_flag():
     assert rel.image(rel.identity_relation(3), s).sv_near_cut
 
 
+def test_kernel_and_multivalued_part_carry_their_split_and_graph_flags():
+    # A = U diag(1, 1, 1, s) V^H: at s = 1e-9 the kernel {0}, and at
+    # 1e-10 the kernel span(v4), is decided near the cut; so is T(0) = N(A)
+    # of the inverse.
+    rng = np.random.default_rng(0)
+    u, v = (np.linalg.qr(rng.standard_normal((4, 4))
+                         + 1j * rng.standard_normal((4, 4)))[0] for _ in range(2))
+    for s, dim in ((1e-9, 0), (1e-10, 1)):
+        a = rel.from_matrix(u @ np.diag([1.0, 1.0, 1.0, s]) @ v.conj().T)
+        assert a.kernel.dim == dim and a.kernel.sv_near_cut
+        inv = rel.inverse(a)
+        assert inv.multivalued_part.dim == dim and inv.multivalued_part.sv_near_cut
+    plain = rel.from_matrix(u)
+    assert not plain.kernel.sv_near_cut
+    assert not rel.inverse(plain).multivalued_part.sv_near_cut
+    basis = sub.span(np.eye(4)[:, :2]).basis
+    flagged = rel.from_graph(sub.Subspace(4, basis, sv_near_cut=True), 2, 2)
+    assert flagged.kernel.sv_near_cut and flagged.multivalued_part.sv_near_cut
+
+
 def _check_pencil_domain(a, b, p):
     dom = p.domain
     assert dom.dim == sub.span(p._gx).dim == sub.intersect(a.domain, b.domain).dim

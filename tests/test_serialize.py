@@ -72,12 +72,21 @@ def test_relation_matrix_shorthand():
 
 
 def test_bound_round_trip():
-    b = met.RelativeBound(1.25, 0.5, "supplied", sigma_upper=2.0)
-    back = ser.bound_from_dict(ser.bound_to_dict(b))
+    b = met.RelativeBound(1.25, 0.5, "exact")
+    d = ser.bound_to_dict(b)
+    assert d == {"sigma": 1.25, "tau": 0.5, "provenance": "exact"}
+    back = ser.bound_from_dict(d)
     assert back.sigma == b.sigma and back.tau == b.tau
-    assert back.sigma_upper == 2.0
+    assert back.provenance == "exact"
     plain = ser.bound_from_dict({"sigma": 1.0, "tau": 0.0})
     assert plain.provenance == "supplied"
+
+
+def test_bound_from_an_older_file_ignores_sigma_upper():
+    old = ser.bound_from_dict({"sigma": 0.5, "tau": 0.25, "provenance": "heuristic",
+                               "sigma_upper": 2.0})
+    assert (old.sigma, old.tau, old.provenance) == (0.5, 0.25, "heuristic")
+    assert not hasattr(old, "sigma_upper")
 
 
 def test_instance_hash_stable(e3, diag01):
