@@ -32,12 +32,8 @@ _EXIT_INPUT = 2
 _MAX_N_CEILING = 256
 
 
-def _header(seed=None, **extra) -> dict:
-    h = {"version": __version__, "tolerances": tolerance_header()}
-    if seed is not None:
-        h["seed"] = seed
-    h.update(extra)
-    return h
+def _header(**extra) -> dict:
+    return {"version": __version__, "tolerances": tolerance_header(), **extra}
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -117,14 +113,14 @@ def _relation_metrics(t, eps_list) -> dict:
 def cmd_analyze(args) -> int:
     a, b, _ = _load_instance(args.input)
     doc = {
-        "header": _header(seed=args.seed, instance_hash=ser.instance_hash(a, b)),
+        "header": _header(instance_hash=ser.instance_hash(a, b)),
         "A": _relation_metrics(a, args.eps),
         "B": _relation_metrics(b, args.eps),
     }
     pair: dict = {"nu": chn.nu(a, b)}
     try:
         bound = _bound_from_args(args, a, b)
-        ok, worst = met.check_relative_bound(a, b, bound, seed=args.seed)
+        ok, _ = met.check_relative_bound(a, b, bound)
         pair["bound"] = ser.bound_to_dict(bound)
         pair["bound_valid"] = ok
         gamma_a = met.gamma(a)
@@ -151,12 +147,11 @@ def cmd_sweep(args) -> int:
     grid = stab.default_grid(radius, gamma_a, points=args.grid_points,
                              phases=args.phases)
     try:
-        report = stab.sweep(a, b, bound, grid, seed=args.seed)
+        report = stab.sweep(a, b, bound, grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    doc = {"header": _header(seed=args.seed,
-                             instance_hash=ser.instance_hash(a, b),
+    doc = {"header": _header(instance_hash=ser.instance_hash(a, b),
                              grid_points=args.grid_points, phases=args.phases)}
     doc.update(report.to_dict())
     base = args.out
@@ -210,13 +205,15 @@ def cmd_verify(args) -> int:
 
 def _run_replay(args) -> int:
     doc = _load_json(args.replay)
-    payloads = []
-    if "cases" in doc:
-        payloads.append(doc)
-    elif "replay" in doc:
-        payloads.extend(doc["replay"])
-    else:
-        print("error: replay file has neither 'cases' nor 'replay'",
+    # One payload, or a verify summary's list of them under "replay".
+    payloads = [doc]
+    if isinstance(doc, dict) and "cases" not in doc:
+        payloads = doc.get("replay")
+    if not (isinstance(payloads, list) and all(
+            isinstance(p, dict) and p.get("suite") in sts.SUITE_NAMES
+            and isinstance(p.get("cases"), list) for p in payloads)):
+        print(f"error: {args.replay} is not a replay file: it needs 'cases' or "
+              "'replay', and each payload a 'suite' and a list of 'cases'",
               file=sys.stderr)
         return _EXIT_INPUT
     total = 0
@@ -294,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tau", type=_nonneg_float, default=None)
     analyze.add_argument("--eps", type=_eps_list, default=[0.25, 0.5, 1.0],
                          help="comma-separated eps list for approximate nullity")
-    analyze.add_argument("--seed", type=_nonneg_int, default=0)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -305,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--grid-points", type=_nonneg_int, default=64,
                      help="log-spaced moduli count (0 gives a header-only CSV)")
     swp.add_argument("--phases", type=_nonneg_int, default=8)
-    swp.add_argument("--seed", type=_nonneg_int, default=0)
     swp.add_argument("--out", required=True,
                      help="output base path; writes BASE.json and BASE.csv")
     swp.set_defaults(func=cmd_sweep)

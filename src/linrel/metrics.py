@@ -98,12 +98,10 @@ def operator_part(t: LinearRelation) -> OperatorPart:
     return part
 
 
-def relation_norm_at(t: LinearRelation, x) -> float | np.ndarray:
-    """||T x||: distance of any particular solution to T(0); a matrix
-    ``x`` gives the value at each column from one least-squares solve."""
+def relation_norm_at(t: LinearRelation, x) -> float:
+    """||T x||: distance of any particular solution to T(0)."""
     y = rel.particular_solution(t, x)
-    r = t.multivalued_part.residual(y)
-    return np.linalg.norm(r, axis=0) if r.ndim == 2 else float(np.linalg.norm(r))
+    return float(np.linalg.norm(t.multivalued_part.residual(y)))
 
 
 def norm(t: LinearRelation) -> float:
@@ -228,49 +226,42 @@ def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndar
     return t.multivalued_part.residual(y)
 
 
-def _kernel_top(a: LinearRelation, dom_a: np.ndarray, mat_b: np.ndarray) -> np.ndarray:
-    """Coordinates in ``dom_a`` of B's top direction on N(A), where ||A x|| = 0
-    leaves no slack: one column, or none when N(A) = {0}."""
-    ker = dom_a.conj().T @ a.kernel.basis
-    return ker @ np.linalg.svd(mat_b @ ker)[2][:1].conj().T
+def _sigma_tau(a: LinearRelation, b: LinearRelation,
+               tau: float) -> tuple[float, float, np.ndarray | None]:
+    """sigma(tau) = sup ||B x|| - tau ||A x|| over unit x in D(A), bracketed.
 
+    Returns the bracket's upper end (clamped at 0), the unclamped value
+    ||M_b c|| - tau ||M_a c|| that the witness x = Q c attains, and the
+    witness (None when D(A) = {0}); M_b, M_a are the induced operators of
+    B and A on the domain basis Q of D(A).
 
-def fit_relative_bound(a: LinearRelation, b: LinearRelation,
-                       tau: float = 0.0) -> RelativeBound:
-    """Smallest sigma with ||B x|| <= sigma ||x|| + tau ||A x|| on D(A).
-
-    tau = 0: the top singular value of B's induced operator M_b on D(A).
-    tau > 0: the points (p, q) = (c^H H_b c, c^H H_a c), H = M^H M, c a
-    unit vector, fill a convex set (Toeplitz-Hausdorff); sqrt p - tau sqrt q
-    peaks on the arc exposed by the top eigenvector of cos(phi) H_b -
-    sin(phi) H_a, phi in [0, pi/2] (C. R. Johnson, 1978), which at pi/2 is
-    B's top direction on N(A).  On a supporting line p and q rise together
-    and a stationary point is a maximum only below 0, so the corner of two
-    exposed points' lines bounds the objective (clamped at 0) on the arc
-    between them; so does Kato's sqrt(lambda_max(H_b - tau^2 H_a)).  The
-    sector with the highest corner is halved until the best exposed point,
-    the witness, is within 1e-10 relative (or eps ||M_b||) of it, or it is
-    narrower than 1e-7 rad, where the corner is rounding noise.  sigma is
-    the upper end: never below the supremum, apart from rounding.
+    tau = 0: one SVD of M_b.  tau > 0: the points (p, q) = (c^H H_b c,
+    c^H H_a c), H = M^H M, c a unit vector, fill a convex set
+    (Toeplitz-Hausdorff); sqrt p - tau sqrt q peaks on the arc exposed by
+    the top eigenvector of cos(phi) H_b - sin(phi) H_a, phi in [0, pi/2]
+    (C. R. Johnson, 1978), which at pi/2 is B's top direction on N(A).  On
+    a supporting line p and q rise together and a stationary point is a
+    maximum only below 0, so the corner of two exposed points' lines
+    bounds the objective (clamped at 0) on the arc between them; so does
+    Kato's sqrt(lambda_max(H_b - tau^2 H_a)).  The sector with the highest
+    corner is halved until the best exposed point, the witness, is within
+    1e-10 relative (or eps ||M_b||) of it, or it is narrower than 1e-7 rad,
+    where the corner is rounding noise.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
     _check_standing_hypotheses(a, b)
     dom_a = a.domain.basis
     if dom_a.shape[1] == 0:
-        return RelativeBound(0.0, tau, "exact")
+        return 0.0, 0.0, None
     mat_b = _restricted_quotient_matrix(b, dom_a)
     if tau == 0:
         _, s, vh = np.linalg.svd(mat_b)
-        return RelativeBound(float(s[0]), 0.0, "exact", witness=dom_a @ vh[0].conj())
+        return float(s[0]), float(s[0]), dom_a @ vh[0].conj()
     mat_a = _restricted_quotient_matrix(a, dom_a)
     hb, ha = mat_b.conj().T @ mat_b, mat_a.conj().T @ mat_a
 
-    def value(nb, na) -> float:
-        return max(0.0, float(nb - tau * na))
-
     def point(cs, lam, c) -> tuple:
-        return cs, lam, value(np.linalg.norm(mat_b @ c), np.linalg.norm(mat_a @ c)), c
+        value = np.linalg.norm(mat_b @ c) - tau * np.linalg.norm(mat_a @ c)
+        return cs, lam, float(value), c
 
     def exposed(cos, sin) -> tuple:
         # Angles are (cos, sin) pairs, exact at both ends; a sum bisects.
@@ -281,59 +272,54 @@ def fit_relative_bound(a: LinearRelation, b: LinearRelation,
     def sector(e0, e1) -> tuple:
         ((c0, s0), lam0, *_), ((c1, s1), lam1, *_) = e0, e1
         det = s0 * c1 - c0 * s1
-        corner = value(math.sqrt(max((lam1 * s0 - lam0 * s1) / det, 0.0)),
-                       math.sqrt(max((lam1 * c0 - lam0 * c1) / det, 0.0)))
-        return -corner, s0, e0, e1
+        corner = (math.sqrt(max((lam1 * s0 - lam0 * s1) / det, 0.0))
+                  - tau * math.sqrt(max((lam1 * c0 - lam0 * c1) / det, 0.0)))
+        return -max(corner, 0.0), s0, e0, e1
 
     kato = math.sqrt(max(float(np.linalg.eigvalsh(hb - tau * tau * ha)[-1]), 0.0))
-    top = _kernel_top(a, dom_a, mat_b)
+    # B's top direction on N(A), where ||A x|| = 0 leaves no slack.
+    ker = dom_a.conj().T @ a.kernel.basis
+    top = ker @ np.linalg.svd(mat_b @ ker)[2][:1].conj().T
     first = exposed(1.0, 0.0)
     last = point((0.0, 1.0), 0.0, top[:, 0]) if top.size else exposed(0.0, 1.0)
     floor = np.finfo(float).eps * math.sqrt(max(first[1], 0.0))
     best, heap = max(first, last, key=lambda e: e[2]), [sector(first, last)]
     while True:
         neg_corner, _, e0, e1 = heap[0]
-        upper = min(-neg_corner, kato)
-        if upper - best[2] <= max(1e-10 * upper, floor) or math.dist(e0[0], e1[0]) < 1e-7:
-            return RelativeBound(max(upper, best[2]), tau, "exact", witness=dom_a @ best[3])
+        upper, attained = min(-neg_corner, kato), best[2]
+        if (upper - max(attained, 0.0) <= max(1e-10 * upper, floor)
+                or math.dist(e0[0], e1[0]) < 1e-7):
+            return max(upper, attained), attained, dom_a @ best[3]
         mid = exposed(e0[0][0] + e1[0][0], e0[0][1] + e1[0][1])
         best = max(best, mid, key=lambda e: e[2])
         heapq.heapreplace(heap, sector(e0, mid))
         heapq.heappush(heap, sector(mid, e1))
 
 
-def check_relative_bound(a: LinearRelation, b: LinearRelation,
-                         bound: RelativeBound, trials: int = 64,
-                         seed: int = 0) -> tuple[bool, dict]:
-    """Sample the inequality ||B x|| <= sigma ||x|| + tau ||A x|| + slack.
+def fit_relative_bound(a: LinearRelation, b: LinearRelation,
+                       tau: float = 0.0) -> RelativeBound:
+    """Smallest sigma with ||B x|| <= sigma ||x|| + tau ||A x|| on D(A).
 
-    Samples ``trials`` random unit vectors of D(A), the singular
-    directions of both restricted induced operators and B's top direction
-    on N(A).  Returns the verdict and the worst-residual witness.
+    sigma is the upper end of :func:`_sigma_tau`'s bracket: never below
+    the supremum, apart from rounding.
     """
-    _check_standing_hypotheses(a, b)
-    dom_a = a.domain.basis
-    d = dom_a.shape[1]
-    if d == 0:
-        return True, {"residual": 0.0, "witness": None}
-    # Trial k's real then imaginary part: one standard_normal(d) per part.
-    draw = np.random.default_rng(seed).standard_normal((trials, 2, d))
-    coords = [(draw[:, 0] + 1j * draw[:, 1]).T]
-    mat_b = _restricted_quotient_matrix(b, dom_a)
-    for m in (mat_b, _restricted_quotient_matrix(a, dom_a)):
-        coords.append(np.linalg.svd(m)[2].conj().T)
-    coords.append(_kernel_top(a, dom_a, mat_b))
-    coords = np.hstack(coords)
-    nc = np.linalg.norm(coords, axis=0)
-    keep = nc >= 1e-14
-    xs = dom_a @ (coords[:, keep] / nc[keep])
-    # tau = 0 adds 0 to every right-hand side; A's values are not needed.
-    rhs = bound.sigma * np.linalg.norm(xs, axis=0) + (
-        bound.tau * relation_norm_at(a, xs) if bound.tau else 0.0)
-    residual = relation_norm_at(b, xs) - rhs
-    i = int(np.argmax(residual))
-    worst = {"residual": float(residual[i]), "witness": xs[:, i].copy()}
-    return not bool(np.any(residual > INEQ_SLACK)), worst
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
+    upper, _, witness = _sigma_tau(a, b, tau)
+    return RelativeBound(upper, tau, "exact", witness=witness)
+
+
+def check_relative_bound(a: LinearRelation, b: LinearRelation,
+                         bound: RelativeBound) -> tuple[bool, dict]:
+    """Decide ||B x|| <= sigma ||x|| + tau ||A x|| + slack on D(A).
+
+    Runs the fit's bracket at ``bound.tau``: the residual is the value its
+    witness attains minus sigma, so a failure is always attained there; a
+    pass leaves unverified at most the bracket's width.
+    """
+    _, attained, witness = _sigma_tau(a, b, bound.tau)
+    residual = attained - bound.sigma
+    return residual <= INEQ_SLACK, {"residual": residual, "witness": witness}
 
 
 RADIUS_KINDS = {"pencil": 1, "alpha": 2, "full": 3, "range": 3}

@@ -284,18 +284,15 @@ def equals(s: LinearRelation, t: LinearRelation, tol: float = EQ_TOL) -> bool:
 def particular_solution(t: LinearRelation, x, tol: float = EQ_TOL) -> np.ndarray:
     """Some y with (x, y) in the graph; raises DomainError off the domain.
 
-    A matrix ``x`` is solved column by column in one call.  Any two
-    particular solutions differ by an element of T(0), so every
+    Any two particular solutions differ by an element of T(0), so every
     quotient-norm quantity downstream is independent of the choice made
     here (least squares against the graph basis).
     """
-    x = np.asarray(x, dtype=complex)
-    x = x if x.ndim == 2 else x.reshape(-1)
+    x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape[0] != t.x_dim:
         raise ValueError(f"vector length {x.shape[0]} != x_dim {t.x_dim}")
     c, *_ = np.linalg.lstsq(t._gx, x, rcond=None)
-    residual = np.linalg.norm(t._gx @ c - x, axis=0)
-    off = residual > tol * np.maximum(1.0, np.linalg.norm(x, axis=0))
-    if np.any(off):
-        raise DomainError("vector outside the domain", float(np.max(residual * off)))
+    residual = float(np.linalg.norm(t._gx @ c - x))
+    if residual > tol * max(1.0, float(np.linalg.norm(x))):
+        raise DomainError("vector outside the domain", residual)
     return t._gy @ c

@@ -199,7 +199,11 @@ def instance_to_dict(a: LinearRelation, b: LinearRelation,
 
 
 def instance_from_dict(d: dict) -> tuple[LinearRelation, LinearRelation]:
-    return relation_from_dict(d["A"]), relation_from_dict(d["B"])
+    a, b = relation_from_dict(d["A"]), relation_from_dict(d["B"])
+    if (a.x_dim, a.y_dim) != (b.x_dim, b.y_dim):
+        raise ValueError(f"A acts from C^{a.x_dim} to C^{a.y_dim}, "
+                         f"B from C^{b.x_dim} to C^{b.y_dim}")
+    return a, b
 
 
 def instance_hash(a: LinearRelation, b: LinearRelation) -> str:

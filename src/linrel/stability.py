@@ -281,17 +281,16 @@ class SweepReport:
 
 
 def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
-          grid: list[complex], validate_bound: bool = True, seed: int = 0) -> SweepReport:
+          grid: list[complex], validate_bound: bool = True) -> SweepReport:
     """Evaluate the pencil over the grid and record stability diagnostics.
 
     Records are aligned 1:1 with the grid.  The "inside_*" flags derive
     only from |lambda| and the radii.  A lambda point whose rank
     decisions came out near the cut is flagged indeterminate; verifiers
-    exclude such points and report the exclusion count.  ``seed`` drives
-    the bound check's random samples.
+    exclude such points and report the exclusion count.
     """
     if validate_bound:
-        ok, worst = met.check_relative_bound(a, b, bound, seed=seed)
+        ok, worst = met.check_relative_bound(a, b, bound)
         if not ok:
             raise ValueError(
                 f"relative bound (sigma={bound.sigma}, tau={bound.tau}) fails "

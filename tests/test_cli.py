@@ -54,6 +54,7 @@ def test_analyze_worked_pair(tmp_path):
     out = tmp_path / "analysis.json"
     assert main(["analyze", str(inst), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
+    assert "seed" not in doc["header"]  # nothing in analyze is random
     assert doc["pair"]["nu"] == 1
     assert doc["A"]["gamma"] == pytest.approx(1.0)
     assert doc["A"]["alpha"] == 1 and doc["A"]["beta"] == 1
@@ -139,6 +140,8 @@ _BAD_INSTANCES = {
     "ragged-matrix": {"A": {"matrix": [[1.0, 0.0], [1.0]]}, "B": {"matrix": [[1.0]]}},
     "null-entry": {"A": _with_entry(None), "B": {"matrix": [[1.0]]}},
     "matrix-inf-entry": {"A": _graph_a(), "B": {"matrix": [["inf"]]}},
+    "space-mismatch": {"A": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                       "B": {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
 }
 
 
@@ -186,47 +189,14 @@ def test_invalid_number_is_input_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--xdim", "2", "--ydim", "2", "--alpha", "1", "--beta", "1"],
-    ["analyze", "INST"],
-    ["sweep", "INST", "--out", "OUT"],
     ["verify", "--suite", "gap", "--trials", "2"],
-], ids=["gen", "analyze", "sweep", "verify"])
+], ids=["gen", "verify"])
 def test_negative_seed_is_input_error(tmp_path, capsys, argv):
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({
-        "A": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
-        "B": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
-    }))
-    argv = [{"INST": str(inst), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "-1"])
+        main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
-
-
-def test_sweep_seed_reaches_bound_check(tmp_path, monkeypatch):
-    import inspect
-
-    from linrel import metrics as met
-    real = met.check_relative_bound
-    seeds = []
-
-    def spy(*args, **kwargs):
-        call = inspect.signature(real).bind(*args, **kwargs)
-        call.apply_defaults()
-        seeds.append(call.arguments["seed"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(met, "check_relative_bound", spy)
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({
-        "A": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
-        "B": {"matrix": [[0.0, 0.0], [0.0, 1.0]]},
-    }))
-    assert main(["sweep", str(inst), "--sigma", "0", "--tau", "1", "--grid-points", "2",
-                 "--seed", "7", "--out", str(tmp_path / "sweep")]) == 0
-    assert seeds == [7]
-    assert json.loads((tmp_path / "sweep.json").read_text())["header"]["seed"] == 7
 
 
 def test_sweep_outputs(tmp_path):
@@ -337,6 +307,19 @@ def test_verify_replay_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))
     assert main(["verify", "--replay", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"cases": [{}]},
+    {"suite": "nosuch", "cases": []},
+    {"replay": [{"suite": "gap"}]},
+], ids=["no-suite", "unknown-suite", "no-cases"])
+def test_verify_replay_malformed_file_is_input_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--replay", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+    assert "is not a replay file" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,6 +13,9 @@ The chain reports of one pair build its M and N chains once, and
 annihilator targets read the images the chain steps kept, so it computes
 only the images of the two chains' last entries anew.
 
+The relative-bound check solves for B's induced operator on D(A), and for
+A's when tau > 0, from one least-squares call each.
+
 One stability-suite case checks the relative bound once, computes nu once
 and builds two pencil families: one for the sweep that both the stability
 and the gap-bound verdicts read, one for the eigen-condition check.
@@ -111,9 +114,11 @@ def test_gamma_reads_the_cached_splits(calls):
 
 
 def test_check_relative_bound_budget(calls):
-    a, b, bound, _ = _fresh_pair()
-    used = _counted(calls, lambda: met.check_relative_bound(a, b, bound))
-    assert used["lstsq"] <= 3, used
+    for tau, lstsq in ((0.0, 1), (0.5, 2)):
+        a, b, bound, _ = _fresh_pair()
+        bound = met.RelativeBound(bound.sigma, tau)
+        used = _counted(calls, lambda: met.check_relative_bound(a, b, bound))
+        assert used["lstsq"] <= lstsq, (tau, used)
 
 
 def test_chain_builds_once_per_pair(monkeypatch):

@@ -11,7 +11,7 @@ from linrel import stability as stab
 from linrel import subspace as sub
 from linrel.tolerances import INEQ_SLACK
 
-from bound_oracle import ascent_sigma
+from bound_oracle import ascent_sigma, sampled_sigma
 from oracles import brute_alpha_prime_eps, seminorm_form
 
 
@@ -257,8 +257,26 @@ def test_fit_relative_bound_brackets_sigma_for_tau_positive():
 def test_fit_relative_bound_tau_positive_survives_dense_sampling():
     for s, tau, a, b in _tau_fits():
         fitted = met.fit_relative_bound(a, b, tau)
-        ok, worst = met.check_relative_bound(a, b, fitted, trials=10_000, seed=s)
-        assert ok and worst["residual"] <= INEQ_SLACK, (s, tau, worst["residual"])
+        sampled, _ = sampled_sigma(a, b, tau, 10_000, seed=s)
+        assert sampled - fitted.sigma <= INEQ_SLACK, (s, tau, sampled - fitted.sigma)
+
+
+def test_check_relative_bound_is_never_weaker_than_dense_sampling():
+    for s, tau, a, b in _tau_fits():
+        fitted = met.fit_relative_bound(a, b, tau)
+        sampled, _ = sampled_sigma(a, b, tau, 10_000, seed=s)
+        for factor in (1.0, 1 - 1e-7, 1 - 1e-4, 0.9):
+            bound = met.RelativeBound(fitted.sigma * factor, tau)
+            ok, worst = met.check_relative_bound(a, b, bound)
+            where = (s, tau, factor, worst["residual"], sampled - bound.sigma)
+            if factor == 1.0:
+                assert ok, where  # the fitted bound passes its own check
+            if sampled - bound.sigma > INEQ_SLACK:
+                assert not ok, where
+            x = worst["witness"]
+            pointwise = (met.relation_norm_at(b, x)
+                         - (bound.sigma * np.linalg.norm(x) + tau * met.relation_norm_at(a, x)))
+            assert worst["residual"] == pytest.approx(pointwise, rel=1e-12, abs=1e-12), where
 
 
 def _kernel_bound_pair():
@@ -280,8 +298,7 @@ def test_fit_relative_bound_reaches_b_on_the_kernel_of_a():
 
 def test_check_relative_bound_samples_b_on_the_kernel_of_a():
     a, b, top = _kernel_bound_pair()
-    ok, worst = met.check_relative_bound(a, b, met.RelativeBound(0.9185, 1.0),
-                                         trials=10_000)
+    ok, worst = met.check_relative_bound(a, b, met.RelativeBound(0.9185, 1.0))
     assert not ok
     assert worst["residual"] == pytest.approx(top - 0.9185, abs=1e-9)
     assert met.relation_norm_at(a, worst["witness"]) < 1e-9
@@ -311,13 +328,13 @@ def test_check_relative_bound():
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 def test_check_relative_bound_residual_is_pointwise(rng, tau):
-    # The batched check must report at its witness what the one-vector
-    # norms give there.
+    # The check must report at its witness what the one-vector norms give
+    # there.
     for _ in range(6):
         spec = stab.random_feasible_spec(rng, max_dim=6)
         a, b = stab.generate(spec)
         bound = met.RelativeBound(0.3, tau)
-        ok, worst = met.check_relative_bound(a, b, bound, trials=16, seed=2)
+        ok, worst = met.check_relative_bound(a, b, bound)
         x = worst["witness"]
         if x is None:
             assert a.domain.dim == 0

@@ -7,8 +7,8 @@ a dependency, and no module but ``subspace`` reads the rank-cut
 tolerances or names ``_rank_cut``, so every rank decision goes through
 its one cut, also where another module supplies a split's values.  In
 ``chains`` only the one step loop and the kappa targets take preimages,
-so both chains keep one loop that keeps its images.  In ``metrics`` only
-the sampled bound check draws random numbers, so every fit is
+so both chains keep one loop that keeps its images.  No function in
+``metrics`` draws random numbers, so every fit and every bound check is
 deterministic.
 """
 
@@ -262,10 +262,10 @@ def test_preimage_caller_detector(source):
 _RANDOM_NAMES = {"random", "default_rng"}
 
 
-def test_only_the_bound_check_draws_random_numbers_in_metrics():
-    # Every fit is deterministic; only the sampled check of a bound draws.
+def test_metrics_draws_no_random_numbers():
+    # The bound check reads the fit's bracket; nothing in metrics samples.
     callers = _callers(_tree(SRC / "metrics.py"), _RANDOM_NAMES)
-    assert set(callers) == {"check_relative_bound"}, callers
+    assert callers == [], callers
 
 
 @pytest.mark.parametrize("source", [
@@ -275,12 +275,9 @@ def test_only_the_bound_check_draws_random_numbers_in_metrics():
     "import numpy.random",
     "draw = default_rng(0).standard_normal(4)",
     "def fit(a):\n    def start():\n        return rng.random(3)",
-], ids=["default-rng", "module-function", "import-from", "import", "module", "nested"])
+    "def check_relative_bound(a, b, bound, seed):\n"
+    "    return np.random.default_rng(seed).standard_normal(3)",
+], ids=["default-rng", "module-function", "import-from", "import", "module", "nested",
+        "check"])
 def test_random_draw_detector(source):
-    assert not set(_callers(ast.parse(source), _RANDOM_NAMES)) <= {"check_relative_bound"}
-
-
-def test_random_draw_detector_allows_the_check():
-    source = ("def check_relative_bound(a, b, bound, seed):\n"
-              "    return np.random.default_rng(seed).standard_normal(3)\n")
-    assert set(_callers(ast.parse(source), _RANDOM_NAMES)) == {"check_relative_bound"}
+    assert _callers(ast.parse(source), _RANDOM_NAMES)
