@@ -288,6 +288,8 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     only from |lambda| and the radii.  A lambda point whose rank
     decisions came out near the cut is flagged indeterminate; verifiers
     exclude such points and report the exclusion count.
+    ``validate_bound=False`` checks neither the bound nor the standing
+    hypotheses: the caller has decided both.
     """
     if validate_bound:
         ok, worst = met.check_relative_bound(a, b, bound)
@@ -295,8 +297,6 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
             raise ValueError(
                 f"relative bound (sigma={bound.sigma}, tau={bound.tau}) fails "
                 f"on D(A) with residual {worst['residual']:.3e}")
-    else:
-        met._check_standing_hypotheses(a, b)
     gamma_a = met.gamma(a)
     alpha_a, beta_a = met.alpha(a), met.beta(a)
     kernel_a = a.kernel
@@ -340,35 +340,24 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
 
 def verify_perturbation(a: LinearRelation, b: LinearRelation) -> dict:
     """Check the additive perturbation inequalities alpha(A+B) <= alpha(A),
-    beta(A+B) <= beta(A) under whichever theorem gate admits.
+    beta(A+B) <= beta(A) under the one gate sigma < gamma(A).
 
-    Gates: ||B|| < gamma(A) (norm gate), or a validated (sigma, tau) with
-    sigma + tau gamma(A) < gamma(A) (relative gate).  Neither gate open
-    means not-applicable, never failure.
+    sigma = ||B restricted to D(A)|| is the bound fitted at tau = 0, where
+    the relative form sigma + tau gamma(A) < gamma(A) reads sigma <
+    gamma(A).  It subsumes the bounded form ||B|| < gamma(A), as D(A)
+    inside D(B) gives sigma <= ||B||.  A standing hypothesis failing (the
+    report then has no sigma) or the gate closed means not-applicable.
     """
-    report: dict = {"applicable": False, "theorem": None}
+    report: dict = {"applicable": False}
     try:
-        met._check_standing_hypotheses(a, b)
+        sigma = met.fit_relative_bound(a, b).sigma
     except met.HypothesisError as exc:
         report["reason"] = str(exc)
         return report
     gamma_a = met.gamma(a)
-    norm_b = met.norm(b)
-    report["gamma_a"] = gamma_a
-    report["norm_b"] = norm_b
-    bound = met.fit_relative_bound(a, b, 0.0)
-    report["sigma"] = bound.sigma
-    report["tau"] = bound.tau
-
-    if norm_b < gamma_a:
-        report["theorem"] = "norm_gate"
-    else:
-        relative_ok = (bound.tau < 1.0 if math.isinf(gamma_a)
-                       else bound.sigma + bound.tau * gamma_a < gamma_a)
-        if relative_ok:
-            report["theorem"] = "relative_gate"
-    if report["theorem"] is None:
-        report["reason"] = "no gate admits: ||B|| >= gamma(A) and bound too large"
+    report["gamma_a"], report["sigma"] = gamma_a, sigma
+    if not sigma < gamma_a:
+        report["reason"] = "gate closed: sigma >= gamma(A)"
         return report
 
     s = rel.add(a, b)
@@ -384,18 +373,18 @@ def verify_perturbation(a: LinearRelation, b: LinearRelation) -> dict:
 def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
                      grid: list[complex]) -> dict:
     """Constancy of alpha and beta strictly inside the k = 3 radius, the
-    one-sided alpha inequality inside the k = 1 radius, and (on nu = inf
-    instances) the quantitative minimum-modulus lower bound.
+    one-sided alpha inequality inside the k = 1 radius, and the
+    quantitative minimum-modulus lower bound.
 
-    Admission gates: nu(A:B) = inf, or the kernel containment
-    N(A) inside N(B), which forces an infinite nu.  (The reversed
-    containment admits the pair A = diag(0,1), B = I whose nullity jumps
-    1 -> 0 arbitrarily close to lambda = 0, so it cannot gate anything.)
+    The one gate is nu(A:B) = inf.  The kernel containment N(A) inside
+    N(B) is no second gate: it is the first test :func:`chains.nu` makes
+    before it returns inf.  (The reversed containment admits the pair
+    A = diag(0,1), B = I whose nullity jumps 1 -> 0 arbitrarily close to
+    lambda = 0, so it cannot gate anything.)
 
     An applicable report carries a "gap_bound" block: gap(N(A),
     N(A - lambda B)) against the predicted bound, read off the same
-    sweep.  It needs nu(A:B) = inf, and skips grid points whose bound
-    denominator is not positive.
+    sweep.  It skips grid points whose bound denominator is not positive.
     """
     report: dict = {"applicable": False}
     try:
@@ -403,12 +392,10 @@ def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     except met.HypothesisError as exc:
         report["reason"] = str(exc)
         return report
-    kernel_gate = sub.contains(b.kernel, a.kernel)
     nu_val = chn.nu(a, b)
     report["nu"] = nu_val
-    report["kernel_gate"] = kernel_gate
-    if not (math.isinf(nu_val) or kernel_gate):
-        report["reason"] = "neither gate admits (nu finite)"
+    if not math.isinf(nu_val):
+        report["reason"] = "gate closed: nu(A:B) finite"
         return report
     ok, worst = met.check_relative_bound(a, b, bound)
     if not ok:
@@ -432,7 +419,7 @@ def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
                 failures.append({"lambda": complex(record["re"], record["im"]),
                                  "check": "alpha_beta_constant",
                                  "alpha": record["alpha"], "beta": record["beta"]})
-            if math.isinf(nu_val) and not math.isinf(gamma_a):
+            if not math.isinf(gamma_a):
                 floor = gamma_a - (3 * sig + tau * gamma_a) * abs_lam
                 if record["gamma"] < floor - BOUND_SLACK:
                     failures.append({"lambda": complex(record["re"], record["im"]),
@@ -448,9 +435,6 @@ def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     report["degenerate_violations"] = rep.degenerate_violations
     report["failures"] = failures
     report["ok"] = not failures and rep.degenerate_violations == 0
-    if not math.isinf(nu_val):
-        report["gap_bound"] = {"applicable": False, "reason": "nu(A:B) finite"}
-        return report
     rated = [r for r in rep.records if r["bound"] is not None]
     gap_failures = [{"lambda": complex(r["re"], r["im"]), "gap": r["gap_fwd"],
                      "bound": r["bound"]}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from linrel import cli
+from linrel import suites as sts
 from linrel.cli import main
 
 
@@ -313,13 +314,42 @@ def test_verify_replay_bad_file(tmp_path, capsys):
     {"cases": [{}]},
     {"suite": "nosuch", "cases": []},
     {"replay": [{"suite": "gap"}]},
-], ids=["no-suite", "unknown-suite", "no-cases"])
+    {"suite": "gap", "seed": "x", "cases": []},
+    {"suite": "gap", "cases": [{"M": 3}]},
+    {"suite": "stability", "cases": [{"A": {"matrix": [[1]]}, "B": {"matrix": [[1]]}}]},
+    {"suite": "algebra", "cases": [{"A": 1}]},
+], ids=["no-suite", "unknown-suite", "no-cases", "seed-not-int", "gap-case-body",
+        "stability-no-bound", "algebra-case-body"])
 def test_verify_replay_malformed_file_is_input_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--replay", str(bad), "--out", str(tmp_path / "out.json")]) == 2
     assert "is not a replay file" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_verify_replay_names_the_malformed_case(tmp_path, capsys):
+    good = sts._gap_case(1, 0)
+    doc = {"replay": [{"suite": "gap", "cases": [good]},
+                      {"suite": "gap", "cases": [good, {"M": good["M"]}]}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--replay", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "gap case 1: KeyError: 'N'" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_replay_check_faults_still_surface(tmp_path, monkeypatch):
+    # Only decoding is an input error; a fault inside a check propagates.
+    def broken(case, rec, rng):
+        raise ValueError("fault inside a check")
+
+    monkeypatch.setitem(sts._SUITES, "gap", (sts._gap_case, sts._decode_gap, broken))
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"suite": "gap", "cases": [sts._gap_case(1, 0)]}))
+    with pytest.raises(ValueError, match="fault inside a check"):
+        main(["verify", "--replay", str(replay)])
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -18,7 +18,14 @@ A's when tau > 0, from one least-squares call each.
 
 One stability-suite case checks the relative bound once, computes nu once
 and builds two pencil families: one for the sweep that both the stability
-and the gap-bound verdicts read, one for the eigen-condition check.
+and the gap-bound verdicts read, one for the eigen-condition check.  It
+decides the standing hypotheses three times: in the verifier, in the
+bound check and in the eigen-condition check, which reads A(0) as
+A(0) + lambda B(0) and maps no subspace.  The perturbation verifier's one
+gate reads the fitted sigma, and ||B|| not at all.
+
+``linrel analyze`` and ``linrel sweep`` run the sigma(tau) bracket once:
+the bound they fit holds by construction and is not checked again.
 """
 
 from collections import Counter
@@ -27,9 +34,12 @@ import numpy as np
 import pytest
 
 from linrel import chains as chn
+from linrel import cli
 from linrel import metrics as met
 from linrel import relation as rel
+from linrel import serialize as ser
 from linrel import stability as stab
+from linrel import subspace as sub
 from linrel import suites as sts
 
 from test_chains import _deep_pair
@@ -157,11 +167,10 @@ def test_nu_duality_reads_the_kept_images(monkeypatch):
     assert seen == [], seen
 
 
-def test_stability_case_budget(monkeypatch):
-    payload = sts._stability_case(1, 0)
-    used = {"check_relative_bound": 0, "nu": 0, "pencil_family": 0}
-    for module, name in ((met, "check_relative_bound"), (chn, "nu"),
-                         (rel, "pencil_family")):
+def _count_calls(monkeypatch, targets) -> dict:
+    """Wrap each (module, name) of ``targets`` to count its calls."""
+    used = {name: 0 for _, name in targets}
+    for module, name in targets:
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -169,7 +178,41 @@ def test_stability_case_budget(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return used
+
+
+def test_stability_case_budget(monkeypatch):
+    case = sts._decode_stability(sts._stability_case(1, 0))
+    used = _count_calls(monkeypatch, (
+        (met, "check_relative_bound"), (chn, "nu"), (rel, "pencil_family"),
+        (met, "_check_standing_hypotheses"), (sub, "apply_map")))
     rec = sts._Recorder()
-    sts._check_stability(payload, rec, np.random.default_rng(0))
+    sts._check_stability(case, rec, np.random.default_rng(0))
     assert rec.lemmas["gap_bound"]["pass"] == 1, rec.lemmas
-    assert used == {"check_relative_bound": 1, "nu": 1, "pencil_family": 2}, used
+    assert used == {"check_relative_bound": 1, "nu": 1, "pencil_family": 2,
+                    "_check_standing_hypotheses": 3, "apply_map": 0}, used
+
+
+def test_perturbation_verifier_reads_no_norm(monkeypatch):
+    a, b = ser.instance_from_dict(sts._perturbation_case(1, 0))
+    used = _count_calls(monkeypatch, ((met, "norm"),))
+    assert stab.verify_perturbation(a, b)["applicable"]
+    assert used == {"norm": 0}, used
+
+
+@pytest.fixture(scope="module")
+def instance_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inst") / "inst.json"
+    assert cli.main(["gen", "--xdim", "16", "--ydim", "16", "--alpha", "2",
+                     "--beta", "2", "--force-nu-infinite", "--seed", "101",
+                     "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_fitted_bound_runs_the_bracket_once(monkeypatch, tmp_path, instance_file,
+                                            command):
+    used = _count_calls(monkeypatch, ((met, "_sigma_tau"),))
+    out = ["--out", str(tmp_path / "out")]
+    assert cli.main([command, str(instance_file), "--tau", "0.3", *out]) == 0
+    assert used == {"_sigma_tau": 1}, used

@@ -6,8 +6,10 @@ import pytest
 from linrel import chains as chn
 from linrel import metrics as met
 from linrel import relation as rel
+from linrel import serialize as ser
 from linrel import stability as stab
 from linrel import subspace as sub
+from linrel import suites as sts
 
 
 def test_instance_spec_validation():
@@ -120,7 +122,23 @@ def test_verify_perturbation_cases(diag01):
     big = rel.from_matrix(5.0 * np.eye(2))
     rep = stab.verify_perturbation(diag01, big)
     assert not rep["applicable"]
-    assert rep["theorem"] is None
+    assert rep["reason"] == "gate closed: sigma >= gamma(A)"
+    assert rep["sigma"] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sigma_gate_subsumes_the_norm_gate(seed):
+    # D(A) inside D(B) gives sigma = ||B restricted to D(A)|| <= ||B||, so
+    # every pair with ||B|| < gamma(A) passes the gate sigma < gamma(A).
+    admitted = 0
+    for i in range(200):
+        a, b = ser.instance_from_dict(sts._perturbation_case(seed, i))
+        sigma, norm_b = met.fit_relative_bound(a, b).sigma, met.norm(b)
+        assert sigma <= norm_b * (1 + 1e-12) + 1e-15, (i, sigma, norm_b)
+        if norm_b < met.gamma(a):
+            assert stab.verify_perturbation(a, b)["applicable"], i
+            admitted += 1
+    assert admitted > 100
 
 
 def test_verify_gap_bound_cases(diag01):
@@ -156,27 +174,17 @@ def test_verify_stability_gate_closed(diag01):
     assert chn.nu(diag01, ident) == 1
     rep = stab.verify_stability(diag01, ident, met.RelativeBound(1.0, 0.0), [0j])
     assert not rep["applicable"]
-    assert not rep["kernel_gate"]
+    assert rep["reason"] == "gate closed: nu(A:B) finite"
 
 
 def test_verify_stability_kernel_gate_admits():
-    # N(A) inside N(B) opens the gate (and forces nu = inf).
+    # N(A) inside N(B) forces nu = inf, which opens the gate.
     a = rel.from_matrix(np.diag([0.0, 2.0]))
     b = rel.from_matrix(np.zeros((2, 2)))
     rep = stab.verify_stability(a, b, met.RelativeBound(0.0, 0.0),
                                 [0j, 0.5 + 0.5j])
-    assert rep["kernel_gate"] and rep["applicable"] and rep["ok"]
+    assert rep["nu"] == math.inf and rep["applicable"] and rep["ok"]
     assert rep["gap_bound"]["applicable"] and rep["gap_bound"]["ok"]
-
-
-def test_gap_bound_needs_infinite_nu(monkeypatch):
-    # Should the kernel gate alone admit a pair, the gap bound does not apply.
-    a = rel.from_matrix(np.diag([0.0, 2.0]))
-    b = rel.from_matrix(np.zeros((2, 2)))
-    monkeypatch.setattr(chn, "nu", lambda a, b: 3)
-    rep = stab.verify_stability(a, b, met.RelativeBound(0.0, 0.0), [0j])
-    assert rep["applicable"] and rep["nu"] == 3
-    assert rep["gap_bound"] == {"applicable": False, "reason": "nu(A:B) finite"}
 
 
 def test_verify_stability_random_instances(rng):
