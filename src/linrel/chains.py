@@ -15,7 +15,6 @@ the adjoint pair.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from . import relation as rel
@@ -28,7 +27,6 @@ __all__ = [
     "ChainReport",
     "m_chain",
     "n_chain",
-    "dual_chains",
     "nu",
     "check_equivalent_conditions",
     "verify_nu_duality",
@@ -106,7 +104,9 @@ def n_chain(a: LinearRelation, b: LinearRelation,
 class _ChainSet:
     """One pair's M and N chains, their step images and primal nu; verdicts and image
     annihilators memoised by chain index (an index past a stabilized chain reads its
-    last entry).  The set holds no reference to the pair: callers pass it in."""
+    last entry).  The set holds no reference to the pair: callers pass it in.
+    :meth:`of` keeps it in the pair's record; built directly, it serves a pair
+    that is not reused, such as the adjoint pair of :func:`verify_nu_duality`."""
 
     def __init__(self, a: LinearRelation, b: LinearRelation):
         self.m_limit = self.n_limit = a.x_dim + 1
@@ -116,13 +116,13 @@ class _ChainSet:
 
     @classmethod
     def of(cls, a: LinearRelation, b: LinearRelation, m_limit: int, n_limit: int):
-        """The pair's set, kept on ``a`` beside a weak reference to ``b`` (a new
-        partner reusing a dead ``b``'s id gets its own).  A chain that its step
-        limit cut short is rebuilt to the longer limit, extending the old one."""
-        slot = a.__dict__.get("_chain_slot")
-        if slot is None or slot[0]() is not b:
-            slot = a.__dict__["_chain_slot"] = (weakref.ref(b), cls(a, b))
-        chains = slot[1]
+        """The pair's set, kept in its :func:`relation._pair` record.  A chain
+        that its step limit cut short is rebuilt to the longer limit,
+        extending the old one."""
+        record = rel._pair(a, b)
+        if "chains" not in record:
+            record["chains"] = cls(a, b)
+        chains = record["chains"]
         if m_limit > chains.m_limit and len(chains.ms) == chains.m_limit + 1:
             chains.ms, chains.m_limit = m_chain(a, b, m_limit), m_limit
         if n_limit > chains.n_limit and len(chains.ns) == chains.n_limit:
@@ -154,13 +154,6 @@ class _ChainSet:
             kept = entries.images[i:i + 1] or [rel.image(t, entries[i])]
             self._perps[chain, i] = sub.annihilator(kept[0])
         return self._perps[chain, i]
-
-
-def dual_chains(a: LinearRelation, b: LinearRelation,
-                max_n: int | None = None) -> tuple[list[Subspace], list[Subspace]]:
-    """The M and N chains of the adjoint pair (both live in Y')."""
-    a_adj, b_adj = rel.adjoint(a), rel.adjoint(b)
-    return m_chain(a_adj, b_adj, max_n), n_chain(a_adj, b_adj, max_n)
 
 
 def nu(a: LinearRelation, b: LinearRelation) -> float:
@@ -241,12 +234,10 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
         report["applicable"] = False
         return report
 
-    a_adj, b_adj = rel.adjoint(a), rel.adjoint(b)
-    ms_dual = m_chain(a_adj, b_adj)
-    ns_dual = n_chain(a_adj, b_adj)
+    dual = _ChainSet(rel.adjoint(a), rel.adjoint(b))  # the chains of Y'
+    ms_dual, ns_dual, nu_dual = dual.ms, dual.ns, dual.nu
     chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
     m_len, n_len = min(len(chains.ms), a.x_dim + 2), min(len(chains.ns), a.x_dim + 1)
-    nu_dual = _nu(a_adj, b_adj, ms_dual)
 
     report["equality_m"] = len(ms_dual) > 1 and ms_dual[1].is_same(
         chains.image_perp(a, b, "n", 0))

@@ -45,7 +45,6 @@ __all__ = [
     "alpha_prime_eps",
     "alpha_prime",
     "beta_prime",
-    "graph_norm_at",
     "fit_relative_bound",
     "check_relative_bound",
     "stability_radius",
@@ -181,12 +180,6 @@ def beta_prime(t: LinearRelation) -> int:
     return alpha_prime(rel.adjoint(t))
 
 
-def graph_norm_at(t: LinearRelation, x) -> float:
-    """||x|| + ||T x|| for x in D(T)."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    return float(np.linalg.norm(x)) + relation_norm_at(t, x)
-
-
 @dataclass(frozen=True)
 class RelativeBound:
     """Constants (sigma, tau) with ||B x|| <= sigma ||x|| + tau ||A x|| on D(A).
@@ -208,13 +201,22 @@ class RelativeBound:
 
 
 def _check_standing_hypotheses(a: LinearRelation, b: LinearRelation) -> None:
-    """D(B) must contain D(A) and B(0) must sit inside A(0)."""
-    g = sub.gap(a.domain, b.domain)
-    if g > EQ_TOL:
-        raise HypothesisError("D(A) subset of D(B)", g)
-    g = sub.gap(b.multivalued_part, a.multivalued_part)
-    if g > EQ_TOL:
-        raise HypothesisError("B(0) subset of A(0)", g)
+    """D(B) must contain D(A) and B(0) must sit inside A(0).
+
+    The verdict, None or the failing hypothesis with its gap, is decided
+    once per pair (the second gap only when the first hypothesis holds) and
+    kept in the pair's record; every call raises a fresh error from it.
+    """
+    record = rel._pair(a, b)
+    if "hypotheses" not in record:
+        g = sub.gap(a.domain, b.domain)
+        verdict = ("D(A) subset of D(B)", g) if g > EQ_TOL else None
+        if verdict is None:
+            g = sub.gap(b.multivalued_part, a.multivalued_part)
+            verdict = ("B(0) subset of A(0)", g) if g > EQ_TOL else None
+        record["hypotheses"] = verdict
+    if record["hypotheses"] is not None:
+        raise HypothesisError(*record["hypotheses"])
 
 
 def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ empty set, which is represented implicitly (no sentinel values).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from functools import cached_property
 
@@ -26,8 +27,6 @@ __all__ = [
     "DomainError",
     "from_matrix",
     "from_graph",
-    "identity_relation",
-    "zero_relation",
     "inverse",
     "scalar_mul",
     "add",
@@ -151,13 +150,15 @@ def from_graph(s: Subspace, x_dim: int, y_dim: int) -> LinearRelation:
     return LinearRelation(x_dim, y_dim, s)
 
 
-def identity_relation(n: int) -> LinearRelation:
-    return from_matrix(np.eye(n, dtype=complex))
-
-
-def zero_relation(x_dim: int, y_dim: int) -> LinearRelation:
-    """The everywhere-defined single-valued zero operator."""
-    return from_matrix(np.zeros((y_dim, x_dim), dtype=complex))
+def _pair(a: LinearRelation, b: LinearRelation) -> dict:
+    """The record of what has been decided about the pair (A, B): its pencil
+    family, standing-hypothesis verdict and chains.  It is kept on ``a``
+    beside a weak reference to ``b``, and holds no reference to either; a
+    new partner, or one reusing a dead ``b``'s id, starts an empty record."""
+    slot = a.__dict__.get("_pair_record")
+    if slot is None or slot[0]() is not b:
+        slot = a.__dict__["_pair_record"] = (weakref.ref(b), {})
+    return slot[1]
 
 
 def inverse(t: LinearRelation) -> LinearRelation:
@@ -197,10 +198,15 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     first read and no lower than Z's rounding level eps (1 + |lam|) / s_r.
     Each lam costs one SVD of Z (y x r), and one of the T(0) block when
     W_0 is not empty.  Graphs, domain and T(0) carry the near-cut flags of
-    these splits and of both input graphs.
+    these splits and of both input graphs.  The family is built once per
+    pair and kept in its :func:`_pair` record, so :func:`pencil`,
+    :func:`add` and every sweep of the pair share its set-up.
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
+    record = _pair(a, b)
+    if "pencil" in record:
+        return record["pencil"]
     split = sub.svd_split(np.hstack([a._gx, -b._gx]))
     c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
     y1, y2, xs = a._gy @ c1, b._gy @ c2, sub.svd_split(a._gx @ c1)
@@ -232,6 +238,7 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
                 np.hstack([p, u]), np.concatenate([np.ones(n), s * c]),
                 floor / np.hypot(1.0, floor)))
 
+    record["pencil"] = at
     return at
 
 

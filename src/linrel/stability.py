@@ -37,7 +37,6 @@ __all__ = [
     "sweep",
     "verify_perturbation",
     "verify_stability",
-    "affine_gap_witness",
 ]
 
 
@@ -439,39 +438,8 @@ def verify_stability(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     gap_failures = [{"lambda": complex(r["re"], r["im"]), "gap": r["gap_fwd"],
                      "bound": r["bound"]}
                     for r in rated if r["gap_fwd"] > r["bound"] + BOUND_SLACK]
-    report["gap_bound"] = {"applicable": True, "checked": len(rated),
+    report["gap_bound"] = {"checked": len(rated),
                            "skipped": len(rep.records) - len(rated),
                            "failures": gap_failures, "ok": not gap_failures}
     return report
 
-
-def affine_gap_witness(x, m: Subspace, n: Subspace, eps: float) -> dict:
-    """Find x0 in the coset x + N with dist(x0, M)/||x0|| above
-    (1 - eps)(1 - delta)/(1 + delta), delta = gap(M, N).
-
-    The ratio is the exact supremum of dist(w, M)/||w|| over the coset.
-    The ratio is invariant under scaling and the points of span[x, N]
-    with a nonzero x-coordinate are dense in it, so with Q an orthonormal
-    basis of that span the supremum is the largest singular value of
-    (I - P_M)Q.  x0 is the top right singular vector in coset
-    coordinates; when its x-coordinate vanishes the supremum is only
-    approached, and x0 follows that direction from x-coordinate 1e-6.
-    A ratio at the bound is a pass; one below it is inconclusive, since
-    the lemma's hypotheses are not checked here.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if sub.distance(x, n) <= EQ_TOL:
-        raise ValueError("x lies in N; the coset is N itself")
-    delta = sub.gap(m, n)
-    bound = (1 - eps) * (1 - delta) / (1 + delta)
-
-    q, r = np.linalg.qr(np.hstack([x[:, None], n.basis]))
-    _, svals, vh = np.linalg.svd(m.residual(q), full_matrices=False)
-    ratio = float(svals[0])
-    z = np.linalg.solve(r, vh[0].conj())  # coordinates in [x, N]
-    lead = z[0] if abs(z[0]) > 1e-10 else 1e-6
-    x0 = x + n.basis @ (z[1:] / lead)
-    return {"x0": x0, "ratio": ratio, "bound": bound, "delta": delta,
-            "status": "pass" if ratio >= bound - 1e-12 else "inconclusive"}

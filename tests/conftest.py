@@ -21,3 +21,15 @@ def e3():
 @pytest.fixture
 def diag01():
     return rel.from_matrix(np.diag([0.0, 1.0]))
+
+
+@pytest.fixture
+def identity():
+    """n -> the identity operator on C^n as a relation."""
+    return lambda n: rel.from_matrix(np.eye(n))
+
+
+@pytest.fixture
+def zero():
+    """(x_dim, y_dim) -> the zero operator from C^x_dim to C^y_dim as a relation."""
+    return lambda x_dim, y_dim: rel.from_matrix(np.zeros((y_dim, x_dim)))

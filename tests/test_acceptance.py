@@ -77,12 +77,12 @@ def test_criterion_3_gap_suite():
     assert ok
 
 
-def test_criterion_4_chains_suite(diag01):
+def test_criterion_4_chains_suite(diag01, identity):
     r = sts.run_suite("chains", trials=400, seed=1)
     equiv = _counts(r, "equivalent_conditions")
     eq_m = _counts(r, "nu_duality_equality_m")
     eq_nu = _counts(r, "nu_duality_equality_nu")
-    worked = (chn.nu(diag01, rel.identity_relation(2)) == 1
+    worked = (chn.nu(diag01, identity(2)) == 1
               and math.isinf(chn.nu(diag01, diag01)))
     ok = (r.conclusion_failures == 0
           and equiv["fail"] == 0 and equiv["pass"] >= 200

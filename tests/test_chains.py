@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from linrel import chains as chn
+from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
 from linrel import subspace as sub
@@ -23,8 +24,8 @@ def _e2(n=2):
     return sub.span(v)
 
 
-def test_m_chain_worked(diag01):
-    ident = rel.identity_relation(2)
+def test_m_chain_worked(diag01, identity, zero):
+    ident = identity(2)
     ms = chn.m_chain(diag01, ident)
     assert [s.dim for s in ms][:2] == [2, 1]
     assert ms[1].is_same(_e2())       # B^{-1}(A(R^2)) = range(A)
@@ -33,13 +34,12 @@ def test_m_chain_worked(diag01):
     inv = rel.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert all(s.dim == 2 for s in chn.m_chain(inv, ident))
 
-    zero = rel.zero_relation(2, 2)
-    ms = chn.m_chain(diag01, zero)
+    ms = chn.m_chain(diag01, zero(2, 2))
     assert ms[1].is_same(sub.full_space(2))  # kernel(B) = X sits in every M_n
 
 
-def test_n_chain_worked(diag01):
-    ident = rel.identity_relation(2)
+def test_n_chain_worked(diag01, identity):
+    ident = identity(2)
     ns = chn.n_chain(diag01, ident)
     assert ns[0].is_same(_e1())
     assert ns[-1].is_same(_e1())      # N_2 = A^{-1}(span e1) = span e1
@@ -51,9 +51,10 @@ def test_n_chain_worked(diag01):
     assert all(s.is_same(diag01.kernel) for s in ns)
 
 
-def test_dual_chains_worked(diag01):
-    ident = rel.identity_relation(2)
-    ms, ns = chn.dual_chains(diag01, ident)
+def test_dual_chains_worked(diag01, identity):
+    ident = identity(2)
+    dual = chn._ChainSet(rel.adjoint(diag01), rel.adjoint(ident))  # chains of Y'
+    ms, ns = dual.ms, dual.ns
     assert ms[1].is_same(_e2())
     assert ns[0].is_same(_e1())
     # Adjoint-sequence containment on this instance
@@ -61,20 +62,20 @@ def test_dual_chains_worked(diag01):
     assert sub.contains(sub.annihilator(b_n1), ms[1])
 
     inv = rel.from_matrix(np.array([[3.0, 0.0], [1.0, 1.0]]))
-    _, ns_inv = chn.dual_chains(inv, ident)
+    ns_inv = chn._ChainSet(rel.adjoint(inv), rel.adjoint(ident)).ns
     assert all(s.dim == 0 for s in ns_inv)
 
 
-def test_nu_worked(diag01):
-    ident = rel.identity_relation(2)
+def test_nu_worked(diag01, identity):
+    ident = identity(2)
     assert chn.nu(diag01, ident) == 1
     assert math.isinf(chn.nu(diag01, diag01))
     inv = rel.from_matrix(np.array([[1.0, 1.0], [0.0, 2.0]]))
     assert math.isinf(chn.nu(inv, ident))
 
 
-def test_check_equivalent_conditions(diag01):
-    ident = rel.identity_relation(2)
+def test_check_equivalent_conditions(diag01, identity):
+    ident = identity(2)
     res = chn.check_equivalent_conditions(diag01, ident, 1)
     assert res["conditions"] == [False]
     assert res["all_agree"] and res["implication_holds"]
@@ -83,12 +84,12 @@ def test_check_equivalent_conditions(diag01):
     assert all(res["conditions"]) and res["kappa"]
 
     inv = rel.from_matrix(np.diag([1.0, 2.0, 3.0]))
-    res = chn.check_equivalent_conditions(inv, rel.identity_relation(3), 3)
+    res = chn.check_equivalent_conditions(inv, identity(3), 3)
     assert all(res["conditions"]) and res["kappa"]
 
 
-def test_verify_nu_duality(diag01):
-    ident = rel.identity_relation(2)
+def test_verify_nu_duality(diag01, identity):
+    ident = identity(2)
     rep = chn.verify_nu_duality(diag01, ident)
     assert rep["applicable"]
     assert rep["nu"] == 1 and rep["nu_dual"] == 1
@@ -106,8 +107,8 @@ def test_verify_nu_duality(diag01):
     assert "D(A) = X" in rep["hypothesis_failures"]
 
 
-def test_chain_report_structure(diag01):
-    ident = rel.identity_relation(2)
+def test_chain_report_structure(diag01, identity):
+    ident = identity(2)
     rep = chn.chain_report(diag01, ident)
     assert rep.nu == 1
     assert rep.stabilized_at <= 3
@@ -161,13 +162,13 @@ def _haar(rng, n):
 
 
 @pytest.mark.parametrize("s, nu", [(1e-10, 1), (1e-9, math.inf)])
-def test_near_cut_chains_are_ill_conditioned(s, nu):
+def test_near_cut_chains_are_ill_conditioned(s, nu, identity):
     # One singular value of A at the rank cut: nu flips between 1 and inf
     # over s, and the chain subspaces are cut near a singular value.
     rng = np.random.default_rng(0)
     u, v = _haar(rng, 4), _haar(rng, 4)
     a = rel.from_matrix(u @ np.diag([1.0, 1.0, 1.0, s]) @ v.conj().T)
-    b = rel.identity_relation(4)
+    b = identity(4)
     rep = chn.chain_report(a, b)
     assert rep.nu == nu
     assert any(m.sv_near_cut for m in rep.m_chain + rep.n_chain)
@@ -178,11 +179,11 @@ def test_near_cut_chains_are_ill_conditioned(s, nu):
         assert chn.check_equivalent_conditions(a, b, n)["ill_conditioned"], n
 
 
-def test_chains_clear_of_the_cut_are_not_flagged():
+def test_chains_clear_of_the_cut_are_not_flagged(identity):
     rng = np.random.default_rng(0)
     u, v = _haar(rng, 4), _haar(rng, 4)
     a = rel.from_matrix(u @ np.diag([1.0, 1.0, 1.0, 1e-5]) @ v.conj().T)
-    b = rel.identity_relation(4)
+    b = identity(4)
     rep = chn.chain_report(a, b)
     assert math.isinf(rep.nu) and not rep.ill_conditioned
     for n in range(1, 5):
@@ -208,10 +209,10 @@ def test_contained_refuses_a_larger_inner_space_without_svd(monkeypatch):
     assert svds == []
 
 
-def test_negative_max_n_is_rejected(diag01):
+def test_negative_max_n_is_rejected(diag01, identity):
     for build in (chn.m_chain, chn.n_chain, chn.chain_report):
         with pytest.raises(ValueError, match="max_n"):
-            build(diag01, rel.identity_relation(2), -2)
+            build(diag01, identity(2), -2)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +347,16 @@ def test_shared_chains_match_when_chains_never_stabilize(rng, monkeypatch):
 
 
 def _built_pair():
+    """A pair whose record holds all it keeps: pencil family, hypothesis
+    verdict and chains."""
     spec = stab.InstanceSpec(4, 4, alpha=1, beta=1, seed=5)
     a, b = stab.generate(spec)
+    rel.pencil(a, b, 0.5)
+    met._check_standing_hypotheses(a, b)
     chn.chain_report(a, b)
     chn.check_equivalent_conditions(a, b, 2)
     chn.verify_nu_duality(a, b)
+    assert set(rel._pair(a, b)) == {"pencil", "hypotheses", "chains"}
     return a, b
 
 
@@ -360,9 +366,9 @@ def test_chain_set_keeps_no_relation_alive():
         a, b = _built_pair()
         a_ref, b_ref = weakref.ref(a), weakref.ref(b)
         del b
-        assert b_ref() is None, "a's chain set keeps its partner alive"
+        assert b_ref() is None, "a's pair record keeps its partner alive"
         del a
-        assert a_ref() is None, "a relation with a chain set needs the cyclic GC"
+        assert a_ref() is None, "a relation with a pair record needs the cyclic GC"
     finally:
         gc.enable()
 
@@ -372,10 +378,15 @@ def test_new_partner_gets_its_own_chains():
     try:
         a, b = _built_pair()
         old = chn.chain_report(a, b).to_dict()
-        graph = rel.zero_relation(4, 4).graph  # N(B) = X, so every M_n is X
+        # X (+) 0 plus (0, e1): N(B) = X, so every M_n is X, and B(0) = span e1
+        # is not inside A(0) = {0}, so this pair fails a hypothesis b met.
+        graph = sub.span(np.eye(8)[:, :5])
         del b
         # Allocated right after b died, the partner usually takes b's id.
         fresh = rel.LinearRelation(4, 4, graph)
+        with pytest.raises(met.HypothesisError, match="B\\(0\\) subset of A\\(0\\)"):
+            met._check_standing_hypotheses(a, fresh)
+        assert rel.pencil(a, fresh, 0.5).multivalued_part.dim == 1
         assert chn.chain_report(a, fresh).to_dict() == _old_report(a, fresh, None)
         assert chn.chain_report(a, fresh).to_dict() != old
     finally:

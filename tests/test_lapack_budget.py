@@ -16,13 +16,15 @@ only the images of the two chains' last entries anew.
 The relative-bound check solves for B's induced operator on D(A), and for
 A's when tau > 0, from one least-squares call each.
 
-One stability-suite case checks the relative bound once, computes nu once
-and builds two pencil families: one for the sweep that both the stability
-and the gap-bound verdicts read, one for the eigen-condition check.  It
-decides the standing hypotheses three times: in the verifier, in the
-bound check and in the eigen-condition check, which reads A(0) as
-A(0) + lambda B(0) and maps no subspace.  The perturbation verifier's one
-gate reads the fitted sigma, and ||B|| not at all.
+A pair's pencil family, standing-hypothesis verdict and chains are kept
+in its one record.  One stability-suite case checks the relative bound
+once, runs the sigma(tau) bracket once, computes nu once, builds one
+pencil family, which the sweep and the eigen-condition check share, and
+decides the standing hypotheses once, with two subspace gaps: the bound
+check and the eigen-condition check, which reads A(0) as A(0) + lambda B(0)
+and maps no subspace, read the verifier's verdict.  The perturbation
+verifier's one gate reads the fitted sigma, and ||B|| not at all; its sum
+A + B and the suite's norm check share one pencil family.
 
 ``linrel analyze`` and ``linrel sweep`` run the sigma(tau) bracket once:
 the bound they fit holds by construction and is not checked again.
@@ -181,16 +183,65 @@ def _count_calls(monkeypatch, targets) -> dict:
     return used
 
 
+def _families(monkeypatch) -> list:
+    """Every pencil family ``rel.pencil_family`` returns, kept alive so that
+    two builds never share an id."""
+    returned, real = [], rel.pencil_family
+
+    def family(a, b):
+        returned.append(real(a, b))
+        return returned[-1]
+
+    monkeypatch.setattr(rel, "pencil_family", family)
+    return returned
+
+
+def _hypothesis_gaps(monkeypatch) -> list:
+    """One entry per subspace gap taken inside the standing-hypothesis check."""
+    gaps, inside = [], []
+    real_check, real_gap = met._check_standing_hypotheses, sub.gap
+
+    def check(a, b):
+        inside.append(True)
+        try:
+            return real_check(a, b)
+        finally:
+            inside.pop()
+
+    def gap(*args, **kwargs):
+        if inside:
+            gaps.append(args)
+        return real_gap(*args, **kwargs)
+
+    monkeypatch.setattr(met, "_check_standing_hypotheses", check)
+    monkeypatch.setattr(sub, "gap", gap)
+    return gaps
+
+
 def test_stability_case_budget(monkeypatch):
-    case = sts._decode_stability(sts._stability_case(1, 0))
+    case = sts._decode_stability(sts._stability_case(1, 1))  # every lemma runs
+    families, gaps = _families(monkeypatch), _hypothesis_gaps(monkeypatch)
     used = _count_calls(monkeypatch, (
-        (met, "check_relative_bound"), (chn, "nu"), (rel, "pencil_family"),
-        (met, "_check_standing_hypotheses"), (sub, "apply_map")))
+        (met, "check_relative_bound"), (met, "_sigma_tau"), (chn, "nu"),
+        (sub, "apply_map")))
     rec = sts._Recorder()
     sts._check_stability(case, rec, np.random.default_rng(0))
     assert rec.lemmas["gap_bound"]["pass"] == 1, rec.lemmas
-    assert used == {"check_relative_bound": 1, "nu": 1, "pencil_family": 2,
-                    "_check_standing_hypotheses": 3, "apply_map": 0}, used
+    assert rec.lemmas["eigen_kernel_consistency"]["pass"] == 1, rec.lemmas
+    assert used == {"check_relative_bound": 1, "_sigma_tau": 1, "nu": 1,
+                    "apply_map": 0}, used
+    assert len(families) == 2 and len({id(f) for f in families}) == 1, families
+    assert len(gaps) == 2, gaps
+
+
+def test_perturbation_case_budget(monkeypatch):
+    case = ser.instance_from_dict(sts._perturbation_case(1, 1))  # every lemma runs
+    families = _families(monkeypatch)
+    rec = sts._Recorder()
+    sts._check_perturbation(case, rec, np.random.default_rng(0))
+    assert rec.lemmas["perturbation_inequalities"]["pass"] == 1, rec.lemmas
+    assert rec.lemmas["norm_difference"]["pass"] == 1, rec.lemmas
+    assert len(families) == 2 and len({id(f) for f in families}) == 1, families
 
 
 def test_perturbation_verifier_reads_no_norm(monkeypatch):

@@ -15,8 +15,8 @@ from bound_oracle import ascent_sigma, sampled_sigma
 from oracles import brute_alpha_prime_eps, seminorm_form
 
 
-def test_relation_norm_at(e3):
-    ident = rel.identity_relation(2)
+def test_relation_norm_at(e3, identity):
+    ident = identity(2)
     assert abs(met.relation_norm_at(ident, [1, 0]) - 1.0) < 1e-12
     # E3 at e1: project e2 + span e1 onto the complement of span e1
     assert abs(met.relation_norm_at(e3, [1, 0]) - 1.0) < 1e-10
@@ -25,11 +25,11 @@ def test_relation_norm_at(e3):
         met.relation_norm_at(e3, [0, 1])
 
 
-def test_norm():
+def test_norm(identity):
     t = rel.from_matrix(np.diag([3.0, 0.0]))
     svd_oracle = np.linalg.svd(np.diag([3.0, 0.0]), compute_uv=False)[0]
     assert abs(met.norm(t) - svd_oracle) < 1e-12
-    assert abs(met.norm(rel.identity_relation(3)) - 1.0) < 1e-12
+    assert abs(met.norm(identity(3)) - 1.0) < 1e-12
     # nonzero relation with zero norm: D = {0}, T(0) = span e1
     g = sub.span(np.array([[0.0], [1.0]]))
     empty_dom = rel.from_graph(g, 1, 1)
@@ -37,11 +37,11 @@ def test_norm():
     assert met.norm(empty_dom) == 0.0
 
 
-def test_gamma():
+def test_gamma(identity):
     t = rel.from_matrix(np.diag([3.0, 0.0]))
     # operator part on the complement of the kernel maps e1 -> 3 e1
     assert abs(met.gamma(t) - 3.0) < 1e-12
-    assert abs(met.gamma(rel.identity_relation(2)) - 1.0) < 1e-12
+    assert abs(met.gamma(identity(2)) - 1.0) < 1e-12
     zero = rel.from_graph(sub.zero_subspace(4), 2, 2)
     assert math.isinf(met.gamma(zero))
     # D(T) inside N(T) through a nontrivial kernel
@@ -128,8 +128,8 @@ def test_gamma_small_from_the_sines():
         assert abs(g - smallest) <= 1e-9 * smallest, (g, smallest)
 
 
-def test_alpha_beta(diag01):
-    ident = rel.identity_relation(2)
+def test_alpha_beta(diag01, identity):
+    ident = identity(2)
     assert (met.alpha(ident), met.beta(ident)) == (0, 0)
     assert (met.alpha(diag01), met.beta(diag01)) == (1, 1)
     full = rel.from_graph(sub.full_space(5), 3, 2)
@@ -159,19 +159,11 @@ def test_alpha_prime_matches_brute_force_oracle(rng):
     assert met.alpha_prime_eps(a, eps) == brute_alpha_prime_eps(a, eps, rng)
 
 
-def test_beta_prime(diag01):
-    assert met.beta_prime(rel.identity_relation(2)) == 0
+def test_beta_prime(diag01, identity):
+    assert met.beta_prime(identity(2)) == 0
     assert met.beta_prime(diag01) == 1 == met.beta(diag01)
     full = rel.from_graph(sub.full_space(4), 2, 2)
     assert met.beta_prime(full) == 0 == met.beta(full)
-
-
-def test_graph_norm_at(e3):
-    ident = rel.identity_relation(2)
-    assert abs(met.graph_norm_at(ident, [1, 0]) - 2.0) < 1e-12
-    t = rel.from_matrix(np.diag([3.0, 0.0]))
-    assert abs(met.graph_norm_at(t, [0, 1]) - 1.0) < 1e-12
-    assert met.graph_norm_at(t, [0, 0]) == 0.0
 
 
 def test_norm_difference_inequalities(rng):
@@ -201,9 +193,9 @@ def test_duality_of_norm_and_gamma(rng):
         assert met.alpha(adj) == met.beta(t)
 
 
-def test_fit_relative_bound_exact():
+def test_fit_relative_bound_exact(identity):
     a = rel.from_matrix(np.diag([0.0, 1.0]))
-    b = rel.identity_relation(2)
+    b = identity(2)
     bound = met.fit_relative_bound(a, b, 0.0)
     assert bound.provenance == "exact"
     assert abs(bound.sigma - 1.0) < 1e-12
@@ -212,9 +204,9 @@ def test_fit_relative_bound_exact():
     assert same.sigma < 1e-9  # ||Ax|| <= ||Ax|| identically
 
 
-def test_fit_relative_bound_hypothesis_error():
+def test_fit_relative_bound_hypothesis_error(identity):
     # B(0) not inside A(0)
-    a = rel.identity_relation(2)
+    a = identity(2)
     g = sub.span(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     b = rel.from_graph(g, 2, 2)  # B(0) = span e2
     assert b.multivalued_part.dim == 1
@@ -314,9 +306,9 @@ def test_induced_svals_skip_t0_by_its_x_part_not_by_position():
     assert g == pytest.approx(met.operator_part(t).quot_svals[-1], rel=1e-12)
 
 
-def test_check_relative_bound():
+def test_check_relative_bound(identity):
     a = rel.from_matrix(np.diag([0.0, 1.0]))
-    b = rel.identity_relation(2)
+    b = identity(2)
     ok, _ = met.check_relative_bound(a, b, met.RelativeBound(1.0, 0.0))
     assert ok
     ok, worst = met.check_relative_bound(a, b, met.RelativeBound(0.5, 0.0))

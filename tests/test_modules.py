@@ -9,7 +9,9 @@ its one cut, also where another module supplies a split's values.  In
 ``chains`` only the one step loop and the kappa targets take preimages,
 so both chains keep one loop that keeps its images.  No function in
 ``metrics`` draws random numbers, so every fit and every bound check is
-deterministic.
+deterministic.  Only ``relation`` holds weak references, and only its
+``_pair`` names the per-pair record's slot, so that record is the one
+memo of what a pair has decided.
 """
 
 import ast
@@ -223,7 +225,8 @@ _PREIMAGE_CALLERS = {"_steps", "_ChainSet.kappa"}
 def _callers(tree: ast.Module, watched: set[str]) -> list[str]:
     """The qualified name of the function around every mention of a
     ``watched`` name (``rel.preimage``, a bare ``preimage``, called,
-    aliased or imported); "<module>" at the top level."""
+    aliased, imported or imported from, or a string constant);
+    "<module>" at the top level."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -233,7 +236,11 @@ def _callers(tree: ast.Module, watched: set[str]) -> list[str]:
                 visit(child, inner)
                 continue
             name = (child.name.split(".")[-1] if isinstance(child, ast.alias)
+                    else (child.module or "").split(".")[-1]
+                    if isinstance(child, ast.ImportFrom)
                     else _name(child) if isinstance(child, (ast.Attribute, ast.Name))
+                    else child.value if isinstance(child, ast.Constant)
+                    and isinstance(child.value, str)
                     else "")
             if name in watched:
                 found.append(where)
@@ -281,3 +288,28 @@ def test_metrics_draws_no_random_numbers():
         "check"])
 def test_random_draw_detector(source):
     assert _callers(ast.parse(source), _RANDOM_NAMES)
+
+
+
+_SLOT = "_pair_record"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_pair_record_is_the_one_weak_memo(path):
+    tree = _tree(path)
+    weak, slot = _callers(tree, {"weakref"}), _callers(tree, {_SLOT})
+    if path.name == "relation.py":
+        assert set(weak) == {"<module>", "_pair"} and set(slot) == {"_pair"}, (weak, slot)
+    else:
+        assert weak + slot == [], f"{path.name} keeps its own pair memo: {weak + slot}"
+
+
+@pytest.mark.parametrize("source", [
+    "import weakref",
+    "from weakref import ref",
+    "import weakref as wr",
+    "class _ChainSet:\n    def of(cls, a, b):\n        return a.__dict__.get('_pair_record')",
+    "def _pair(a, b):\n    return weakref.ref(b)",
+], ids=["import", "import-from", "alias", "slot", "reference"])
+def test_pair_record_user_detector(source):
+    assert _callers(ast.parse(source), {"weakref", _SLOT})

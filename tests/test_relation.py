@@ -100,8 +100,8 @@ def test_add_with_negation_kernel(rng):
     assert diff.kernel.is_same(t.domain)
 
 
-def test_pencil(diag01):
-    ident = rel.identity_relation(2)
+def test_pencil(diag01, identity):
+    ident = identity(2)
     lam = 0.3 + 0.4j
     p = rel.pencil(diag01, ident, lam)
     assert rel.equals(p, rel.from_matrix(np.diag([-lam, 1 - lam])))
@@ -164,8 +164,8 @@ def test_image_matches_generic_slice_oracle(rng):
                      ambient=y))
 
 
-def test_preimage(diag01):
-    ident = rel.identity_relation(3)
+def test_preimage(diag01, identity):
+    ident = identity(3)
     s = sub.random_subspace(3, 2, 5)
     assert rel.preimage(ident, s).is_same(s)
     e2 = sub.span(_e(2, 1)[:, None])
@@ -363,7 +363,7 @@ def test_orth_complement_and_annihilator_pass_the_flag_on():
             assert sub.annihilator(s).sv_near_cut is near
 
 
-def test_sum_scalar_adjoint_and_image_carry_the_flag():
+def test_sum_scalar_adjoint_and_image_carry_the_flag(identity):
     # Both inputs are decided 1e-8 from the cut; every answer built on
     # them inherits that fragility.
     s = sub.span(np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]]))
@@ -377,7 +377,7 @@ def test_sum_scalar_adjoint_and_image_carry_the_flag():
     assert rel.adjoint(t).graph.sv_near_cut
     assert rel.image(t, full).sv_near_cut
     assert rel.preimage(t, full).sv_near_cut
-    assert rel.image(rel.identity_relation(3), s).sv_near_cut
+    assert rel.image(identity(3), s).sv_near_cut
 
 
 def test_kernel_and_multivalued_part_carry_their_split_and_graph_flags():
@@ -410,7 +410,7 @@ def _check_pencil_domain(a, b, p):
         assert p.graph.dim == dom.dim + p.multivalued_part.dim
 
 
-def test_pencil_domain_is_the_intersection_of_domains(rng, diag01):
+def test_pencil_domain_is_the_intersection_of_domains(rng, diag01, identity):
     # D(A - lam*B) = D(A) ^ D(B) at every lam, add (lam = -1) and the
     # exceptional lam = 1 of diag(0, 1) and I included.
     shapes = set()
@@ -427,7 +427,7 @@ def test_pencil_domain_is_the_intersection_of_domains(rng, diag01):
     assert {s[0] for s in shapes} == {"mv", "single"}
     assert {s[1] for s in shapes} == {"codim", "full"}
     assert {s[2] for s in shapes} == {"empty", "nonempty"}
-    ident = rel.identity_relation(2)
+    ident = identity(2)
     p = rel.pencil(diag01, ident, 1.0)
     _check_pencil_domain(diag01, ident, p)
     assert p.domain.dim == 2 and p.kernel.dim == 1
@@ -442,12 +442,12 @@ def test_pencil_domain_carries_the_flag():
         assert dom.dim == 0 and dom.sv_near_cut
 
 
-def test_pencil_graph_carries_the_domain_cut_flag():
+def test_pencil_graph_carries_the_domain_cut_flag(identity):
     # A's graph and [Gx_A, -Gx_B] are cut clear of the band, but X is not:
     # its values are 0.5 and 1e-8.  The graph's dimension rests on that cut.
     cols = np.array([[1.0, 0.0], [0.0, 1e-8], [1.0, 0.0], [0.0, 1.0]])
     a = rel.from_graph(sub.Subspace(4, cols / np.linalg.norm(cols, axis=0)), 2, 2)
-    b = rel.identity_relation(2)
+    b = identity(2)
     assert not (b.graph.sv_near_cut or sub.svd_split(np.hstack([a._gx, -b._gx])).near)
     for lam in (0.0, 0.5, -1.0):
         p = rel.pencil(a, b, lam)
@@ -539,7 +539,7 @@ def _reference_pencils():
                          rel.from_matrix(rng.standard_normal((4, 3)))),
         "many-c": tuple(rel.from_graph(sub.random_subspace(6, 5, rng), 2, 4)
                         for _ in range(2)),
-        "diag01": (rel.from_matrix(np.diag([0.0, 1.0])), rel.identity_relation(2)),
+        "diag01": (rel.from_matrix(np.diag([0.0, 1.0])), rel.from_matrix(np.eye(2))),
     }
     return [(name, a, b, lam) for name, (a, b) in pairs.items()
             for lam in (0.0, 1.0, 0.3 - 0.2j, 1e6, -1e6j)]
@@ -601,7 +601,7 @@ def test_closed_form_split_is_the_svd_of_gy(name, a, b, lam):
     assert p.range.is_same(sub.Subspace(p.y_dim, fresh.span))
 
 
-def test_rounding_floor_cuts_only_what_rounding_can_reach():
+def test_rounding_floor_cuts_only_what_rounding_can_reach(zero):
     # D(A) has an X part of 1e-11, so Z's rounding level eps (1 + |lam|)/s_r
     # passes 1 at |lam| = 1e6.  Neither T(0)'s values nor Z's 1e11 may fall.
     a = rel.from_graph(sub.span(np.array([[1e-11, 0.0], [1.0, 0.0], [0.0, 1.0]])), 1, 2)
@@ -612,6 +612,6 @@ def test_rounding_floor_cuts_only_what_rounding_can_reach():
         y = g[1:3, :] * (x.T / mpmath.norm(x) ** 2)  # the image of x = 1
         ref = float(mpmath.norm(y - t0 * ((t0.T * y)[0] / mpmath.norm(t0) ** 2)))
     for lam in (0.0, 1e6, -1e6j):
-        p = rel.pencil(a, rel.zero_relation(1, 2), lam)
+        p = rel.pencil(a, zero(1, 2), lam)
         assert (p.domain.dim, p.multivalued_part.dim, p.range.dim, p.kernel.dim) == (1, 1, 2, 0)
         assert abs(met.gamma(p) - ref) <= 1e-12 * ref

@@ -87,9 +87,9 @@ def test_sweep_worked_identical_pair(diag01):
     assert rep.degenerate_violations == 0
 
 
-def test_sweep_nu_finite_counterexample(diag01):
+def test_sweep_nu_finite_counterexample(diag01, identity):
     # A = diag(0,1), B = I: nu = 1, alpha jumps 1 -> 0 off lambda = 0.
-    ident = rel.identity_relation(2)
+    ident = identity(2)
     bound = met.RelativeBound(1.0, 0.0)
     grid = [0j, 0.1 + 0j, 0.2j]
     rep = stab.sweep(diag01, ident, bound, grid)
@@ -103,14 +103,14 @@ def test_sweep_empty_grid(diag01):
     assert rep.records == []
 
 
-def test_sweep_rejects_invalid_bound(diag01):
-    ident = rel.identity_relation(2)
+def test_sweep_rejects_invalid_bound(diag01, identity):
+    ident = identity(2)
     with pytest.raises(ValueError, match="fails"):
         stab.sweep(diag01, ident, met.RelativeBound(0.25, 0.0), [0j])
 
 
-def test_verify_perturbation_cases(diag01):
-    ident = rel.identity_relation(2)
+def test_verify_perturbation_cases(diag01, identity):
+    ident = identity(2)
     rep = stab.verify_perturbation(ident, rel.from_matrix(0.5 * np.eye(2)))
     assert rep["applicable"] and rep["ok"]
 
@@ -141,15 +141,15 @@ def test_sigma_gate_subsumes_the_norm_gate(seed):
     assert admitted > 100
 
 
-def test_verify_gap_bound_cases(diag01):
+def test_verify_gap_bound_cases(diag01, identity):
     bound = met.RelativeBound(0.0, 1.0)
     grid = stab.default_grid(1.0, 1.0, points=4, phases=4)
     gap_rep = stab.verify_stability(diag01, diag01, bound, grid)["gap_bound"]
-    assert gap_rep["applicable"] and gap_rep["ok"]
+    assert gap_rep["ok"]
     assert gap_rep["checked"] > 0
 
     # nu = 1 closes every gate, so no gap_bound block is reported.
-    ident = rel.identity_relation(2)
+    ident = identity(2)
     rep = stab.verify_stability(diag01, ident, met.RelativeBound(1.0, 0.0), grid)
     assert not rep["applicable"] and "gap_bound" not in rep
     assert rep["nu"] == 1
@@ -166,11 +166,11 @@ def test_verify_stability_cases(diag01):
     assert rep["applicable"] and rep["ok"]
 
 
-def test_verify_stability_gate_closed(diag01):
+def test_verify_stability_gate_closed(diag01, identity):
     # nu = 1 and N(A) not inside N(B): no gate admits.  The reversed
     # kernel containment would wrongly admit this very pair, whose
     # nullity jumps 1 -> 0 immediately off lambda = 0.
-    ident = rel.identity_relation(2)
+    ident = identity(2)
     assert chn.nu(diag01, ident) == 1
     rep = stab.verify_stability(diag01, ident, met.RelativeBound(1.0, 0.0), [0j])
     assert not rep["applicable"]
@@ -184,7 +184,7 @@ def test_verify_stability_kernel_gate_admits():
     rep = stab.verify_stability(a, b, met.RelativeBound(0.0, 0.0),
                                 [0j, 0.5 + 0.5j])
     assert rep["nu"] == math.inf and rep["applicable"] and rep["ok"]
-    assert rep["gap_bound"]["applicable"] and rep["gap_bound"]["ok"]
+    assert rep["gap_bound"]["ok"]
 
 
 def test_verify_stability_random_instances(rng):
@@ -198,71 +198,7 @@ def test_verify_stability_random_instances(rng):
         assert rep["applicable"]
         assert rep["ok"], rep["failures"]
         gap_rep = rep["gap_bound"]
-        assert gap_rep["applicable"] and gap_rep["ok"]
-
-
-def test_affine_gap_witness_equal_spaces(rng):
-    m = sub.random_subspace(3, 1, rng)
-    res = stab.affine_gap_witness(np.array([0.0, 0.0, 1.0]), m, m, eps=0.1)
-    assert res["delta"] <= 1e-12
-    assert res["status"] == "pass"
-    assert res["ratio"] >= 0.9 - 1e-9
-
-
-def test_affine_gap_witness_orthogonal_bound_zero():
-    m = sub.span(np.eye(2)[:, [0]])
-    n = sub.span(np.eye(2)[:, [1]])
-    assert sub.gap(m, n) == pytest.approx(1.0)
-    res = stab.affine_gap_witness(np.array([1.0, 0.0]), m, n, eps=0.5)
-    assert res["bound"] == pytest.approx(0.0)
-    assert res["status"] == "pass"
-
-
-def test_affine_gap_witness_worked_plane():
-    m = sub.span(np.eye(2)[:, [0]])
-    n = sub.span(np.array([[1.0], [1.0]]) / math.sqrt(2))
-    delta = sub.gap(m, n)
-    assert delta == pytest.approx(math.sqrt(2) / 2)
-    eps = 0.05
-    res = stab.affine_gap_witness(np.array([0.0, 1.0]), m, n, eps=eps)
-    target = (1 - eps) * (1 - delta) / (1 + delta)
-    assert target == pytest.approx((1 - eps) * 0.17157287525381, rel=1e-10)
-    assert res["status"] == "pass"
-    assert res["ratio"] >= target - 1e-12
-    x0 = res["x0"]
-    # witness stayed in the coset x + N
-    assert sub.distance(x0 - np.array([0.0, 1.0]), n) < 1e-8
-
-
-def test_affine_gap_witness_rejects_x_in_n(rng):
-    n = sub.span(np.eye(2)[:, [1]])
-    with pytest.raises(ValueError, match="coset"):
-        stab.affine_gap_witness(np.array([0.0, 1.0]), sub.full_space(2), n, 0.1)
-    with pytest.raises(ValueError, match="eps"):
-        stab.affine_gap_witness(np.array([1.0, 0.0]), sub.full_space(2), n, 1.5)
-
-
-def test_affine_gap_witness_is_the_coset_supremum(rng):
-    for _ in range(30):
-        ambient = int(rng.integers(2, 7))
-        m = sub.random_subspace(ambient, int(rng.integers(0, ambient + 1)), rng)
-        n = sub.random_subspace(ambient, int(rng.integers(0, ambient)), rng)
-        x = rng.standard_normal(ambient) + 1j * rng.standard_normal(ambient)
-        res = stab.affine_gap_witness(x, m, n, eps=0.1)
-        # dense sample of x + N, its coordinates spread over six decades
-        k = n.dim
-        coef = rng.standard_normal((k, 4096)) + 1j * rng.standard_normal((k, 4096))
-        coef *= np.geomspace(1e-3, 1e3, 4096)
-        points = x[:, None] + n.basis @ coef
-        resid = points - m.basis @ (m.basis.conj().T @ points)
-        sampled = float(np.max(np.linalg.norm(resid, axis=0)
-                               / np.linalg.norm(points, axis=0)))
-        # 1e-15 absolute covers M = C^n, where both are rounding noise
-        assert res["ratio"] >= sampled * (1 - 1e-12) - 1e-15
-        x0 = res["x0"]
-        assert sub.distance(x0 - x, n) <= 1e-12 * np.linalg.norm(x0)
-        attained = sub.distance(x0, m) / np.linalg.norm(x0)
-        assert attained == pytest.approx(res["ratio"], rel=1e-12, abs=1e-12)
+        assert gap_rep["ok"]
 
 
 def test_radii_ordering(rng):
