@@ -8,7 +8,8 @@ quotient map without forming quotient spaces: for the Euclidean norm,
 Y / T(0) is isometric to the complement of T(0).
 
 gamma and alpha-prime read those singular values off the relation's
-cached SVD of the graph's Y block (the CS decomposition), with no solve.
+cached SVD of the graph's Y block (the CS decomposition), with no solve;
+a pencil point reads them, and beta its rank, off its values alone.
 ``norm``, the relative bounds and :func:`operator_part`, the reference
 that gamma is checked against, keep the least-squares path.
 
@@ -112,35 +113,11 @@ def norm(t: LinearRelation) -> float:
     return float(np.linalg.svd(full, compute_uv=False)[0])
 
 
-def _induced_svals(t: LinearRelation) -> np.ndarray:
-    """Singular values of the induced injective operator, from the cached
-    full SVD Gy = U S V^H of the graph's Y block.
-
-    The graph basis G = [Gx; Gy] is orthonormal, so Gx^H Gx = I - Gy^H Gy
-    and the columns G v_j are orthogonal with ||Gx v_j||^2 + s_j^2 = 1
-    (the CS decomposition; Paige & Wei, 1994).  The last dim G - dim R(T)
-    span N(T) (+) {0}.  Of the first dim R(T), the dim G - dim D(T) of
-    least ||Gx v_j|| (not the first: a tiny X part ties at s_j ~ 1) span
-    {0} (+) T(0); the rest, Gx v_j / ||Gx v_j||, are an orthonormal basis
-    of D(T) ^ N(T)-perp, with images Gy v_j / ||Gx v_j|| orthogonal to
-    each other and to T(0), of norm s_j / ||Gx v_j||.  Both counts are
-    rank decisions the relation has already made.
-    """
-    split = t._y_svd[1]
-    drop, hi = t.graph.dim - t.domain.dim, t.range.dim
-    if hi <= drop:
-        return np.zeros(0)
-    # ||Gx v_j|| directly, not sqrt(1 - s_j^2), which loses a large value.
-    nx = np.linalg.norm(t._gx @ split.right[:, :hi], axis=0)
-    keep = np.sort(np.argsort(nx, kind="stable")[drop:])
-    return split.svals[keep] / nx[keep]
-
-
 def gamma(t: LinearRelation) -> float:
     """Minimum modulus: +inf when D(T) is inside N(T), else the smallest
     singular value of the induced injective operator (strictly positive
     because finite-dimensional ranges are closed)."""
-    svals = _induced_svals(t)
+    svals = t._induced_svals()
     return float(svals.min()) if svals.size else math.inf
 
 
@@ -151,7 +128,7 @@ def alpha(t: LinearRelation) -> int:
 
 def beta(t: LinearRelation) -> int:
     """Deficiency: codim R(T) in Y."""
-    return t.y_dim - t.range.dim
+    return t.y_dim - t._range_dim
 
 
 def alpha_prime_eps(t: LinearRelation, eps: float) -> int:
@@ -162,7 +139,7 @@ def alpha_prime_eps(t: LinearRelation, eps: float) -> int:
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    return alpha(t) + int(np.count_nonzero(_induced_svals(t) <= eps))
+    return alpha(t) + int(np.count_nonzero(t._induced_svals() <= eps))
 
 
 def alpha_prime(t: LinearRelation) -> int:

@@ -55,8 +55,7 @@ class LinearRelation:
     """A linear relation X -> Y by its graph subspace and any parts already known."""
 
     def __init__(self, x_dim: int, y_dim: int, graph: Subspace, *,
-                 domain: Subspace | None = None, multivalued: Subspace | None = None,
-                 y_split: Callable[[], sub.Split] | None = None):
+                 domain: Subspace | None = None):
         if x_dim <= 0 or y_dim <= 0:
             raise ValueError("x_dim and y_dim must be positive")
         if graph.ambient != x_dim + y_dim:
@@ -68,9 +67,6 @@ class LinearRelation:
         self.y_dim = int(y_dim)
         self.graph = graph
         self._domain = domain
-        self._y_split = y_split
-        if multivalued is not None:
-            self.__dict__["multivalued_part"] = multivalued
 
     @property
     def _gx(self) -> np.ndarray:
@@ -91,8 +87,8 @@ class LinearRelation:
 
     @cached_property
     def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the full SVD of Gy it was cut from; a pencil brings its own."""
-        split = sub.svd_split(self._gy) if self._y_split is None else self._y_split()
+        """R(T) and the full SVD of Gy it was cut from."""
+        split = sub.svd_split(self._gy)
         return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
 
     @property
@@ -105,6 +101,11 @@ class LinearRelation:
     def range(self) -> Subspace:
         return self._y_svd[0]
 
+    @property
+    def _range_dim(self) -> int:
+        """dim R(T), the rank of Gy."""
+        return self.range.dim
+
     @cached_property
     def kernel(self) -> Subspace:
         """Vectors x with (x, 0) in the graph; the X slice of G ^ (X (+) 0)."""
@@ -116,6 +117,29 @@ class LinearRelation:
         """T(0): vectors y with (0, y) in the graph; flagged as the kernel is."""
         split = self._x_svd[1]
         return sub.span(self._gy @ split.null, self.y_dim, split.near or self.graph.sv_near_cut)
+
+    def _induced_svals(self) -> np.ndarray:
+        """Singular values of the induced injective operator, from the cached
+        full SVD Gy = U S V^H of the graph's Y block.
+
+        The graph basis G = [Gx; Gy] is orthonormal, so Gx^H Gx = I - Gy^H Gy
+        and the columns G v_j are orthogonal with ||Gx v_j||^2 + s_j^2 = 1
+        (the CS decomposition; Paige & Wei, 1994).  The last dim G - dim R(T)
+        span N(T) (+) {0}.  Of the first dim R(T), the dim G - dim D(T) of
+        least ||Gx v_j|| (not the first: a tiny X part ties at s_j ~ 1) span
+        {0} (+) T(0); the rest, Gx v_j / ||Gx v_j||, are an orthonormal basis
+        of D(T) ^ N(T)-perp, with images Gy v_j / ||Gx v_j|| orthogonal to
+        each other and to T(0), of norm s_j / ||Gx v_j||.  Both counts are
+        rank decisions the relation has already made.
+        """
+        split = self._y_svd[1]
+        drop, hi = self.graph.dim - self.domain.dim, self.range.dim
+        if hi <= drop:
+            return np.zeros(0)
+        # ||Gx v_j|| directly, not sqrt(1 - s_j^2), which loses a large value.
+        nx = np.linalg.norm(self._gx @ split.right[:, :hi], axis=0)
+        keep = np.sort(np.argsort(nx, kind="stable")[drop:])
+        return split.svals[keep] / nx[keep]
 
     @cached_property
     def _inverse(self) -> "LinearRelation":
@@ -134,15 +158,33 @@ class LinearRelation:
 def from_matrix(a) -> LinearRelation:
     """Embed a single-valued, everywhere-defined operator given by a matrix.
 
-    The matrix maps X to Y, so it has y_dim rows and x_dim columns.
+    The matrix maps X to Y, so it has y_dim rows and x_dim columns.  The
+    graph is stored in CS form from one SVD A = U S V^H: v_j maps to s_j u_j,
+    each to its own relative precision, where an SVD of [I; A] puts an
+    error of eps ||A|| on every column.  [I; A] has full rank, so no rank
+    is cut.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite entries are not admitted into a basis")
     y_dim, x_dim = a.shape
-    graph = sub.span(np.vstack([np.eye(x_dim, dtype=complex), a]),
-                     ambient=x_dim + y_dim)
-    return LinearRelation(x_dim, y_dim, graph)
+    u, s, vh = np.linalg.svd(a, full_matrices=x_dim > y_dim)
+    s = np.concatenate([s, np.zeros(x_dim - s.size)])  # past min(x, y), v_j maps to 0
+    return LinearRelation(x_dim, y_dim, Subspace(x_dim + y_dim, _cs_columns(vh.conj().T, u, s)))
+
+
+def _cs_columns(v: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[V C; U S C] with C = (I + S^2)^-1/2: orthonormal graph columns of the
+    map V e_j -> s_j U e_j when V and U have orthonormal columns (the CS
+    form; Paige & Wei, 1994).  ``s`` has one value per column of V; past
+    the columns of U it is 0."""
+    c = 1.0 / np.hypot(1.0, s)
+    cols = np.zeros((v.shape[0] + u.shape[0], v.shape[1]), dtype=complex)
+    cols[: v.shape[0]] = v * c
+    cols[v.shape[0]:, : u.shape[1]] = u * (s * c)[: u.shape[1]]
+    return cols
 
 
 def from_graph(s: Subspace, x_dim: int, y_dim: int) -> LinearRelation:
@@ -191,55 +233,130 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     null([Gx_A, -Gx_B]) pairs the columns of [X; Y1] and [X; Y2] once; the
     family shares D(A - lam*B) = span(X) = span(Q), X = Q S W^H of rank r.
     In the coordinates [W_r S_r^-1, W_0] the graph is span{[0; P], [Q; Z]}:
-    P spans T(0) = span((Y1 - lam*Y2) W_0), Z is (Y1 - lam*Y2) W_r S_r^-1
-    in coordinates of T(0)-perp.  With Z = U diag(s) V^H, C = (1 + s^2)^-1/2,
-    [[0, QVC], [P, UsC]] is orthonormal (the CS form; Paige & Wei, 1994):
-    dim G = dim D + dim T(0), and Gy = [P, UsC] is its own SVD, cut when
-    first read and no lower than Z's rounding level eps (1 + |lam|) / s_r.
-    Each lam costs one SVD of Z (y x r), and one of the T(0) block when
-    W_0 is not empty.  Graphs, domain and T(0) carry the near-cut flags of
-    these splits and of both input graphs.  The family is built once per
-    pair and kept in its :func:`_pair` record, so :func:`pencil`,
-    :func:`add` and every sweep of the pair share its set-up.
+    P spans T(0) = span((Y1 - lam*Y2) W_0), Z = Z1 - lam*Z2 is (Y1 -
+    lam*Y2) W_r S_r^-1 in coordinates of T(0)-perp.  The common kernel K0 =
+    null([Z1; Z2]) lies in N(A - lam*B) at every lam, so it is split off
+    once per family (the first step of a staircase reduction; Van Dooren,
+    1979) when Z vanishes on it to rounding, and Z is taken on its
+    complement K0-perp.  With Z = U diag(s) V^H,
+    C = (1 + s^2)^-1/2, [[0, QVC, QK0], [P, UsC, 0]] is orthonormal (the CS
+    form; Paige & Wei, 1994): dim G = dim D + dim T(0), and Gy is its own
+    SVD with values [1, sC, 0] and right factor I.
+    Each lam costs one SVD of Z without vectors (y x (r - dim K0)), and one
+    of the T(0) block when W_0 is not empty.  The one rank decision cuts
+    [1, sC] no lower than Z's rounding level eps (1 + |lam|) / s_r; alpha,
+    beta, gamma and the flags read it.  When Z has full column rank the
+    kernel is the family's span(QK0).  U, V, the graph and the range come
+    from one SVD of Z with vectors, when first read or when the kernel grows
+    past K0, and keep the rank already decided.
+    Graphs, domain and T(0) carry the near-cut flags of these splits and of
+    both input graphs; graphs and kernels also that of K0.  The family is
+    built once per pair and kept in its :func:`_pair` record, so
+    :func:`pencil`, :func:`add` and every sweep of the pair share its
+    set-up.
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
     record = _pair(a, b)
-    if "pencil" in record:
-        return record["pencil"]
-    split = sub.svd_split(np.hstack([a._gx, -b._gx]))
-    c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
-    y1, y2, xs = a._gy @ c1, b._gy @ c2, sub.svd_split(a._gx @ c1)
-    near = split.near or xs.near or a.graph.sv_near_cut or b.graph.sv_near_cut
-    x_dim, y_dim, q, r = a.x_dim, a.y_dim, xs.span, xs.span.shape[1]
-    domain = Subspace(x_dim, q, sv_near_cut=near)
-    w = xs.right[:, :r] / xs.svals[:r]
-    noise = np.finfo(float).eps / xs.svals[r - 1] if r else 0.0  # in Z, per 1 + |lam|
-    z1, z2, m1, m2 = y1 @ w, y2 @ w, y1 @ xs.null, y2 @ xs.null
+    if "pencil" not in record:
+        record["pencil"] = _PencilFamily(a, b)
+    return record["pencil"]
 
-    def at(lam: complex) -> LinearRelation:
-        z, p, flag, perp = z1 - lam * z2, np.zeros((y_dim, 0), dtype=complex), near, None
-        if m1.shape[1]:  # P and a basis of T(0)-perp from one SVD, of M^H
-            ts = sub.svd_split((m1 - lam * m2).conj().T)
-            perp, flag = ts.null, near or ts.near
-            p, z = ts.right[:, : y_dim - perp.shape[1]], perp.conj().T @ z
-        u, s, vh = np.linalg.svd(z, full_matrices=r > z.shape[0])
-        u = u if perp is None else perp @ u
-        s = np.concatenate([s, np.zeros(r - s.size)])  # V is r x r; past Z's rows s is 0
-        c, n, floor = 1.0 / np.hypot(1.0, s), p.shape[1], noise * (1 + abs(lam))
-        basis = np.zeros((x_dim + y_dim, n + r), dtype=complex)
-        basis[:x_dim, n:] = q @ (vh.conj().T * c)
-        basis[x_dim:, :n] = p
-        basis[x_dim:, n: n + u.shape[1]] = u * (s * c)[: u.shape[1]]
-        return LinearRelation(
-            x_dim, y_dim, Subspace(x_dim + y_dim, basis, sv_near_cut=flag),
-            domain=domain, multivalued=Subspace(y_dim, p, sv_near_cut=flag),
-            y_split=lambda: sub.diagonal_split(
-                np.hstack([p, u]), np.concatenate([np.ones(n), s * c]),
-                floor / np.hypot(1.0, floor)))
 
-    record["pencil"] = at
-    return at
+class _PencilFamily:
+    """The lam-independent set-up of :func:`pencil_family`; calling it with
+    lam gives A - lam*B."""
+
+    def __init__(self, a: LinearRelation, b: LinearRelation):
+        split = sub.svd_split(np.hstack([a._gx, -b._gx]))
+        c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
+        y1, y2, xs = a._gy @ c1, b._gy @ c2, sub.svd_split(a._gx @ c1)
+        self.near = split.near or xs.near or a.graph.sv_near_cut or b.graph.sv_near_cut
+        self.x_dim, self.y_dim, q, self.r = a.x_dim, a.y_dim, xs.span, xs.span.shape[1]
+        self.domain = Subspace(self.x_dim, q, sv_near_cut=self.near)
+        w = xs.right[:, : self.r] / xs.svals[: self.r]
+        # Z's rounding level, per 1 + |lam|.
+        self.noise = np.finfo(float).eps / xs.svals[self.r - 1] if self.r else 0.0
+        z1, z2 = y1 @ w, y2 @ w
+        # [Z1; Z2] = QR: R has its singular values and V, at a fraction of its size.
+        ks = sub.svd_split(np.linalg.qr(np.vstack([z1, z2]), mode="r"))
+        # K0 is split off only where [Z1; Z2] vanishes to Z's rounding level
+        # (its null values reach 5 noise on the test and benchmark pairs): a
+        # value the cut relative to ||[Z1; Z2]|| drops can top some Z(lam).
+        k0 = ks.null.shape[1]
+        self.k0 = k0 if ks.svals[self.r - k0:].max(initial=0.0) <= 64 * self.noise else 0
+        # K0-perp, and I, which leaves Z's bits alone, when K0 = {0}.
+        wp = ks.right[:, : self.r - self.k0] if self.k0 else np.eye(self.r)
+        self.k0_near, self.qw = ks.near and self.k0 > 0, q @ wp
+        qk0 = q @ ks.null[:, : self.k0]
+        self.kernels = {flag: Subspace(self.x_dim, qk0, sv_near_cut=flag)
+                        for flag in (False, True)}
+        self.z1, self.z2, self.m1, self.m2 = z1 @ wp, z2 @ wp, y1 @ xs.null, y2 @ xs.null
+
+    def __call__(self, lam: complex) -> "_PencilPoint":
+        return _PencilPoint(self, lam)
+
+
+class _PencilPoint(LinearRelation):
+    """A - lam*B of a :func:`pencil_family`, values first: alpha, beta,
+    gamma and every flag read the cut of Z's singular values, with K0's
+    zeros appended; U, V, the graph and the range come from one SVD of Z
+    with vectors when first read, at the rank already cut."""
+
+    def __init__(self, fam: _PencilFamily, lam: complex):
+        self.x_dim, self.y_dim, self._domain, self._fam = fam.x_dim, fam.y_dim, fam.domain, fam
+        z, p, flag, self._perp = fam.z1 - lam * fam.z2, np.zeros((fam.y_dim, 0)), fam.near, None
+        if fam.m1.shape[1]:  # P and a basis of T(0)-perp from one SVD, of M^H
+            ts = sub.svd_split((fam.m1 - lam * fam.m2).conj().T)
+            self._perp, flag = ts.null, fam.near or ts.near
+            p, z = ts.right[:, : fam.y_dim - ts.null.shape[1]], ts.null.conj().T @ z
+        s = np.linalg.svd(z, compute_uv=False)
+        self._p, self._z, self._s = p, z, np.concatenate([s, np.zeros(fam.r - s.size)])
+        floor = fam.noise * (1 + abs(lam))
+        self._cut = sub.diagonal_split(
+            np.concatenate([np.ones(p.shape[1]), self._s / np.hypot(1.0, self._s)]),
+            floor / np.hypot(1.0, floor))
+        self._flag = flag or fam.k0_near  # the graph's
+        self.__dict__["multivalued_part"] = Subspace(fam.y_dim, p, sv_near_cut=flag)
+
+    @property
+    def _range_dim(self) -> int:
+        return self._cut.span.shape[1]
+
+    def _induced_svals(self) -> np.ndarray:
+        """The kept singular values of Z."""
+        return self._s[: self._range_dim - self._p.shape[1]]
+
+    @cached_property
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """U, in Y coordinates, and Q [W V, K0] from one SVD Z W = U S V^H
+        with vectors; the values stay those of the values-only SVD."""
+        u, _, vh = np.linalg.svd(self._z, full_matrices=self._z.shape[1] > self._z.shape[0])
+        qv = np.hstack([self._fam.qw @ vh.conj().T, self._fam.kernels[False].basis])
+        return (u if self._perp is None else self._perp @ u), qv
+
+    @cached_property
+    def graph(self) -> Subspace:
+        u, qv = self._vectors
+        t0 = np.vstack([np.zeros((self.x_dim, self._p.shape[1])), self._p])
+        return Subspace(self.x_dim + self.y_dim, np.hstack([t0, _cs_columns(qv, u, self._s)]),
+                        sv_near_cut=self._flag)
+
+    @cached_property
+    def _y_svd(self) -> tuple[Subspace, sub.Split]:
+        """R(T) and the closed-form split of Gy = [P, U] diag(values)."""
+        left = np.hstack([self._p, self._vectors[0]])
+        split = self._cut._replace(span=left[:, : self._range_dim])
+        return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        """Q [W V, K0]'s columns past the kept values: span(Q K0) when Z
+        has full column rank, read with no SVD."""
+        flag, kept = self._flag or self._cut.near, self._range_dim - self._p.shape[1]
+        if kept == self._fam.r - self._fam.k0:
+            return self._fam.kernels[flag]
+        return Subspace(self.x_dim, self._vectors[1][:, kept:], sv_near_cut=flag)
 
 
 def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation:

@@ -313,8 +313,7 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
         gamma_p = met.gamma(p)
         abs_lam = abs(lam)
         flags = {kind: abs_lam < radii[kind] for kind in radii}
-        shaky = (p.graph.sv_near_cut or kernel_p.sv_near_cut
-                 or p.range.sv_near_cut)
+        shaky = kernel_p.sv_near_cut  # the kernel's flag carries the graph's and the Y cut's
         if shaky:
             indeterminate += 1
         degenerate = math.isinf(gamma_p) and p.domain.dim > 0

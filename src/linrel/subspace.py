@@ -10,7 +10,8 @@ singular values); nothing here samples spheres.
 
 Every rank decision in the library is made by :func:`_rank_cut`, reached
 through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span and
-null space) or :func:`diagonal_split` (a product that is its own SVD).
+null space) or :func:`diagonal_split` (singular values whose vectors come
+later).
 Every projection residual x - P_S x is :meth:`Subspace.residual`.
 """
 
@@ -115,7 +116,11 @@ class Subspace:
         return contains(self, inner, tol)
 
     def is_same(self, other: "Subspace", tol: float = EQ_TOL) -> bool:
-        """Mutual containment within ``tol``."""
+        """Mutual containment within ``tol``; spaces of two dimensions are
+        refused below tol 0.5 with no SVD, as :func:`contains` refuses a
+        larger inner space."""
+        if self.dim != other.dim and tol < 0.5 and self.ambient == other.ambient:
+            return False
         return contains(self, other, tol) and contains(other, self, tol)
 
     def __repr__(self) -> str:
@@ -193,13 +198,14 @@ def svd_split(m: np.ndarray) -> Split:
     return Split(u[:, :rank], right[:, rank:], near, s, right)
 
 
-def diagonal_split(left: np.ndarray, svals: np.ndarray, floor: float = 0.0) -> Split:
-    """The split of left @ diag(svals), its own SVD with right factor I:
-    ``svals`` descend, ``left`` is orthonormal where they are nonzero, and
-    none at or below ``floor``, their rounding level, counts."""
+def diagonal_split(svals: np.ndarray, floor: float = 0.0) -> Split:
+    """The split of a matrix known by its descending singular values alone,
+    read as diag(svals): ``span`` and ``null`` are columns of I, in the
+    coordinates of its singular vectors, computed later or never.  No
+    value at or below ``floor``, their rounding level, counts."""
     rank, near = _rank_cut(svals, floor)
     right = np.eye(svals.size, dtype=complex)
-    return Split(left[:, :rank], right[:, rank:], near, svals, right)
+    return Split(right[:, :rank], right[:, rank:], near, svals, right)
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:

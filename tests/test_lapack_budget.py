@@ -1,12 +1,14 @@
 """LAPACK call budgets of the pencil sweep and of the relative-bound check.
 
 ``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
-point of a sweep may cost one SVD of the y x r block Z of the pencil's CS
-form, the kernel span and two gaps: 4 SVDs, none with more than y_dim
-rows, and no least-squares solve.  The domain D(A) ^ D(B) is the pencil
-family's, computed once.  The SVD of the graph's Y block comes in closed
-form with the graph, and gamma reads the induced operator's singular
-values off it, so range and gamma add no call of their own.
+point of a sweep costs one SVD without vectors of the pencil's block Z,
+taken on the complement of the family's common kernel, and the two kernel
+gaps: 3 SVDs, none with more than y_dim rows, and no least-squares solve.
+alpha, beta, gamma and the flags the sweep reads come from Z's values, so
+the loop builds no subspace of the graph's ambient x + y.  A point whose
+kernel grows past the common one adds exactly one SVD of Z with vectors,
+which the graph and the range read too.  The domain D(A) ^ D(B) and the
+common kernel are the pencil family's, computed once.
 
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.  Its
@@ -80,25 +82,60 @@ def _counted(calls, fn) -> dict:
     return {k: calls[k] - before[k] for k in calls}
 
 
-def test_sweep_lambda_point_budget(calls, monkeypatch):
-    a, b, bound, grid = _fresh_pair()
-    rows, counted = Counter(), np.linalg.svd
+def _svd_shapes(monkeypatch) -> list:
+    """(shape, compute_uv) of every numpy SVD from here on."""
+    seen, real = [], np.linalg.svd
 
     def svd(m, *args, **kwargs):
-        rows[m.shape[0]] += 1
-        return counted(m, *args, **kwargs)
+        seen.append((m.shape, kwargs.get("compute_uv", args[1] if len(args) > 1 else True)))
+        return real(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    stab.sweep(a, b, bound, [], validate_bound=False)  # cache A's parts
-    rows.clear()
-    setup = _counted(calls, lambda: stab.sweep(a, b, bound, [], validate_bound=False))
-    setup_rows = Counter(rows)
-    total = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
-    per_point = {k: (total[k] - setup[k]) / len(grid) for k in total}
-    assert per_point["svd"] <= 4 and per_point["lstsq"] == 0, per_point
-    in_loop = rows - setup_rows - setup_rows  # both runs did the set-up
-    assert sum(in_loop.values()) == per_point["svd"] * len(grid)
-    assert max(in_loop) <= a.y_dim, in_loop
+    return seen
+
+
+def _subspace_ambients(monkeypatch) -> list:
+    """The ambient of every Subspace built from here on."""
+    seen, real = [], sub.Subspace.__init__
+
+    def init(self, ambient, *args, **kwargs):
+        seen.append(ambient)
+        real(self, ambient, *args, **kwargs)
+
+    monkeypatch.setattr(sub.Subspace, "__init__", init)
+    return seen
+
+
+def test_sweep_lambda_point_budget(calls, monkeypatch):
+    a, b, bound, grid = _fresh_pair()
+    stab.sweep(a, b, bound, [], validate_bound=False)  # cache A's parts and the family
+    svds, ambients = _svd_shapes(monkeypatch), _subspace_ambients(monkeypatch)
+    used = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
+    assert used == {"svd": 3 * len(grid), "lstsq": 0}, used
+    # Z on the common kernel's complement, and two gaps of 2-dim kernels.
+    kernel = met.alpha(a)
+    z_shape = (a.y_dim, a.x_dim - kernel)
+    assert Counter(svds) == {(z_shape, False): len(grid),
+                             ((a.x_dim, kernel), False): 2 * len(grid)}, svds
+    assert a.x_dim + a.y_dim not in ambients, ambients
+
+
+def test_a_growing_kernel_adds_one_svd_with_vectors(monkeypatch):
+    # B is drawn without N(A) inside N(B): the two meet in {0}, so the
+    # common kernel is {0}, and N(A) grows past it at lam = 0, not at 0.1.
+    a, b = stab.generate(stab.InstanceSpec(8, 8, alpha=2, beta=2, seed=101))
+    family = rel.pencil_family(a, b)
+    svds = _svd_shapes(monkeypatch)
+    for lam, dims, with_vectors in ((0.1, (0, 0), 0), (0.0, (2, 2), 1)):
+        svds.clear()
+        p = family(lam)
+        assert (met.alpha(p), met.beta(p)) == dims
+        _ = met.gamma(p), p.kernel
+        assert sorted(uv for _, uv in svds) == [False] + [True] * with_vectors, svds
+        svds.clear()
+        _ = p.graph, p.range
+        assert [uv for _, uv in svds] == [True] * (1 - with_vectors), svds
+        assert (met.alpha(p), met.beta(p)) == dims
 
 
 def test_pencil_domain_is_computed_once_per_family(calls):
@@ -119,10 +156,12 @@ def test_gamma_reads_the_cached_splits(calls):
     family = rel.pencil_family(a, b)
     for lam in grid:
         p = family(lam)
-        used = _counted(calls, lambda: (p.range, met.gamma(p)))
+        # Z's values alone: no SVD for gamma, beta and the common kernel.
+        used = _counted(calls, lambda: (met.gamma(p), met.beta(p), p.kernel))
         assert used == {"svd": 0, "lstsq": 0}, used
-        used = _counted(calls, lambda: p.kernel)  # its span, no Gy SVD
-        assert used["svd"] <= 1 and used["lstsq"] == 0, used
+        assert p.kernel is family(lam).kernel
+        used = _counted(calls, lambda: (p.range, p.graph))  # one SVD of Z, with vectors
+        assert used == {"svd": 1, "lstsq": 0}, used
 
 
 def test_check_relative_bound_budget(calls):

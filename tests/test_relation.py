@@ -8,6 +8,7 @@ from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
 from linrel import subspace as sub
+from linrel.tolerances import EQ_TOL
 
 from oracles import lift_add_oracle, nullspace_oracle, slice_oracle
 
@@ -479,13 +480,23 @@ def test_pencil_graph_and_domain_are_cut_at_one_scale():
     assert (p.graph.dim, p.domain.dim, p.multivalued_part.dim) == (2, 2, 0)
     assert (p.kernel.dim, p.range.dim) == (1, 1)
     assert p.kernel.is_same(sub.span(np.array([0.0, 1.0])))
-    # The stored graphs give A - B a zero second column exactly; its first
-    # is -1e5 only to 5e-11 relative, the rounding of A's stored graph.
+    # The stored graphs give A - B a zero second column exactly, and its
+    # first is -1e5 to the rounding of the stored CS-form graphs.
     with mpmath.workdps(40):
         ref = float(max(mpmath.svd_c(_mp_operator(a) - _mp_operator(b),
                                      compute_uv=False)))
     assert abs(met.gamma(p) - ref) <= 1e-12 * ref
     assert abs(ref - 1e5) <= 1e-10 * 1e5
+
+
+def test_from_matrix_stores_badly_scaled_columns_exactly():
+    # One SVD of [I; A] put an error of eps ||A|| on every column: A e1 was
+    # stored to 1.0e-11 relative and A e2 to 8.3e-8.
+    a = rel.from_matrix(np.diag([1e5, 2e10]))
+    with mpmath.workdps(40):
+        stored = _mp_operator(a)
+        for (i, j), want in np.ndenumerate(np.diag([1e5, 2e10])):
+            assert abs(stored[i, j] - want) <= 1e-15 * max(want, 1e5), (i, j)
 
 
 def _scaled_pairs(rng):
@@ -615,3 +626,102 @@ def test_rounding_floor_cuts_only_what_rounding_can_reach(zero):
         p = rel.pencil(a, zero(1, 2), lam)
         assert (p.domain.dim, p.multivalued_part.dim, p.range.dim, p.kernel.dim) == (1, 1, 2, 0)
         assert abs(met.gamma(p) - ref) <= 1e-12 * ref
+
+
+# A = [[1,0,0,0],[0,2,0,0],[0,0,0,0]], B = [[1,0,0,1],[0,1,0,0],[0,0,1,0]]:
+# the gcd of the pencil's 3x3 minors is lam (lam - 2), so its exceptional
+# set is {0, 2}.  N(A) ^ N(B) = {0} and Z is 3 x 4, so every point's
+# kernel grows past the common one and is read off vectors.
+_EXCEPTIONAL = (np.array([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]], dtype=float),
+                np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=float))
+_EXCEPTIONAL_POINTS = [(0.0, (2, 1), False), (2.0, (2, 1), False), (1.0, (1, 0), False),
+                       (0.5, (1, 0), False), (2 + 1e-7, (1, 0), True), (1e-9, (1, 0), True)]
+
+
+def test_exceptional_points_and_their_flags():
+    a, b = (rel.from_matrix(m) for m in _EXCEPTIONAL)
+    for lam, dims, flagged in _EXCEPTIONAL_POINTS:
+        p = rel.pencil(a, b, lam)
+        assert (met.alpha(p), met.beta(p)) == dims, lam
+        assert p.kernel.sv_near_cut is flagged and p.range.sv_near_cut is flagged, lam
+    grid = [complex(lam) for lam, _, _ in _EXCEPTIONAL_POINTS]
+    report = stab.sweep(a, b, met.fit_relative_bound(a, b), grid, validate_bound=False)
+    got = [((r["alpha"], r["beta"]), r["indeterminate"]) for r in report.records]
+    assert got == [(dims, flagged) for _, dims, flagged in _EXCEPTIONAL_POINTS]
+
+
+def test_common_kernel_is_split_off_only_at_rounding_level():
+    # B e2 = 5e-11 e2 falls under the cut relative to ||[Z1; Z2]||, yet it is
+    # the top of A - B = diag(0, -5e-11), whose own cut keeps it.
+    a, b = rel.from_matrix(np.diag([1.0, 0.0])), rel.from_matrix(np.diag([1.0, 5e-11]))
+    p = rel.pencil(a, b, 1.0)
+    assert (met.alpha(p), met.beta(p), p.kernel.sv_near_cut) == (1, 1, False)
+    assert p.kernel.is_same(sub.span(np.array([1.0, 0.0])))
+    # diag(2, 0) shares A's kernel e2 exactly, so it is split off.
+    assert rel.pencil_family(a, rel.from_matrix(np.diag([2.0, 0.0]))).k0 == 1
+
+
+def _vectors_reference(a, b, lam):
+    """alpha, beta, gamma, the graph, kernel and range flags and the kernel
+    of A - lam*B from a full SVD of Z with vectors, cut once on [1, sC]:
+    the construction the values-first pencil replaced."""
+    split = sub.svd_split(np.hstack([a._gx, -b._gx]))
+    c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
+    y1, y2, xs = a._gy @ c1, b._gy @ c2, sub.svd_split(a._gx @ c1)
+    flag = split.near or xs.near or a.graph.sv_near_cut or b.graph.sv_near_cut
+    r = xs.span.shape[1]
+    w = xs.right[:, :r] / xs.svals[:r]
+    z, p = y1 @ w - lam * (y2 @ w), np.zeros((a.y_dim, 0))
+    if xs.null.shape[1]:
+        ts = sub.svd_split((y1 @ xs.null - lam * (y2 @ xs.null)).conj().T)
+        flag = flag or ts.near
+        p, z = ts.right[:, : a.y_dim - ts.null.shape[1]], ts.null.conj().T @ z
+    _, s, vh = np.linalg.svd(z, full_matrices=r > z.shape[0])
+    s = np.concatenate([s, np.zeros(r - s.size)])
+    n, floor = p.shape[1], np.finfo(float).eps / xs.svals[r - 1] * (1 + abs(lam)) if r else 0.0
+    cut = sub.diagonal_split(np.concatenate([np.ones(n), s / np.hypot(1.0, s)]),
+                             floor / np.hypot(1.0, floor))
+    rank = cut.span.shape[1]
+    kept = s[: rank - n]
+    kernel = sub.span(xs.span @ (vh.conj().T[:, rank - n:] / np.hypot(1.0, s[rank - n:])),
+                      a.x_dim, cut.near or flag)
+    return {"alpha": kernel.dim, "beta": a.y_dim - rank,
+            "gamma": float(kept.min()) if kept.size else math.inf,
+            "flags": (flag, kernel.sv_near_cut, cut.near), "kernel": kernel}
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(20240817)
+    pairs = _scaled_pairs(rng) + [(a, b) for _, a, b, lam in _reference_pencils()[::5]]
+    cases = [(a, b, lam) for a, b in pairs for lam in (0.0, 1.0, 1j, 1e6, 1e-6, 0.3 - 0.2j)]
+    cases += [(a, a, lam) for a, _ in pairs for lam in (1.0, 0.5)]  # B = A
+    cases += [(a, rel.scalar_mul(-1.0, a), -1.0) for a, _ in pairs]  # A + (-A)
+    return cases
+
+
+def test_values_first_pencil_matches_the_vectors_reference():
+    seen = set()
+    for a, b, lam in _equivalence_cases():
+        p, ref = rel.pencil(a, b, lam), _vectors_reference(a, b, lam)
+        got = (met.alpha(p), met.beta(p), met.gamma(p))
+        assert got[:2] == (ref["alpha"], ref["beta"])
+        flags = (p.graph.sv_near_cut, p.kernel.sv_near_cut, p.range.sv_near_cut)
+        assert flags == ref["flags"]
+        # A flagged point's Z is known only to its rounding level eps (1 +
+        # |lam|) / s_r, above 1e-8 where X's cut is in the band: so are its
+        # values, and its kernel up to that level over the gap gamma (Wedin).
+        g, g_ref = got[2], ref["gamma"]
+        floor = p._fam.noise * (1 + abs(lam)) if flags[1] else 0.0
+        if g_ref >= 1e-3 and math.isfinite(g_ref):
+            assert abs(g - g_ref) <= 1e-12 * g_ref + floor, (g, g_ref)
+        else:
+            assert g == g_ref or g < 1e-3
+        assert p.kernel.is_same(ref["kernel"], EQ_TOL + floor / min(g_ref, 1.0))
+        # The graph, read last, moves none of the values read first.
+        gram = p.graph.basis.conj().T @ p.graph.basis - np.eye(p.graph.dim)
+        assert np.abs(gram).max(initial=0.0) <= 1e-10
+        assert (met.alpha(p), met.beta(p), met.gamma(p)) == got
+        seen |= {"grown"} if p.kernel.dim > p._fam.k0 else set()
+        seen |= {"common"} if p._fam.k0 else set()
+        seen |= {"T(0)"} if p.multivalued_part.dim else set()
+    assert seen == {"grown", "common", "T(0)"}

@@ -177,6 +177,26 @@ def test_contains_refuses_a_larger_inner_space_without_svd(monkeypatch):
     assert svds == []
 
 
+def test_is_same_refuses_two_dimensions_without_svd(monkeypatch):
+    svds = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: svds.append(1) or real(*args, **kw))
+    g = np.random.default_rng(3)
+    spaces = [sub.random_subspace(6, dim, g) for dim in range(7)]
+    for s1 in spaces:
+        for s2 in spaces:
+            if s1.dim != s2.dim:
+                for tol in (EQ_TOL, 1e-10, 0.49):
+                    assert not s1.is_same(s2, tol)
+    assert svds == []
+    # Equal dimensions, or tol 0.5 and above, still take the gaps.
+    assert spaces[3].is_same(spaces[3]) and len(svds) == 2
+    assert spaces[3].is_same(spaces[4], tol=1.0) and len(svds) == 4
+    with pytest.raises(ValueError, match="ambient"):
+        spaces[3].is_same(sub.full_space(4))
+
+
 def test_contains_verdict_is_the_gap_verdict(rng):
     tols = (EQ_TOL, 1e-10, 0.5, 1.0)
     seen = {tol: set() for tol in tols}
