@@ -143,7 +143,8 @@ class LinearRelation:
 
     @cached_property
     def _inverse(self) -> "LinearRelation":
-        """:func:`inverse`, built once for every preimage."""
+        """:func:`inverse`, built once for every preimage, handed the split of Gy."""
+        _ = self._y_svd  # the inverse's split of Gx, which each preimage reads
         return inverse(self)
 
     @property
@@ -204,10 +205,16 @@ def _pair(a: LinearRelation, b: LinearRelation) -> dict:
 
 
 def inverse(t: LinearRelation) -> LinearRelation:
-    """Block-swapped graph: (x, y) -> (y, x).  An involution."""
+    """Block-swapped graph: (x, y) -> (y, x).  An involution.  The splits,
+    kernel and T(0) t has computed are handed over, swapped."""
     graph = Subspace(t.y_dim + t.x_dim, np.vstack([t._gy, t._gx]),
                      sv_near_cut=t.graph.sv_near_cut)
-    return LinearRelation(t.y_dim, t.x_dim, graph)
+    inv = LinearRelation(t.y_dim, t.x_dim, graph)
+    for mine, theirs in (("_x_svd", "_y_svd"), ("_y_svd", "_x_svd"),
+                         ("kernel", "multivalued_part"), ("multivalued_part", "kernel")):
+        if theirs in t.__dict__:
+            inv.__dict__[mine] = t.__dict__[theirs]
+    return inv
 
 
 def scalar_mul(lam: complex, t: LinearRelation) -> LinearRelation:
@@ -370,13 +377,21 @@ def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation
 
 
 def image(t: LinearRelation, m: Subspace) -> Subspace:
-    """T(M): the Y slice of G(T) ^ (M (+) Y)."""
+    """T(M) = {Gy c : Gx c in M}, from t's cached split Gx = U_r S_r V_r^H
+    with null block V_0: c spans V_0 and V_r orth(S_r^-1 U_r^H M'), one QR
+    of full column rank and no rank cut, where M' = M ^ D(T) is M, or when
+    D(T) != X the null space of (I - P_D) M from one svd_split.  Flagged
+    as D's split, the graph, M and the M ^ D cut are."""
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
-    # Graph columns whose x-part lies in M: null space of (I - P_M) Gx.
-    split = sub.svd_split(m.residual(t._gx))
-    near = split.near or t.graph.sv_near_cut or m.sv_near_cut
-    return sub.span(t._gy @ split.null, ambient=t.y_dim, near=near)
+    dom, split = t._x_svd
+    basis, near = m.basis, split.near or t.graph.sv_near_cut or m.sv_near_cut
+    if dom.dim < t.x_dim:
+        cut = sub.svd_split(dom.residual(basis))
+        basis, near = basis @ cut.null, near or cut.near
+    q = np.linalg.qr((dom.basis.conj().T @ basis) / split.svals[: dom.dim, None])[0]
+    c = np.hstack([split.right[:, : dom.dim] @ q, split.null])
+    return sub.span(t._gy @ c, ambient=t.y_dim, near=near)
 
 
 def preimage(t: LinearRelation, n: Subspace) -> Subspace:

@@ -10,6 +10,15 @@ kernel grows past the common one adds exactly one SVD of Z with vectors,
 which the graph and the range read too.  The domain D(A) ^ D(B) and the
 common kernel are the pencil family's, computed once.
 
+One chain step is an image and a preimage.  On a relation whose split
+Gx = U S V^H is cached, an image is one QR of an r x dim M matrix and one
+thin SVD, its span, with no full SVD; a relation whose domain is not all
+of X adds one full SVD of (I - P_D) M, at most x x dim M, for M ^ D(T).  A
+preimage is the image under the relation's inverse, which is built once
+and reads the relation's split of Gy as its own split of Gx.  Once a
+relation's domain, range, kernel and T(0) are read, those of its inverse
+cost no SVD.
+
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.  Its
 annihilator targets read the images the chain steps kept, so it computes
@@ -170,6 +179,64 @@ def test_check_relative_bound_budget(calls):
         bound = met.RelativeBound(bound.sigma, tau)
         used = _counted(calls, lambda: met.check_relative_bound(a, b, bound))
         assert used["lstsq"] <= lstsq, (tau, used)
+
+
+def _lapack_calls(monkeypatch) -> list:
+    """("svd", shape, full) and ("qr", shape) of every numpy SVD and QR
+    from here on; ``full`` is True for an SVD with both full factors."""
+    seen, svd, qr = [], np.linalg.svd, np.linalg.qr
+
+    def counted_svd(m, full_matrices=True, compute_uv=True, **kwargs):
+        seen.append(("svd", m.shape, full_matrices and compute_uv))
+        return svd(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def counted_qr(m, *args, **kwargs):
+        seen.append(("qr", m.shape))
+        return qr(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    return seen
+
+
+def test_chain_step_budget(monkeypatch, rng):
+    a, b = _deep_pair(7, 5, seed=3)
+    relations = (a, b, a._inverse, b._inverse)  # an inverse reads t's split of Gy
+    for t in relations:
+        _ = t._x_svd
+    seen = _lapack_calls(monkeypatch)
+    proper = set()
+    for t in relations:
+        dom = t._x_svd[0]
+        for d in range(1, t.x_dim + 1):
+            m = sub.random_subspace(t.x_dim, d, rng)
+            seen.clear()
+            rel.image(t, m)
+            kinds = [call[0] for call in seen]
+            full = [call[1] for call in seen if call[0] == "svd" and call[2]]
+            assert kinds.count("qr") == 1 and kinds.count("svd") == 1 + len(full), seen
+            # M ^ D(T) from (I - P_D) M where D(T) is not all of X.
+            assert full == ([(t.x_dim, d)] if dom.dim < t.x_dim else []), seen
+            proper |= {dom.dim < t.x_dim}
+    assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
+
+
+def test_inverse_reads_no_svd_for_its_parts(calls):
+    a, b, _, _ = _fresh_pair()
+    for t in (a, b, rel.adjoint(a), rel.inverse(b), rel.from_matrix(np.diag([1.0, 0.0]))):
+        _ = t.domain, t.range, t.kernel, t.multivalued_part
+        inv = rel.inverse(t)
+        used = _counted(calls, lambda: (inv.domain, inv.range, inv.kernel,
+                                        inv.multivalued_part))
+        assert used == {"svd": 0, "lstsq": 0}, used
+        # t's parts, swapped, and what the inverse computes from its own graph.
+        fresh = rel.from_graph(inv.graph, inv.x_dim, inv.y_dim)
+        for name, theirs in (("domain", t.range), ("range", t.domain),
+                             ("kernel", t.multivalued_part), ("multivalued_part", t.kernel)):
+            mine, own = getattr(inv, name), getattr(fresh, name)
+            assert mine is theirs, name
+            assert np.array_equal(mine.basis, own.basis), name
+            assert mine.sv_near_cut == own.sv_near_cut, name
 
 
 def test_chain_builds_once_per_pair(monkeypatch):

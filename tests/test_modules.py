@@ -11,7 +11,9 @@ so both chains keep one loop that keeps its images.  No function in
 ``metrics`` draws random numbers, so every fit and every bound check is
 deterministic.  Only ``relation`` holds weak references, and only its
 ``_pair`` names the per-pair record's slot, so that record is the one
-memo of what a pair has decided.
+memo of what a pair has decided.  No function passes a graph block
+(``_gx`` or ``_gy``) to ``Subspace.residual``: an image reads the
+relation's cached split of Gx, not a new SVD of a residual of the block.
 """
 
 import ast
@@ -313,3 +315,37 @@ def test_pair_record_is_the_one_weak_memo(path):
 ], ids=["import", "import-from", "alias", "slot", "reference"])
 def test_pair_record_user_detector(source):
     assert _callers(ast.parse(source), {"weakref", _SLOT})
+
+
+_GRAPH_BLOCKS = {"_gx", "_gy"}
+
+
+def _graph_block_residuals(tree: ast.Module) -> list[str]:
+    """Every ``residual`` call with a graph block anywhere in its arguments."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "residual":
+            args = list(node.args) + [k.value for k in node.keywords]
+            if any(_name(n) in _GRAPH_BLOCKS for arg in args for n in ast.walk(arg)):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_residual_of_a_graph_block(path):
+    found = _graph_block_residuals(_tree(path))
+    assert not found, f"{path.name} takes a residual of a graph block: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "split = sub.svd_split(m.residual(t._gx))",
+    "r = m.residual(self._gy @ c)",
+    "r = Subspace.residual(m, t._gx)",
+    "r = m.residual(x=t._gy)",
+], ids=["attribute", "expression", "unbound", "keyword"])
+def test_graph_block_residual_detector(source):
+    assert _graph_block_residuals(ast.parse(source))
+
+
+def test_graph_block_residual_detector_allows_other_residuals():
+    assert not _graph_block_residuals(ast.parse("r = dom.residual(m.basis)"))

@@ -186,6 +186,91 @@ def test_preimage_builds_one_inverse_per_relation(diag01, monkeypatch):
     assert rel.equals(diag01._inverse, real(diag01))
 
 
+def test_preimage_of_a_line_agrees_with_the_range_decision():
+    # R(A) is a decided, unflagged 3-space of C^4 with N(A) = {0}, so a
+    # generic line meets it in {0} and its preimage is {0}.  A cut of
+    # (I - P_M) Gy dropped the 2e-12 sin(theta) left of A's smallest value
+    # under the absolute floor and answered a line, unflagged.
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))[0]
+    a = rel.from_matrix(u @ np.diag([2.5e-8, 6e-11, 2e-12]))
+    assert (a.kernel.dim, a.range.dim) == (0, 3)
+    assert not (a.kernel.sv_near_cut or a.range.sv_near_cut)
+    for seed in (3, 6, 8, 16):
+        assert rel.preimage(a, sub.random_subspace(4, 1, seed)).dim == 0, seed
+
+
+def _residual_image(t, m):
+    """T(M) from the null space of (I - P_M) Gx, one full SVD per call: the
+    construction the image from the cached split of Gx replaced."""
+    split = sub.svd_split(m.residual(t._gx))
+    near = split.near or t.graph.sv_near_cut or m.sv_near_cut
+    return sub.span(t._gy @ split.null, ambient=t.y_dim, near=near)
+
+
+def _decided_dim(t, m):
+    """dim T(M) = dim T(0) + dim(M ^ D) - dim(M ^ N), from the relation's
+    own D, N and T(0)."""
+    return (t.multivalued_part.dim + sub.intersect(m, t.domain).dim
+            - sub.intersect(m, t.kernel).dim)
+
+
+def _against_residual_image(cases):
+    """Yield (t, m, new, old) for every case, with the new image checked
+    against the relation's own decisions: it holds T(0) and has the
+    dimension D, N and T(0) give it, unless flagged."""
+    for t, m in cases:
+        new, old = rel.image(t, m), _residual_image(t, m)
+        assert new.sv_near_cut or new.dim == _decided_dim(t, m), (t, m.dim, new.dim)
+        assert new.contains(t.multivalued_part), (t, m.dim)
+        yield t, m, new, old
+
+
+def _every_dimension(t, rng):
+    return [(t, sub.random_subspace(t.x_dim, d, rng)) for d in range(t.x_dim + 1)]
+
+
+def test_image_matches_the_residual_image(rng):
+    # Inverses make the cases preimages; x1e5 shrinks Gx.  Gx is a block of
+    # an orthonormal basis, known to eps: a direction of D kept at a value
+    # s_r below eps / EQ_TOL is known only to eps / s_r > EQ_TOL (Wedin), so
+    # there the two constructions may part; the new one keeps D's split.
+    cases, loose = [], 0
+    for _ in range(120):
+        for base in stab.generate(stab.random_feasible_spec(rng, max_dim=6)):
+            for t in (base, rel.inverse(base), rel.adjoint(base),
+                      rel.scalar_mul(1e5, base), rel.scalar_mul(1e-5, base)):
+                cases += _every_dimension(t, rng)
+    for t, m, new, old in _against_residual_image(cases):
+        dom, split = t._x_svd
+        if dom.dim and split.svals[dom.dim - 1] < np.finfo(float).eps / EQ_TOL:
+            loose += 1
+            continue
+        assert new.dim == old.dim and new.is_same(old), (t, m.dim)
+        # The new side alone flags D's split in the band, which the residual
+        # need not see; the old side alone, a product of two unflagged
+        # scales that (I - P_M) Gx put in the band and the new path never
+        # forms.
+        assert not new.sv_near_cut or old.sv_near_cut or split.near, (t, m.dim)
+    assert len(cases) > 4000 and loose < len(cases) // 10, (len(cases), loose)
+
+
+def test_image_of_widely_scaled_operators_keeps_the_relations_decisions(rng):
+    # Singular values spread over 1e-13 to 1e11: a dimension the residual
+    # cut decided otherwise is flagged, or agrees with D, N and T(0).
+    cases = []
+    for _ in range(300):
+        x, y = (int(n) for n in rng.integers(1, 7, 2))
+        k = min(x, y)
+        u, v = (np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+                for n in (y, x))
+        a = rel.from_matrix((u * np.sort(10.0 ** rng.uniform(-13, 11, k))[::-1]) @ v.conj().T)
+        cases += _every_dimension(a, rng) + _every_dimension(rel.inverse(a), rng)
+    parted = [(new.sv_near_cut, old.sv_near_cut)
+              for t, m, new, old in _against_residual_image(cases) if new.dim != old.dim]
+    assert len(cases) > 2500 and len(parted) <= len(cases) // 100, (len(cases), parted)
+
+
 def test_adjoint_is_transpose_for_matrices(rng):
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     adj = rel.adjoint(rel.from_matrix(m))
