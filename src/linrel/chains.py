@@ -35,10 +35,21 @@ __all__ = [
 
 
 def _contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
-    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut side."""
-    g = 1.0 if inner.dim > outer.dim else sub.gap(inner, outer)  # by dimension count
+    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut side.
+    The gap's SVD is taken only when its Frobenius bracket straddles a band end;
+    a larger inner space, whose gap is 1, never does."""
+    g = sub._settled_gap(inner, outer, (*CHAIN_BAND, EQ_TOL))
     near = outer.sv_near_cut or inner.sv_near_cut
     return g <= EQ_TOL, near or CHAIN_BAND[0] < g < CHAIN_BAND[1]
+
+
+def _in_annihilator(k: Subspace, d: Subspace) -> bool:
+    """``sub.contains(sub.annihilator(k), d)``, read off K^T U_D: I - P over the
+    annihilator is conj(K) K^T.  The two differ by rounding of order ambient *
+    eps, so the product decides where it clears EQ_TOL by 1e-11, and the
+    complement is built only where it does not."""
+    settled = sub._bracket(k.basis.T @ d.basis, (EQ_TOL,), margin=1e-3)
+    return sub.contains(sub.annihilator(k), d) if settled is None else settled <= EQ_TOL
 
 
 @dataclass
@@ -73,7 +84,8 @@ def _step_limit(a: LinearRelation, b: LinearRelation, max_n: int | None) -> int:
 
 
 class _Chain(list):
-    """Chain entries; ``images[i]`` is the image the step from entry i took."""
+    """Chain entries; ``images[i]`` is the image of entry i, the one its step
+    took, or for the last entry, the one :meth:`_ChainSet.image` took."""
 
 
 def _steps(fwd: LinearRelation, back: LinearRelation, start: Subspace, n: int) -> _Chain:
@@ -102,9 +114,9 @@ def n_chain(a: LinearRelation, b: LinearRelation,
 
 
 class _ChainSet:
-    """One pair's M and N chains, their step images and primal nu; verdicts and image
-    annihilators memoised by chain index (an index past a stabilized chain reads its
-    last entry).  The set holds no reference to the pair: callers pass it in.
+    """One pair's M and N chains, their step images and primal nu; verdicts
+    memoised by chain index (an index past a stabilized chain reads its last
+    entry).  The set holds no reference to the pair: callers pass it in.
     :meth:`of` keeps it in the pair's record; built directly, it serves a pair
     that is not reused, such as the adjoint pair of :func:`verify_nu_duality`."""
 
@@ -112,7 +124,7 @@ class _ChainSet:
         self.m_limit = self.n_limit = a.x_dim + 1
         self.ms, self.ns = m_chain(a, b), n_chain(a, b)
         self.nu = _nu(a, b, self.ms)
-        self._gaps, self._kappa, self._perps = {}, {}, {}
+        self._gaps, self._kappa = {}, {}
 
     @classmethod
     def of(cls, a: LinearRelation, b: LinearRelation, m_limit: int, n_limit: int):
@@ -145,15 +157,13 @@ class _ChainSet:
             self._kappa[key] = (_contained(target, nk), _contained(b.domain, nk))
         return self._kappa[key]
 
-    def image_perp(self, a: LinearRelation, b: LinearRelation,
-                   chain: str, i: int) -> Subspace:
-        """(A(M_i))-perp for ``chain`` "m", (B(N_{i+1}))-perp for "n", from
-        the kept image; only a chain's last entry takes a new one."""
-        if (chain, i) not in self._perps:
-            entries, t = (self.ms, a) if chain == "m" else (self.ns, b)
-            kept = entries.images[i:i + 1] or [rel.image(t, entries[i])]
-            self._perps[chain, i] = sub.annihilator(kept[0])
-        return self._perps[chain, i]
+    def image(self, a: LinearRelation, b: LinearRelation, chain: str, i: int) -> Subspace:
+        """A(M_i) for ``chain`` "m", B(N_{i+1}) for "n": the image the step
+        from entry i kept; a chain's last entry takes its image once."""
+        entries, t = (self.ms, a) if chain == "m" else (self.ns, b)
+        if i == len(entries.images):
+            entries.images.append(rel.image(t, entries[i]))
+        return entries.images[i]
 
 
 def nu(a: LinearRelation, b: LinearRelation) -> float:
@@ -240,15 +250,15 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     m_len, n_len = min(len(chains.ms), a.x_dim + 2), min(len(chains.ns), a.x_dim + 1)
 
     report["equality_m"] = len(ms_dual) > 1 and ms_dual[1].is_same(
-        chains.image_perp(a, b, "n", 0))
+        sub.annihilator(chains.image(a, b, "n", 0)))
     report["nu"] = chains.nu
     report["nu_dual"] = nu_dual
     report["equality_nu"] = (chains.nu == nu_dual)
 
     # Adjoint-sequence containments up to the shorter stabilization.
-    fwd = [sub.contains(chains.image_perp(a, b, "n", min(n, n_len) - 1), ms_dual[n])
+    fwd = [_in_annihilator(chains.image(a, b, "n", min(n, n_len) - 1), ms_dual[n])
            for n in range(1, len(ms_dual))]
-    bwd = [sub.contains(chains.image_perp(a, b, "m", min(n, m_len - 1)), ns_dual[n])
+    bwd = [_in_annihilator(chains.image(a, b, "m", min(n, m_len - 1)), ns_dual[n])
            for n in range(len(ns_dual))]
     report["adjoint_sequences_m"] = fwd
     report["adjoint_sequences_n"] = bwd

@@ -31,7 +31,7 @@ import numpy as np
 from . import relation as rel
 from . import subspace as sub
 from .relation import LinearRelation
-from .tolerances import EQ_TOL, INEQ_SLACK
+from .tolerances import INEQ_SLACK
 
 __all__ = [
     "OperatorPart",
@@ -186,11 +186,11 @@ def _check_standing_hypotheses(a: LinearRelation, b: LinearRelation) -> None:
     """
     record = rel._pair(a, b)
     if "hypotheses" not in record:
-        g = sub.gap(a.domain, b.domain)
-        verdict = ("D(A) subset of D(B)", g) if g > EQ_TOL else None
-        if verdict is None:
-            g = sub.gap(b.multivalued_part, a.multivalued_part)
-            verdict = ("B(0) subset of A(0)", g) if g > EQ_TOL else None
+        verdict = None
+        if not sub.contains(b.domain, a.domain):
+            verdict = ("D(A) subset of D(B)", sub.gap(a.domain, b.domain))
+        elif not sub.contains(a.multivalued_part, b.multivalued_part):
+            verdict = ("B(0) subset of A(0)", sub.gap(b.multivalued_part, a.multivalued_part))
         record["hypotheses"] = verdict
     if record["hypotheses"] is not None:
         raise HypothesisError(*record["hypotheses"])

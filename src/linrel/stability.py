@@ -26,7 +26,7 @@ from . import subspace as sub
 from .metrics import RelativeBound
 from .relation import LinearRelation
 from .subspace import Subspace
-from .tolerances import BOUND_SLACK, EQ_TOL, MIN_MARGIN
+from .tolerances import BOUND_SLACK, MIN_MARGIN
 
 __all__ = [
     "InstanceSpec",
@@ -184,7 +184,7 @@ def _measures_match(spec, a: LinearRelation, b: LinearRelation) -> bool:
         return False
     if b.domain.dim != spec.x_dim:
         return False
-    if sub.gap(b.multivalued_part, a.multivalued_part) > EQ_TOL:
+    if not sub.contains(a.multivalued_part, b.multivalued_part):
         return False
     if spec.force_nu_infinite and not sub.contains(b.kernel, a.kernel):
         return False
@@ -303,7 +303,7 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
              for kind in ("pencil", "alpha", "full")}
     range_exceeds_mv = a.range.dim > a.multivalued_part.dim
 
-    records = []
+    records, gaps = [], {}  # gaps per kernel object: most points share the family's
     indeterminate = 0
     degenerate_violations = 0
     pencil = rel.pencil_family(a, b)
@@ -320,11 +320,12 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
         if (degenerate and range_exceeds_mv and not shaky
                 and abs_lam < radii["pencil"] * (1 - 1e-12)):
             degenerate_violations += 1
+        if kernel_p not in gaps:
+            gaps[kernel_p] = sub.gap(kernel_a, kernel_p), sub.gap(kernel_p, kernel_a)
         records.append({
             "re": lam.real, "im": lam.imag,
             "alpha": met.alpha(p), "beta": met.beta(p), "gamma": gamma_p,
-            "gap_fwd": sub.gap(kernel_a, kernel_p),
-            "gap_bwd": sub.gap(kernel_p, kernel_a),
+            "gap_fwd": gaps[kernel_p][0], "gap_bwd": gaps[kernel_p][1],
             "bound": met.finishing_bound(gamma_a, bound, abs_lam),
             "inside_pencil": flags["pencil"],
             "inside_alpha": flags["alpha"],

@@ -13,6 +13,9 @@ through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span and
 null space) or :func:`diagonal_split` (singular values whose vectors come
 later).
 Every projection residual x - P_S x is :meth:`Subspace.residual`.
+A containment verdict reads the Frobenius bracket of its residual and
+takes an SVD only where the bracket straddles the tolerance; :func:`gap`,
+the exact SVD, is for callers that need the value.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
+
+# A Frobenius bound decides a cut it clears by this relative margin, far
+# above LAPACK's backward error: a decided verdict is the SVD's.
+BRACKET_MARGIN = 1e-10
 
 __all__ = [
     "Subspace",
@@ -217,9 +224,10 @@ def sum(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def orth_complement(s: Subspace) -> Subspace:
-    """Orthogonal complement under the conjugate inner product."""
-    if s.dim == 0:
-        return Subspace(s.ambient, np.eye(s.ambient, dtype=complex), s.sv_near_cut)
+    """Orthogonal complement under the conjugate inner product; that of
+    {0} or of the whole space is known by dimension, with no SVD."""
+    if s.dim in (0, s.ambient):
+        return Subspace(s.ambient, np.eye(s.ambient, dtype=complex)[:, s.dim:], s.sv_near_cut)
     # Full SVD of the basis: the trailing left singular vectors span the
     # complement exactly (the basis is orthonormal, all svals are 1).
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
@@ -265,12 +273,28 @@ def gap(m: Subspace, n: Subspace) -> float:
     return float(min(1.0, s[0]))
 
 
+def _bracket(r: np.ndarray, cuts, margin: float = BRACKET_MARGIN) -> float | None:
+    """||r||_F when the bracket ||r||_F / sqrt(k) <= sigma_max(r) <= ||r||_F
+    of r's k columns, widened by the relative ``margin``, puts every one of
+    ``cuts`` on one side (sigma_max(r) then shares it); None otherwise."""
+    hi, wide = float(np.linalg.norm(r)), (1 + margin) * r.shape[1] ** 0.5
+    return hi if all(hi <= c * (1 - margin) or hi > c * wide for c in cuts) else None
+
+
+def _settled_gap(m: Subspace, n: Subspace, cuts) -> float:
+    """gap(m, n), or a value on its side of every one of ``cuts`` where the
+    Frobenius bracket of its residual settles them all, with no SVD."""
+    settled = _bracket(n.residual(m.basis), cuts) if m.dim and m.ambient == n.ambient else None
+    return gap(m, n) if settled is None else settled
+
+
 def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:
     """True iff gap(inner, outer) <= tol; the zero subspace is in everything.
-    A larger inner space (gap 1) is refused below tol 0.5 with no SVD."""
+    A larger inner space (gap 1) is refused below tol 0.5 with no SVD, and
+    the SVD only where the residual's Frobenius bracket straddles tol."""
     if inner.dim > outer.dim and tol < 0.5 and inner.ambient == outer.ambient:
         return False
-    return gap(inner, outer) <= tol
+    return _settled_gap(inner, outer, (tol,)) <= tol
 
 
 def apply_map(f, s: Subspace) -> Subspace:

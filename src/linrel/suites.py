@@ -366,7 +366,7 @@ def _check_gap(case, rec: _Recorder, rng) -> None:
     m, n = case
     delta = sub.gap(m, n)
     rec.check("gap_range", 0.0 <= delta <= 1.0, f"gap={delta}")
-    rec.check("gap_self", sub.gap(m, m) <= 1e-12, "gap(M,M) != 0")
+    rec.check("gap_self", sub.contains(m, m, 1e-12), "gap(M,M) != 0")
     if delta < 1 - 1e-6:
         rec.check("gap_dimension", m.dim <= n.dim,
                   f"gap={delta} but dim M={m.dim} > dim N={n.dim}")
@@ -397,7 +397,7 @@ def _check_gap(case, rec: _Recorder, rng) -> None:
 
     if m.dim < n.dim and sub.contains(n, m):
         rec.check("gap_asymmetry",
-                  sub.gap(m, n) <= EQ_TOL and sub.gap(n, m) >= 1 - 1e-9,
+                  not sub.contains(m, n, 1 - 1e-9),
                   "nested pair fails asymmetry witness")
     if m.ambient <= 4:
         oracle = sampled_gap(m, n, rng)

@@ -1,14 +1,16 @@
-"""LAPACK call budgets of the pencil sweep and of the relative-bound check.
+"""LAPACK call budgets of the pencil sweep, the chains and the relative-bound check.
 
 ``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
 point of a sweep costs one SVD without vectors of the pencil's block Z,
-taken on the complement of the family's common kernel, and the two kernel
-gaps: 3 SVDs, none with more than y_dim rows, and no least-squares solve.
-alpha, beta, gamma and the flags the sweep reads come from Z's values, so
-the loop builds no subspace of the graph's ambient x + y.  A point whose
-kernel grows past the common one adds exactly one SVD of Z with vectors,
-which the graph and the range read too.  The domain D(A) ^ D(B) and the
-common kernel are the pencil family's, computed once.
+taken on the complement of the family's common kernel: no more than y_dim
+rows, and no least-squares solve.  The two kernel gaps are taken once per
+kernel object in a sweep, so once for the family's kernel, which every
+point shares where Z has full column rank.  alpha, beta, gamma and the
+flags the sweep reads come from Z's values, so the loop builds no subspace
+of the graph's ambient x + y.  A point whose kernel grows past the common
+one adds exactly one SVD of Z with vectors, which the graph and the range
+read too, and its own two gaps: 3 + 1 SVDs.  The domain D(A) ^ D(B) and
+the common kernel are the pencil family's, computed once.
 
 One chain step is an image and a preimage.  On a relation whose split
 Gx = U S V^H is cached, an image is one QR of an r x dim M matrix and one
@@ -20,9 +22,14 @@ relation's domain, range, kernel and T(0) are read, those of its inverse
 cost no SVD.
 
 The chain reports of one pair build its M and N chains once, and
-``verify_nu_duality`` builds those of the adjoint pair once more.  Its
-annihilator targets read the images the chain steps kept, so it computes
-only the images of the two chains' last entries anew.
+``verify_nu_duality`` builds those of the adjoint pair once more.  Every
+containment verdict reads the Frobenius bracket of its residual first, so
+a gap far from the tolerance takes no SVD: a chain report whose gaps are
+all decisive takes none for its table.  An adjoint-sequence check asks
+whether a dual chain entry D lies in the annihilator of a kept image K,
+which is ||K^T U_D|| <= tol: it builds no complement.  ``verify_nu_duality``
+builds one, for M'_1 = (B(N_1))-perp, besides the two adjoint graphs, and
+takes the images of the two chains' last entries once.
 
 The relative-bound check solves for B's induced operator on D(A), and for
 A's when tau > 0, from one least-squares call each.
@@ -31,7 +38,7 @@ A pair's pencil family, standing-hypothesis verdict and chains are kept
 in its one record.  One stability-suite case checks the relative bound
 once, runs the sigma(tau) bracket once, computes nu once, builds one
 pencil family, which the sweep and the eigen-condition check share, and
-decides the standing hypotheses once, with two subspace gaps: the bound
+decides the standing hypotheses once, with two containment verdicts: the bound
 check and the eigen-condition check, which reads A(0) as A(0) + lambda B(0)
 and maps no subspace, read the verifier's verdict.  The perturbation
 verifier's one gate reads the fitted sigma, and ||B|| not at all; its sum
@@ -41,6 +48,7 @@ A + B and the suite's norm check share one pencil family.
 the bound they fit holds by construction and is not checked again.
 """
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -120,13 +128,23 @@ def test_sweep_lambda_point_budget(calls, monkeypatch):
     stab.sweep(a, b, bound, [], validate_bound=False)  # cache A's parts and the family
     svds, ambients = _svd_shapes(monkeypatch), _subspace_ambients(monkeypatch)
     used = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
-    assert used == {"svd": 3 * len(grid), "lstsq": 0}, used
-    # Z on the common kernel's complement, and two gaps of 2-dim kernels.
+    assert used == {"svd": len(grid) + 2, "lstsq": 0}, used
+    # Z on the common kernel's complement at every point, and the two gaps
+    # of the family's one 2-dim kernel, taken once for the whole sweep.
     kernel = met.alpha(a)
     z_shape = (a.y_dim, a.x_dim - kernel)
     assert Counter(svds) == {(z_shape, False): len(grid),
-                             ((a.x_dim, kernel), False): 2 * len(grid)}, svds
+                             ((a.x_dim, kernel), False): 2}, svds
     assert a.x_dim + a.y_dim not in ambients, ambients
+    # N(A) outside N(B): the common kernel is {0}, and N(A) grows past it at
+    # lam = 0 alone.  That point keeps its 3 SVDs and adds the one with
+    # vectors; the family's {0} has one nonzero gap, taken once.
+    spec = stab.InstanceSpec(8, 8, alpha=2, beta=2, seed=101)
+    a, b = (rel.from_graph(t.graph, 8, 8) for t in stab.generate(spec))
+    stab.sweep(a, b, bound, [], validate_bound=False)
+    assert grid.count(0) == 1
+    used = _counted(calls, lambda: stab.sweep(a, b, bound, grid, validate_bound=False))
+    assert used == {"svd": (3 + 1) + (len(grid) - 1) + 1, "lstsq": 0}, used
 
 
 def test_a_growing_kernel_adds_one_svd_with_vectors(monkeypatch):
@@ -270,9 +288,37 @@ def test_nu_duality_reads_the_kept_images(monkeypatch):
     monkeypatch.setattr(rel, "image", counted)
     assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
     assert len(seen) <= 2, seen
-    seen.clear()  # every annihilator target is memoised
+    seen.clear()  # the last entries' images are kept too
     assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
     assert seen == [], seen
+
+
+def test_nu_duality_builds_no_annihilator_target(calls, monkeypatch):
+    a, b = _deep_pair(7, 5, seed=3)
+    chains = chn._ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
+    # Every gap of the table is far from CHAIN_BAND: its brackets decide all.
+    used = _counted(calls, lambda: chn.chain_report(a, b))
+    assert used == {"svd": 0, "lstsq": 0}, used
+    ambients, full, real = [], [], sub.orth_complement
+
+    def complement(s):
+        ambients.append(s.ambient)
+        return real(s)
+
+    def svd(m, *args, _real=np.linalg.svd, **kwargs):
+        if kwargs.get("full_matrices", True) and kwargs.get("compute_uv", True):
+            full.append(m)
+        return _real(m, *args, **kwargs)
+
+    monkeypatch.setattr(sub, "orth_complement", complement)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
+    # The adjoint graphs, and the one annihilator M'_1 = (B(N_1))-perp is
+    # compared with; the containment targets are read as K^T U_D.
+    assert sorted(ambients) == [a.y_dim] + [a.x_dim + a.y_dim] * 2, ambients
+    kept = chains.ms.images + chains.ns.images
+    imaged = [k for k in kept if any(m is k.basis for m in full)]
+    assert imaged == [chains.ns.images[0]], imaged
 
 
 def _count_calls(monkeypatch, targets) -> dict:
@@ -303,9 +349,10 @@ def _families(monkeypatch) -> list:
 
 
 def _hypothesis_gaps(monkeypatch) -> list:
-    """One entry per subspace gap taken inside the standing-hypothesis check."""
+    """One entry per subspace gap, or containment verdict read off one,
+    that the standing-hypothesis check asks for itself."""
     gaps, inside = [], []
-    real_check, real_gap = met._check_standing_hypotheses, sub.gap
+    real_check = met._check_standing_hypotheses
 
     def check(a, b):
         inside.append(True)
@@ -314,13 +361,18 @@ def _hypothesis_gaps(monkeypatch) -> list:
         finally:
             inside.pop()
 
-    def gap(*args, **kwargs):
-        if inside:
+    def counted(*args, _real, **kwargs):
+        if inside == [True]:
             gaps.append(args)
-        return real_gap(*args, **kwargs)
+        inside.append(False)  # a gap that contains takes is not a second one
+        try:
+            return _real(*args, **kwargs)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(met, "_check_standing_hypotheses", check)
-    monkeypatch.setattr(sub, "gap", gap)
+    for name in ("gap", "contains"):
+        monkeypatch.setattr(sub, name, functools.partial(counted, _real=getattr(sub, name)))
     return gaps
 
 

@@ -14,6 +14,8 @@ deterministic.  Only ``relation`` holds weak references, and only its
 memo of what a pair has decided.  No function passes a graph block
 (``_gx`` or ``_gy``) to ``Subspace.residual``: an image reads the
 relation's cached split of Gx, not a new SVD of a residual of the block.
+No module but ``subspace`` compares a ``gap`` with a tolerance: every such
+verdict is ``contains``, which reads the residual's Frobenius bracket first.
 """
 
 import ast
@@ -349,3 +351,35 @@ def test_graph_block_residual_detector(source):
 
 def test_graph_block_residual_detector_allows_other_residuals():
     assert not _graph_block_residuals(ast.parse("r = dom.residual(m.basis)"))
+
+
+def _gap_comparisons(tree: ast.Module) -> list[str]:
+    """Every comparison with a ``gap(...)`` call anywhere in its operands."""
+    return [f"line {node.lineno}"
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for operand in [node.left, *node.comparators]
+            if any(isinstance(n, ast.Call) and _name(n.func) == "gap"
+                   for n in ast.walk(operand))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_subspace_compares_a_gap(path):
+    found = _gap_comparisons(_tree(path))
+    if path.name != "subspace.py":
+        assert not found, f"{path.name} decides containment from a gap: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "ok = sub.gap(m, n) <= EQ_TOL",
+    "if gap(m, n) > tol:\n    pass",
+    "ok = 1e-12 >= sub.gap(m, m)",
+    "flag = CHAIN_BAND[0] < sub.gap(m, n) < CHAIN_BAND[1]",
+    "ok = abs(sub.gap(m, n) - 1.0) <= 1e-9",
+], ids=["attribute", "bare", "reversed", "chained", "nested"])
+def test_gap_comparison_detector(source):
+    assert _gap_comparisons(ast.parse(source))
+
+
+def test_gap_comparison_detector_allows_values_and_verdicts():
+    source = "g = sub.gap(m, n)\nok = sub.contains(n, m)\nbad = r['gap_fwd'] > bound"
+    assert not _gap_comparisons(ast.parse(source))

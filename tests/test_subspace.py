@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel import chains as chn
 from linrel import subspace as sub
 from linrel.tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 
@@ -190,9 +192,11 @@ def test_is_same_refuses_two_dimensions_without_svd(monkeypatch):
                 for tol in (EQ_TOL, 1e-10, 0.49):
                     assert not s1.is_same(s2, tol)
     assert svds == []
-    # Equal dimensions, or tol 0.5 and above, still take the gaps.
-    assert spaces[3].is_same(spaces[3]) and len(svds) == 2
-    assert spaces[3].is_same(spaces[4], tol=1.0) and len(svds) == 4
+    # Equal dimensions, or tol 0.5 and above, still take the gaps; their
+    # Frobenius brackets settle all but the larger space's gap, 1, which at
+    # tol 1.0 lies inside its bracket.
+    assert spaces[3].is_same(spaces[3]) and len(svds) == 0
+    assert spaces[3].is_same(spaces[4], tol=1.0) and len(svds) == 1
     with pytest.raises(ValueError, match="ambient"):
         spaces[3].is_same(sub.full_space(4))
 
@@ -214,6 +218,48 @@ def test_contains_verdict_is_the_gap_verdict(rng):
             seen[tol].add((verdict, inner.dim > outer.dim))
     assert seen[EQ_TOL] >= {(True, False), (False, False), (False, True)}
     assert (True, True) in seen[1.0]
+    # Planted gaps at and next to each cut: the verdicts the Frobenius
+    # bracket settles, and those it leaves to an SVD, are the SVD's.
+    for t, delta, equal, exact in itertools.product(
+            (1e-10, EQ_TOL, 0.49), (-1e-6, -1e-11, 0.0, 1e-11, 1e-6), (True, False),
+            (True, False)):
+        for _ in range(3):
+            outer, inner, sines = _planted_gap(rng, t * (1 + delta), equal, exact)
+            r = outer.residual(inner.basis)
+            g = min(1.0, float(np.linalg.svd(r, compute_uv=False)[0]))
+            assert abs(g - sines.max()) <= 1e-14, (g, sines)
+            for tol in (t, 1e-10, EQ_TOL, 0.49):
+                assert sub.contains(outer, inner, tol) == (g <= tol), (t, delta, tol, g)
+            assert chn._contained(outer, inner) == (g <= EQ_TOL, 1e-10 < g < 1e-8), (t, g)
+            # K is outer's complement and D the conjugate of inner, so D
+            # leaves the annihilator of K, conj(outer), by the same gap, up
+            # to the rounding of another residual: only a gap away from
+            # EQ_TOL gives g's verdict there.
+            k = sub.orth_complement(outer)
+            d = sub.Subspace(inner.ambient, inner.basis.conj())
+            verdict = sub.contains(sub.annihilator(k), d)
+            assert chn._in_annihilator(k, d) == verdict, (t, delta, g)
+            assert t == EQ_TOL or verdict == (g <= EQ_TOL), (t, delta, g)
+
+
+def _planted_gap(rng, sin_top, equal, exact):
+    """Outer span Q[:, :p] and inner span of cos(th_j) Q[:, j] + sin(th_j) Q[:, p + j]
+    for j < k, in a frame Q of C^n, n <= 128: a random unitary one, or, if
+    ``exact``, a permutation, in which the residual holds the sines exactly.
+    The gap of inner from outer is the largest sine, ``sin_top``, which all
+    k share if ``equal``."""
+    k = int(rng.integers(1, 7))
+    p = int(rng.integers(k, k + 8))
+    n = int(rng.integers(p + k, 129))
+    if exact:
+        q = np.eye(n, dtype=complex)[:, rng.permutation(n)]
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sines = np.full(k, sin_top)
+    if not equal:
+        sines[1:] *= rng.random(k - 1)
+    inner = q[:, :k] * np.sqrt(1 - sines ** 2) + q[:, p:p + k] * sines
+    return sub.Subspace(n, q[:, :p]), sub.Subspace(n, inner), sines
 
 
 def test_contains_at_tol_one_admits_everything():
