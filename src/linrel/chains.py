@@ -249,8 +249,11 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
     m_len, n_len = min(len(chains.ms), a.x_dim + 2), min(len(chains.ns), a.x_dim + 1)
 
-    report["equality_m"] = len(ms_dual) > 1 and ms_dual[1].is_same(
-        sub.annihilator(chains.image(a, b, "n", 0)))
+    # M'_1 = (B(N_1))-perp: with equal dimensions the two directed gaps
+    # agree, so one containment, read off K^T U_D, decides it.
+    b_n1 = chains.image(a, b, "n", 0)
+    report["equality_m"] = (len(ms_dual) > 1 and ms_dual[1].dim == a.y_dim - b_n1.dim
+                            and _in_annihilator(b_n1, ms_dual[1]))
     report["nu"] = chains.nu
     report["nu_dual"] = nu_dual
     report["equality_nu"] = (chains.nu == nu_dual)

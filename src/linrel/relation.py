@@ -143,8 +143,11 @@ class LinearRelation:
 
     @cached_property
     def _inverse(self) -> "LinearRelation":
-        """:func:`inverse`, built once for every preimage, handed the split of Gy."""
-        _ = self._y_svd  # the inverse's split of Gx, which each preimage reads
+        """:func:`inverse`, built once for every preimage, handed both splits:
+        that of Gy, the inverse's split of Gx, which each preimage reads, and
+        that of Gx, the inverse's split of Gy, whose cut decides whether the
+        preimage's span needs a rank cut of its own."""
+        _ = self._y_svd, self._x_svd
         return inverse(self)
 
     @property
@@ -380,8 +383,10 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     """T(M) = {Gy c : Gx c in M}, from t's cached split Gx = U_r S_r V_r^H
     with null block V_0: c spans V_0 and V_r orth(S_r^-1 U_r^H M'), one QR
     of full column rank and no rank cut, where M' = M ^ D(T) is M, or when
-    D(T) != X the null space of (I - P_D) M from one svd_split.  Flagged
-    as D's split, the graph, M and the M ^ D cut are."""
+    D(T) != X the null space of (I - P_D) M from one svd_split.  The span
+    of Gy c is one QR where t's own cut of Gy already keeps every column
+    of Gy c (T injective, Gy clear of the band), else one thin SVD.
+    Flagged as D's split, the graph, M, the M ^ D cut and that SVD are."""
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
     dom, split = t._x_svd
@@ -389,13 +394,19 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     if dom.dim < t.x_dim:
         cut = sub.svd_split(dom.residual(basis))
         basis, near = basis @ cut.null, near or cut.near
+    # c is orthonormal before Gy applies: with S_r^-1's spread in it, the
+    # product's rounding would swamp the image's small directions.
     q = np.linalg.qr((dom.basis.conj().T @ basis) / split.svals[: dom.dim, None])[0]
-    c = np.hstack([split.right[:, : dom.dim] @ q, split.null])
-    return sub.span(t._gy @ c, ambient=t.y_dim, near=near)
+    cols = t._gy @ np.hstack([split.right[:, : dom.dim] @ q, split.null])
+    if cols.shape[1] and sub.keeps_every_column(t._y_svd[1]):
+        return Subspace(t.y_dim, np.linalg.qr(cols)[0], sv_near_cut=near)
+    return sub.span(cols, ambient=t.y_dim, near=near)
 
 
 def preimage(t: LinearRelation, n: Subspace) -> Subspace:
-    """T^{-1}(N) = image of N under the inverse relation."""
+    """T^{-1}(N) = image of N under the inverse relation, which reads t's
+    split of Gy as its split of Gx and t's split of Gx as its split of Gy:
+    when N(T^-1) = T(0) is {0} and Gx is clear of the band, one QR."""
     return image(t._inverse, n)
 
 
@@ -405,12 +416,13 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     The graph is the bilinear annihilator, inside Y (+) X, of
     {(y, -x) : (x, y) in G(T)}; equivalently the pairs (y', x') with
     [y, y'] = [x, x'] for every (x, y) in the graph.  For a matrix
-    operator this is the plain transpose.
+    operator this is the plain transpose.  [Gy; -Gx], a row permutation
+    and sign change of t's checked graph basis, is an orthonormal basis of
+    that set as it stands, with no SVD; its annihilator takes one.
     """
-    flipped = np.vstack([t._gy, -t._gx])
-    neg_inv_graph = sub.span(flipped, ambient=t.y_dim + t.x_dim,
-                             near=t.graph.sv_near_cut)
-    return LinearRelation(t.y_dim, t.x_dim, sub.annihilator(neg_inv_graph))
+    flipped = Subspace(t.y_dim + t.x_dim, np.vstack([t._gy, -t._gx]),
+                       sv_near_cut=t.graph.sv_near_cut)
+    return LinearRelation(t.y_dim, t.x_dim, sub.annihilator(flipped))
 
 
 def equals(s: LinearRelation, t: LinearRelation, tol: float = EQ_TOL) -> bool:

@@ -11,7 +11,9 @@ singular values); nothing here samples spheres.
 Every rank decision in the library is made by :func:`_rank_cut`, reached
 through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span and
 null space) or :func:`diagonal_split` (singular values whose vectors come
-later).
+later).  Where a split's own cut already fixes the cut of m c for every
+orthonormal c (:func:`keeps_every_column`), a caller may take the span of
+m c from one QR, with no cut of its own: it is the one :func:`span` gives.
 Every projection residual x - P_S x is :meth:`Subspace.residual`.
 A containment verdict reads the Frobenius bracket of its residual and
 takes an SVD only where the bracket straddles the tolerance; :func:`gap`,
@@ -37,6 +39,7 @@ __all__ = [
     "Split",
     "svd_split",
     "diagonal_split",
+    "keeps_every_column",
     "sum",
     "intersect",
     "orth_complement",
@@ -215,6 +218,19 @@ def diagonal_split(svals: np.ndarray, floor: float = 0.0) -> Split:
     return Split(right[:, :rank], right[:, rank:], near, svals, right)
 
 
+def keeps_every_column(split: Split) -> bool:
+    """True when the split's cut decides that of m c for every orthonormal c:
+    m has full column rank and its smallest value is at least twice the top
+    of ``SV_BAND`` times its largest one, and twice ``RANK_ABS``.  The values
+    of m c lie between m's smallest and largest, so normalised each one
+    clears the band, ``RANK_REL`` and ``RANK_ABS`` (the factor 2 is far above
+    rounding): :func:`_rank_cut` would keep every column of m c, unflagged.
+    An empty m decides nothing."""
+    s = split.svals
+    return (split.null.shape[1] == 0 and s.size > 0
+            and s[-1] >= 2 * max(SV_BAND[1] * s[0], RANK_ABS))
+
+
 def sum(s1: Subspace, s2: Subspace) -> Subspace:
     """Span of the union of two subspaces of the same ambient space."""
     if s1.ambient != s2.ambient:
@@ -223,15 +239,19 @@ def sum(s1: Subspace, s2: Subspace) -> Subspace:
                 near=s1.sv_near_cut or s2.sv_near_cut)
 
 
-def orth_complement(s: Subspace) -> Subspace:
-    """Orthogonal complement under the conjugate inner product; that of
-    {0} or of the whole space is known by dimension, with no SVD."""
+def _complement_basis(s: Subspace) -> np.ndarray:
+    """An orthonormal basis of the orthogonal complement; that of {0} or of
+    the whole space is known by dimension, with no SVD."""
     if s.dim in (0, s.ambient):
-        return Subspace(s.ambient, np.eye(s.ambient, dtype=complex)[:, s.dim:], s.sv_near_cut)
+        return np.eye(s.ambient, dtype=complex)[:, s.dim:]
     # Full SVD of the basis: the trailing left singular vectors span the
     # complement exactly (the basis is orthonormal, all svals are 1).
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(s.ambient, u[:, s.dim:], s.sv_near_cut)
+    return np.linalg.svd(s.basis, full_matrices=True)[0][:, s.dim:]
+
+
+def orth_complement(s: Subspace) -> Subspace:
+    """Orthogonal complement under the conjugate inner product."""
+    return Subspace(s.ambient, _complement_basis(s), s.sv_near_cut)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -246,9 +266,10 @@ def annihilator(s: Subspace) -> Subspace:
 
     The dual space is identified with the ambient space coordinate-wise,
     so the annihilator is the entrywise conjugate of the orthogonal
-    complement.  Conjugation preserves orthonormality.
+    complement.  Conjugation preserves orthonormality, so the complement's
+    basis is read once and only its conjugate is built.
     """
-    return Subspace(s.ambient, orth_complement(s).basis.conj(), s.sv_near_cut)
+    return Subspace(s.ambient, _complement_basis(s).conj(), s.sv_near_cut)
 
 
 def distance(v, s: Subspace) -> float:

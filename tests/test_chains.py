@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from linrel import metrics as met
 from linrel import relation as rel
 from linrel import stability as stab
 from linrel import subspace as sub
+from linrel.tolerances import EQ_TOL
 
 
 def _e1(n=2):
@@ -339,9 +341,16 @@ def test_shared_chains_match_per_call_chains(rng):
 
 
 def test_shared_chains_match_when_chains_never_stabilize(rng, monkeypatch):
-    # With is_same always False every chain runs to its step limit, so a
-    # longer n or max_n has to rebuild the shared chains longer.
-    monkeypatch.setattr(sub.Subspace, "is_same", lambda self, other, tol=0.0: False)
+    # With the chain step's stop test always False every chain runs to its
+    # step limit, so a longer n or max_n has to rebuild the shared chains
+    # longer.  Every other is_same, such as the reference's equality_m,
+    # keeps its verdict.
+    real = sub.Subspace.is_same
+
+    def is_same(self, other, tol=EQ_TOL):
+        return sys._getframe(1).f_code is not chn._steps.__code__ and real(self, other, tol)
+
+    monkeypatch.setattr(sub.Subspace, "is_same", is_same)
     for make in _pairs(rng):
         _check_identity(make)
 

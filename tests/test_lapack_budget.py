@@ -12,24 +12,31 @@ one adds exactly one SVD of Z with vectors, which the graph and the range
 read too, and its own two gaps: 3 + 1 SVDs.  The domain D(A) ^ D(B) and
 the common kernel are the pencil family's, computed once.
 
-One chain step is an image and a preimage.  On a relation whose split
-Gx = U S V^H is cached, an image is one QR of an r x dim M matrix and one
-thin SVD, its span, with no full SVD; a relation whose domain is not all
-of X adds one full SVD of (I - P_D) M, at most x x dim M, for M ^ D(T).  A
-preimage is the image under the relation's inverse, which is built once
-and reads the relation's split of Gy as its own split of Gx.  Once a
-relation's domain, range, kernel and T(0) are read, those of its inverse
-cost no SVD.
+One chain step is an image and a preimage.  On a relation whose splits
+of Gx = U S V^H and of Gy are cached, an image takes no full SVD of a
+graph block.  It is one QR of an r x dim M matrix, which makes the
+coefficients c orthonormal, and then the span of Gy c.  Under an injective
+relation whose Gy is clear of the rank cut's band, the relation's own cut
+of Gy fixes that span's rank, and the span is one QR of the y x k matrix
+Gy c and no SVD.  Under any other relation it is one thin SVD.  A relation
+whose domain is not all of X adds one full SVD of (I - P_D) M, at most
+x x dim M, for M ^ D(T).  A preimage is the image under the relation's inverse, which
+is built once and is handed both of the relation's splits, of Gy as its
+own split of Gx and of Gx as its own split of Gy.  Once a relation's
+domain, range, kernel and T(0) are read, those of its inverse cost no SVD.
+An adjoint's graph is the annihilator of t's graph basis with its blocks
+swapped, one full SVD and no thin one.
 
 The chain reports of one pair build its M and N chains once, and
 ``verify_nu_duality`` builds those of the adjoint pair once more.  Every
 containment verdict reads the Frobenius bracket of its residual first, so
 a gap far from the tolerance takes no SVD: a chain report whose gaps are
-all decisive takes none for its table.  An adjoint-sequence check asks
-whether a dual chain entry D lies in the annihilator of a kept image K,
-which is ||K^T U_D|| <= tol: it builds no complement.  ``verify_nu_duality``
-builds one, for M'_1 = (B(N_1))-perp, besides the two adjoint graphs, and
-takes the images of the two chains' last entries once.
+all decisive takes none for its table.  An adjoint-sequence check, and
+M'_1 = (B(N_1))-perp once the dimensions agree, asks whether a dual chain
+entry D lies in the annihilator of a kept image K, which is
+||K^T U_D|| <= tol: it builds no complement.  ``verify_nu_duality``
+builds the two adjoint graphs' annihilators and no other, and takes the
+images of the two chains' last entries once.
 
 The relative-bound check solves for B's induced operator on D(A), and for
 A's when tau > 0, from one least-squares call each.
@@ -219,9 +226,9 @@ def _lapack_calls(monkeypatch) -> list:
 
 def test_chain_step_budget(monkeypatch, rng):
     a, b = _deep_pair(7, 5, seed=3)
-    relations = (a, b, a._inverse, b._inverse)  # an inverse reads t's split of Gy
-    for t in relations:
-        _ = t._x_svd
+    # Building the inverses computes both splits of a and b and hands them
+    # over: no relation here computes a split inside an image.
+    relations = (a, b, a._inverse, b._inverse)
     seen = _lapack_calls(monkeypatch)
     proper = set()
     for t in relations:
@@ -230,12 +237,18 @@ def test_chain_step_budget(monkeypatch, rng):
             m = sub.random_subspace(t.x_dim, d, rng)
             seen.clear()
             rel.image(t, m)
-            kinds = [call[0] for call in seen]
             full = [call[1] for call in seen if call[0] == "svd" and call[2]]
-            assert kinds.count("qr") == 1 and kinds.count("svd") == 1 + len(full), seen
+            thin = [call[1] for call in seen if call[0] == "svd" and not call[2]]
+            # The QR that makes c orthonormal, then the span of Gy c: a QR
+            # where t's cut of Gy decides it, a thin SVD under a (N(A) != {0}).
+            assert [call[0] for call in seen].count("qr") == 1 + (t is not a), seen
+            assert len(thin) == (t is a), seen
             # M ^ D(T) from (I - P_D) M where D(T) is not all of X.
             assert full == ([(t.x_dim, d)] if dom.dim < t.x_dim else []), seen
             proper |= {dom.dim < t.x_dim}
+        seen.clear()
+        rel.adjoint(t)
+        assert seen == [("svd", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
     assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
 
 
@@ -299,9 +312,9 @@ def test_nu_duality_builds_no_annihilator_target(calls, monkeypatch):
     # Every gap of the table is far from CHAIN_BAND: its brackets decide all.
     used = _counted(calls, lambda: chn.chain_report(a, b))
     assert used == {"svd": 0, "lstsq": 0}, used
-    ambients, full, real = [], [], sub.orth_complement
+    ambients, full, real = [], [], sub.annihilator
 
-    def complement(s):
+    def annihilator(s):
         ambients.append(s.ambient)
         return real(s)
 
@@ -310,15 +323,16 @@ def test_nu_duality_builds_no_annihilator_target(calls, monkeypatch):
             full.append(m)
         return _real(m, *args, **kwargs)
 
-    monkeypatch.setattr(sub, "orth_complement", complement)
+    monkeypatch.setattr(sub, "annihilator", annihilator)
     monkeypatch.setattr(np.linalg, "svd", svd)
-    assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
-    # The adjoint graphs, and the one annihilator M'_1 = (B(N_1))-perp is
-    # compared with; the containment targets are read as K^T U_D.
-    assert sorted(ambients) == [a.y_dim] + [a.x_dim + a.y_dim] * 2, ambients
+    report = chn.verify_nu_duality(a, b)
+    assert report["adjoint_sequences_hold"] and report["equality_m"]
+    # The two adjoint graphs; M'_1 = (B(N_1))-perp and the containment
+    # targets are read as K^T U_D.
+    assert ambients == [a.x_dim + a.y_dim] * 2, ambients
     kept = chains.ms.images + chains.ns.images
     imaged = [k for k in kept if any(m is k.basis for m in full)]
-    assert imaged == [chains.ns.images[0]], imaged
+    assert imaged == [], imaged
 
 
 def _count_calls(monkeypatch, targets) -> dict:

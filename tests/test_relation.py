@@ -271,6 +271,69 @@ def test_image_of_widely_scaled_operators_keeps_the_relations_decisions(rng):
     assert len(cases) > 2500 and len(parted) <= len(cases) // 100, (len(cases), parted)
 
 
+def _span_image(t, m):
+    """T(M) with the span's own rank cut: c orthonormalised by one QR, then
+    one thin SVD of Gy c, the construction an image under an injective
+    relation whose Gy is clear of the band no longer takes."""
+    dom, split = t._x_svd
+    basis, near = m.basis, split.near or t.graph.sv_near_cut or m.sv_near_cut
+    if dom.dim < t.x_dim:
+        cut = sub.svd_split(dom.residual(basis))
+        basis, near = basis @ cut.null, near or cut.near
+    q = np.linalg.qr((dom.basis.conj().T @ basis) / split.svals[: dom.dim, None])[0]
+    c = np.hstack([split.right[:, : dom.dim] @ q, split.null])
+    return sub.span(t._gy @ c, ambient=t.y_dim, near=near)
+
+
+def _graded_relation(rng, smallest):
+    """An injective relation from X to Y whose Gy has the singular values
+    s / sqrt(1 + s^2) of s = [1e8, 1, ``smallest``] and, when T(0) is not
+    {0}, 1: D(T) is X or a proper subspace of it."""
+    x, y = int(rng.integers(3, 6)), int(rng.integers(4, 7))
+    mv = int(rng.integers(0, y - 2))
+    v = np.linalg.qr(rng.standard_normal((x, 3)) + 1j * rng.standard_normal((x, 3)))[0]
+    uw = np.linalg.qr(rng.standard_normal((y, 3 + mv)) + 1j * rng.standard_normal((y, 3 + mv)))[0]
+    cols = rel._cs_columns(v, uw[:, :3], np.array([1e8, 1.0, smallest]))
+    t0 = np.vstack([np.zeros((x, mv)), uw[:, 3:]])
+    return rel.from_graph(sub.Subspace(x + y, np.hstack([cols, t0])), x, y)
+
+
+def test_injective_image_matches_the_span_image(rng):
+    # Where t's cut of Gy fixes the image's rank (one QR), the image has the
+    # span image's dimension, flag and span, and an orthonormal basis.
+    relations = []
+    for _ in range(40):
+        for base in stab.generate(stab.random_feasible_spec(rng, max_dim=6)):
+            for t in (base, rel.inverse(base), rel.adjoint(base)):
+                relations += [t, rel.scalar_mul(1e5, t), rel.scalar_mul(1e-5, t)]
+    for _ in range(60):
+        x, y = (int(n) for n in rng.integers(1, 7, 2))
+        k = min(x, y)
+        u, v = (np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+                for n in (y, x))
+        a = rel.from_matrix((u * np.sort(10.0 ** rng.uniform(-8, 8, k))[::-1]) @ v.conj().T)
+        relations += [a, rel.inverse(a)]
+    # Both sides of the switch at twice the band's top: 2e-6.
+    graded = {smallest: [_graded_relation(rng, smallest) for _ in range(12)]
+              for smallest in (1e-6, 1.9e-6, 2.1e-6, 1e-5)}
+    for smallest, ts in graded.items():
+        assert {sub.keeps_every_column(t._y_svd[1]) for t in ts} == {smallest > 2e-6}
+        relations += ts
+    relations += [rel.from_graph(sub.zero_subspace(x + y), x, y) for x, y in ((1, 1), (3, 2))]
+    cases = [(t, m) for t in relations for _, m in _every_dimension(t, rng)]
+    decided = proper = 0
+    for t, m in cases:
+        new, old = rel.image(t, m), _span_image(t, m)
+        assert (new.dim, new.sv_near_cut) == (old.dim, old.sv_near_cut), (t, m.dim)
+        assert new.is_same(old, EQ_TOL), (t, m.dim)
+        gram = new.basis.conj().T @ new.basis - np.eye(new.dim)
+        assert np.abs(gram).max(initial=0.0) <= 1e-12, (t, m.dim)
+        if sub.keeps_every_column(t._y_svd[1]):
+            decided += 1
+            proper += t.domain.dim < t.x_dim
+    assert decided > len(cases) // 4 and proper > 100, (len(cases), decided, proper)
+
+
 def test_adjoint_is_transpose_for_matrices(rng):
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     adj = rel.adjoint(rel.from_matrix(m))
