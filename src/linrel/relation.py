@@ -120,18 +120,13 @@ class LinearRelation:
 
     def _induced_svals(self) -> np.ndarray:
         """Singular values of the induced injective operator, from the cached
-        full SVD Gy = U S V^H of the graph's Y block.
-
-        The graph basis G = [Gx; Gy] is orthonormal, so Gx^H Gx = I - Gy^H Gy
-        and the columns G v_j are orthogonal with ||Gx v_j||^2 + s_j^2 = 1
-        (the CS decomposition; Paige & Wei, 1994).  The last dim G - dim R(T)
-        span N(T) (+) {0}.  Of the first dim R(T), the dim G - dim D(T) of
-        least ||Gx v_j|| (not the first: a tiny X part ties at s_j ~ 1) span
-        {0} (+) T(0); the rest, Gx v_j / ||Gx v_j||, are an orthonormal basis
-        of D(T) ^ N(T)-perp, with images Gy v_j / ||Gx v_j|| orthogonal to
-        each other and to T(0), of norm s_j / ||Gx v_j||.  Both counts are
-        rank decisions the relation has already made.
-        """
+        split Gy = U S V^H.  G = [Gx; Gy] is orthonormal, so the columns G v_j
+        are orthogonal with ||Gx v_j||^2 + s_j^2 = 1 (the CS decomposition;
+        Paige & Wei, 1994).  The last dim G - dim R(T) span N(T) (+) {0}.  Of
+        the first dim R(T), the dim G - dim D(T) of least ||Gx v_j|| (not the
+        first: a tiny X part ties at s_j ~ 1) span {0} (+) T(0); the rest map
+        the orthonormal Gx v_j / ||Gx v_j|| of D(T) ^ N(T)-perp to orthogonal
+        images, of norm s_j / ||Gx v_j||, orthogonal to T(0)."""
         split = self._y_svd[1]
         drop, hi = self.graph.dim - self.domain.dim, self.range.dim
         if hi <= drop:
@@ -142,11 +137,25 @@ class LinearRelation:
         return split.svals[keep] / nx[keep]
 
     @cached_property
+    def _image_map(self) -> tuple:
+        """What every image under T reads of its cached split Gx = U_r S_r
+        V_r^H with null block V_0: S_r^-1 U_r^H, Gy V_r, Gy V_0, the split's
+        flag with the graph's, and D(T) where it is not all of X, else None."""
+        dom, split = self._x_svd
+        gv = self._gy @ split.right
+        return (dom.basis.conj().T / split.svals[: dom.dim, None], gv[:, : dom.dim],
+                gv[:, dom.dim:], split.near or self.graph.sv_near_cut,
+                dom if dom.dim < self.x_dim else None)
+
+    @cached_property
+    def _keeps_every_column(self) -> bool:
+        """:func:`subspace.keeps_every_column` of T's cut of Gy."""
+        return sub.keeps_every_column(self._y_svd[1])
+
+    @cached_property
     def _inverse(self) -> "LinearRelation":
         """:func:`inverse`, built once for every preimage, handed both splits:
-        that of Gy, the inverse's split of Gx, which each preimage reads, and
-        that of Gx, the inverse's split of Gy, whose cut decides whether the
-        preimage's span needs a rank cut of its own."""
+        T's split of Gy is the inverse's split of Gx, and T's of Gx its of Gy."""
         _ = self._y_svd, self._x_svd
         return inverse(self)
 
@@ -163,10 +172,8 @@ def from_matrix(a) -> LinearRelation:
     """Embed a single-valued, everywhere-defined operator given by a matrix.
 
     The matrix maps X to Y, so it has y_dim rows and x_dim columns.  The
-    graph is stored in CS form from one SVD A = U S V^H: v_j maps to s_j u_j,
-    each to its own relative precision, where an SVD of [I; A] puts an
-    error of eps ||A|| on every column.  [I; A] has full rank, so no rank
-    is cut.
+    graph is stored in CS form, A = U S V^H: v_j maps to s_j u_j, each to
+    its own relative precision.  No rank is cut.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -240,30 +247,20 @@ def add(s: LinearRelation, t: LinearRelation) -> LinearRelation:
 def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     """lam -> A - lam*B, graph {(x, y1 - lam*y2) : (x,y1) in G(A), (x,y2) in G(B)}.
 
-    null([Gx_A, -Gx_B]) pairs the columns of [X; Y1] and [X; Y2] once; the
-    family shares D(A - lam*B) = span(X) = span(Q), X = Q S W^H of rank r.
-    In the coordinates [W_r S_r^-1, W_0] the graph is span{[0; P], [Q; Z]}:
-    P spans T(0) = span((Y1 - lam*Y2) W_0), Z = Z1 - lam*Z2 is (Y1 -
-    lam*Y2) W_r S_r^-1 in coordinates of T(0)-perp.  The common kernel K0 =
-    null([Z1; Z2]) lies in N(A - lam*B) at every lam, so it is split off
-    once per family (the first step of a staircase reduction; Van Dooren,
-    1979) when Z vanishes on it to rounding, and Z is taken on its
-    complement K0-perp.  With Z = U diag(s) V^H,
-    C = (1 + s^2)^-1/2, [[0, QVC, QK0], [P, UsC, 0]] is orthonormal (the CS
-    form; Paige & Wei, 1994): dim G = dim D + dim T(0), and Gy is its own
-    SVD with values [1, sC, 0] and right factor I.
-    Each lam costs one SVD of Z without vectors (y x (r - dim K0)), and one
-    of the T(0) block when W_0 is not empty.  The one rank decision cuts
-    [1, sC] no lower than Z's rounding level eps (1 + |lam|) / s_r; alpha,
-    beta, gamma and the flags read it.  When Z has full column rank the
-    kernel is the family's span(QK0).  U, V, the graph and the range come
-    from one SVD of Z with vectors, when first read or when the kernel grows
-    past K0, and keep the rank already decided.
-    Graphs, domain and T(0) carry the near-cut flags of these splits and of
-    both input graphs; graphs and kernels also that of K0.  The family is
-    built once per pair and kept in its :func:`_pair` record, so
-    :func:`pencil`, :func:`add` and every sweep of the pair share its
-    set-up.
+    Every point shares D(A - lam*B) = span(X) = span(Q), X = Q S W^H of
+    rank r, where null([Gx_A, -Gx_B]) pairs the columns of [X; Y1] and [X;
+    Y2].  In the coordinates [W_r S_r^-1, W_0] the graph is span{[0; P],
+    [Q; Z]}: P spans T(0), and Z = Z1 - lam*Z2 is taken on T(0)-perp and,
+    where it vanishes there to rounding, on the complement of the common
+    kernel K0 = null([Z1; Z2]) (a staircase step; Van Dooren, 1979).  With
+    Z = U diag(s) V^H and C = (1 + s^2)^-1/2, [[0, QVC, QK0], [P, UsC, 0]]
+    is orthonormal (the CS form; Paige & Wei, 1994).  A point's one rank
+    decision cuts [1, sC] no lower than Z's rounding level eps (1 + |lam|)
+    / s_r; alpha, beta, gamma, the kernel (the family's span(QK0), one
+    object per flag, where Z has full column rank) and every flag read it,
+    and the graph and range keep it.  Graphs, domain and T(0) carry the
+    flags of these splits and of both input graphs; graphs and kernels also
+    that of K0.  The family is kept in the pair's :func:`_pair` record.
     """
     if a.x_dim != b.x_dim or a.y_dim != b.y_dim:
         raise ValueError("dimension mismatch between summands")
@@ -290,18 +287,25 @@ class _PencilFamily:
         z1, z2 = y1 @ w, y2 @ w
         # [Z1; Z2] = QR: R has its singular values and V, at a fraction of its size.
         ks = sub.svd_split(np.linalg.qr(np.vstack([z1, z2]), mode="r"))
-        # K0 is split off only where [Z1; Z2] vanishes to Z's rounding level
-        # (its null values reach 5 noise on the test and benchmark pairs): a
-        # value the cut relative to ||[Z1; Z2]|| drops can top some Z(lam).
+        # K0 is split off only where [Z1; Z2] vanishes to Z's rounding level:
+        # a value the cut relative to ||[Z1; Z2]|| drops can top some Z(lam).
         k0 = ks.null.shape[1]
         self.k0 = k0 if ks.svals[self.r - k0:].max(initial=0.0) <= 64 * self.noise else 0
         # K0-perp, and I, which leaves Z's bits alone, when K0 = {0}.
         wp = ks.right[:, : self.r - self.k0] if self.k0 else np.eye(self.r)
         self.k0_near, self.qw = ks.near and self.k0 > 0, q @ wp
-        qk0 = q @ ks.null[:, : self.k0]
-        self.kernels = {flag: Subspace(self.x_dim, qk0, sv_near_cut=flag)
-                        for flag in (False, True)}
+        self.qk0 = q @ ks.null[:, : self.k0]
         self.z1, self.z2, self.m1, self.m2 = z1 @ wp, z2 @ wp, y1 @ xs.null, y2 @ xs.null
+        self._kernels = {}
+        # With no T(0) block, one empty T(0) for every point.
+        self.t0 = None if self.m1.shape[1] else Subspace(
+            self.y_dim, np.zeros((self.y_dim, 0)), sv_near_cut=self.near)
+
+    def kernel(self, flag: bool) -> Subspace:
+        """span(Q K0) flagged ``flag``: one object per flag, built on first read."""
+        if flag not in self._kernels:
+            self._kernels[flag] = Subspace(self.x_dim, self.qk0, sv_near_cut=flag)
+        return self._kernels[flag]
 
     def __call__(self, lam: complex) -> "_PencilPoint":
         return _PencilPoint(self, lam)
@@ -309,63 +313,65 @@ class _PencilFamily:
 
 class _PencilPoint(LinearRelation):
     """A - lam*B of a :func:`pencil_family`, values first: alpha, beta,
-    gamma and every flag read the cut of Z's singular values, with K0's
-    zeros appended; U, V, the graph and the range come from one SVD of Z
-    with vectors when first read, at the rank already cut."""
+    gamma and every flag read the one cut of Z's singular values; U, V, the
+    graph and the range, read later, keep that rank."""
 
     def __init__(self, fam: _PencilFamily, lam: complex):
         self.x_dim, self.y_dim, self._domain, self._fam = fam.x_dim, fam.y_dim, fam.domain, fam
-        z, p, flag, self._perp = fam.z1 - lam * fam.z2, np.zeros((fam.y_dim, 0)), fam.near, None
-        if fam.m1.shape[1]:  # P and a basis of T(0)-perp from one SVD, of M^H
+        z, t0, flag, self._perp = fam.z1 - lam * fam.z2, fam.t0, fam.near, None
+        if t0 is None:  # P and a basis of T(0)-perp from one SVD, of M^H
             ts = sub.svd_split((fam.m1 - lam * fam.m2).conj().T)
-            self._perp, flag = ts.null, fam.near or ts.near
-            p, z = ts.right[:, : fam.y_dim - ts.null.shape[1]], ts.null.conj().T @ z
-        s = np.linalg.svd(z, compute_uv=False)
-        self._p, self._z, self._s = p, z, np.concatenate([s, np.zeros(fam.r - s.size)])
-        floor = fam.noise * (1 + abs(lam))
-        self._cut = sub.diagonal_split(
-            np.concatenate([np.ones(p.shape[1]), self._s / np.hypot(1.0, self._s)]),
-            floor / np.hypot(1.0, floor))
+            self._perp, flag, z = ts.null, fam.near or ts.near, ts.null.conj().T @ z
+            t0 = Subspace(fam.y_dim, ts.right[:, : fam.y_dim - ts.null.shape[1]], flag)
+        self._p, self._z, self._s = t0.basis, z, np.linalg.svd(z, compute_uv=False)
+        values, floor = self._s / np.hypot(1.0, self._s), fam.noise * (1 + abs(lam))
+        if t0.dim:
+            values = np.concatenate([np.ones(t0.dim), values])
+        self._rank, self._near = sub.values_rank(values, floor / np.hypot(1.0, floor))
         self._flag = flag or fam.k0_near  # the graph's
-        self.__dict__["multivalued_part"] = Subspace(fam.y_dim, p, sv_near_cut=flag)
+        self.__dict__["multivalued_part"] = t0
 
     @property
     def _range_dim(self) -> int:
-        return self._cut.span.shape[1]
+        return self._rank
 
     def _induced_svals(self) -> np.ndarray:
         """The kept singular values of Z."""
-        return self._s[: self._range_dim - self._p.shape[1]]
+        return self._s[: self._rank - self._p.shape[1]]
 
     @cached_property
-    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """U, in Y coordinates, and Q [W V, K0] from one SVD Z W = U S V^H
-        with vectors; the values stay those of the values-only SVD."""
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U, in Y coordinates, and Q [W V, K0] from Z W = U S V^H, and
+        the values first cut, with a 0 for each further column of Q [W V, K0]."""
         u, _, vh = np.linalg.svd(self._z, full_matrices=self._z.shape[1] > self._z.shape[0])
-        qv = np.hstack([self._fam.qw @ vh.conj().T, self._fam.kernels[False].basis])
-        return (u if self._perp is None else self._perp @ u), qv
+        qv = np.hstack([self._fam.qw @ vh.conj().T, self._fam.qk0])
+        s = np.concatenate([self._s, np.zeros(self._fam.r - self._s.size)])
+        return (u if self._perp is None else self._perp @ u), qv, s
 
     @cached_property
     def graph(self) -> Subspace:
-        u, qv = self._vectors
+        u, qv, s = self._vectors
         t0 = np.vstack([np.zeros((self.x_dim, self._p.shape[1])), self._p])
-        return Subspace(self.x_dim + self.y_dim, np.hstack([t0, _cs_columns(qv, u, self._s)]),
+        return Subspace(self.x_dim + self.y_dim, np.hstack([t0, _cs_columns(qv, u, s)]),
                         sv_near_cut=self._flag)
 
     @cached_property
     def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the closed-form split of Gy = [P, U] diag(values)."""
-        left = np.hstack([self._p, self._vectors[0]])
-        split = self._cut._replace(span=left[:, : self._range_dim])
-        return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
+        """R(T) and the closed-form split of Gy = [P, U] diag([1, sC, 0]) I."""
+        s = self._vectors[2]
+        values = np.concatenate([np.ones(self._p.shape[1]), s / np.hypot(1.0, s)])
+        right = np.eye(values.size, dtype=complex)
+        span = np.hstack([self._p, self._vectors[0]])[:, : self._rank]
+        return (Subspace(self.y_dim, span, sv_near_cut=self._near),
+                sub.Split(span, right[:, self._rank:], self._near, values, right))
 
     @cached_property
     def kernel(self) -> Subspace:
-        """Q [W V, K0]'s columns past the kept values: span(Q K0) when Z
-        has full column rank, read with no SVD."""
-        flag, kept = self._flag or self._cut.near, self._range_dim - self._p.shape[1]
+        """Q [W V, K0]'s columns past the kept values: the family's span(Q K0)
+        when Z has full column rank."""
+        flag, kept = self._flag or self._near, self._rank - self._p.shape[1]
         if kept == self._fam.r - self._fam.k0:
-            return self._fam.kernels[flag]
+            return self._fam.kernel(flag)
         return Subspace(self.x_dim, self._vectors[1][:, kept:], sv_near_cut=flag)
 
 
@@ -380,33 +386,30 @@ def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation
 
 
 def image(t: LinearRelation, m: Subspace) -> Subspace:
-    """T(M) = {Gy c : Gx c in M}, from t's cached split Gx = U_r S_r V_r^H
-    with null block V_0: c spans V_0 and V_r orth(S_r^-1 U_r^H M'), one QR
-    of full column rank and no rank cut, where M' = M ^ D(T) is M, or when
-    D(T) != X the null space of (I - P_D) M from one svd_split.  The span
-    of Gy c is one QR where t's own cut of Gy already keeps every column
-    of Gy c (T injective, Gy clear of the band), else one thin SVD.
-    Flagged as D's split, the graph, M, the M ^ D cut and that SVD are."""
+    """T(M) = {Gy c : Gx c in M}, read off t's image map: c spans V_0 and
+    V_r orth(S_r^-1 U_r^H M'), M' = M ^ D(T), and the span of Gy c takes a
+    rank cut of its own unless t's cut of Gy already decides it.  Flagged
+    as D's split, the graph, M and the cuts of M ^ D and of that span are."""
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
-    dom, split = t._x_svd
-    basis, near = m.basis, split.near or t.graph.sv_near_cut or m.sv_near_cut
-    if dom.dim < t.x_dim:
+    coef, gv, gv0, near, dom = t._image_map
+    basis, near = m.basis, near or m.sv_near_cut
+    if dom is not None:
         cut = sub.svd_split(dom.residual(basis))
         basis, near = basis @ cut.null, near or cut.near
-    # c is orthonormal before Gy applies: with S_r^-1's spread in it, the
-    # product's rounding would swamp the image's small directions.
-    q = np.linalg.qr((dom.basis.conj().T @ basis) / split.svals[: dom.dim, None])[0]
-    cols = t._gy @ np.hstack([split.right[:, : dom.dim] @ q, split.null])
-    if cols.shape[1] and sub.keeps_every_column(t._y_svd[1]):
+    # c is orthonormal before Gy V_r applies: with S_r^-1's spread in it,
+    # the product's rounding would swamp the image's small directions.
+    cols = gv @ np.linalg.qr(coef @ basis)[0]
+    if gv0.shape[1]:
+        cols = np.hstack([cols, gv0])
+    if cols.shape[1] and t._keeps_every_column:
         return Subspace(t.y_dim, np.linalg.qr(cols)[0], sv_near_cut=near)
     return sub.span(cols, ambient=t.y_dim, near=near)
 
 
 def preimage(t: LinearRelation, n: Subspace) -> Subspace:
-    """T^{-1}(N) = image of N under the inverse relation, which reads t's
-    split of Gy as its split of Gx and t's split of Gx as its split of Gy:
-    when N(T^-1) = T(0) is {0} and Gx is clear of the band, one QR."""
+    """T^{-1}(N): the image of N under t's one cached inverse, whose split
+    of Gx is t's split of Gy, and of Gy t's split of Gx."""
     return image(t._inverse, n)
 
 
@@ -418,7 +421,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     [y, y'] = [x, x'] for every (x, y) in the graph.  For a matrix
     operator this is the plain transpose.  [Gy; -Gx], a row permutation
     and sign change of t's checked graph basis, is an orthonormal basis of
-    that set as it stands, with no SVD; its annihilator takes one.
+    that set as it stands.
     """
     flipped = Subspace(t.y_dim + t.x_dim, np.vstack([t._gy, -t._gx]),
                        sv_near_cut=t.graph.sv_near_cut)

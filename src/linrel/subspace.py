@@ -10,14 +10,13 @@ singular values); nothing here samples spheres.
 
 Every rank decision in the library is made by :func:`_rank_cut`, reached
 through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span and
-null space) or :func:`diagonal_split` (singular values whose vectors come
-later).  Where a split's own cut already fixes the cut of m c for every
-orthonormal c (:func:`keeps_every_column`), a caller may take the span of
-m c from one QR, with no cut of its own: it is the one :func:`span` gives.
-Every projection residual x - P_S x is :meth:`Subspace.residual`.
-A containment verdict reads the Frobenius bracket of its residual and
-takes an SVD only where the bracket straddles the tolerance; :func:`gap`,
-the exact SVD, is for callers that need the value.
+null space) or :func:`values_rank` (singular values whose vectors come
+later, or never).  Where a split's own cut already fixes the cut of m c
+for every orthonormal c (:func:`keeps_every_column`), the span of m c is
+one QR with no cut of its own: the one :func:`span` gives.  Every
+projection residual x - P_S x is :meth:`Subspace.residual`.  A
+containment verdict is :func:`gap`'s side of the tolerance, read off the
+residual's Frobenius bracket where that settles it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ __all__ = [
     "span",
     "Split",
     "svd_split",
-    "diagonal_split",
+    "values_rank",
     "keeps_every_column",
     "sum",
     "intersect",
@@ -127,8 +126,7 @@ class Subspace:
 
     def is_same(self, other: "Subspace", tol: float = EQ_TOL) -> bool:
         """Mutual containment within ``tol``; spaces of two dimensions are
-        refused below tol 0.5 with no SVD, as :func:`contains` refuses a
-        larger inner space."""
+        refused below tol 0.5."""
         if self.dim != other.dim and tol < 0.5 and self.ambient == other.ambient:
             return False
         return contains(self, other, tol) and contains(other, self, tol)
@@ -208,24 +206,19 @@ def svd_split(m: np.ndarray) -> Split:
     return Split(u[:, :rank], right[:, rank:], near, s, right)
 
 
-def diagonal_split(svals: np.ndarray, floor: float = 0.0) -> Split:
-    """The split of a matrix known by its descending singular values alone,
-    read as diag(svals): ``span`` and ``null`` are columns of I, in the
-    coordinates of its singular vectors, computed later or never.  No
-    value at or below ``floor``, their rounding level, counts."""
-    rank, near = _rank_cut(svals, floor)
-    right = np.eye(svals.size, dtype=complex)
-    return Split(right[:, :rank], right[:, rank:], near, svals, right)
+def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
+    """The rank and flag of a matrix known by its descending singular
+    values alone.  No value at or below ``floor``, their rounding level,
+    counts; a trailing zero never counts or flags."""
+    return _rank_cut(svals, floor)
 
 
 def keeps_every_column(split: Split) -> bool:
-    """True when the split's cut decides that of m c for every orthonormal c:
-    m has full column rank and its smallest value is at least twice the top
-    of ``SV_BAND`` times its largest one, and twice ``RANK_ABS``.  The values
-    of m c lie between m's smallest and largest, so normalised each one
-    clears the band, ``RANK_REL`` and ``RANK_ABS`` (the factor 2 is far above
-    rounding): :func:`_rank_cut` would keep every column of m c, unflagged.
-    An empty m decides nothing."""
+    """True when m has full column rank and its smallest value is at least
+    twice ``RANK_ABS`` and twice the top of ``SV_BAND`` times its largest:
+    the values of m c, for any orthonormal c, lie between the two, so
+    :func:`_rank_cut` keeps every column of m c, unflagged.  An empty m
+    decides nothing."""
     s = split.svals
     return (split.null.shape[1] == 0 and s.size > 0
             and s[-1] >= 2 * max(SV_BAND[1] * s[0], RANK_ABS))
@@ -311,8 +304,7 @@ def _settled_gap(m: Subspace, n: Subspace, cuts) -> float:
 
 def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:
     """True iff gap(inner, outer) <= tol; the zero subspace is in everything.
-    A larger inner space (gap 1) is refused below tol 0.5 with no SVD, and
-    the SVD only where the residual's Frobenius bracket straddles tol."""
+    A larger inner space (gap 1) is refused below tol 0.5."""
     if inner.dim > outer.dim and tol < 0.5 and inner.ambient == outer.ambient:
         return False
     return _settled_gap(inner, outer, (tol,)) <= tol

@@ -9,20 +9,27 @@ point shares where Z has full column rank.  alpha, beta, gamma and the
 flags the sweep reads come from Z's values, so the loop builds no subspace
 of the graph's ambient x + y.  A point whose kernel grows past the common
 one adds exactly one SVD of Z with vectors, which the graph and the range
-read too, and its own two gaps: 3 + 1 SVDs.  The domain D(A) ^ D(B) and
-the common kernel are the pencil family's, computed once.
+read too, and its own two gaps: 3 + 1 SVDs.  A family with a T(0)
+block, where A(0) or B(0) is not {0}, adds one SVD of that block per
+point.  The domain D(A) ^ D(B) and the common kernel are the pencil
+family's, computed once; each kernel object, one per flag, is built on
+first read.  A point of a family with no T(0) block shares the family's
+one empty T(0), and its rank decision reads Z's values alone: it builds
+no identity, no split and no subspace until its range or graph is read.
 
 One chain step is an image and a preimage.  On a relation whose splits
 of Gx = U S V^H and of Gy are cached, an image takes no full SVD of a
-graph block.  It is one QR of an r x dim M matrix, which makes the
-coefficients c orthonormal, and then the span of Gy c.  Under an injective
-relation whose Gy is clear of the rank cut's band, the relation's own cut
-of Gy fixes that span's rank, and the span is one QR of the y x k matrix
-Gy c and no SVD.  Under any other relation it is one thin SVD.  A relation
-whose domain is not all of X adds one full SVD of (I - P_D) M, at most
-x x dim M, for M ^ D(T).  A preimage is the image under the relation's inverse, which
-is built once and is handed both of the relation's splits, of Gy as its
-own split of Gx and of Gx as its own split of Gy.  Once a relation's
+graph block.  It reads the relation's image map (S_r^-1 U_r^H, Gy V_r
+and Gy V_0), built once per relation, takes one QR of the r x dim M
+matrix S_r^-1 U_r^H M, which makes the coefficients c orthonormal, and
+then the span of Gy c.  Under an injective relation whose Gy is clear of
+the rank cut's band, the relation's own cut of Gy fixes that span's
+rank, and the span is one QR of the y x k matrix Gy c and no SVD.  Under
+any other relation it is one thin SVD.  A relation whose domain is not
+all of X adds one full SVD of (I - P_D) M, at most x x dim M, for M ^
+D(T).  A preimage is the image under the relation's inverse, which is
+built once and is handed both of the relation's splits, of Gy as its own
+split of Gx and of Gx as its own split of Gy.  Once a relation's
 domain, range, kernel and T(0) are read, those of its inverse cost no SVD.
 An adjoint's graph is the annihilator of t's graph basis with its blocks
 swapped, one full SVD and no thin one.
@@ -143,6 +150,25 @@ def test_sweep_lambda_point_budget(calls, monkeypatch):
     assert Counter(svds) == {(z_shape, False): len(grid),
                              ((a.x_dim, kernel), False): 2}, svds
     assert a.x_dim + a.y_dim not in ambients, ambients
+    # The family has no T(0) block, and the sweep has read its kernels: a
+    # point whose alpha, beta, gamma and kernel are read builds no basis.
+    family = rel.pencil_family(a, b)
+    assert family.m1.shape[1] == 0 and family.k0 == kernel
+    built = _count_calls(monkeypatch, ((np, "eye"),))
+    built["diagonal_split"] = 0
+    real_split = getattr(sub, "diagonal_split", None)
+
+    def diagonal_split(*args, **kwargs):
+        built["diagonal_split"] += 1
+        return real_split(*args, **kwargs)
+
+    monkeypatch.setattr(sub, "diagonal_split", diagonal_split, raising=False)
+    ambients.clear()
+    points = [family(lam) for lam in grid]
+    for p in points:
+        _ = met.alpha(p), met.beta(p), met.gamma(p), p.kernel
+    assert built == {"eye": 0, "diagonal_split": 0} and ambients == [], (built, ambients)
+    assert all(p.multivalued_part is family.t0 for p in points)
     # N(A) outside N(B): the common kernel is {0}, and N(A) grows past it at
     # lam = 0 alone.  That point keeps its 3 SVDs and adds the one with
     # vectors; the family's {0} has one nonzero gap, taken once.
@@ -250,6 +276,28 @@ def test_chain_step_budget(monkeypatch, rng):
         rel.adjoint(t)
         assert seen == [("svd", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
     assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
+
+
+def test_image_map_is_built_once(monkeypatch):
+    # One m_chain images under A and preimages under B: A and B's cached
+    # inverse each build their map once, and every image reads it.
+    a, b = _deep_pair(7, 5, seed=3)
+    built, real = [], rel.LinearRelation.__dict__["_image_map"].func
+
+    def image_map(t):
+        built.append(t)
+        return real(t)
+
+    counted = functools.cached_property(image_map)
+    counted.__set_name__(rel.LinearRelation, "_image_map")
+    monkeypatch.setattr(rel.LinearRelation, "_image_map", counted)
+    images = _count_calls(monkeypatch, ((rel, "image"),))
+    chain = chn.m_chain(a, b, a.x_dim + 1)
+    assert len(chain) > 3 and images["image"] >= 2 * (len(chain) - 1), (chain, images)
+    assert len(built) == 2 and built[0] is a and built[1] is b._inverse, built
+    # Preimages under A and images under B build their two maps once more.
+    chn.n_chain(a, b, a.x_dim + 1)
+    assert len(built) == 4 and {id(t) for t in built[2:]} == {id(b), id(a._inverse)}, built
 
 
 def test_inverse_reads_no_svd_for_its_parts(calls):

@@ -16,9 +16,14 @@ memo of what a pair has decided.  No function passes a graph block
 relation's cached split of Gx, not a new SVD of a residual of the block.
 No module but ``subspace`` compares a ``gap`` with a tolerance: every such
 verdict is ``contains``, which reads the residual's Frobenius bracket first.
+No docstring or comment quotes a timing or a benchmark measurement: those
+belong in CHANGES.md, and the call counts in ``test_lapack_budget``.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -383,3 +388,51 @@ def test_gap_comparison_detector(source):
 def test_gap_comparison_detector_allows_values_and_verdicts():
     source = "g = sub.gap(m, n)\nok = sub.contains(n, m)\nbad = r['gap_fwd'] > bound"
     assert not _gap_comparisons(ast.parse(source))
+
+
+_TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")
+_MEASUREMENT = re.compile(r"\bbenchmark|\bmeasured (?:on|at|over|in)\b", re.IGNORECASE)
+
+
+def _quoted_measurements(source: str) -> list[str]:
+    """Every docstring or comment that quotes a timing (a number, then ms,
+    µs, us, ns or s) or a benchmark measurement."""
+    texts = [(getattr(node, "lineno", 1), ast.get_docstring(node, clean=False))
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)) and ast.get_docstring(node)]
+    texts += [(tok.start[0], tok.string)
+              for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type == tokenize.COMMENT]
+    return [f"line {line}: {text.strip()[:70]}" for line, text in texts
+            if _TIMING.search(text) or _MEASUREMENT.search(text)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_docstring_or_comment_quotes_a_measurement(path):
+    found = _quoted_measurements(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} quotes a measurement: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    '"""Takes 3 ms per call."""',
+    'def f():\n    """0.85 ms per lambda at n = 64."""',
+    'class C:\n    def f(self):\n        """About 120 µs."""',
+    "x = 1  # 12 us each",
+    "# a sweep takes 2.5 s on the host",
+    "# 40ns per dispatch",
+    'class C:\n    """Measured on the benchmark pairs."""',
+    "# its null values reach 5 noise on the test and benchmark pairs",
+    "y = 2  # measured over 6 pairs",
+], ids=["module-ms", "function-ms", "method-us", "comment-us", "comment-s", "comment-ns",
+        "class-benchmark", "comment-benchmark", "comment-measured"])
+def test_quoted_measurement_detector(source):
+    assert _quoted_measurements(source)
+
+
+def test_quoted_measurement_detector_allows_contracts_and_code():
+    source = ('"""One SVD of Z per lam; s_r is its smallest value, eps (1 + |lam|) / s_r."""\n'
+              'took = "3 ms"  # a string in code, not a docstring\n'
+              'doc = {"measured": measured}  # the instance file\'s measured block\n'
+              "def f(s):\n    \"\"\"[1, sC, 0] over 2 x 2 blocks.\"\"\"\n")
+    assert not _quoted_measurements(source)

@@ -300,12 +300,17 @@ def _graded_relation(rng, smallest):
 
 def test_injective_image_matches_the_span_image(rng):
     # Where t's cut of Gy fixes the image's rank (one QR), the image has the
-    # span image's dimension, flag and span, and an orthonormal basis.
-    relations = []
+    # span image's dimension, flag and span, and an orthonormal basis.  So
+    # has every image read off t's map: where D(T) != X, dim G = 0 or M =
+    # {0}, and under a cached inverse (a preimage) or an adjoint.
+    relations, kinds = [], {}
     for _ in range(40):
         for base in stab.generate(stab.random_feasible_spec(rng, max_dim=6)):
             for t in (base, rel.inverse(base), rel.adjoint(base)):
                 relations += [t, rel.scalar_mul(1e5, t), rel.scalar_mul(1e-5, t)]
+            kinds[id(relations[-3])] = "adjoint"
+            relations.append(base._inverse)
+            kinds[id(base._inverse)] = "cached inverse"
     for _ in range(60):
         x, y = (int(n) for n in rng.integers(1, 7, 2))
         k = min(x, y)
@@ -322,6 +327,7 @@ def test_injective_image_matches_the_span_image(rng):
     relations += [rel.from_graph(sub.zero_subspace(x + y), x, y) for x, y in ((1, 1), (3, 2))]
     cases = [(t, m) for t in relations for _, m in _every_dimension(t, rng)]
     decided = proper = 0
+    seen = set()
     for t, m in cases:
         new, old = rel.image(t, m), _span_image(t, m)
         assert (new.dim, new.sv_near_cut) == (old.dim, old.sv_near_cut), (t, m.dim)
@@ -331,7 +337,12 @@ def test_injective_image_matches_the_span_image(rng):
         if sub.keeps_every_column(t._y_svd[1]):
             decided += 1
             proper += t.domain.dim < t.x_dim
+        seen |= {kinds.get(id(t), "other")}
+        seen |= {"D != X"} if t.domain.dim < t.x_dim else set()
+        seen |= {"dim G = 0"} if t.graph.dim == 0 else set()
+        seen |= {"M = 0"} if m.dim == 0 else set()
     assert decided > len(cases) // 4 and proper > 100, (len(cases), decided, proper)
+    assert seen == {"other", "adjoint", "cached inverse", "D != X", "dim G = 0", "M = 0"}, seen
 
 
 def test_adjoint_is_transpose_for_matrices(rng):
@@ -827,15 +838,74 @@ def _vectors_reference(a, b, lam):
     _, s, vh = np.linalg.svd(z, full_matrices=r > z.shape[0])
     s = np.concatenate([s, np.zeros(r - s.size)])
     n, floor = p.shape[1], np.finfo(float).eps / xs.svals[r - 1] * (1 + abs(lam)) if r else 0.0
-    cut = sub.diagonal_split(np.concatenate([np.ones(n), s / np.hypot(1.0, s)]),
-                             floor / np.hypot(1.0, floor))
-    rank = cut.span.shape[1]
+    rank, near = sub.values_rank(np.concatenate([np.ones(n), s / np.hypot(1.0, s)]),
+                                 floor / np.hypot(1.0, floor))
     kept = s[: rank - n]
     kernel = sub.span(xs.span @ (vh.conj().T[:, rank - n:] / np.hypot(1.0, s[rank - n:])),
-                      a.x_dim, cut.near or flag)
+                      a.x_dim, near or flag)
     return {"alpha": kernel.dim, "beta": a.y_dim - rank,
             "gamma": float(kept.min()) if kept.size else math.inf,
-            "flags": (flag, kernel.sv_near_cut, cut.near), "kernel": kernel}
+            "flags": (flag, kernel.sv_near_cut, near), "kernel": kernel}
+
+
+def _reference_point(fam, lam):
+    """alpha, beta, gamma, the range dimension, the graph, kernel and range
+    flags, T(0) and Gy's split of fam(lam) by the construction that cut Z's
+    values with the zeros of K0 appended, read them as diag(values) with
+    columns of I for vectors, and built a T(0) for every point."""
+    z, p, flag, perp = fam.z1 - lam * fam.z2, np.zeros((fam.y_dim, 0)), fam.near, None
+    if fam.m1.shape[1]:
+        ts = sub.svd_split((fam.m1 - lam * fam.m2).conj().T)
+        perp, flag = ts.null, fam.near or ts.near
+        p, z = ts.right[:, : fam.y_dim - ts.null.shape[1]], ts.null.conj().T @ z
+    s = np.linalg.svd(z, compute_uv=False)
+    s = np.concatenate([s, np.zeros(fam.r - s.size)])
+    floor = fam.noise * (1 + abs(lam))
+    values = np.concatenate([np.ones(p.shape[1]), s / np.hypot(1.0, s)])
+    rank, near = sub._rank_cut(values, floor / np.hypot(1.0, floor))
+    right = np.eye(values.size, dtype=complex)
+    u = np.linalg.svd(z, full_matrices=z.shape[1] > z.shape[0])[0]
+    left = np.hstack([p, u if perp is None else perp @ u])
+    kept, graph = s[: rank - p.shape[1]], flag or fam.k0_near
+    return {"alpha": fam.r - kept.size, "beta": fam.y_dim - rank,
+            "gamma": float(kept.min()) if kept.size else math.inf, "range_dim": rank,
+            "flags": (graph, graph or near, near), "t0": (p, flag),
+            "split": sub.Split(left[:, :rank], right[:, rank:], near, values, right)}
+
+
+def _reference_point_cases():
+    rng = np.random.default_rng(20261019)
+    pairs = _scaled_pairs(rng) + [(a, b) for _, a, b, lam in _reference_pencils()[::5]]
+    cases = [(a, b, lam) for a, b in pairs for lam in (0.0, 1.0, 1j, 1e6, 1e-6, 0.3 - 0.2j)]
+    cases += [(a, b, lam) for _, a, b, lam in _reference_pencils()]
+    spec = stab.InstanceSpec(16, 16, alpha=2, beta=2, force_nu_infinite=True, seed=101)
+    a, b = stab.generate(spec)
+    bound, gamma_a = met.fit_relative_bound(a, b, 0.0), met.gamma(a)
+    grid = stab.default_grid(met.stability_radius(gamma_a, bound, "full"), gamma_a)
+    return cases + [(a, b, lam) for lam in grid]
+
+
+def test_values_first_point_matches_the_reference_point():
+    seen = set()
+    for a, b, lam in _reference_point_cases():
+        fam = rel.pencil_family(a, b)
+        p, ref = fam(lam), _reference_point(fam, lam)
+        got = (met.alpha(p), met.beta(p), met.gamma(p), p._range_dim)
+        assert got == (ref["alpha"], ref["beta"], ref["gamma"], ref["range_dim"]), (got, ref)
+        flags = (p.graph.sv_near_cut, p.kernel.sv_near_cut, p.range.sv_near_cut)
+        assert flags == ref["flags"], (flags, ref["flags"])
+        t0 = p.multivalued_part
+        assert np.array_equal(t0.basis, ref["t0"][0]) and t0.sv_near_cut == ref["t0"][1]
+        split = p._y_svd[1]
+        for name in split._fields:
+            mine, theirs = getattr(split, name), getattr(ref["split"], name)
+            assert np.array_equal(mine, theirs) and np.asarray(mine).dtype == np.asarray(
+                theirs).dtype, name
+        seen |= {"T(0)"} if t0.dim else set()
+        seen |= {"K0"} if fam.k0 else set()
+        seen |= {"grown"} if p.kernel.dim > fam.k0 else set()
+        seen |= {"flagged"} if any(flags) else set()
+    assert seen == {"T(0)", "K0", "grown", "flagged"}, seen
 
 
 def _equivalence_cases():
