@@ -35,21 +35,12 @@ __all__ = [
 
 
 def _contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
-    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut side.
-    The gap's SVD is taken only when its Frobenius bracket straddles a band end;
-    a larger inner space, whose gap is 1, never does."""
+    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut
+    side.  The gap is settled against both band ends and ``EQ_TOL``, so the
+    verdict and the flag are those of the exact gap."""
     g = sub._settled_gap(inner, outer, (*CHAIN_BAND, EQ_TOL))
     near = outer.sv_near_cut or inner.sv_near_cut
     return g <= EQ_TOL, near or CHAIN_BAND[0] < g < CHAIN_BAND[1]
-
-
-def _in_annihilator(k: Subspace, d: Subspace) -> bool:
-    """``sub.contains(sub.annihilator(k), d)``, read off K^T U_D: I - P over the
-    annihilator is conj(K) K^T.  The two differ by rounding of order ambient *
-    eps, so the product decides where it clears EQ_TOL by 1e-11, and the
-    complement is built only where it does not."""
-    settled = sub._bracket(k.basis.T @ d.basis, (EQ_TOL,), margin=1e-3)
-    return sub.contains(sub.annihilator(k), d) if settled is None else settled <= EQ_TOL
 
 
 @dataclass
@@ -253,15 +244,15 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     # agree, so one containment, read off K^T U_D, decides it.
     b_n1 = chains.image(a, b, "n", 0)
     report["equality_m"] = (len(ms_dual) > 1 and ms_dual[1].dim == a.y_dim - b_n1.dim
-                            and _in_annihilator(b_n1, ms_dual[1]))
+                            and sub.in_annihilator(b_n1, ms_dual[1]))
     report["nu"] = chains.nu
     report["nu_dual"] = nu_dual
     report["equality_nu"] = (chains.nu == nu_dual)
 
     # Adjoint-sequence containments up to the shorter stabilization.
-    fwd = [_in_annihilator(chains.image(a, b, "n", min(n, n_len) - 1), ms_dual[n])
+    fwd = [sub.in_annihilator(chains.image(a, b, "n", min(n, n_len) - 1), ms_dual[n])
            for n in range(1, len(ms_dual))]
-    bwd = [_in_annihilator(chains.image(a, b, "m", min(n, m_len - 1)), ns_dual[n])
+    bwd = [sub.in_annihilator(chains.image(a, b, "m", min(n, m_len - 1)), ns_dual[n])
            for n in range(len(ns_dual))]
     report["adjoint_sequences_m"] = fwd
     report["adjoint_sequences_n"] = bwd

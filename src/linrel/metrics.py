@@ -7,11 +7,11 @@ solutions onto the orthogonal complement of T(0).  This realizes the
 quotient map without forming quotient spaces: for the Euclidean norm,
 Y / T(0) is isometric to the complement of T(0).
 
-gamma and alpha-prime read those singular values off the relation's
-cached SVD of the graph's Y block (the CS decomposition), with no solve;
-a pencil point reads them, and beta its rank, off its values alone.
-``norm``, the relative bounds and :func:`operator_part`, the reference
-that gamma is checked against, keep the least-squares path.
+gamma and alpha-prime read those singular values, which each relation
+keeps, off the CS form of its graph's Y block; a pencil point reads
+them, and beta its rank, off its values alone.  ``norm``, the relative
+bounds and :func:`operator_part`, the reference that gamma is checked
+against, solve for the induced operator by least squares.
 
 Conventions for degenerate relations:
   * D(T) = {0}: the norm is 0 (sup over an empty unit ball).
@@ -117,7 +117,7 @@ def gamma(t: LinearRelation) -> float:
     """Minimum modulus: +inf when D(T) is inside N(T), else the smallest
     singular value of the induced injective operator (strictly positive
     because finite-dimensional ranges are closed)."""
-    svals = t._induced_svals()
+    svals = t._induced_svals
     return float(svals.min()) if svals.size else math.inf
 
 
@@ -139,7 +139,7 @@ def alpha_prime_eps(t: LinearRelation, eps: float) -> int:
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    return alpha(t) + int(np.count_nonzero(t._induced_svals() <= eps))
+    return alpha(t) + int(np.count_nonzero(t._induced_svals <= eps))
 
 
 def alpha_prime(t: LinearRelation) -> int:

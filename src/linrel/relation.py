@@ -15,6 +15,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,13 @@ __all__ = [
     "equals",
     "particular_solution",
 ]
+
+
+# An image matrix with fewer rows takes one thin SVD even where the
+# relation's Gy split could prove its cut: on such small matrices the SVD
+# costs less than the certificate and a QR.  An injective relation's proof
+# costs nothing, and its images take the QR at every size.
+CERTIFY_ROWS = 16
 
 
 class DomainError(ValueError):
@@ -118,15 +126,17 @@ class LinearRelation:
         split = self._x_svd[1]
         return sub.span(self._gy @ split.null, self.y_dim, split.near or self.graph.sv_near_cut)
 
+    @cached_property
     def _induced_svals(self) -> np.ndarray:
-        """Singular values of the induced injective operator, from the cached
-        split Gy = U S V^H.  G = [Gx; Gy] is orthonormal, so the columns G v_j
-        are orthogonal with ||Gx v_j||^2 + s_j^2 = 1 (the CS decomposition;
-        Paige & Wei, 1994).  The last dim G - dim R(T) span N(T) (+) {0}.  Of
-        the first dim R(T), the dim G - dim D(T) of least ||Gx v_j|| (not the
-        first: a tiny X part ties at s_j ~ 1) span {0} (+) T(0); the rest map
-        the orthonormal Gx v_j / ||Gx v_j|| of D(T) ^ N(T)-perp to orthogonal
-        images, of norm s_j / ||Gx v_j||, orthogonal to T(0)."""
+        """Singular values of the induced injective operator, read-only and
+        computed once, from the cached split Gy = U S V^H.  G = [Gx; Gy] is
+        orthonormal, so the columns G v_j are orthogonal with ||Gx v_j||^2 +
+        s_j^2 = 1 (the CS decomposition; Paige & Wei, 1994).  The last dim G
+        - dim R(T) span N(T) (+) {0}.  Of the first dim R(T), the dim G - dim
+        D(T) of least ||Gx v_j|| (not the first: a tiny X part ties at s_j ~
+        1) span {0} (+) T(0); the rest map the orthonormal Gx v_j / ||Gx v_j||
+        of D(T) ^ N(T)-perp to orthogonal images, of norm s_j / ||Gx v_j||,
+        orthogonal to T(0)."""
         split = self._y_svd[1]
         drop, hi = self.graph.dim - self.domain.dim, self.range.dim
         if hi <= drop:
@@ -134,23 +144,22 @@ class LinearRelation:
         # ||Gx v_j|| directly, not sqrt(1 - s_j^2), which loses a large value.
         nx = np.linalg.norm(self._gx @ split.right[:, :hi], axis=0)
         keep = np.sort(np.argsort(nx, kind="stable")[drop:])
-        return split.svals[keep] / nx[keep]
+        svals = split.svals[keep] / nx[keep]
+        svals.setflags(write=False)
+        return svals
 
     @cached_property
-    def _image_map(self) -> tuple:
-        """What every image under T reads of its cached split Gx = U_r S_r
-        V_r^H with null block V_0: S_r^-1 U_r^H, Gy V_r, Gy V_0, the split's
-        flag with the graph's, and D(T) where it is not all of X, else None."""
+    def _image_map(self) -> "_ImageMap":
+        """What every image under T reads of its two cached splits; the
+        split of Gy is computed first where it is not yet cached."""
         dom, split = self._x_svd
-        gv = self._gy @ split.right
-        return (dom.basis.conj().T / split.svals[: dom.dim, None], gv[:, : dom.dim],
-                gv[:, dom.dim:], split.near or self.graph.sv_near_cut,
-                dom if dom.dim < self.x_dim else None)
-
-    @cached_property
-    def _keeps_every_column(self) -> bool:
-        """:func:`subspace.keeps_every_column` of T's cut of Gy."""
-        return sub.keeps_every_column(self._y_svd[1])
+        y_split = self._y_svd[1]
+        gv, kv = self._gy @ split.right, y_split.null.conj().T @ split.right
+        perp = split.perp.conj().T if dom.dim < self.x_dim else None
+        return _ImageMap(dom.basis.conj().T / split.svals[: dom.dim, None],
+                         gv[:, : dom.dim], gv[:, dom.dim:],
+                         split.near or self.graph.sv_near_cut, perp,
+                         kv[:, : dom.dim], kv[:, dom.dim:], sub.kernel_limit(y_split))
 
     @cached_property
     def _inverse(self) -> "LinearRelation":
@@ -166,6 +175,20 @@ class LinearRelation:
     def __repr__(self) -> str:
         return (f"LinearRelation({self.x_dim}->{self.y_dim}, "
                 f"graph dim {self.graph.dim})")
+
+
+class _ImageMap(NamedTuple):
+    """A relation's image map, from its splits Gx = U_r S_r V_r^H, with
+    V = [V_r, V_0], and of Gy, with null block N."""
+
+    coef: np.ndarray  # S_r^-1 U_r^H
+    gv: np.ndarray  # Gy V_r
+    gv0: np.ndarray  # Gy V_0
+    near: bool  # the Gx split's flag with the graph's
+    perp: np.ndarray | None  # D(T)-perp^H, None where D(T) = X
+    kr: np.ndarray  # N^H V_r
+    k0: np.ndarray  # N^H V_0
+    limit: float | None  # subspace.kernel_limit of the Gy split
 
 
 def from_matrix(a) -> LinearRelation:
@@ -330,11 +353,14 @@ class _PencilPoint(LinearRelation):
         self._rank, self._near = sub.values_rank(values, floor / np.hypot(1.0, floor))
         self._flag = flag or fam.k0_near  # the graph's
         self.__dict__["multivalued_part"] = t0
+        if self._rank - t0.dim == fam.r - fam.k0:  # Z has full column rank
+            self.__dict__["kernel"] = fam.kernel(self._flag or self._near)
 
     @property
     def _range_dim(self) -> int:
         return self._rank
 
+    @property
     def _induced_svals(self) -> np.ndarray:
         """The kept singular values of Z."""
         return self._s[: self._rank - self._p.shape[1]]
@@ -357,22 +383,23 @@ class _PencilPoint(LinearRelation):
 
     @cached_property
     def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the closed-form split of Gy = [P, U] diag([1, sC, 0]) I."""
+        """R(T) and the closed-form split of Gy = [P, U] diag([1, sC, 0]) I;
+        R(T)-perp is completed from R(T)'s basis."""
         s = self._vectors[2]
         values = np.concatenate([np.ones(self._p.shape[1]), s / np.hypot(1.0, s)])
         right = np.eye(values.size, dtype=complex)
         span = np.hstack([self._p, self._vectors[0]])[:, : self._rank]
+        perp = np.linalg.qr(span, mode="complete")[0][:, self._rank:]
         return (Subspace(self.y_dim, span, sv_near_cut=self._near),
-                sub.Split(span, right[:, self._rank:], self._near, values, right))
+                sub.Split(span, right[:, self._rank:], self._near, values, right, perp))
 
     @cached_property
     def kernel(self) -> Subspace:
-        """Q [W V, K0]'s columns past the kept values: the family's span(Q K0)
-        when Z has full column rank."""
-        flag, kept = self._flag or self._near, self._rank - self._p.shape[1]
-        if kept == self._fam.r - self._fam.k0:
-            return self._fam.kernel(flag)
-        return Subspace(self.x_dim, self._vectors[1][:, kept:], sv_near_cut=flag)
+        """Q [W V, K0]'s columns past the kept values, where Z loses rank;
+        the family's span(Q K0), set at construction, where it does not."""
+        kept = self._rank - self._p.shape[1]
+        return Subspace(self.x_dim, self._vectors[1][:, kept:],
+                        sv_near_cut=self._flag or self._near)
 
 
 def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation:
@@ -387,23 +414,33 @@ def pencil(a: LinearRelation, b: LinearRelation, lam: complex) -> LinearRelation
 
 def image(t: LinearRelation, m: Subspace) -> Subspace:
     """T(M) = {Gy c : Gx c in M}, read off t's image map: c spans V_0 and
-    V_r orth(S_r^-1 U_r^H M'), M' = M ^ D(T), and the span of Gy c takes a
-    rank cut of its own unless t's cut of Gy already decides it.  Flagged
-    as D's split, the graph, M and the cuts of M ^ D and of that span are."""
+    V_r orth(S_r^-1 U_r^H M'), M' = M ^ D(T), cut out of M as the null
+    space of D(T)-perp^H M.  The span of Gy c takes a rank cut of its own
+    unless t's split of Gy proves that cut from c's angles to its null
+    block (:func:`subspace.certified_span`), which is tried under an
+    injective t and on images of at least ``CERTIFY_ROWS`` rows.  Flagged
+    as D's split, the graph, M and the cuts of M ^ D and of that span
+    are."""
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
-    coef, gv, gv0, near, dom = t._image_map
-    basis, near = m.basis, near or m.sv_near_cut
-    if dom is not None:
-        cut = sub.svd_split(dom.residual(basis))
+    imap = t._image_map
+    basis, near = m.basis, imap.near or m.sv_near_cut
+    if imap.perp is not None:
+        cut = sub.svd_split(imap.perp @ basis)
         basis, near = basis @ cut.null, near or cut.near
     # c is orthonormal before Gy V_r applies: with S_r^-1's spread in it,
     # the product's rounding would swamp the image's small directions.
-    cols = gv @ np.linalg.qr(coef @ basis)[0]
-    if gv0.shape[1]:
-        cols = np.hstack([cols, gv0])
-    if cols.shape[1] and t._keeps_every_column:
-        return Subspace(t.y_dim, np.linalg.qr(cols)[0], sv_near_cut=near)
+    q = np.linalg.qr(imap.coef @ basis)[0]
+    cols = imap.gv @ q
+    if imap.gv0.shape[1]:
+        cols = np.hstack([cols, imap.gv0])
+    injective = not imap.kr.shape[0]
+    if (cols.shape[1] and imap.limit is not None
+            and (injective or cols.shape[0] >= CERTIFY_ROWS)):
+        e = None if injective else np.hstack([imap.kr @ q, imap.k0])
+        kept = sub.certified_span(cols, e, imap.limit, near)
+        if kept is not None:
+            return kept
     return sub.span(cols, ambient=t.y_dim, near=near)
 
 

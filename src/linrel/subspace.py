@@ -9,14 +9,15 @@ All suprema over unit spheres are computed spectrally (largest/smallest
 singular values); nothing here samples spheres.
 
 Every rank decision in the library is made by :func:`_rank_cut`, reached
-through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span and
-null space) or :func:`values_rank` (singular values whose vectors come
-later, or never).  Where a split's own cut already fixes the cut of m c
-for every orthonormal c (:func:`keeps_every_column`), the span of m c is
-one QR with no cut of its own: the one :func:`span` gives.  Every
-projection residual x - P_S x is :meth:`Subspace.residual`.  A
-containment verdict is :func:`gap`'s side of the tolerance, read off the
-residual's Frobenius bracket where that settles it.
+through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span,
+its complement and null space) or :func:`values_rank` (singular values
+whose vectors come later, or never).  Where a split of m already proves
+the cut of m c for orthonormal c (:func:`certified_span`, from c's
+angles to m's null block), the span of m c is the one :func:`span`
+gives, with no cut of its own.  Every projection residual x - P_S x is
+:meth:`Subspace.residual`.  A containment verdict is :func:`gap`'s side
+of the tolerance, read off the residual's Frobenius bracket where that
+settles it.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ __all__ = [
     "Split",
     "svd_split",
     "values_rank",
-    "keeps_every_column",
+    "kernel_limit",
+    "certified_span",
     "sum",
     "intersect",
     "orth_complement",
     "annihilator",
+    "in_annihilator",
     "distance",
     "gap",
     "contains",
@@ -183,27 +186,29 @@ def span(vectors, ambient: int | None = None, near: bool = False) -> Subspace:
 
 
 class Split(NamedTuple):
-    """One full SVD m = U diag(svals) V^H and its rank cut: orthonormal
-    bases of the column span and of the null space (the trailing columns
-    of ``right``, which holds V), the cut's flag and the descending svals."""
+    """An SVD m = U diag(svals) V^H and its rank cut: orthonormal bases of
+    the column span, of the null space (the trailing columns of ``right``,
+    which holds all of V) and of the span's orthogonal complement
+    (``perp``), the cut's flag and the descending svals."""
 
     span: np.ndarray
     null: np.ndarray
     near: bool
     svals: np.ndarray
     right: np.ndarray
+    perp: np.ndarray
 
 
 def svd_split(m: np.ndarray) -> Split:
-    """The column span and null space of a (possibly empty) matrix, read
-    off one full SVD."""
+    """The column span, its complement and the null space of a (possibly
+    empty) matrix, all cut at one rank."""
     if m.shape[1] == 0:
         empty = np.zeros((0, 0), dtype=complex)
-        return Split(m, empty, False, np.zeros(0), empty)
+        return Split(m, empty, False, np.zeros(0), empty, np.eye(m.shape[0], dtype=complex))
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     rank, near = _rank_cut(s)
     right = vh.conj().T
-    return Split(u[:, :rank], right[:, rank:], near, s, right)
+    return Split(u[:, :rank], right[:, rank:], near, s, right, u[:, rank:])
 
 
 def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
@@ -213,15 +218,54 @@ def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
     return _rank_cut(svals, floor)
 
 
-def keeps_every_column(split: Split) -> bool:
-    """True when m has full column rank and its smallest value is at least
-    twice ``RANK_ABS`` and twice the top of ``SV_BAND`` times its largest:
-    the values of m c, for any orthonormal c, lie between the two, so
-    :func:`_rank_cut` keeps every column of m c, unflagged.  An empty m
-    decides nothing."""
-    s = split.svals
-    return (split.null.shape[1] == 0 and s.size > 0
-            and s[-1] >= 2 * max(SV_BAND[1] * s[0], RANK_ABS))
+def kernel_limit(split: Split) -> float | None:
+    """1 - t^2 for t = 2 max(SV_BAND[1] s_1, RANK_ABS) / s_r, the kept
+    values of m being s_1 >= ... >= s_r; None where m keeps no value or
+    t > 1.  A unit c whose squared cosine ||V_0^H c||^2 to m's null block
+    V_0 is at most this has ||m c|| >= s_r sqrt(1 - ||V_0^H c||^2) >= twice
+    ``RANK_ABS`` and twice the top of ``SV_BAND`` times ||m||: the margin
+    of two puts it clear of the cut and the band."""
+    rank, s = split.span.shape[1], split.svals
+    if not rank:
+        return None
+    t = 2 * max(SV_BAND[1] * s[0], RANK_ABS) / s[rank - 1]
+    return 1 - t * t if t <= 1 else None
+
+
+def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
+                   near: bool = False) -> Subspace | None:
+    """span(m c) for orthonormal columns c, with the dimension and flag
+    :func:`span` gives it, proved from e = V_0^H c instead of cut; None
+    where the proof fails.  ``limit`` is :func:`kernel_limit` of m's split,
+    V_0 its null block, and ``e`` is None where V_0 is empty.
+
+    Where ||e||_F^2 <= limit, every unit vector of span(c) keeps a value
+    clear of the cut and the band, and :func:`_rank_cut` would keep all of
+    m c, unflagged: its span is one QR.  Otherwise c is rotated by e's
+    SVD, so that its columns are the principal vectors of span(c) against
+    span(V_0), closest first (Bjorck & Golub, 1973).  The leading ones
+    whose image has norm at most ``RANK_ABS`` / 10 lie in the null block
+    and are dropped; the rest must be off it by ``limit``.  The dropped
+    images' Frobenius norm bounds the values they add to m c, and twice it
+    must be at most ``RANK_ABS`` and the band's floor times m c's largest
+    value, or ``RANK_ABS`` / 10 where nothing is kept."""
+    if e is None or np.vdot(e, e).real <= limit:
+        return Subspace(mc.shape[0], np.linalg.qr(mc)[0], sv_near_cut=near)
+    _, cos, wh = np.linalg.svd(e)
+    a = mc @ wh.conj().T
+    norms = np.linalg.norm(a[:, : cos.size], axis=0).tolist()
+    dropped = next((j for j, v in enumerate(norms) if v > RANK_ABS / 10), len(norms))
+    if float(cos[dropped:].max(initial=0.0)) ** 2 > limit:
+        return None
+    kept, lost = a[:, dropped:], np.vdot(a[:, :dropped], a[:, :dropped]).real ** 0.5
+    if kept.shape[1]:
+        # m c's largest value is at least the kept columns' root mean square.
+        floor = min(RANK_ABS, SV_BAND[0] * (np.vdot(kept, kept).real / kept.shape[1]) ** 0.5)
+    else:
+        floor = RANK_ABS / 10
+    if 2 * lost > floor:
+        return None
+    return Subspace(mc.shape[0], np.linalg.qr(kept)[0], sv_near_cut=near)
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -233,12 +277,11 @@ def sum(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def _complement_basis(s: Subspace) -> np.ndarray:
-    """An orthonormal basis of the orthogonal complement; that of {0} or of
-    the whole space is known by dimension, with no SVD."""
+    """An orthonormal basis of the orthogonal complement: columns of the
+    identity where s is {0} or the whole space, else the trailing left
+    singular vectors of s's orthonormal basis, all of whose values are 1."""
     if s.dim in (0, s.ambient):
         return np.eye(s.ambient, dtype=complex)[:, s.dim:]
-    # Full SVD of the basis: the trailing left singular vectors span the
-    # complement exactly (the basis is orthonormal, all svals are 1).
     return np.linalg.svd(s.basis, full_matrices=True)[0][:, s.dim:]
 
 
@@ -263,6 +306,16 @@ def annihilator(s: Subspace) -> Subspace:
     basis is read once and only its conjugate is built.
     """
     return Subspace(s.ambient, _complement_basis(s).conj(), s.sv_near_cut)
+
+
+def in_annihilator(k: Subspace, d: Subspace) -> bool:
+    """``contains(annihilator(k), d)``, read off K^T U_D: I - P over the
+    annihilator is conj(K) K^T.  The two differ by rounding of order
+    ambient * eps, so the product decides where its bracket clears
+    ``EQ_TOL`` by a relative 1e-3, and the annihilator is built only where
+    it does not."""
+    settled = _bracket(k.basis.T @ d.basis, (EQ_TOL,), margin=1e-3)
+    return contains(annihilator(k), d) if settled is None else settled <= EQ_TOL
 
 
 def distance(v, s: Subspace) -> float:
@@ -296,8 +349,8 @@ def _bracket(r: np.ndarray, cuts, margin: float = BRACKET_MARGIN) -> float | Non
 
 
 def _settled_gap(m: Subspace, n: Subspace, cuts) -> float:
-    """gap(m, n), or a value on its side of every one of ``cuts`` where the
-    Frobenius bracket of its residual settles them all, with no SVD."""
+    """gap(m, n), or, where the Frobenius bracket of its residual settles
+    every one of ``cuts``, a value on the gap's side of each."""
     settled = _bracket(n.residual(m.basis), cuts) if m.dim and m.ambient == n.ambient else None
     return gap(m, n) if settled is None else settled
 

@@ -18,20 +18,29 @@ one empty T(0), and its rank decision reads Z's values alone: it builds
 no identity, no split and no subspace until its range or graph is read.
 
 One chain step is an image and a preimage.  On a relation whose splits
-of Gx = U S V^H and of Gy are cached, an image takes no full SVD of a
-graph block.  It reads the relation's image map (S_r^-1 U_r^H, Gy V_r
-and Gy V_0), built once per relation, takes one QR of the r x dim M
-matrix S_r^-1 U_r^H M, which makes the coefficients c orthonormal, and
-then the span of Gy c.  Under an injective relation whose Gy is clear of
-the rank cut's band, the relation's own cut of Gy fixes that span's
-rank, and the span is one QR of the y x k matrix Gy c and no SVD.  Under
-any other relation it is one thin SVD.  A relation whose domain is not
-all of X adds one full SVD of (I - P_D) M, at most x x dim M, for M ^
-D(T).  A preimage is the image under the relation's inverse, which is
-built once and is handed both of the relation's splits, of Gy as its own
-split of Gx and of Gx as its own split of Gy.  Once a relation's
-domain, range, kernel and T(0) are read, those of its inverse cost no SVD.
-An adjoint's graph is the annihilator of t's graph basis with its blocks
+of Gx = U S V^H and of Gy are cached, an image takes no SVD of a graph
+block, and one of at least CERTIFY_ROWS rows none of any matrix with an
+ambient number of rows.  It reads the relation's image map (S_r^-1
+U_r^H, Gy V_r, Gy V_0, D(T)-perp^H and N^H V for the null block N of Gy's
+split), built once per relation.  A relation whose domain is not all of X cuts M ^ D(T) out of M with one
+full SVD of the n_d x dim M matrix D(T)-perp^H M, n_d = codim D(T).  One
+QR of the r x dim M' matrix S_r^-1 U_r^H M' makes the coefficients c
+orthonormal, and then comes the span of the y x k matrix Gy c:
+  * under an injective relation whose Gy is clear of the rank cut's band,
+    one QR at every size and no SVD;
+  * under a relation with a kernel whose kept Gy values are clear of the
+    band, on an image matrix of at least CERTIFY_ROWS rows, the
+    certificate reads E = N^H c: one QR where ||E||_F is small, else one
+    full SVD of the n_0 x k matrix E and one QR of the rotated columns off
+    N, or, where the certificate fails, one thin SVD as well;
+  * otherwise one thin SVD, which every image of fewer than CERTIFY_ROWS
+    rows under a relation with a kernel keeps: at those sizes it costs
+    less than the certificate and a QR.
+A preimage is the image under the relation's inverse, which is built
+once and is handed both of the relation's splits, of Gy as its own split
+of Gx and of Gx as its own split of Gy.  Once a relation's domain, range,
+kernel and T(0) are read, those of its inverse cost no SVD.  An
+adjoint's graph is the annihilator of t's graph basis with its blocks
 swapped, one full SVD and no thin one.
 
 The chain reports of one pair build its M and N chains once, and
@@ -266,16 +275,49 @@ def test_chain_step_budget(monkeypatch, rng):
             full = [call[1] for call in seen if call[0] == "svd" and call[2]]
             thin = [call[1] for call in seen if call[0] == "svd" and not call[2]]
             # The QR that makes c orthonormal, then the span of Gy c: a QR
-            # where t's cut of Gy decides it, a thin SVD under a (N(A) != {0}).
+            # under an injective relation, and under a (N(A) != {0}) a thin
+            # SVD, as every image of fewer than CERTIFY_ROWS rows keeps.
             assert [call[0] for call in seen].count("qr") == 1 + (t is not a), seen
             assert len(thin) == (t is a), seen
-            # M ^ D(T) from (I - P_D) M where D(T) is not all of X.
-            assert full == ([(t.x_dim, d)] if dom.dim < t.x_dim else []), seen
+            # M ^ D(T) from D(T)-perp^H M where D(T) is not all of X.
+            assert full == ([(t.x_dim - dom.dim, d)] if dom.dim < t.x_dim else []), seen
             proper |= {dom.dim < t.x_dim}
         seen.clear()
         rel.adjoint(t)
         assert seen == [("svd", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
     assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
+    assert rel.CERTIFY_ROWS > a.y_dim
+
+
+def test_certified_chain_step_budget(monkeypatch):
+    # x = 16: every image under a has at least CERTIFY_ROWS rows, so its
+    # span is certified from c's angles to N(Gy): one n_0 x k SVD where c
+    # meets N(A), and one QR.  A preimage's domain cut is one n_d x k SVD.
+    # No image in a chain step or a kappa target takes an SVD of a matrix
+    # with an ambient number of rows, and none takes a thin SVD.
+    a, b = _deep_pair(16, 4, seed=5)
+    _ = a._inverse, b._inverse, a.kernel, b.kernel
+    n0, nd = a._y_svd[1].null.shape[1], a.y_dim - a.range.dim
+    assert (n0, nd) == (1, 1) and a.x_dim >= rel.CERTIFY_ROWS
+    seen, real = _lapack_calls(monkeypatch), rel.image
+    imaged = []
+
+    def image(t, m):
+        before = len(seen)
+        out = real(t, m)
+        imaged.extend(call for call in seen[before:] if call[0] == "svd")
+        return out
+
+    monkeypatch.setattr(rel, "image", image)
+    used = _count_calls(monkeypatch, ((sub, "span"),))
+    chains = chn._ChainSet(a, b)
+    # Four steps each, and the one that finds the repeat.
+    assert [s.dim for s in chains.ms] == [16, 15, 14, 13, 12, 12], chains.ms
+    assert [s.dim for s in chains.ns] == [1, 2, 3, 4, 4], chains.ns
+    for k in range(1, len(chains.ns)):
+        chains.kappa(a, b, k)
+    assert imaged and all(call[1][0] in (n0, nd) and call[2] for call in imaged), imaged
+    assert used == {"span": 0}, used
 
 
 def test_image_map_is_built_once(monkeypatch):

@@ -100,7 +100,7 @@ def test_gamma_from_cs_split_matches_operator_part():
             assert math.isinf(g)
         else:
             assert abs(g - ref[-1]) <= 1e-12 * ref[-1], (g, ref[-1])
-        assert t._induced_svals().size == ref.size
+        assert t._induced_svals.size == ref.size
         # The counts of alpha-prime, away from the reference values.
         cuts = [0.0, 1e300]
         cuts += [math.sqrt(hi * lo) for hi, lo in zip(ref[:-1], ref[1:]) if hi > lo * 1.001]

@@ -272,17 +272,17 @@ def test_image_of_widely_scaled_operators_keeps_the_relations_decisions(rng):
 
 
 def _span_image(t, m):
-    """T(M) with the span's own rank cut: c orthonormalised by one QR, then
-    one thin SVD of Gy c, the construction an image under an injective
-    relation whose Gy is clear of the band no longer takes."""
-    dom, split = t._x_svd
-    basis, near = m.basis, split.near or t.graph.sv_near_cut or m.sv_near_cut
+    """T(M) with the span's own rank cut: M ^ D(T) from (I - P_D) M, c
+    orthonormalised by one QR, then one thin SVD of Gy c, all read off t's
+    image map.  This is the construction the coefficient-space domain cut
+    and the certified span replaced."""
+    imap, dom = t._image_map, t._x_svd[0]
+    basis, near = m.basis, imap.near or m.sv_near_cut
     if dom.dim < t.x_dim:
         cut = sub.svd_split(dom.residual(basis))
         basis, near = basis @ cut.null, near or cut.near
-    q = np.linalg.qr((dom.basis.conj().T @ basis) / split.svals[: dom.dim, None])[0]
-    c = np.hstack([split.right[:, : dom.dim] @ q, split.null])
-    return sub.span(t._gy @ c, ambient=t.y_dim, near=near)
+    cols = np.hstack([imap.gv @ np.linalg.qr(imap.coef @ basis)[0], imap.gv0])
+    return sub.span(cols, ambient=t.y_dim, near=near)
 
 
 def _graded_relation(rng, smallest):
@@ -296,6 +296,13 @@ def _graded_relation(rng, smallest):
     cols = rel._cs_columns(v, uw[:, :3], np.array([1e8, 1.0, smallest]))
     t0 = np.vstack([np.zeros((x, mv)), uw[:, 3:]])
     return rel.from_graph(sub.Subspace(x + y, np.hstack([cols, t0])), x, y)
+
+
+def _certifies_every_column(t):
+    """t's split of Gy proves the cut of Gy c for every orthonormal c: Gy
+    has no null block and :func:`subspace.kernel_limit` is set."""
+    split = t._y_svd[1]
+    return split.null.shape[1] == 0 and sub.kernel_limit(split) is not None
 
 
 def test_injective_image_matches_the_span_image(rng):
@@ -322,7 +329,7 @@ def test_injective_image_matches_the_span_image(rng):
     graded = {smallest: [_graded_relation(rng, smallest) for _ in range(12)]
               for smallest in (1e-6, 1.9e-6, 2.1e-6, 1e-5)}
     for smallest, ts in graded.items():
-        assert {sub.keeps_every_column(t._y_svd[1]) for t in ts} == {smallest > 2e-6}
+        assert {_certifies_every_column(t) for t in ts} == {smallest > 2e-6}
         relations += ts
     relations += [rel.from_graph(sub.zero_subspace(x + y), x, y) for x, y in ((1, 1), (3, 2))]
     cases = [(t, m) for t in relations for _, m in _every_dimension(t, rng)]
@@ -334,7 +341,7 @@ def test_injective_image_matches_the_span_image(rng):
         assert new.is_same(old, EQ_TOL), (t, m.dim)
         gram = new.basis.conj().T @ new.basis - np.eye(new.dim)
         assert np.abs(gram).max(initial=0.0) <= 1e-12, (t, m.dim)
-        if sub.keeps_every_column(t._y_svd[1]):
+        if _certifies_every_column(t):
             decided += 1
             proper += t.domain.dim < t.x_dim
         seen |= {kinds.get(id(t), "other")}
@@ -621,6 +628,130 @@ def test_domain_of_the_wrong_ambient_raises():
     assert rel.LinearRelation(2, 2, sub.full_space(4), domain=given).domain is given
 
 
+def _mp(m):
+    return mpmath.matrix(np.asarray(m, dtype=complex).tolist())
+
+
+def _exact_image(t, m, d1, dim):
+    """T(M) under t's stored graph at 50 digits, cut where the float paths
+    cut it: c is an orthonormal basis of the d1-dimensional space of
+    coefficients with Gx c in M (Gx^-1 M where Gx is invertible, else the
+    near-null space of (I - P_M) Gx), and the image is the span of Gy c's
+    leading ``dim`` singular vectors.  Also the ratio of the largest value
+    that cut drops to the smallest it keeps: a subspace that keeps the
+    same directions may lie that far from the leading ones."""
+    with mpmath.workdps(50):
+        gx, gy, u = _mp(t._gx), _mp(t._gy), _mp(m.basis)
+        if t._gx.shape[0] == t._gx.shape[1] and t._x_svd[0].dim == t.x_dim:
+            c = mpmath.qr(mpmath.inverse(gx) * u, mode="skinny")[0]
+        else:
+            r = gx - u * (mpmath.inverse(u.H * u) * (u.H * gx))
+            c = mpmath.eigh(r.H * r)[1][:, :d1]  # ascending eigenvalues
+        if not dim:
+            return mpmath.zeros(t.y_dim, 1), 0.0
+        b = gy * c
+        values, vectors = mpmath.eigh(b.H * b)
+        cut = b.cols - dim
+        ratio = float(mpmath.sqrt(max(values[cut - 1], 0) / values[cut])) if cut else 0.0
+        return mpmath.qr(b * vectors[:, cut:], mode="skinny")[0], ratio
+
+
+def _gap_to_exact(s, exact):
+    """gap(S, E) for a float S and an exact orthonormal E of S's dimension."""
+    if s.dim == 0:
+        return 0.0
+    with mpmath.workdps(50):
+        u = _mp(s.basis)
+        r = np.array((u - exact * (exact.H * u)).tolist(), dtype=complex)
+    return float(np.linalg.svd(r, compute_uv=False)[0])
+
+
+def _planted(rng, x, near, theta, dim):
+    """A ``dim``-dimensional subspace of C^x holding a unit vector at angle
+    ``theta`` from the subspace ``near``, and otherwise random."""
+    n = near.basis @ _unit(rng, near.dim)
+    z = sub.orth_complement(near).basis @ _unit(rng, x - near.dim)
+    rest = rng.standard_normal((x, dim - 1)) + 1j * rng.standard_normal((x, dim - 1))
+    return sub.span(np.column_stack([np.cos(theta) * n + np.sin(theta) * z, rest]))
+
+
+def _unit(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _cut_cases(rng):
+    """(t, M) pairs for the coefficient-space cuts: from_matrix operators
+    with values over 1e-8 to 1e8 and kernels of dimension 1 to 3, generated
+    relations with D(T) != X and T(0) != {0}, a pencil point with a grown
+    kernel, and cached inverses; M is random or holds a direction planted
+    at 1e-3 to 1e-14 from N(T) or, under an inverse, from D(T).  Images
+    under the 16-dimensional relations have enough rows to be certified."""
+    def operator(x, n0, lo, hi=8):
+        u, v = (np.linalg.qr(rng.standard_normal((x, x)) + 1j * rng.standard_normal((x, x)))[0]
+                for _ in range(2))
+        s = np.concatenate([np.sort(10.0 ** rng.uniform(lo, hi, x - n0))[::-1], np.zeros(n0)])
+        return rel.from_matrix((u * s) @ v.conj().T)
+
+    big = [operator(16, n0, lo, hi) for n0, lo, hi in ((1, -5, 5), (2, -8, 8), (3, -3, 3))]
+    spec = stab.InstanceSpec(16, 16, alpha=2, beta=2, mv_dim=1, dom_codim=1, seed=5)
+    big += [stab.generate(spec)[0], rel.pencil_family(big[0], operator(16, 0, -1))(0.0)]
+    small = [operator(6, n0, -8) for n0 in (1, 2, 3)] + [operator(6, 2, -2, 2)]
+    spec = stab.InstanceSpec(6, 6, alpha=1, beta=1, mv_dim=1, dom_codim=1, seed=7)
+    small += list(stab.generate(spec))
+    cases = []
+    for t, middle in zip(big, ((1e-6,), (1e-9,), (1e-8, 1e-11))):
+        cases += [(t, _planted(rng, 16, t.kernel, theta, 8)) for theta in (1e-3, *middle, 1e-14)]
+    for t in big[3:]:
+        cases += [(u, sub.random_subspace(16, 8, rng)) for u in (t, t._inverse)]
+    for t in small:
+        u = t._inverse
+        cases += [(u, _planted(rng, u.x_dim, u.domain, theta, 3))
+                  for theta in (1e-3, 1e-8, 1e-11, 1e-14)]
+        cases.append((t, _planted(rng, t.x_dim, t.domain, 1e-9, 3)))
+    return cases
+
+
+def test_coefficient_space_cuts_match_the_exact_image(rng, monkeypatch):
+    # Both cuts against 50 digits: D(T)-perp^H M in place of (I - P_D) M,
+    # and the certified span in place of the thin SVD of Gy c.  Each image
+    # has the thin-SVD path's dimension and flag.  An unflagged one lies no
+    # further from the exact image, cut at that dimension, than the
+    # thin-SVD path's image, up to rounding and up to what the cut leaves
+    # open: the certificate keeps the directions off N(Gy), the SVD the
+    # leading ones, and these part by the ratio of the largest dropped
+    # value to the smallest kept.  A flagged image's cut is indeterminate,
+    # and so is its exact image.  The two paths may differ from each other
+    # by more than either differs from the exact image.
+    paths, real = [], sub.certified_span
+
+    def certified(mc, e, limit, near=False):
+        got = real(mc, e, limit, near)
+        paths.append("qr" if e is None else "fallback" if got is None else
+                     "fast" if np.vdot(e, e).real <= limit else "rotated")
+        return got
+
+    monkeypatch.setattr(sub, "certified_span", certified)
+    seen, eps = set(), np.finfo(float).eps
+    for t, m in _cut_cases(rng):
+        paths.clear()
+        new, old = rel.image(t, m), _span_image(t, m)
+        assert (new.dim, new.sv_near_cut) == (old.dim, old.sv_near_cut), (t, paths)
+        dom, d1 = t._x_svd[0], m.dim
+        if dom.dim < t.x_dim:
+            d1 = sub.svd_split(dom.residual(m.basis)).null.shape[1]
+            assert sub.svd_split(t._image_map.perp @ m.basis).null.shape[1] == d1
+            paths.append("D != X")
+        if not new.sv_near_cut:
+            exact, ratio = _exact_image(t, m, d1 + t._x_svd[1].null.shape[1], new.dim)
+            g_new, g_old = _gap_to_exact(new, exact), _gap_to_exact(old, exact)
+            assert g_new <= 4 * g_old + 16 * eps + ratio, (g_new, g_old, ratio, paths)
+            seen |= {f"exact {path}" for path in paths}
+        seen |= set(paths) | ({"pencil"} if isinstance(t, rel._PencilPoint) else set())
+    assert {"fast", "rotated", "fallback", "qr", "D != X", "pencil", "exact fast",
+            "exact rotated", "exact D != X"} <= seen, seen
+
+
 def _mp_operator(t):
     """The matrix Gy Gx^-1 of a single-valued, everywhere-defined relation,
     from its stored graph basis, at 40 digits."""
@@ -867,10 +998,12 @@ def _reference_point(fam, lam):
     u = np.linalg.svd(z, full_matrices=z.shape[1] > z.shape[0])[0]
     left = np.hstack([p, u if perp is None else perp @ u])
     kept, graph = s[: rank - p.shape[1]], flag or fam.k0_near
+    complement = np.linalg.qr(left[:, :rank], mode="complete")[0][:, rank:]
     return {"alpha": fam.r - kept.size, "beta": fam.y_dim - rank,
             "gamma": float(kept.min()) if kept.size else math.inf, "range_dim": rank,
             "flags": (graph, graph or near, near), "t0": (p, flag),
-            "split": sub.Split(left[:, :rank], right[:, rank:], near, values, right)}
+            "split": sub.Split(left[:, :rank], right[:, rank:], near, values, right,
+                               complement)}
 
 
 def _reference_point_cases():
@@ -897,6 +1030,8 @@ def test_values_first_point_matches_the_reference_point():
         t0 = p.multivalued_part
         assert np.array_equal(t0.basis, ref["t0"][0]) and t0.sv_near_cut == ref["t0"][1]
         split = p._y_svd[1]
+        frame = np.hstack([split.span, split.perp])
+        assert np.abs(frame.conj().T @ frame - np.eye(p.y_dim)).max() <= 1e-12
         for name in split._fields:
             mine, theirs = getattr(split, name), getattr(ref["split"], name)
             assert np.array_equal(mine, theirs) and np.asarray(mine).dtype == np.asarray(

@@ -238,7 +238,7 @@ def test_contains_verdict_is_the_gap_verdict(rng):
             k = sub.orth_complement(outer)
             d = sub.Subspace(inner.ambient, inner.basis.conj())
             verdict = sub.contains(sub.annihilator(k), d)
-            assert chn._in_annihilator(k, d) == verdict, (t, delta, g)
+            assert sub.in_annihilator(k, d) == verdict, (t, delta, g)
             assert t == EQ_TOL or verdict == (g <= EQ_TOL), (t, delta, g)
 
 
@@ -547,7 +547,7 @@ def _split_cases():
 
 def test_svd_split_matches_old_helpers():
     for m in _split_cases():
-        span, null, near, svals, right = sub.svd_split(m)
+        span, null, near, svals, right, perp = sub.svd_split(m)
         old_span, old_null = _old_span_and_null(m)
         assert _same_bits(span, old_span.basis) and near == old_span.sv_near_cut
         assert _same_bits(null, old_null)
@@ -560,3 +560,75 @@ def test_svd_split_matches_old_helpers():
             assert _same_bits(svals, ref_s)
             assert np.allclose(right.conj().T @ right, np.eye(m.shape[1]), atol=1e-12)
             assert _same_bits(right[:, right.shape[1] - null.shape[1]:], null)
+        # The span's complement: U's trailing columns, with U = [span, perp].
+        frame = np.hstack([span, perp])
+        assert np.allclose(frame.conj().T @ frame, np.eye(m.shape[0]), atol=1e-12)
+        if m.shape[1]:
+            ref_u = np.linalg.svd(m, full_matrices=True)[0]
+            assert _same_bits(perp, ref_u[:, span.shape[1]:])
+
+
+def _gaussian(rng, n, k):
+    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+
+
+def _graded_map(rng, y, g, kept, small):
+    """A y x g matrix with the descending values ``kept`` and ``small``
+    (those the rank cut drops), and its split."""
+    u, v = np.linalg.qr(_gaussian(rng, y, y))[0], np.linalg.qr(_gaussian(rng, g, g))[0]
+    s = np.concatenate([kept, small, np.zeros(min(y, g) - len(kept) - len(small))])
+    m = (u[:, : s.size] * s) @ v[:, : s.size].conj().T
+    return m, sub.svd_split(m)
+
+
+def test_certified_span_is_the_span_or_nothing(rng):
+    # Wherever the certificate answers, it is span's answer: the same
+    # dimension, an unflagged cut and the same subspace.  Cases put kept
+    # values near the band's top, dropped values near RANK_ABS / 10 and
+    # coefficients in the null block or at any angle to it, at scales 1
+    # and 1e-7.
+    outcomes = set()
+    for _ in range(400):
+        y, g = int(rng.integers(2, 14)), int(rng.integers(2, 14))
+        rho = int(rng.integers(1, min(y, g) + 1))
+        scale = float(rng.choice([1.0, 1e-7]))
+        lo = np.log10(rng.choice([1e-3, 3e-6, 2e-6]))
+        kept = scale * np.sort(10.0 ** rng.uniform(lo, 0, rho))[::-1]
+        kept[0] = scale
+        drops = int(rng.integers(0, min(y, g) - rho + 1))
+        small = rng.choice([0.0, 5e-14, 9e-14, 2e-13], size=drops)
+        m, split = _graded_map(rng, y, g, kept, np.sort(small)[::-1])
+        limit = sub.kernel_limit(split)
+        if limit is None:
+            outcomes.add("no limit")
+            continue
+        null = split.null
+        inside = int(rng.integers(0, null.shape[1] + 1))
+        k = max(inside, 1) if rng.random() < 0.3 else int(rng.integers(max(inside, 1), g + 1))
+        angle = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-15, 0)
+        c = _gaussian(rng, g, k)
+        c[:, :inside] = null @ _gaussian(rng, null.shape[1], inside)
+        c[:, :inside] += angle * _gaussian(rng, g, inside)
+        c = np.linalg.qr(c)[0]
+        e = null.conj().T @ c if null.shape[1] else None
+        got, ref = sub.certified_span(m @ c, e, limit), sub.span(m @ c)
+        if got is None:
+            outcomes.add("none")
+            continue
+        outcomes.add("rotated" if e is not None and np.vdot(e, e).real > limit else "qr")
+        assert (got.dim, got.sv_near_cut) == (ref.dim, ref.sv_near_cut), (got.dim, ref.dim)
+        assert got.is_same(ref), (kept, small, angle)
+    assert outcomes == {"none", "rotated", "qr", "no limit"}, outcomes
+
+    # Coefficients inside the null block of one dropped value 1.9e-13: each
+    # rotated image can be under RANK_ABS / 10 while their span's largest
+    # value is not, and span flags it.  The certificate must refuse.
+    flagged = 0
+    for _ in range(30):
+        m, split = _graded_map(rng, 6, 6, [1.0, 0.5], [1.9e-13])
+        c = split.null @ np.linalg.qr(_gaussian(rng, 4, 2))[0]
+        ref = sub.span(m @ c)
+        got = sub.certified_span(m @ c, split.null.conj().T @ c, sub.kernel_limit(split))
+        assert got is None or (got.dim, got.sv_near_cut) == (ref.dim, ref.sv_near_cut)
+        flagged += ref.sv_near_cut
+    assert flagged, flagged
