@@ -75,61 +75,63 @@ def _step_limit(a: LinearRelation, b: LinearRelation, max_n: int | None) -> int:
 
 
 class _Chain(list):
-    """Chain entries; ``images[i]`` is the image of entry i, the one its step
-    took, or for the last entry, the one :meth:`_ChainSet.image` took."""
+    """Chain entries from ``start``, with the image of each entry, taken
+    once; ``stable`` once an entry repeats the one before it."""
+
+    def __init__(self, start: Subspace):
+        super().__init__([start])
+        self.images, self.stable = [], False
+
+    def image(self, t: LinearRelation, i: int) -> Subspace:
+        """t(entry i): the image the step from entry i took, or for the
+        last entry, taken now and kept."""
+        if i == len(self.images):
+            self.images.append(rel.image(t, self[i]))
+        return self.images[i]
 
 
-def _steps(fwd: LinearRelation, back: LinearRelation, start: Subspace, n: int) -> _Chain:
-    """The one step loop of both chains: [start, back^{-1}(fwd(start)), ...]
-    for at most ``n`` steps, stopping when an entry repeats."""
-    chain = _Chain([start])
-    chain.images = []
-    for _ in range(n):
-        chain.images.append(rel.image(fwd, chain[-1]))
-        chain.append(rel.preimage(back, chain.images[-1]))
-        if chain[-1].is_same(chain[-2]):
-            break
+def _steps(fwd: LinearRelation, back: LinearRelation, chain: _Chain, n: int) -> _Chain:
+    """The one step loop of both chains: extend ``chain`` in place by
+    back^{-1}(fwd(last entry)) until it has taken ``n`` steps or is stable."""
+    while len(chain) <= n and not chain.stable:
+        chain.append(rel.preimage(back, chain.image(fwd, len(chain) - 1)))
+        chain.stable = chain[-1].is_same(chain[-2])
     return chain
 
 
 def m_chain(a: LinearRelation, b: LinearRelation,
             max_n: int | None = None) -> list[Subspace]:
     """[M_0, M_1, ...] up to stabilization (or max_n steps)."""
-    return _steps(a, b, sub.full_space(a.x_dim), _step_limit(a, b, max_n))
+    return _steps(a, b, _Chain(sub.full_space(a.x_dim)), _step_limit(a, b, max_n))
 
 
 def n_chain(a: LinearRelation, b: LinearRelation,
             max_n: int | None = None) -> list[Subspace]:
     """[N_1, N_2, ...] up to stabilization (or max_n steps); N_1 = N(A)."""
-    return _steps(b, a, a.kernel, _step_limit(a, b, max_n) - 1)
+    return _steps(b, a, _Chain(a.kernel), _step_limit(a, b, max_n) - 1)
 
 
 class _ChainSet:
-    """One pair's M and N chains, their step images and primal nu; verdicts
-    memoised by chain index (an index past a stabilized chain reads its last
-    entry).  The set holds no reference to the pair: callers pass it in.
-    :meth:`of` keeps it in the pair's record; built directly, it serves a pair
-    that is not reused, such as the adjoint pair of :func:`verify_nu_duality`."""
+    """One pair's M and N chains, grown in place as far as a caller asks,
+    with their step images and verdicts, memoised by chain index (an index
+    past a stabilized chain reads its last entry).  It lives in the pair's
+    :func:`relation._pair` record and holds no reference to the pair:
+    callers pass it in."""
 
     def __init__(self, a: LinearRelation, b: LinearRelation):
-        self.m_limit = self.n_limit = a.x_dim + 1
-        self.ms, self.ns = m_chain(a, b), n_chain(a, b)
-        self.nu = _nu(a, b, self.ms)
+        self.ms, self.ns = m_chain(a, b, 0), n_chain(a, b, 0)  # [M_0], [N_1]
         self._gaps, self._kappa = {}, {}
 
     @classmethod
-    def of(cls, a: LinearRelation, b: LinearRelation, m_limit: int, n_limit: int):
-        """The pair's set, kept in its :func:`relation._pair` record.  A chain
-        that its step limit cut short is rebuilt to the longer limit,
-        extending the old one."""
+    def of(cls, a: LinearRelation, b: LinearRelation, m: int, n: int) -> "_ChainSet":
+        """The pair's set, its chains grown to hold M_m and N_n where they
+        have not stabilized before."""
         record = rel._pair(a, b)
         if "chains" not in record:
             record["chains"] = cls(a, b)
         chains = record["chains"]
-        if m_limit > chains.m_limit and len(chains.ms) == chains.m_limit + 1:
-            chains.ms, chains.m_limit = m_chain(a, b, m_limit), m_limit
-        if n_limit > chains.n_limit and len(chains.ns) == chains.n_limit:
-            chains.ns, chains.n_limit = n_chain(a, b, n_limit), n_limit
+        _steps(a, b, chains.ms, m)
+        _steps(b, a, chains.ns, n - 1)
         return chains
 
     def contained(self, i: int, k: int) -> tuple[bool, bool]:
@@ -138,6 +140,12 @@ class _ChainSet:
         if key not in self._gaps:
             self._gaps[key] = _contained(self.ms[key[0]], self.ns[key[1]])
         return self._gaps[key]
+
+    def row(self, n: int) -> tuple[list[bool], bool]:
+        """Row n of the containment table, [N_k inside M_{n-k+1} for
+        k = 1..n], and whether any of its verdicts is flagged."""
+        cells = [self.contained(n - k + 1, k) for k in range(1, n + 1)]
+        return [ok for ok, _ in cells], any([flag for _, flag in cells])
 
     def kappa(self, a: LinearRelation, b: LinearRelation, k: int) -> tuple:
         """``_contained`` of N_k in B^{-1}(A(N_{k+1})) and in D(B)."""
@@ -148,38 +156,21 @@ class _ChainSet:
             self._kappa[key] = (_contained(target, nk), _contained(b.domain, nk))
         return self._kappa[key]
 
-    def image(self, a: LinearRelation, b: LinearRelation, chain: str, i: int) -> Subspace:
-        """A(M_i) for ``chain`` "m", B(N_{i+1}) for "n": the image the step
-        from entry i kept; a chain's last entry takes its image once."""
-        entries, t = (self.ms, a) if chain == "m" else (self.ns, b)
-        if i == len(entries.images):
-            entries.images.append(rel.image(t, entries[i]))
-        return entries.images[i]
-
 
 def nu(a: LinearRelation, b: LinearRelation) -> float:
     """Smallest n >= 1 with N(A) not inside M_n; +inf if none.
 
     N(A) inside N(B) is a sufficient condition for +inf and is honored
-    directly; otherwise the stabilized chain decides.
+    directly; otherwise the cells (n, 1) of the pair's containment table
+    decide, over the first dim X + 1 steps of its M chain, within which it
+    stabilizes, however far a deeper report has grown it.
     """
-    return _nu(a, b, None)
-
-
-def _nu(a: LinearRelation, b: LinearRelation,
-        chain: list[Subspace] | None) -> float:
-    """:func:`nu`, reading the M chain from ``chain`` when the caller has
-    already built it to stabilization."""
-    n1 = a.kernel
-    if sub.contains(b.kernel, n1):
+    if sub.contains(b.kernel, a.kernel):
         return math.inf
-    if chain is None:
-        chain = m_chain(a, b)
-    for n in range(1, len(chain)):
-        if not sub.contains(chain[n], n1):
-            return n
-    # Chain stabilized with containment intact at every computed step.
-    return math.inf
+    limit = _step_limit(a, b, None)
+    chains = _ChainSet.of(a, b, limit, 1)
+    return next((n for n in range(1, min(len(chains.ms), limit + 1))
+                 if not chains.contained(n, 1)[0]), math.inf)
 
 
 def check_equivalent_conditions(a: LinearRelation, b: LinearRelation,
@@ -193,13 +184,8 @@ def check_equivalent_conditions(a: LinearRelation, b: LinearRelation,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    chains = _ChainSet.of(a, b, max(n, a.x_dim + 1), max(n + 1, a.x_dim + 1))
-    ill = False
-    conditions = []
-    for r in range(1, n + 1):
-        ok, flag = chains.contained(n - r + 1, r)
-        conditions.append(ok)
-        ill = ill or flag
+    chains = _ChainSet.of(a, b, n, n + 1)
+    conditions, ill = chains.row(n)
     kappa = True
     for k in range(1, n + 1):
         (ok1, f1), (ok2, f2) = chains.kappa(a, b, k)
@@ -235,24 +221,24 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
         report["applicable"] = False
         return report
 
-    dual = _ChainSet(rel.adjoint(a), rel.adjoint(b))  # the chains of Y'
-    ms_dual, ns_dual, nu_dual = dual.ms, dual.ns, dual.nu
+    a_dual, b_dual = rel.adjoint(a), rel.adjoint(b)  # the pair of Y'
+    dual = _ChainSet.of(a_dual, b_dual, a.y_dim + 1, a.y_dim + 1)
+    ms_dual, ns_dual = dual.ms, dual.ns
     chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
     m_len, n_len = min(len(chains.ms), a.x_dim + 2), min(len(chains.ns), a.x_dim + 1)
 
     # M'_1 = (B(N_1))-perp: with equal dimensions the two directed gaps
     # agree, so one containment, read off K^T U_D, decides it.
-    b_n1 = chains.image(a, b, "n", 0)
+    b_n1 = chains.ns.image(b, 0)
     report["equality_m"] = (len(ms_dual) > 1 and ms_dual[1].dim == a.y_dim - b_n1.dim
                             and sub.in_annihilator(b_n1, ms_dual[1]))
-    report["nu"] = chains.nu
-    report["nu_dual"] = nu_dual
-    report["equality_nu"] = (chains.nu == nu_dual)
+    report["nu"], report["nu_dual"] = nu(a, b), nu(a_dual, b_dual)
+    report["equality_nu"] = (report["nu"] == report["nu_dual"])
 
     # Adjoint-sequence containments up to the shorter stabilization.
-    fwd = [sub.in_annihilator(chains.image(a, b, "n", min(n, n_len) - 1), ms_dual[n])
+    fwd = [sub.in_annihilator(chains.ns.image(b, min(n, n_len) - 1), ms_dual[n])
            for n in range(1, len(ms_dual))]
-    bwd = [sub.in_annihilator(chains.image(a, b, "m", min(n, m_len - 1)), ns_dual[n])
+    bwd = [sub.in_annihilator(chains.ms.image(a, min(n, m_len - 1)), ns_dual[n])
            for n in range(len(ns_dual))]
     report["adjoint_sequences_m"] = fwd
     report["adjoint_sequences_n"] = bwd
@@ -267,17 +253,15 @@ def chain_report(a: LinearRelation, b: LinearRelation,
     Table row n (1-based) holds [N_k inside M_{n-k+1} for k = 1..n].
     """
     depth = _step_limit(a, b, max_n)
-    chains = _ChainSet.of(a, b, depth, depth)
+    nu_ab = nu(a, b)
+    chains = _ChainSet.of(a, b, max(depth, a.x_dim + 1), depth)
     ms, ns = chains.ms[:depth + 1], chains.ns[:max(depth, 1)]
     # nu read N(B) and the M chain to stabilization, whatever max_n cuts.
     ill = any(s.sv_near_cut for s in chains.ms[:a.x_dim + 2] + ns + [b.kernel])
     table = []
     for n in range(1, depth + 1):
-        row = []
-        for k in range(1, n + 1):
-            ok, flag = chains.contained(n - k + 1, k)
-            row.append(ok)
-            ill = ill or flag
-        table.append(row)
-    return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=chains.nu,
+        cells, flagged = chains.row(n)
+        table.append(cells)
+        ill = ill or flagged
+    return ChainReport(ms, ns, stabilized_at=len(ms) - 1, nu=nu_ab,
                        containment_table=table, ill_conditioned=ill)

@@ -126,7 +126,7 @@ def cmd_analyze(args) -> int:
         pair["bound_valid"] = ok
         gamma_a = met.gamma(a)
         pair["radii"] = {k: met.stability_radius(gamma_a, bound, k)
-                         for k in ("pencil", "alpha", "full")}
+                         for k in met.RADIUS_KINDS}
         pair["hypotheses_ok"] = True
     except met.HypothesisError as exc:
         pair["hypotheses_ok"] = False

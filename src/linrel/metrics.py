@@ -214,13 +214,13 @@ def _sigma_tau(a: LinearRelation, b: LinearRelation,
     witness (None when D(A) = {0}); M_b, M_a are the induced operators of
     B and A on the domain basis Q of D(A).
 
-    tau = 0: one SVD of M_b.  tau > 0: the points (p, q) = (c^H H_b c,
-    c^H H_a c), H = M^H M, c a unit vector, fill a convex set
-    (Toeplitz-Hausdorff); sqrt p - tau sqrt q peaks on the arc exposed by
-    the top eigenvector of cos(phi) H_b - sin(phi) H_a, phi in [0, pi/2]
-    (C. R. Johnson, 1978), which at pi/2 is B's top direction on N(A).  On
-    a supporting line p and q rise together and a stationary point is a
-    maximum only below 0, so the corner of two exposed points' lines
+    tau = 0: sigma is ||M_b||, its largest singular value.  tau > 0: the
+    points (p, q) = (c^H H_b c, c^H H_a c), H = M^H M, c a unit vector, fill
+    a convex set (Toeplitz-Hausdorff); sqrt p - tau sqrt q peaks on the arc
+    exposed by the top eigenvector of cos(phi) H_b - sin(phi) H_a, phi in
+    [0, pi/2] (C. R. Johnson, 1978), which at pi/2 is B's top direction on
+    N(A).  On a supporting line p and q rise together and a stationary point
+    is a maximum only below 0, so the corner of two exposed points' lines
     bounds the objective (clamped at 0) on the arc between them; so does
     Kato's sqrt(lambda_max(H_b - tau^2 H_a)).  The sector with the highest
     corner is halved until the best exposed point, the witness, is within
@@ -301,16 +301,16 @@ def check_relative_bound(a: LinearRelation, b: LinearRelation,
     return residual <= INEQ_SLACK, {"residual": residual, "witness": witness}
 
 
-RADIUS_KINDS = {"pencil": 1, "alpha": 2, "full": 3, "range": 3}
+RADIUS_KINDS = {"pencil": 1, "alpha": 2, "full": 3}
 
 
 def stability_radius(gamma_val: float, bound: RelativeBound, kind: str) -> float:
     """Radius gamma / (k sigma + tau gamma) for k in {1, 2, 3}.
 
     kind "pencil" uses k = 1 (closedness of the pencil), "alpha" k = 2
-    (nullity constant), "full" and "range" k = 3 (nullity and deficiency
-    constant; closed range).  gamma = inf yields 1/tau (or inf when
-    tau = 0); sigma = tau = 0 yields inf (B vanishes on D(A)).
+    (nullity constant), "full" k = 3 (nullity and deficiency constant;
+    closed range).  gamma = inf yields 1/tau (or inf when tau = 0);
+    sigma = tau = 0 yields inf (B vanishes on D(A)).
     """
     if kind not in RADIUS_KINDS:
         raise ValueError(f"unknown radius kind {kind!r}")

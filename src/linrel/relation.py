@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-# An image matrix with fewer rows takes one thin SVD even where the
+# An image matrix with fewer rows is cut by its own thin SVD even where the
 # relation's Gy split could prove its cut: on such small matrices the SVD
 # costs less than the certificate and a QR.  An injective relation's proof
 # costs nothing, and its images take the QR at every size.
@@ -62,19 +62,15 @@ class DomainError(ValueError):
 class LinearRelation:
     """A linear relation X -> Y by its graph subspace and any parts already known."""
 
-    def __init__(self, x_dim: int, y_dim: int, graph: Subspace, *,
-                 domain: Subspace | None = None):
+    def __init__(self, x_dim: int, y_dim: int, graph: Subspace):
         if x_dim <= 0 or y_dim <= 0:
             raise ValueError("x_dim and y_dim must be positive")
         if graph.ambient != x_dim + y_dim:
             raise ValueError(
                 f"graph ambient {graph.ambient} != x_dim + y_dim = {x_dim + y_dim}")
-        if domain is not None and domain.ambient != x_dim:
-            raise ValueError(f"domain ambient {domain.ambient} != x_dim {x_dim}")
         self.x_dim = int(x_dim)
         self.y_dim = int(y_dim)
         self.graph = graph
-        self._domain = domain
 
     @property
     def _gx(self) -> np.ndarray:
@@ -89,7 +85,7 @@ class LinearRelation:
     @cached_property
     def _x_svd(self) -> tuple[Subspace, sub.Split]:
         """The span of Gx and the full SVD it was cut from; T(0) reads the
-        null space.  D(T) unless a domain was given."""
+        null space."""
         split = sub.svd_split(self._gx)
         return Subspace(self.x_dim, split.span, sv_near_cut=split.near), split
 
@@ -101,9 +97,8 @@ class LinearRelation:
 
     @property
     def domain(self) -> Subspace:
-        """D(T): the one given at construction (a pencil family's shared
-        D(A) ^ D(B)), else the span of Gx."""
-        return self._x_svd[0] if self._domain is None else self._domain
+        """D(T), the span of Gx."""
+        return self._x_svd[0]
 
     @property
     def range(self) -> Subspace:
@@ -340,9 +335,9 @@ class _PencilPoint(LinearRelation):
     graph and the range, read later, keep that rank."""
 
     def __init__(self, fam: _PencilFamily, lam: complex):
-        self.x_dim, self.y_dim, self._domain, self._fam = fam.x_dim, fam.y_dim, fam.domain, fam
+        self.x_dim, self.y_dim, self._fam = fam.x_dim, fam.y_dim, fam
         z, t0, flag, self._perp = fam.z1 - lam * fam.z2, fam.t0, fam.near, None
-        if t0 is None:  # P and a basis of T(0)-perp from one SVD, of M^H
+        if t0 is None:  # P and a basis of T(0)-perp from the SVD of M^H
             ts = sub.svd_split((fam.m1 - lam * fam.m2).conj().T)
             self._perp, flag, z = ts.null, fam.near or ts.near, ts.null.conj().T @ z
             t0 = Subspace(fam.y_dim, ts.right[:, : fam.y_dim - ts.null.shape[1]], flag)
@@ -355,6 +350,11 @@ class _PencilPoint(LinearRelation):
         self.__dict__["multivalued_part"] = t0
         if self._rank - t0.dim == fam.r - fam.k0:  # Z has full column rank
             self.__dict__["kernel"] = fam.kernel(self._flag or self._near)
+
+    @property
+    def domain(self) -> Subspace:
+        """The family's D(A) ^ D(B), shared by every point."""
+        return self._fam.domain
 
     @property
     def _range_dim(self) -> int:

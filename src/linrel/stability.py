@@ -195,8 +195,7 @@ def _measures_match(spec, a: LinearRelation, b: LinearRelation) -> bool:
 
 
 def random_feasible_spec(rng, max_dim: int = 8, everywhere_defined: bool = False,
-                         force_nu_infinite: bool = False,
-                         seed: int | None = None) -> InstanceSpec:
+                         force_nu_infinite: bool = False) -> InstanceSpec:
     """Sample a feasible InstanceSpec; beta is forced by the fiber identity.
 
     Shapes are drawn so feasibility is automatic (no rejection bias):
@@ -223,7 +222,7 @@ def random_feasible_spec(rng, max_dim: int = 8, everywhere_defined: bool = False
         beta = y - q - m
         return InstanceSpec(x, y, a, beta, m, x - d,
                             force_nu_infinite=force_nu_infinite,
-                            seed=int(rng.integers(0, 2**31)) if seed is None else seed)
+                            seed=int(rng.integers(0, 2**31)))
     raise RuntimeError("failed to sample a feasible spec")
 
 
@@ -253,7 +252,6 @@ def default_grid(radius_full: float, gamma_a: float, points: int = 64,
 class SweepReport:
     """Per-lambda metrics of the pencil A - lambda B plus predicted radii."""
 
-    lambda_grid: list[complex]
     records: list[dict]
     radii: dict
     bound: RelativeBound
@@ -300,7 +298,7 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     alpha_a, beta_a = met.alpha(a), met.beta(a)
     kernel_a = a.kernel
     radii = {kind: met.stability_radius(gamma_a, bound, kind)
-             for kind in ("pencil", "alpha", "full")}
+             for kind in met.RADIUS_KINDS}
     range_exceeds_mv = a.range.dim > a.multivalued_part.dim
 
     records, gaps = [], {}  # gaps per kernel object: most points share the family's
@@ -332,7 +330,7 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
             "inside_full": flags["full"],
             "indeterminate": shaky,
         })
-    return SweepReport(list(grid), records, radii, bound, alpha_a, beta_a,
+    return SweepReport(records, radii, bound, alpha_a, beta_a,
                        gamma_a, range_exceeds_mv, indeterminate,
                        degenerate_violations)
 

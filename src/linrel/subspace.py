@@ -151,7 +151,9 @@ def _rank_cut(s: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
 
     The rank counts the values above ``RANK_REL`` times the largest one,
     the absolute floor ``RANK_ABS`` and ``floor``.  The flag says whether
-    any normalized singular value fell in the indeterminate band ``SV_BAND``.
+    any normalized singular value fell in the indeterminate band ``SV_BAND``
+    or, where ``RANK_ABS`` is the cut, any value lies within a factor ten
+    of it.
     """
     # Python floats: the same IEEE products, quotients and comparisons as
     # array arithmetic, without a NumPy dispatch per step on tiny inputs.
@@ -162,7 +164,10 @@ def _rank_cut(s: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
     top = v[0]
     cut = max(RANK_REL * top, RANK_ABS, floor)
     lo, hi = SV_BAND
-    return len([x for x in v if x > cut]), any([lo < x / top < hi for x in v])
+    near = any([lo < x / top < hi for x in v])
+    if cut == RANK_ABS:
+        near = near or any([RANK_ABS / 10 < x < 10 * RANK_ABS for x in v])
+    return len([x for x in v if x > cut]), near
 
 
 def span(vectors, ambient: int | None = None, near: bool = False) -> Subspace:
@@ -219,16 +224,17 @@ def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
 
 
 def kernel_limit(split: Split) -> float | None:
-    """1 - t^2 for t = 2 max(SV_BAND[1] s_1, RANK_ABS) / s_r, the kept
+    """1 - t^2 for t = 2 max(SV_BAND[1] s_1, 10 RANK_ABS) / s_r, the kept
     values of m being s_1 >= ... >= s_r; None where m keeps no value or
     t > 1.  A unit c whose squared cosine ||V_0^H c||^2 to m's null block
     V_0 is at most this has ||m c|| >= s_r sqrt(1 - ||V_0^H c||^2) >= twice
-    ``RANK_ABS`` and twice the top of ``SV_BAND`` times ||m||: the margin
-    of two puts it clear of the cut and the band."""
+    10 ``RANK_ABS`` and twice the top of ``SV_BAND`` times ||m||: the
+    margin of two puts it clear of the cut, the band and the floor's
+    factor-ten flag."""
     rank, s = split.span.shape[1], split.svals
     if not rank:
         return None
-    t = 2 * max(SV_BAND[1] * s[0], RANK_ABS) / s[rank - 1]
+    t = 2 * max(SV_BAND[1] * s[0], 10 * RANK_ABS) / s[rank - 1]
     return 1 - t * t if t <= 1 else None
 
 
@@ -241,14 +247,14 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
 
     Where ||e||_F^2 <= limit, every unit vector of span(c) keeps a value
     clear of the cut and the band, and :func:`_rank_cut` would keep all of
-    m c, unflagged: its span is one QR.  Otherwise c is rotated by e's
+    m c, unflagged: its span is the Q factor of m c.  Otherwise c is rotated by e's
     SVD, so that its columns are the principal vectors of span(c) against
     span(V_0), closest first (Bjorck & Golub, 1973).  The leading ones
     whose image has norm at most ``RANK_ABS`` / 10 lie in the null block
     and are dropped; the rest must be off it by ``limit``.  The dropped
     images' Frobenius norm bounds the values they add to m c, and twice it
-    must be at most ``RANK_ABS`` and the band's floor times m c's largest
-    value, or ``RANK_ABS`` / 10 where nothing is kept."""
+    must be at most ``RANK_ABS`` / 10 and the band's floor times m c's
+    largest value, or ``RANK_ABS`` / 10 where nothing is kept."""
     if e is None or np.vdot(e, e).real <= limit:
         return Subspace(mc.shape[0], np.linalg.qr(mc)[0], sv_near_cut=near)
     _, cos, wh = np.linalg.svd(e)
@@ -260,7 +266,7 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
     kept, lost = a[:, dropped:], np.vdot(a[:, :dropped], a[:, :dropped]).real ** 0.5
     if kept.shape[1]:
         # m c's largest value is at least the kept columns' root mean square.
-        floor = min(RANK_ABS, SV_BAND[0] * (np.vdot(kept, kept).real / kept.shape[1]) ** 0.5)
+        floor = min(RANK_ABS / 10, SV_BAND[0] * (np.vdot(kept, kept).real / kept.shape[1]) ** 0.5)
     else:
         floor = RANK_ABS / 10
     if 2 * lost > floor:

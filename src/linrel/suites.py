@@ -574,7 +574,7 @@ def _check_stability(case, rec: _Recorder, rng) -> None:
     a, b, bound = case
     gamma_a = met.gamma(a)
     radii = {k: met.stability_radius(gamma_a, bound, k)
-             for k in ("pencil", "alpha", "full")}
+             for k in met.RADIUS_KINDS}
     rec.check("radii_ordering",
               radii["full"] <= radii["alpha"] * (1 + 1e-12)
               and radii["alpha"] <= radii["pencil"] * (1 + 1e-12),

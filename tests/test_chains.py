@@ -55,7 +55,7 @@ def test_n_chain_worked(diag01, identity):
 
 def test_dual_chains_worked(diag01, identity):
     ident = identity(2)
-    dual = chn._ChainSet(rel.adjoint(diag01), rel.adjoint(ident))  # chains of Y'
+    dual = chn._ChainSet.of(rel.adjoint(diag01), rel.adjoint(ident), 3, 3)  # chains of Y'
     ms, ns = dual.ms, dual.ns
     assert ms[1].is_same(_e2())
     assert ns[0].is_same(_e1())
@@ -64,7 +64,7 @@ def test_dual_chains_worked(diag01, identity):
     assert sub.contains(sub.annihilator(b_n1), ms[1])
 
     inv = rel.from_matrix(np.array([[3.0, 0.0], [1.0, 1.0]]))
-    ns_inv = chn._ChainSet(rel.adjoint(inv), rel.adjoint(ident)).ns
+    ns_inv = chn._ChainSet.of(rel.adjoint(inv), rel.adjoint(ident), 3, 3).ns
     assert all(s.dim == 0 for s in ns_inv)
 
 
@@ -259,9 +259,12 @@ def _old_report(a, b, max_n):
             ill = ill or flag
         table.append(row)
     # nu reads N(B) and the whole M chain, whatever max_n cuts off.
-    ill = ill or any(s.sv_near_cut for s in chn.m_chain(a, b) + ns + [b.kernel])
+    whole = chn.m_chain(a, b)
+    ill = ill or any(s.sv_near_cut for s in whole + ns + [b.kernel])
+    nu = math.inf if sub.contains(b.kernel, a.kernel) else next(
+        (n for n in range(1, len(whole)) if not sub.contains(whole[n], a.kernel)), math.inf)
     return {"m_dims": [s.dim for s in ms], "n_dims": [s.dim for s in ns],
-            "stabilized_at": len(ms) - 1, "nu": chn.nu(a, b),
+            "stabilized_at": len(ms) - 1, "nu": nu,
             "containment_table": table, "ill_conditioned": ill}
 
 
@@ -330,7 +333,7 @@ def _check_identity(make):
             assert chn.check_equivalent_conditions(a, b, n) == old_conditions[n - 1], n
         for m, old in old_reports.items():
             assert chn.chain_report(a, b, m).to_dict() == old, m
-        # After the chains were rebuilt to x + 3 steps where they had not
+        # After the chains were extended to x + 3 steps where they had not
         # stabilized: the kept images of the longer chains.
         assert chn.verify_nu_duality(a, b) == old_duality
 
@@ -340,17 +343,21 @@ def test_shared_chains_match_per_call_chains(rng):
         _check_identity(make)
 
 
-def test_shared_chains_match_when_chains_never_stabilize(rng, monkeypatch):
-    # With the chain step's stop test always False every chain runs to its
-    # step limit, so a longer n or max_n has to rebuild the shared chains
-    # longer.  Every other is_same, such as the reference's equality_m,
-    # keeps its verdict.
+def _never_stable(monkeypatch):
+    """Make the chain step's stop test always False, so that every chain
+    runs to its step limit.  Every other is_same, such as the reference's
+    equality_m, keeps its verdict."""
     real = sub.Subspace.is_same
 
     def is_same(self, other, tol=EQ_TOL):
         return sys._getframe(1).f_code is not chn._steps.__code__ and real(self, other, tol)
 
     monkeypatch.setattr(sub.Subspace, "is_same", is_same)
+
+
+def test_shared_chains_match_when_chains_never_stabilize(rng, monkeypatch):
+    # A longer n or max_n has to extend the shared chains.
+    _never_stable(monkeypatch)
     for make in _pairs(rng):
         _check_identity(make)
 

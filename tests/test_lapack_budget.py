@@ -43,16 +43,18 @@ kernel and T(0) are read, those of its inverse cost no SVD.  An
 adjoint's graph is the annihilator of t's graph basis with its blocks
 swapped, one full SVD and no thin one.
 
-The chain reports of one pair build its M and N chains once, and
-``verify_nu_duality`` builds those of the adjoint pair once more.  Every
-containment verdict reads the Frobenius bracket of its residual first, so
-a gap far from the tolerance takes no SVD: a chain report whose gaps are
-all decisive takes none for its table.  An adjoint-sequence check, and
-M'_1 = (B(N_1))-perp once the dimensions agree, asks whether a dual chain
-entry D lies in the annihilator of a kept image K, which is
-||K^T U_D|| <= tol: it builds no complement.  ``verify_nu_duality``
-builds the two adjoint graphs' annihilators and no other, and takes the
-images of the two chains' last entries once.
+nu and the chain reports of one pair share its M and N chains, kept in
+the pair's record: each chain step is taken once.  nu grows the M chain
+and reads the containment table's first column; a longer limit extends
+the kept chains in place.  ``verify_nu_duality`` builds the chains of the
+adjoint pair once more.  Every containment verdict reads the Frobenius
+bracket of its residual first, so a gap far from the tolerance takes no
+SVD: a chain report whose gaps are all decisive takes none for its table.
+An adjoint-sequence check, and M'_1 = (B(N_1))-perp once the dimensions
+agree, asks whether a dual chain entry D lies in the annihilator of a kept
+image K, which is ||K^T U_D|| <= tol: it builds no complement.
+``verify_nu_duality`` builds the two adjoint graphs' annihilators and no
+other, and takes the images of the two chains' last entries once.
 
 The relative-bound check solves for B's induced operator on D(A), and for
 A's when tau > 0, from one least-squares call each.
@@ -72,6 +74,7 @@ the bound they fit holds by construction and is not checked again.
 """
 
 import functools
+import sys
 from collections import Counter
 
 import numpy as np
@@ -86,7 +89,7 @@ from linrel import stability as stab
 from linrel import subspace as sub
 from linrel import suites as sts
 
-from test_chains import _deep_pair
+from test_chains import _deep_pair, _never_stable
 
 
 @pytest.fixture
@@ -310,7 +313,7 @@ def test_certified_chain_step_budget(monkeypatch):
 
     monkeypatch.setattr(rel, "image", image)
     used = _count_calls(monkeypatch, ((sub, "span"),))
-    chains = chn._ChainSet(a, b)
+    chains = chn._ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
     # Four steps each, and the one that finds the repeat.
     assert [s.dim for s in chains.ms] == [16, 15, 14, 13, 12, 12], chains.ms
     assert [s.dim for s in chains.ns] == [1, 2, 3, 4, 4], chains.ns
@@ -361,22 +364,47 @@ def test_inverse_reads_no_svd_for_its_parts(calls):
 
 
 def test_chain_builds_once_per_pair(monkeypatch):
-    built = {"m_chain": 0, "n_chain": 0}
-    for name in built:
-        real = getattr(chn, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            built[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(chn, name, counted)
+    # Every chain step is one preimage in the step loop: the pair's chains
+    # and the adjoint pair's each take every step once over all three reports.
     spec = stab.InstanceSpec(6, 6, alpha=2, beta=2, seed=7)
     a, b = stab.generate(spec)
+    a_dual, b_dual = rel.adjoint(a), rel.adjoint(b)
+    steps = sum(len(build(s, t)) - 1 for s, t in ((a, b), (a_dual, b_dual))
+                for build in (chn.m_chain, chn.n_chain))
+    taken, real = [], rel.preimage
+
+    def preimage(t, m):
+        if sys._getframe(1).f_code is chn._steps.__code__:
+            taken.append(t)
+        return real(t, m)
+
+    monkeypatch.setattr(rel, "preimage", preimage)
     chn.chain_report(a, b)
     for n in range(1, a.x_dim + 1):
         chn.check_equivalent_conditions(a, b, n)
     assert chn.verify_nu_duality(a, b)["applicable"]
-    assert built == {"m_chain": 2, "n_chain": 2}, built
+    assert len(taken) == steps, (len(taken), steps)
+
+
+def test_nu_reads_the_pair_chains(monkeypatch):
+    # nu grows the M chain in the pair's record and the chain report reads
+    # it: six M steps and five N steps, one preimage each.
+    a, b = _deep_pair(7, 5, seed=3)
+    used = _count_calls(monkeypatch, ((rel, "preimage"),))
+    chn.nu(a, b)
+    chn.chain_report(a, b)
+    assert used == {"preimage": 11}, used
+
+
+def test_longer_chains_extend_in_place(monkeypatch):
+    # Chains that never stabilize run to their limits: x + 1 M steps and
+    # x N steps, then a report three steps deeper adds two steps to each.
+    _never_stable(monkeypatch)
+    a, b = _deep_pair(7, 5, seed=3)
+    chn.chain_report(a, b)
+    used = _count_calls(monkeypatch, ((rel, "preimage"),))
+    chn.chain_report(a, b, a.x_dim + 3)
+    assert used == {"preimage": 4}, used
 
 
 def test_nu_duality_reads_the_kept_images(monkeypatch):

@@ -342,8 +342,6 @@ def test_stability_radius_formulas():
     assert met.stability_radius(1.0, met.RelativeBound(0.0, 1.0), "full") == pytest.approx(1.0)
     assert met.stability_radius(2.0, met.RelativeBound(1.0, 0.5), "pencil") == pytest.approx(1.0)
     assert met.stability_radius(2.0, met.RelativeBound(1.0, 0.5), "alpha") == pytest.approx(2 / 3)
-    assert met.stability_radius(2.0, met.RelativeBound(1.0, 0.5), "range") == \
-        met.stability_radius(2.0, met.RelativeBound(1.0, 0.5), "full")
 
 
 def test_stability_radius_conventions():

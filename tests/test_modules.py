@@ -16,8 +16,9 @@ memo of what a pair has decided.  No function passes a graph block
 relation's cached split of Gx, not a new SVD of a residual of the block.
 No module but ``subspace`` compares a ``gap`` with a tolerance: every such
 verdict is ``contains``, which reads the residual's Frobenius bracket first.
-No docstring or comment quotes a timing or a benchmark measurement: those
-belong in CHANGES.md, and the call counts in ``test_lapack_budget``.
+No docstring or comment quotes a timing or a benchmark measurement, nor
+counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
+call counts in ``test_lapack_budget``, whose tests enforce them.
 """
 
 import ast
@@ -394,17 +395,21 @@ _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")
 _MEASUREMENT = re.compile(r"\bbenchmark|\bmeasured (?:on|at|over|in)\b", re.IGNORECASE)
 
 
-def _quoted_measurements(source: str) -> list[str]:
-    """Every docstring or comment that quotes a timing (a number, then ms,
-    µs, us, ns or s) or a benchmark measurement."""
+def _docs_and_comments(source: str) -> list[tuple[int, str]]:
+    """(line, text) of every docstring and comment."""
     texts = [(getattr(node, "lineno", 1), ast.get_docstring(node, clean=False))
              for node in ast.walk(ast.parse(source))
              if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)) and ast.get_docstring(node)]
-    texts += [(tok.start[0], tok.string)
-              for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-              if tok.type == tokenize.COMMENT]
-    return [f"line {line}: {text.strip()[:70]}" for line, text in texts
+    return texts + [(tok.start[0], tok.string)
+                    for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                    if tok.type == tokenize.COMMENT]
+
+
+def _quoted_measurements(source: str) -> list[str]:
+    """Every docstring or comment that quotes a timing (a number, then ms,
+    µs, us, ns or s) or a benchmark measurement."""
+    return [f"line {line}: {text.strip()[:70]}" for line, text in _docs_and_comments(source)
             if _TIMING.search(text) or _MEASUREMENT.search(text)]
 
 
@@ -436,3 +441,38 @@ def test_quoted_measurement_detector_allows_contracts_and_code():
               'doc = {"measured": measured}  # the instance file\'s measured block\n'
               "def f(s):\n    \"\"\"[1, sC, 0] over 2 x 2 blocks.\"\"\"\n")
     assert not _quoted_measurements(source)
+
+
+_CALL_COUNT = re.compile(r"\b(?i:no|one|two|three|four|single)\s+(?:[\w-]+\s+)?"
+                         r"(?:SVDs?|QRs?|lstsq|least-squares)\b")
+
+
+def _call_counts(source: str) -> list[str]:
+    """Every docstring or comment that counts LAPACK calls."""
+    return [f"line {line}: {match.group(0)}" for line, text in _docs_and_comments(source)
+            for match in _CALL_COUNT.finditer(text)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_docstring_or_comment_counts_calls(path):
+    found = _call_counts(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} counts calls: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    '"""tau = 0: one SVD of M_b."""',
+    'def f():\n    """Its span is one QR."""',
+    "x = 1  # takes one thin SVD even where",
+    "# P from one SVD, of M^H",
+    'class C:\n    """No QR and two full SVDs."""',
+    "# a single least-squares solve",
+], ids=["module", "function", "comment-adjective", "comment", "class", "lstsq"])
+def test_call_count_detector(source):
+    assert _call_counts(source)
+
+
+def test_call_count_detector_allows_contracts_and_code():
+    source = ('"""sigma is ||M_b||, its largest singular value; the Q factor of m c."""\n'
+              'n = "one SVD"  # a string in code, not a docstring\n'
+              "def f(s):\n    \"\"\"An image is cut by its own thin SVD.\"\"\"\n")
+    assert not _call_counts(source)

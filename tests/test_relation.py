@@ -186,16 +186,26 @@ def test_preimage_builds_one_inverse_per_relation(diag01, monkeypatch):
     assert rel.equals(diag01._inverse, real(diag01))
 
 
+def test_a_cut_at_the_absolute_floor_is_flagged():
+    # Gx's values are 1e-9 and 3.3e-13: RANK_ABS is the binding cut, and
+    # the value it drops lies within a factor ten of it.
+    t = rel.from_matrix(np.diag([1e9, 3e12]))
+    assert (t.domain.dim, t.multivalued_part.dim) == (1, 1)
+    assert t.domain.sv_near_cut and t.multivalued_part.sv_near_cut
+
+
 def test_preimage_of_a_line_agrees_with_the_range_decision():
-    # R(A) is a decided, unflagged 3-space of C^4 with N(A) = {0}, so a
-    # generic line meets it in {0} and its preimage is {0}.  A cut of
-    # (I - P_M) Gy dropped the 2e-12 sin(theta) left of A's smallest value
-    # under the absolute floor and answered a line, unflagged.
+    # R(A) is a 3-space of C^4 with N(A) = {0}, so a generic line meets it
+    # in {0} and its preimage is {0}.  A's smallest value, 2e-12, sits
+    # within a factor ten of the absolute floor, which flags the cut of Gy
+    # that decides both R(A) and N(A).  A cut of (I - P_M) Gy dropped the
+    # 2e-12 sin(theta) left of that value under the floor and answered a
+    # line, unflagged.
     rng = np.random.default_rng(0)
     u = np.linalg.qr(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))[0]
     a = rel.from_matrix(u @ np.diag([2.5e-8, 6e-11, 2e-12]))
     assert (a.kernel.dim, a.range.dim) == (0, 3)
-    assert not (a.kernel.sv_near_cut or a.range.sv_near_cut)
+    assert a.range.sv_near_cut and a.kernel.sv_near_cut
     for seed in (3, 6, 8, 16):
         assert rel.preimage(a, sub.random_subspace(4, 1, seed)).dim == 0, seed
 
@@ -621,13 +631,6 @@ def test_pencil_graph_carries_the_domain_cut_flag(identity):
         assert p.domain.dim == 2 and p.domain.sv_near_cut and p.graph.sv_near_cut
 
 
-def test_domain_of_the_wrong_ambient_raises():
-    with pytest.raises(ValueError, match="domain ambient"):
-        rel.LinearRelation(2, 2, sub.full_space(4), domain=sub.full_space(3))
-    given = sub.zero_subspace(2)
-    assert rel.LinearRelation(2, 2, sub.full_space(4), domain=given).domain is given
-
-
 def _mp(m):
     return mpmath.matrix(np.asarray(m, dtype=complex).tolist())
 
@@ -813,16 +816,28 @@ def test_pencil_dimensions_add_up_at_any_scale(rng, lam):
                                                  p.kernel.dim)
 
 
+class _SpanPencil(rel.LinearRelation):
+    """A relation whose domain is given, not cut from its graph's Gx."""
+
+    def __init__(self, x_dim, y_dim, graph, domain):
+        super().__init__(x_dim, y_dim, graph)
+        self._given = domain
+
+    @property
+    def domain(self):
+        return self._given
+
+
 def _span_pencil(a, b, lam):
-    """A - lam*B as the span of [X; Y1 - lam*Y2], each cut at its own scale:
-    the construction the CS form replaced, kept here as its reference."""
+    """A - lam*B as the span of [X; Y1 - lam*Y2], each cut at its own scale,
+    with the span of X as its domain: the construction the CS form
+    replaced, kept here as its reference."""
     split = sub.svd_split(np.hstack([a._gx, -b._gx]))
     near = split.near or a.graph.sv_near_cut or b.graph.sv_near_cut
     c1, c2 = split.null[: a.graph.dim, :], split.null[a.graph.dim:, :]
     x, y1, y2 = a._gx @ c1, a._gy @ c1, b._gy @ c2
-    return rel.LinearRelation(a.x_dim, a.y_dim,
-                              sub.span(np.vstack([x, y1 - lam * y2]), near=near),
-                              domain=sub.span(x, ambient=a.x_dim, near=near))
+    return _SpanPencil(a.x_dim, a.y_dim, sub.span(np.vstack([x, y1 - lam * y2]), near=near),
+                       sub.span(x, ambient=a.x_dim, near=near))
 
 
 def _reference_pencils():

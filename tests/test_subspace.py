@@ -408,6 +408,8 @@ def _array_rank_from_svals(s: np.ndarray) -> tuple[int, bool]:
         return 0, bool(s.size and s[0] > RANK_ABS / 10)
     normalized = s / s[0]
     near = bool(np.any((normalized > SV_BAND[0]) & (normalized < SV_BAND[1])))
+    if RANK_REL * s[0] <= RANK_ABS:  # the absolute floor is the cut
+        near = near or bool(np.any((s > RANK_ABS / 10) & (s < 10 * RANK_ABS)))
     return _array_rank(s), near
 
 
