@@ -120,7 +120,7 @@ class _ChainSet:
 
     def __init__(self, a: LinearRelation, b: LinearRelation):
         self.ms, self.ns = m_chain(a, b, 0), n_chain(a, b, 0)  # [M_0], [N_1]
-        self._gaps, self._kappa = {}, {}
+        self._gaps, self._rows, self._kappa = {}, {}, [(True, False)]
 
     @classmethod
     def of(cls, a: LinearRelation, b: LinearRelation, m: int, n: int) -> "_ChainSet":
@@ -143,18 +143,27 @@ class _ChainSet:
 
     def row(self, n: int) -> tuple[list[bool], bool]:
         """Row n of the containment table, [N_k inside M_{n-k+1} for
-        k = 1..n], and whether any of its verdicts is flagged."""
-        cells = [self.contained(n - k + 1, k) for k in range(1, n + 1)]
-        return [ok for ok, _ in cells], any([flag for _, flag in cells])
+        k = 1..n], as a new list, and whether any of its verdicts is flagged."""
+        if n not in self._rows:
+            cells = [self.contained(n - k + 1, k) for k in range(1, n + 1)]
+            self._rows[n] = [ok for ok, _ in cells], any([flag for _, flag in cells])
+        return [*self._rows[n][0]], self._rows[n][1]
 
-    def kappa(self, a: LinearRelation, b: LinearRelation, k: int) -> tuple:
-        """``_contained`` of N_k in B^{-1}(A(N_{k+1})) and in D(B)."""
-        key = (min(k, len(self.ns)) - 1, min(k + 1, len(self.ns)) - 1)
-        if key not in self._kappa:
-            nk = self.ns[key[0]]
-            target = rel.preimage(b, rel.image(a, self.ns[key[1]]))
-            self._kappa[key] = (_contained(target, nk), _contained(b.domain, nk))
-        return self._kappa[key]
+    def kappa(self, a: LinearRelation, b: LinearRelation, n: int) -> tuple[bool, bool]:
+        """Whether N_k lies in B^{-1}(A(N_{k+1})) and in D(B) for every
+        k = 1..n, and whether any of those verdicts is flagged: a running
+        tally over k.  Past a stabilized N chain, where N_k and N_{k+1}
+        both read its last entry, a cell repeats the one before it."""
+        run = self._kappa
+        while len(run) <= n:
+            k, (ok, flag) = len(run), run[-1]
+            if k <= len(self.ns):
+                nk = self.ns[k - 1]
+                target = rel.preimage(b, rel.image(a, self.ns[min(k, len(self.ns) - 1)]))
+                (ok1, f1), (ok2, f2) = _contained(target, nk), _contained(b.domain, nk)
+                ok, flag = ok and ok1 and ok2, flag or f1 or f2
+            run.append((ok, flag))
+        return run[n]
 
 
 def nu(a: LinearRelation, b: LinearRelation) -> float:
@@ -186,11 +195,8 @@ def check_equivalent_conditions(a: LinearRelation, b: LinearRelation,
         raise ValueError("n must be >= 1")
     chains = _ChainSet.of(a, b, n, n + 1)
     conditions, ill = chains.row(n)
-    kappa = True
-    for k in range(1, n + 1):
-        (ok1, f1), (ok2, f2) = chains.kappa(a, b, k)
-        kappa = kappa and ok1 and ok2
-        ill = ill or f1 or f2
+    kappa, kappa_ill = chains.kappa(a, b, n)
+    ill = ill or kappa_ill
     all_true = all(conditions)
     return {
         "n": n,

@@ -81,7 +81,8 @@ def canonical_json(obj) -> str:
 
 def _encode(obj, out: list[str]) -> None:
     # Floats first, and inline inside lists: they are most of a payload.
-    # Lists and dicts next; every later test rejects them anyway.
+    # Lists and dicts next; every later test rejects them anyway.  An
+    # [re, im] float pair, a basis entry, is written inline as well.
     if type(obj) is float:
         out.append(fmt_float(obj))
     elif isinstance(obj, (list, tuple)):
@@ -91,6 +92,8 @@ def _encode(obj, out: list[str]) -> None:
                 out.append(",")
             if type(v) is float:
                 out.append(fmt_float(v))
+            elif type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
+                out.append("[" + fmt_float(v[0]) + "," + fmt_float(v[1]) + "]")
             else:
                 _encode(v, out)
         out.append("]")
@@ -134,8 +137,7 @@ def _parse_number(v) -> float:
 
 
 def subspace_to_dict(s: Subspace) -> dict:
-    cols = [[[float(z.real), float(z.imag)] for z in s.basis[:, j]]
-            for j in range(s.dim)]
+    cols = np.stack([s.basis.real, s.basis.imag]).transpose(2, 1, 0).tolist()
     return {"ambient": s.ambient, "basis": cols}
 
 
@@ -144,6 +146,12 @@ def subspace_from_dict(d: dict) -> Subspace:
     cols = d.get("basis", [])
     if not cols:
         return sub.zero_subspace(ambient)
+    try:  # [re, im] number pairs convert at once; the loop names any fault
+        pairs = np.array(cols)
+    except (ValueError, TypeError, OverflowError):
+        pairs = np.zeros(0)
+    if pairs.dtype.kind in "biuf" and pairs.shape == (len(cols), ambient, 2):
+        return sub.span(pairs.astype(float, copy=False).view(complex)[..., 0].T, ambient=ambient)
     m = np.zeros((ambient, len(cols)), dtype=complex)
     for j, col in enumerate(cols):
         if len(col) != ambient:

@@ -117,6 +117,19 @@ class Subspace:
         p.setflags(write=False)
         return p
 
+    @cached_property
+    def _complement(self) -> np.ndarray:
+        """An orthonormal basis of the orthogonal complement, read-only:
+        columns of the identity where the subspace is {0} or the whole
+        space, else the trailing left singular vectors of its orthonormal
+        basis, all of whose values are 1."""
+        if self.dim in (0, self.ambient):
+            c = np.eye(self.ambient, dtype=complex)[:, self.dim:]
+        else:
+            c = np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:]
+        c.setflags(write=False)
+        return c
+
     def residual(self, x: np.ndarray) -> np.ndarray:
         """x - P x for a vector or a matrix of columns; ``x`` itself when
         the subspace is zero."""
@@ -282,25 +295,17 @@ def sum(s1: Subspace, s2: Subspace) -> Subspace:
                 near=s1.sv_near_cut or s2.sv_near_cut)
 
 
-def _complement_basis(s: Subspace) -> np.ndarray:
-    """An orthonormal basis of the orthogonal complement: columns of the
-    identity where s is {0} or the whole space, else the trailing left
-    singular vectors of s's orthonormal basis, all of whose values are 1."""
-    if s.dim in (0, s.ambient):
-        return np.eye(s.ambient, dtype=complex)[:, s.dim:]
-    return np.linalg.svd(s.basis, full_matrices=True)[0][:, s.dim:]
-
-
 def orth_complement(s: Subspace) -> Subspace:
     """Orthogonal complement under the conjugate inner product."""
-    return Subspace(s.ambient, _complement_basis(s), s.sv_near_cut)
+    return Subspace(s.ambient, s._complement, s.sv_near_cut)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Set-theoretic intersection, as complement of the sum of complements."""
     if s1.ambient != s2.ambient:
         raise ValueError(f"ambient mismatch: {s1.ambient} vs {s2.ambient}")
-    return orth_complement(sum(orth_complement(s1), orth_complement(s2)))
+    return orth_complement(span(np.hstack([s1._complement, s2._complement]), ambient=s1.ambient,
+                                near=s1.sv_near_cut or s2.sv_near_cut))
 
 
 def annihilator(s: Subspace) -> Subspace:
@@ -311,7 +316,7 @@ def annihilator(s: Subspace) -> Subspace:
     complement.  Conjugation preserves orthonormality, so the complement's
     basis is read once and only its conjugate is built.
     """
-    return Subspace(s.ambient, _complement_basis(s).conj(), s.sv_near_cut)
+    return Subspace(s.ambient, s._complement.conj(), s.sv_near_cut)
 
 
 def in_annihilator(k: Subspace, d: Subspace) -> bool:

@@ -407,3 +407,37 @@ def test_new_partner_gets_its_own_chains():
         assert chn.chain_report(a, fresh).to_dict() != old
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("stops", [True, False], ids=["stabilizing", "never-stable"])
+def test_equivalent_conditions_do_not_depend_on_call_order(stops, monkeypatch):
+    if not stops:
+        _never_stable(monkeypatch)
+    for make in (lambda: _deep_pair(7, 5, seed=3), lambda: _deep_pair(6, 6, seed=4)):
+        up = make()
+        ns = range(1, up[0].x_dim + 3)
+        ascending = {n: chn.check_equivalent_conditions(*up, n) for n in ns}
+        a, b = make()
+        descending = {n: chn.check_equivalent_conditions(a, b, n) for n in reversed(ns)}
+        single = {}
+        for n in ns:
+            a, b = make()
+            single[n] = chn.check_equivalent_conditions(a, b, n)
+        assert ascending == descending == single
+        # A second pass reads the kept rows and kappa tally: no verdict again.
+        taken, real = [], chn._contained
+        monkeypatch.setattr(chn, "_contained", lambda *args: taken.append(args) or real(*args))
+        assert {n: chn.check_equivalent_conditions(*up, n) for n in ns} == single
+        assert taken == []
+        monkeypatch.setattr(chn, "_contained", real)
+
+
+def test_kept_rows_are_not_shared_with_callers():
+    a, b = _deep_pair(7, 5, seed=3)
+    table = chn.chain_report(a, b).containment_table
+    first = chn.check_equivalent_conditions(a, b, 3)
+    first["conditions"].append("mutated")
+    table[2].append("mutated")
+    again = chn.check_equivalent_conditions(a, b, 3)
+    assert "mutated" not in again["conditions"]
+    assert chn.chain_report(a, b).containment_table[2] == again["conditions"]

@@ -47,9 +47,14 @@ nu and the chain reports of one pair share its M and N chains, kept in
 the pair's record: each chain step is taken once.  nu grows the M chain
 and reads the containment table's first column; a longer limit extends
 the kept chains in place.  ``verify_nu_duality`` builds the chains of the
-adjoint pair once more.  Every containment verdict reads the Frobenius
-bracket of its residual first, so a gap far from the tolerance takes no
-SVD: a chain report whose gaps are all decisive takes none for its table.
+adjoint pair once more.  The table's rows and the running kappa verdict
+are kept too: ``check_equivalent_conditions`` after a chain report takes
+no containment verdict for its conditions.  A subspace's complement takes
+one SVD however often it is read, and an intersection takes the SVDs of
+the two complements, of their sum and of its complement.  Every
+containment verdict reads the Frobenius bracket of its residual first, so
+a gap far from the tolerance takes no SVD: a chain report whose gaps are
+all decisive takes none for its table.
 An adjoint-sequence check, and M'_1 = (B(N_1))-perp once the dimensions
 agree, asks whether a dual chain entry D lies in the annihilator of a kept
 image K, which is ||K^T U_D|| <= tol: it builds no complement.

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linrel import metrics as met
 from linrel import relation as rel
@@ -228,3 +230,146 @@ def test_fmt_float_errors_and_numbers():
             _oracle_fmt_float(bad)
     for x in [3, True, np.float64(-0.0), np.float32(0.1), np.int64(2**40), 1e308]:
         assert ser.fmt_float(x) == _oracle_fmt_float(x)
+
+
+# ---------------------------------------------------------------------------
+# bulk payload encode and decode against the per-entry formulation
+
+def _entrywise_to_dict(s: sub.Subspace) -> dict:
+    cols = [[[float(z.real), float(z.imag)] for z in s.basis[:, j]]
+            for j in range(s.dim)]
+    return {"ambient": s.ambient, "basis": cols}
+
+
+def _entrywise_entry(entry) -> complex:
+    if isinstance(entry, (list, tuple)):
+        if len(entry) != 2:
+            raise ValueError(f"complex entry must be [re, im], got {entry!r}")
+        return complex(float(entry[0]), float(entry[1]))
+    return complex(float(entry), 0.0)
+
+
+def _entrywise_from_dict(d: dict) -> sub.Subspace:
+    ambient = int(d["ambient"])
+    cols = d.get("basis", [])
+    if not cols:
+        return sub.zero_subspace(ambient)
+    m = np.zeros((ambient, len(cols)), dtype=complex)
+    for j, col in enumerate(cols):
+        if len(col) != ambient:
+            raise ValueError(f"basis column {j} has length {len(col)}, "
+                             f"ambient is {ambient}")
+        for i, entry in enumerate(col):
+            m[i, j] = _entrywise_entry(entry)
+    return sub.span(m, ambient=ambient)
+
+
+def _outcome(fn, *args):
+    """(ambient, basis bytes, flag) of a decoded subspace, or the
+    exception's type and message."""
+    try:
+        s = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return s.ambient, s.basis.shape, s.basis.tobytes(), s.sv_near_cut
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300,
+          -1e300, 1e-300, 0.1, 1 / 3, 1.0, -1.0]
+_values = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _bases(draw):
+    """Orthonormal bases: Haar ones, and signed unit columns whose other
+    entries are signed zeros, subnormals or tiny normals."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        return sub.random_subspace(n, k, draw(st.integers(0, 2**32 - 1)))
+    small = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300])
+    re = np.array(draw(st.lists(small, min_size=n * k, max_size=n * k))).reshape(n, k)
+    im = np.array(draw(st.lists(small, min_size=n * k, max_size=n * k))).reshape(n, k)
+    basis = re + 1j * im
+    for j, i in enumerate(draw(st.permutations(range(n)))[:k]):
+        basis[i, j] = draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+    return sub.Subspace(n, basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases())
+def test_bulk_encode_gives_the_entrywise_bytes_and_bits(s):
+    d = ser.subspace_to_dict(s)
+    ref = _entrywise_to_dict(s)
+    assert d == ref
+    assert [type(v) for col in d["basis"] for pair in col for v in pair] == \
+        [float] * (2 * s.ambient * s.dim)
+    text = ser.canonical_json(d)
+    assert text == _oracle_json(ref)
+    back = json.loads(text)
+    assert _outcome(ser.subspace_from_dict, back) == _outcome(_entrywise_from_dict, back)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.one_of(_values, st.sampled_from([math.inf, -math.inf, math.nan])),
+                         min_size=2, max_size=2), max_size=8))
+def test_bulk_pair_text_matches_the_oracle(pairs):
+    for doc in (pairs, [pairs, pairs], {"basis": [pairs]}):
+        try:
+            expected = _oracle_json(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                ser.canonical_json(doc)
+        else:
+            assert ser.canonical_json(doc) == expected
+
+
+@st.composite
+def _payloads(draw):
+    """Subspace payloads as JSON gives them, and worse: pair entries (of
+    floats, or of strings, ints, booleans and nulls), bare numbers,
+    mixtures, ragged columns and three-element entries."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 4))
+    entry = st.one_of(st.lists(_values, min_size=2, max_size=2), _values,
+                      st.lists(_values, min_size=3, max_size=3), st.sampled_from(["inf", 1, True]))
+    odd = st.one_of(_values, st.sampled_from(["inf", "1.5", "x", 1, 2**70, True, None]))
+    kind = draw(st.sampled_from(["pairs", "odd pairs", "bare", "mixed", "ragged"]))
+    if kind == "pairs":
+        col = st.lists(st.lists(_values, min_size=2, max_size=2), min_size=n, max_size=n)
+    elif kind == "odd pairs":
+        col = st.lists(st.lists(odd, min_size=2, max_size=2), min_size=n, max_size=n)
+    elif kind == "bare":
+        col = st.lists(_values, min_size=n, max_size=n)
+    elif kind == "mixed":
+        col = st.lists(entry, min_size=n, max_size=n)
+    else:
+        col = st.lists(st.lists(_values, min_size=2, max_size=2), min_size=0, max_size=n + 1)
+    return {"ambient": n, "basis": draw(st.lists(col, min_size=k, max_size=k))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads())
+def test_bulk_decode_gives_the_entrywise_bits_and_errors(d):
+    assert _outcome(ser.subspace_from_dict, d) == _outcome(_entrywise_from_dict, d)
+
+
+def test_payload_edge_cases_keep_their_text_and_errors():
+    assert ser.canonical_json([[1.0, math.inf], [-0.0, 5e-324]]) == \
+        '[[1,"inf"],[-0,4.9406564584124654e-324]]'
+    assert ser.canonical_json([[1e300, -1e-300]]) == "[[1.0000000000000001e+300,-1e-300]]"
+    with pytest.raises(ValueError, match="NaN is not serializable"):
+        ser.canonical_json([[0.5, 0.5], [math.nan, 0.0]])
+    assert ser.subspace_to_dict(sub.zero_subspace(3)) == {"ambient": 3, "basis": []}
+    bare = {"ambient": 2, "basis": [[1.0, 0.0], [0.0, -1.0]]}
+    assert _outcome(ser.subspace_from_dict, bare) == _outcome(_entrywise_from_dict, bare)
+    assert ser.subspace_from_dict(bare).dim == 2
+    ragged = {"ambient": 2, "basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}
+    with pytest.raises(ValueError, match="^basis column 1 has length 1, ambient is 2$"):
+        ser.subspace_from_dict(ragged)
+    triple = {"ambient": 2, "basis": [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]}
+    with pytest.raises(ValueError, match=r"^complex entry must be \[re, im\], got \[1\.0, 0\.0, 0\.0\]$"):
+        ser.subspace_from_dict(triple)
+    infinite = {"ambient": 1, "basis": [[["inf", 0.0]]]}
+    with pytest.raises(ValueError, match="non-finite"):
+        ser.subspace_from_dict(infinite)

@@ -634,3 +634,64 @@ def test_certified_span_is_the_span_or_nothing(rng):
         assert got is None or (got.dim, got.sv_near_cut) == (ref.dim, ref.sv_near_cut)
         flagged += ref.sv_near_cut
     assert flagged, flagged
+
+
+# ---------------------------------------------------------------------------
+# One complement per subspace
+
+def _svd_log(monkeypatch) -> list:
+    """(shape, args, kwargs) of every numpy SVD from here on."""
+    seen, real = [], np.linalg.svd
+
+    def svd(m, *args, **kwargs):
+        seen.append((m.shape, args, sorted(kwargs.items())))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return seen
+
+
+def test_a_second_complement_takes_no_svd(rng, monkeypatch):
+    seen = _svd_log(monkeypatch)
+    for s in (sub.random_subspace(6, 2, rng), sub.random_subspace(5, 4, rng)):
+        seen.clear()
+        perp, dual = sub.orth_complement(s), sub.annihilator(s)
+        assert len(seen) == 1
+        again, dual_again = sub.orth_complement(s), sub.annihilator(s)
+        assert seen == seen[:1]
+        assert again.basis.tobytes() == perp.basis.tobytes()
+        assert dual_again.basis.tobytes() == dual.basis.tobytes() == perp.basis.conj().tobytes()
+        assert not s._complement.flags.writeable
+        assert perp.dim == s.ambient - s.dim and s.is_same(sub.orth_complement(perp))
+
+
+def _composed_intersect(s1, s2):
+    """Intersection as the complement of the sum of complements, each a
+    subspace of its own."""
+    return sub.orth_complement(sub.sum(sub.orth_complement(s1), sub.orth_complement(s2)))
+
+
+def test_intersect_takes_the_composition_svds_and_bits(rng, monkeypatch):
+    line = sub.span(np.array([1.0, 1e-7, 0.0, 0.0]))
+    plane = sub.Subspace(4, np.eye(4)[:, :2], sv_near_cut=True)
+    cases = [(sub.random_subspace(5, 3, rng), sub.random_subspace(5, 4, rng)),
+             (sub.random_subspace(6, 3, rng), sub.random_subspace(6, 3, rng)),
+             (line, plane), (plane, line), (plane, plane),
+             (sub.zero_subspace(3), sub.random_subspace(3, 2, rng)),
+             (sub.full_space(4), sub.random_subspace(4, 1, rng)),
+             (sub.full_space(3), sub.full_space(3))]
+    seen = _svd_log(monkeypatch)
+
+    def fresh(s):
+        return sub.Subspace(s.ambient, s.basis, s.sv_near_cut)
+
+    for s1, s2 in cases:
+        seen.clear()
+        ref = _composed_intersect(fresh(s1), fresh(s2))
+        ref_svds = list(seen)
+        seen.clear()
+        got = sub.intersect(fresh(s1), fresh(s2))
+        assert seen == ref_svds
+        assert got.basis.shape == ref.basis.shape
+        assert got.basis.tobytes() == ref.basis.tobytes()
+        assert got.sv_near_cut == ref.sv_near_cut
