@@ -47,6 +47,12 @@ __all__ = [
 # costs nothing, and its images take the QR at every size.
 CERTIFY_ROWS = 16
 
+# Under an injective relation whose Gy split proves an image's cut, the
+# image keeps its coefficients S_r^-1 U_r^H M' as they stand where the Gx
+# split's spread s_1 / s_r, which bounds their condition, is at most this:
+# Householder QR's error is columnwise, so the rounding grows by at most it.
+COEF_SPREAD = 16.0
+
 
 class DomainError(ValueError):
     """Raised when a vector lies outside the domain of a relation.
@@ -154,7 +160,8 @@ class LinearRelation:
         return _ImageMap(dom.basis.conj().T / split.svals[: dom.dim, None],
                          gv[:, : dom.dim], gv[:, dom.dim:],
                          split.near or self.graph.sv_near_cut, perp,
-                         kv[:, : dom.dim], kv[:, dom.dim:], sub.kernel_limit(y_split))
+                         kv[:, : dom.dim], kv[:, dom.dim:], sub.kernel_limit(y_split),
+                         split.svals[0] / split.svals[dom.dim - 1] if dom.dim else 1.0)
 
     @cached_property
     def _inverse(self) -> "LinearRelation":
@@ -184,6 +191,7 @@ class _ImageMap(NamedTuple):
     kr: np.ndarray  # N^H V_r
     k0: np.ndarray  # N^H V_0
     limit: float | None  # subspace.kernel_limit of the Gy split
+    spread: float  # s_1 / s_r of the Gx split, 1 where D(T) = {0}; >= cond(coef M')
 
 
 def from_matrix(a) -> LinearRelation:
@@ -418,9 +426,13 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     space of D(T)-perp^H M.  The span of Gy c takes a rank cut of its own
     unless t's split of Gy proves that cut from c's angles to its null
     block (:func:`subspace.certified_span`), which is tried under an
-    injective t and on images of at least ``CERTIFY_ROWS`` rows.  Flagged
-    as D's split, the graph, M and the cuts of M ^ D and of that span
-    are."""
+    injective t and on images of at least ``CERTIFY_ROWS`` rows.  Where
+    that proof holds under an injective t whose Gx spread is at most
+    ``COEF_SPREAD``, V_r's coefficients are S_r^-1 U_r^H M' as they stand:
+    they span what their orthonormal basis spans, so the image keeps its
+    dimension and flag, and its basis moves in the last bits only.
+    Flagged as D's split, the graph, M and the cuts of M ^ D and of that
+    span are."""
     if m.ambient != t.x_dim:
         raise ValueError(f"subspace ambient {m.ambient} != x_dim {t.x_dim}")
     imap = t._image_map
@@ -428,16 +440,18 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     if imap.perp is not None:
         cut = sub.svd_split(imap.perp @ basis)
         basis, near = basis @ cut.null, near or cut.near
-    # c is orthonormal before Gy V_r applies: with S_r^-1's spread in it,
-    # the product's rounding would swamp the image's small directions.
-    q = np.linalg.qr(imap.coef @ basis)[0]
-    cols = imap.gv @ q
+    # c is orthonormal before Gy V_r applies unless COEF_SPREAD bounds its
+    # condition: with S_r^-1's spread in it, the product's rounding would
+    # swamp the image's small directions.
+    c, injective = imap.coef @ basis, not imap.kr.shape[0]
+    if not (injective and imap.limit is not None and imap.spread <= COEF_SPREAD):
+        c = np.linalg.qr(c)[0]
+    cols = imap.gv @ c
     if imap.gv0.shape[1]:
         cols = np.hstack([cols, imap.gv0])
-    injective = not imap.kr.shape[0]
     if (cols.shape[1] and imap.limit is not None
             and (injective or cols.shape[0] >= CERTIFY_ROWS)):
-        e = None if injective else np.hstack([imap.kr @ q, imap.k0])
+        e = None if injective else np.hstack([imap.kr @ c, imap.k0])
         kept = sub.certified_span(cols, e, imap.limit, near)
         if kept is not None:
             return kept

@@ -256,7 +256,8 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
     """span(m c) for orthonormal columns c, with the dimension and flag
     :func:`span` gives it, proved from e = V_0^H c instead of cut; None
     where the proof fails.  ``limit`` is :func:`kernel_limit` of m's split,
-    V_0 its null block, and ``e`` is None where V_0 is empty.
+    V_0 its null block, and ``e`` is None where V_0 is empty; then the
+    proof reads span(c) alone, and c need only have full column rank.
 
     Where ||e||_F^2 <= limit, every unit vector of span(c) keeps a value
     clear of the cut and the band, and :func:`_rank_cut` would keep all of

@@ -5,11 +5,23 @@ pinned ``instances_digest`` (the sha256 of each case's canonical JSON, so any
 drift in how a payload is built or encoded moves it) and the pinned lemma
 tallies, as (pass, fail, not_applicable, indeterminate).  The whole table
 runs in well under a second.
+
+What ``linrel chains`` computes on two deep pairs, each with x at least
+``CERTIFY_ROWS`` (the chain report, the equivalent conditions for n = 1..x
+and the nu-duality check, in canonical JSON), must give its pinned sha256:
+drift in any chain dimension, containment verdict or flag moves it.
 """
+
+import hashlib
 
 import pytest
 
+from linrel import chains as chn
+from linrel import relation as rel
+from linrel import serialize as ser
 from linrel import suites as sts
+
+from test_chains import _deep_pair
 
 PINNED = {
     ("algebra", 1): (
@@ -199,3 +211,22 @@ def test_suite_digest_and_tallies_are_pinned(name, seed):
 
 def test_pinned_table_covers_every_suite():
     assert {name for name, _ in PINNED} == set(sts.SUITE_NAMES)
+
+
+CHAIN_PINNED = {
+    (16, 8, 1): "cec9028aaef9b42bd9290a3b91ef497ea39f821ee26e32708803a2da0cccaa42",
+    (24, 12, 2): "d8ad5dae074f70069b0cb56cb4fcc155ed7b233f2e3cfae4ed7fd8f81ce1388b",
+}
+
+
+@pytest.mark.parametrize("x,depth,seed", sorted(CHAIN_PINNED))
+def test_chains_output_is_pinned(x, depth, seed):
+    assert x >= rel.CERTIFY_ROWS
+    a, b = _deep_pair(x, depth, seed)
+    doc = chn.chain_report(a, b).to_dict()
+    doc["equivalent_conditions"] = [chn.check_equivalent_conditions(a, b, n)
+                                    for n in range(1, x + 1)]
+    doc["nu_duality"] = chn.verify_nu_duality(a, b)
+    assert not doc["ill_conditioned"] and doc["nu"] == depth
+    text = ser.canonical_json(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_PINNED[x, depth, seed]

@@ -27,7 +27,9 @@ full SVD of the n_d x dim M matrix D(T)-perp^H M, n_d = codim D(T).  One
 QR of the r x dim M' matrix S_r^-1 U_r^H M' makes the coefficients c
 orthonormal, and then comes the span of the y x k matrix Gy c:
   * under an injective relation whose Gy is clear of the rank cut's band,
-    one QR at every size and no SVD;
+    one QR at every size and no SVD, and where the spread s_1 / s_r of
+    its Gx split is at most COEF_SPREAD that QR is the only one: c stays
+    as it is;
   * under a relation with a kernel whose kept Gy values are clear of the
     band, on an image matrix of at least CERTIFY_ROWS rows, the
     certificate reads E = N^H c: one QR where ||E||_F is small, else one
@@ -269,9 +271,15 @@ def _lapack_calls(monkeypatch) -> list:
 
 def test_chain_step_budget(monkeypatch, rng):
     a, b = _deep_pair(7, 5, seed=3)
+    # An injective operator with values over 1e-3..1e3: its Gx spread is
+    # past COEF_SPREAD.
+    u, v = (np.linalg.qr(rng.standard_normal((n, 5)))[0] for n in (7, 5))
+    wide = rel.from_matrix(u @ np.diag(np.geomspace(1e3, 1e-3, 5)) @ v.T)
     # Building the inverses computes both splits of a and b and hands them
-    # over: no relation here computes a split inside an image.
-    relations = (a, b, a._inverse, b._inverse)
+    # over, and wide's image map both of its own: no relation here computes
+    # a split inside an image.
+    relations = (a, b, a._inverse, b._inverse, wide)
+    _ = wide._image_map
     seen = _lapack_calls(monkeypatch)
     proper = set()
     for t in relations:
@@ -282,10 +290,12 @@ def test_chain_step_budget(monkeypatch, rng):
             rel.image(t, m)
             full = [call[1] for call in seen if call[0] == "svd" and call[2]]
             thin = [call[1] for call in seen if call[0] == "svd" and not call[2]]
-            # The QR that makes c orthonormal, then the span of Gy c: a QR
-            # under an injective relation, and under a (N(A) != {0}) a thin
-            # SVD, as every image of fewer than CERTIFY_ROWS rows keeps.
-            assert [call[0] for call in seen].count("qr") == 1 + (t is not a), seen
+            # Under a (N(A) != {0}) the QR that makes c orthonormal, then a
+            # thin SVD of Gy c, as every image of fewer than CERTIFY_ROWS rows
+            # keeps.  Under an injective relation the QR of Gy c, after the
+            # one that makes c orthonormal only where the Gx spread is past
+            # COEF_SPREAD.
+            assert [call[0] for call in seen].count("qr") == 1 + (t is wide), seen
             assert len(thin) == (t is a), seen
             # M ^ D(T) from D(T)-perp^H M where D(T) is not all of X.
             assert full == ([(t.x_dim - dom.dim, d)] if dom.dim < t.x_dim else []), seen
@@ -295,6 +305,8 @@ def test_chain_step_budget(monkeypatch, rng):
         assert seen == [("svd", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
     assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
     assert rel.CERTIFY_ROWS > a.y_dim
+    wider = [t._image_map.spread > rel.COEF_SPREAD for t in relations[1:]]
+    assert wider == [False, False, False, True] and not wide._image_map.kr.shape[0], wider
 
 
 def test_certified_chain_step_budget(monkeypatch):

@@ -308,6 +308,32 @@ def _graded_relation(rng, smallest):
     return rel.from_graph(sub.Subspace(x + y, np.hstack([cols, t0])), x, y)
 
 
+def _spread_relation(rng, spread):
+    """An injective relation from X to Y whose Gx keeps the values C = (1 +
+    s^2)^-1/2 from 0.9 down to 0.9 / ``spread``, so its Gx spread is
+    ``spread``: D(T) is X or a proper subspace of it, T(0) {0} or not."""
+    x = int(rng.integers(2, 8))
+    k = int(rng.integers(2, x + 1))
+    y = int(rng.integers(k, 9))
+    mv = int(rng.integers(0, y - k + 1))
+    v = np.linalg.qr(rng.standard_normal((x, k)) + 1j * rng.standard_normal((x, k)))[0]
+    uw = np.linalg.qr(rng.standard_normal((y, k + mv)) + 1j * rng.standard_normal((y, k + mv)))[0]
+    c = np.geomspace(0.9, 0.9 / spread, k)
+    cols = rel._cs_columns(v, uw[:, :k], np.sqrt(1 / c ** 2 - 1))
+    t0 = np.vstack([np.zeros((x, mv)), uw[:, k:]])
+    return rel.from_graph(sub.Subspace(x + y, np.hstack([cols, t0])), x, y)
+
+
+def _two_qr_image(t, m):
+    """T(M) under a t whose split of Gy proves the cut: c orthonormalised
+    by a QR, then the Q factor of Gy c, read off t's image map."""
+    imap, basis = t._image_map, m.basis
+    if imap.perp is not None:
+        basis = basis @ sub.svd_split(imap.perp @ basis).null
+    cols = np.hstack([imap.gv @ np.linalg.qr(imap.coef @ basis)[0], imap.gv0])
+    return sub.Subspace(t.y_dim, np.linalg.qr(cols)[0] if cols.shape[1] else cols)
+
+
 def _certifies_every_column(t):
     """t's split of Gy proves the cut of Gy c for every orthonormal c: Gy
     has no null block and :func:`subspace.kernel_limit` is set."""
@@ -319,7 +345,9 @@ def test_injective_image_matches_the_span_image(rng):
     # Where t's cut of Gy fixes the image's rank (one QR), the image has the
     # span image's dimension, flag and span, and an orthonormal basis.  So
     # has every image read off t's map: where D(T) != X, dim G = 0 or M =
-    # {0}, and under a cached inverse (a preimage) or an adjoint.
+    # {0}, and under a cached inverse (a preimage) or an adjoint.  There,
+    # whether c is made orthonormal first (a Gx spread over COEF_SPREAD) or
+    # not, the image is within 1e-11 of the two-QR image both ways.
     relations, kinds = [], {}
     for _ in range(40):
         for base in stab.generate(stab.random_feasible_spec(rng, max_dim=6)):
@@ -342,6 +370,14 @@ def test_injective_image_matches_the_span_image(rng):
         assert {_certifies_every_column(t) for t in ts} == {smallest > 2e-6}
         relations += ts
     relations += [rel.from_graph(sub.zero_subspace(x + y), x, y) for x, y in ((1, 1), (3, 2))]
+    # Both sides of COEF_SPREAD, with their own generator.
+    spread_rng = np.random.default_rng(25)
+    for spread in (0.999 * rel.COEF_SPREAD, 1.001 * rel.COEF_SPREAD):
+        for _ in range(30):
+            t = _spread_relation(spread_rng, spread)
+            assert _certifies_every_column(t) and t.kernel.dim == 0
+            assert (t._image_map.spread <= rel.COEF_SPREAD) == (spread < rel.COEF_SPREAD)
+            relations.append(t)
     cases = [(t, m) for t in relations for _, m in _every_dimension(t, rng)]
     decided = proper = 0
     seen = set()
@@ -354,6 +390,8 @@ def test_injective_image_matches_the_span_image(rng):
         if _certifies_every_column(t):
             decided += 1
             proper += t.domain.dim < t.x_dim
+            ref = _two_qr_image(t, m)
+            assert max(sub.gap(new, ref), sub.gap(ref, new)) <= 1e-11, (t, m.dim)
         seen |= {kinds.get(id(t), "other")}
         seen |= {"D != X"} if t.domain.dim < t.x_dim else set()
         seen |= {"dim G = 0"} if t.graph.dim == 0 else set()
