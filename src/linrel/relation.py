@@ -41,12 +41,6 @@ __all__ = [
 ]
 
 
-# An image matrix with fewer rows is cut by its own thin SVD even where the
-# relation's Gy split could prove its cut: on such small matrices the SVD
-# costs less than the certificate and a QR.  An injective relation's proof
-# costs nothing, and its images take the QR at every size.
-CERTIFY_ROWS = 16
-
 # Under an injective relation whose Gy split proves an image's cut, the
 # image keeps its coefficients S_r^-1 U_r^H M' as they stand where the Gx
 # split's spread s_1 / s_r, which bounds their condition, is at most this:
@@ -169,10 +163,6 @@ class LinearRelation:
         T's split of Gy is the inverse's split of Gx, and T's of Gx its of Gy."""
         _ = self._y_svd, self._x_svd
         return inverse(self)
-
-    @property
-    def single_valued(self) -> bool:
-        return self.multivalued_part.dim == 0
 
     def __repr__(self) -> str:
         return (f"LinearRelation({self.x_dim}->{self.y_dim}, "
@@ -425,9 +415,11 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     V_r orth(S_r^-1 U_r^H M'), M' = M ^ D(T), cut out of M as the null
     space of D(T)-perp^H M.  The span of Gy c takes a rank cut of its own
     unless t's split of Gy proves that cut from c's angles to its null
-    block (:func:`subspace.certified_span`), which is tried under an
-    injective t and on images of at least ``CERTIFY_ROWS`` rows.  Where
-    that proof holds under an injective t whose Gx spread is at most
+    block N (:func:`subspace.certified_span`): the span is Gy c's Q factor
+    where c is close enough to orthogonal to N, and otherwise E = N^H c's
+    row-space block is dropped whole, which must lose no more than
+    rounding; where the proof fails, Gy c's thin SVD cuts it.  Where that
+    proof holds under an injective t whose Gx spread is at most
     ``COEF_SPREAD``, V_r's coefficients are S_r^-1 U_r^H M' as they stand:
     they span what their orthonormal basis spans, so the image keeps its
     dimension and flag, and its basis moves in the last bits only.
@@ -449,8 +441,7 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     cols = imap.gv @ c
     if imap.gv0.shape[1]:
         cols = np.hstack([cols, imap.gv0])
-    if (cols.shape[1] and imap.limit is not None
-            and (injective or cols.shape[0] >= CERTIFY_ROWS)):
+    if cols.shape[1] and imap.limit is not None:
         e = None if injective else np.hstack([imap.kr @ c, imap.k0])
         kept = sub.certified_span(cols, e, imap.limit, near)
         if kept is not None:

@@ -261,23 +261,17 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
 
     Where ||e||_F^2 <= limit, every unit vector of span(c) keeps a value
     clear of the cut and the band, and :func:`_rank_cut` would keep all of
-    m c, unflagged: its span is the Q factor of m c.  Otherwise c is rotated by e's
-    SVD, so that its columns are the principal vectors of span(c) against
-    span(V_0), closest first (Bjorck & Golub, 1973).  The leading ones
-    whose image has norm at most ``RANK_ABS`` / 10 lie in the null block
-    and are dropped; the rest must be off it by ``limit``.  The dropped
-    images' Frobenius norm bounds the values they add to m c, and twice it
-    must be at most ``RANK_ABS`` / 10 and the band's floor times m c's
-    largest value, or ``RANK_ABS`` / 10 where nothing is kept."""
+    m c, unflagged: its span is the Q factor of m c.  Otherwise c is
+    rotated by e's SVD, and E's row-space block, the leading min(n_0, k)
+    columns, is dropped whole; the rest are orthogonal to V_0 by
+    construction.  The dropped images' Frobenius norm bounds the values
+    they add to m c, and twice it must be at most ``RANK_ABS`` / 10 and
+    the band's floor times m c's largest value, or ``RANK_ABS`` / 10 where
+    nothing is kept."""
     if e is None or np.vdot(e, e).real <= limit:
         return Subspace(mc.shape[0], np.linalg.qr(mc)[0], sv_near_cut=near)
-    _, cos, wh = np.linalg.svd(e)
-    a = mc @ wh.conj().T
-    norms = np.linalg.norm(a[:, : cos.size], axis=0).tolist()
-    dropped = next((j for j, v in enumerate(norms) if v > RANK_ABS / 10), len(norms))
-    if float(cos[dropped:].max(initial=0.0)) ** 2 > limit:
-        return None
-    kept, lost = a[:, dropped:], np.vdot(a[:, :dropped], a[:, :dropped]).real ** 0.5
+    a, n = mc @ np.linalg.svd(e)[2].conj().T, min(e.shape)
+    kept, lost = a[:, n:], np.vdot(a[:, :n], a[:, :n]).real ** 0.5
     if kept.shape[1]:
         # m c's largest value is at least the kept columns' root mean square.
         floor = min(RANK_ABS / 10, SV_BAND[0] * (np.vdot(kept, kept).real / kept.shape[1]) ** 0.5)

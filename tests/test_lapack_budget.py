@@ -19,7 +19,7 @@ no identity, no split and no subspace until its range or graph is read.
 
 One chain step is an image and a preimage.  On a relation whose splits
 of Gx = U S V^H and of Gy are cached, an image takes no SVD of a graph
-block, and one of at least CERTIFY_ROWS rows none of any matrix with an
+block, and one whose cut Gy's split proves none of any matrix with an
 ambient number of rows.  It reads the relation's image map (S_r^-1
 U_r^H, Gy V_r, Gy V_0, D(T)-perp^H and N^H V for the null block N of Gy's
 split), built once per relation.  A relation whose domain is not all of X cuts M ^ D(T) out of M with one
@@ -31,13 +31,12 @@ orthonormal, and then comes the span of the y x k matrix Gy c:
     its Gx split is at most COEF_SPREAD that QR is the only one: c stays
     as it is;
   * under a relation with a kernel whose kept Gy values are clear of the
-    band, on an image matrix of at least CERTIFY_ROWS rows, the
-    certificate reads E = N^H c: one QR where ||E||_F is small, else one
-    full SVD of the n_0 x k matrix E and one QR of the rotated columns off
-    N, or, where the certificate fails, one thin SVD as well;
-  * otherwise one thin SVD, which every image of fewer than CERTIFY_ROWS
-    rows under a relation with a kernel keeps: at those sizes it costs
-    less than the certificate and a QR.
+    band, at every size, the certificate reads E = N^H c: one QR where
+    ||E||_F^2 is at most the split's limit, else one full SVD of the
+    n_0 x k matrix E, whose row-space block is dropped whole, and one QR
+    of the columns left, which are off N, or, where the certificate
+    fails, one thin SVD in place of that QR;
+  * otherwise one thin SVD.
 A preimage is the image under the relation's inverse, which is built
 once and is handed both of the relation's splits, of Gy as its own split
 of Gx and of Gx as its own split of Gy.  Once a relation's domain, range,
@@ -281,7 +280,7 @@ def test_chain_step_budget(monkeypatch, rng):
     relations = (a, b, a._inverse, b._inverse, wide)
     _ = wide._image_map
     seen = _lapack_calls(monkeypatch)
-    proper = set()
+    proper, rotations = set(), set()
     for t in relations:
         dom = t._x_svd[0]
         for d in range(1, t.x_dim + 1):
@@ -290,13 +289,22 @@ def test_chain_step_budget(monkeypatch, rng):
             rel.image(t, m)
             full = [call[1] for call in seen if call[0] == "svd" and call[2]]
             thin = [call[1] for call in seen if call[0] == "svd" and not call[2]]
-            # Under a (N(A) != {0}) the QR that makes c orthonormal, then a
-            # thin SVD of Gy c, as every image of fewer than CERTIFY_ROWS rows
-            # keeps.  Under an injective relation the QR of Gy c, after the
-            # one that makes c orthonormal only where the Gx spread is past
-            # COEF_SPREAD.
+            # No thin SVD: the certificate proves every cut here.
+            assert thin == [], seen
+            if t is a:
+                # N(A) != {0}: the QR that makes c orthonormal and the QR of
+                # Gy c, with the SVD of the n_0 x k matrix E = N^H c between
+                # them where ||E||_F^2 is past the limit and E's row-space
+                # block is dropped.
+                kinds = [call[0] for call in seen]
+                rotated = kinds == ["qr", "svd", "qr"]
+                assert rotated or kinds == ["qr", "qr"], seen
+                assert full == [(a._y_svd[1].null.shape[1], d)] * rotated, seen
+                rotations |= {rotated}
+                continue
+            # Under an injective relation the QR of Gy c, after the one that
+            # makes c orthonormal only where the Gx spread is past COEF_SPREAD.
             assert [call[0] for call in seen].count("qr") == 1 + (t is wide), seen
-            assert len(thin) == (t is a), seen
             # M ^ D(T) from D(T)-perp^H M where D(T) is not all of X.
             assert full == ([(t.x_dim - dom.dim, d)] if dom.dim < t.x_dim else []), seen
             proper |= {dom.dim < t.x_dim}
@@ -304,21 +312,21 @@ def test_chain_step_budget(monkeypatch, rng):
         rel.adjoint(t)
         assert seen == [("svd", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
     assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
-    assert rel.CERTIFY_ROWS > a.y_dim
+    assert rotations == {False, True}  # M = X holds N(A)
     wider = [t._image_map.spread > rel.COEF_SPREAD for t in relations[1:]]
     assert wider == [False, False, False, True] and not wide._image_map.kr.shape[0], wider
 
 
 def test_certified_chain_step_budget(monkeypatch):
-    # x = 16: every image under a has at least CERTIFY_ROWS rows, so its
-    # span is certified from c's angles to N(Gy): one n_0 x k SVD where c
-    # meets N(A), and one QR.  A preimage's domain cut is one n_d x k SVD.
-    # No image in a chain step or a kappa target takes an SVD of a matrix
-    # with an ambient number of rows, and none takes a thin SVD.
+    # Every image under a is certified from c's angles to N(Gy): one
+    # n_0 x k SVD where c meets N(A), and one QR.  A preimage's domain cut
+    # is one n_d x k SVD.  No image in a chain step or a kappa target takes
+    # an SVD of a matrix with an ambient number of rows, and none takes a
+    # thin SVD.
     a, b = _deep_pair(16, 4, seed=5)
     _ = a._inverse, b._inverse, a.kernel, b.kernel
     n0, nd = a._y_svd[1].null.shape[1], a.y_dim - a.range.dim
-    assert (n0, nd) == (1, 1) and a.x_dim >= rel.CERTIFY_ROWS
+    assert (n0, nd) == (1, 1)
     seen, real = _lapack_calls(monkeypatch), rel.image
     imaged = []
 

@@ -726,8 +726,9 @@ def _cut_cases(rng):
     with values over 1e-8 to 1e8 and kernels of dimension 1 to 3, generated
     relations with D(T) != X and T(0) != {0}, a pencil point with a grown
     kernel, and cached inverses; M is random or holds a direction planted
-    at 1e-3 to 1e-14 from N(T) or, under an inverse, from D(T).  Images
-    under the 16-dimensional relations have enough rows to be certified."""
+    at 1e-3 to 1e-14 from N(T) or, under an inverse, from D(T).  Last come
+    kappa targets: M holds N(T), under operators with kernels of
+    dimension 1 and 3."""
     def operator(x, n0, lo, hi=8):
         u, v = (np.linalg.qr(rng.standard_normal((x, x)) + 1j * rng.standard_normal((x, x)))[0]
                 for _ in range(2))
@@ -750,6 +751,12 @@ def _cut_cases(rng):
         cases += [(u, _planted(rng, u.x_dim, u.domain, theta, 3))
                   for theta in (1e-3, 1e-8, 1e-11, 1e-14)]
         cases.append((t, _planted(rng, t.x_dim, t.domain, 1e-9, 3)))
+    # kappa targets T(N) with N holding N(T), at n_0 = 1 and 3, under values
+    # over 1e-3 to 1e3: E's row space is N(T)'s preimage, dropped whole.
+    for t in (operator(16, 1, -3, 3), big[2]):
+        n0 = t.kernel.dim
+        cases += [(t, sub.sum(t.kernel, sub.random_subspace(16, dim - n0, rng)))
+                  for dim in (n0, 8, 15)]
     return cases
 
 

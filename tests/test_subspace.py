@@ -636,6 +636,45 @@ def test_certified_span_is_the_span_or_nothing(rng):
     assert flagged, flagged
 
 
+def test_certified_span_drops_the_null_block_whole_or_nothing(rng):
+    # c holds the whole null block V_0 plus random directions: E = V_0^H c
+    # has V_0's coefficients for its row space, the certificate drops them
+    # whole, and its answer is span's.  c meets only part of a null block
+    # of 2 or more dimensions, at angle 0, plus random directions: E's row
+    # space takes directions off V_0 too, and the certificate refuses.
+    # Kept values reach down near the limit's edge, to 2.1 times the band's
+    # top times the largest or 2.1 times 10 RANK_ABS, at scales 1 and 1e-7.
+    outcomes = set()
+    for _ in range(300):
+        y, g = int(rng.integers(2, 14)), int(rng.integers(2, 14))
+        rho = int(rng.integers(1, min(y, g - 1) + 1))
+        scale = float(rng.choice([1.0, 1e-7]))
+        lo = np.log10(max(rng.choice([1e-3, 3e-6, 2.1e-6]), 2.1e-11 / scale))
+        kept = scale * np.sort(10.0 ** rng.uniform(lo, 0, rho))[::-1]
+        kept[0] = scale
+        m, split = _graded_map(rng, y, g, kept, [])
+        limit, null = sub.kernel_limit(split), split.null
+        n0 = null.shape[1]
+        assert limit is not None and n0 == g - rho
+        inside = n0 if n0 < 2 or rng.random() < 0.5 else int(rng.integers(1, n0))
+        # At most rho random directions: more would meet V_0 as well.
+        k = int(rng.integers(inside + (inside < n0), inside + rho + 1))
+        c = np.hstack([null @ _gaussian(rng, n0, inside), _gaussian(rng, g, k - inside)])
+        c = np.linalg.qr(c)[0]
+        e = null.conj().T @ c
+        assert np.vdot(e, e).real > limit
+        got, ref = sub.certified_span(m @ c, e, limit), sub.span(m @ c)
+        if inside < n0:
+            assert got is None, (n0, inside, k)
+            outcomes.add("part")
+            continue
+        assert got is not None, (kept, k)
+        assert (got.dim, got.sv_near_cut) == (ref.dim, False) and ref.dim == k - n0
+        assert got.is_same(ref), (kept, k)
+        outcomes.add("whole")
+    assert outcomes == {"whole", "part"}, outcomes
+
+
 # ---------------------------------------------------------------------------
 # One complement per subspace
 
