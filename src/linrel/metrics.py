@@ -7,16 +7,16 @@ solutions onto the orthogonal complement of T(0).  This realizes the
 quotient map without forming quotient spaces: for the Euclidean norm,
 Y / T(0) is isometric to the complement of T(0).
 
-gamma and alpha-prime read those singular values, which each relation
-keeps, off the CS form of its graph's Y block; a pencil point reads
-them, and beta its rank, off its values alone.  ``norm``, the relative
-bounds and :func:`operator_part`, the reference that gamma is checked
-against, solve for the induced operator by least squares.
+The norm, gamma and alpha-prime read those singular values, which each
+relation keeps, off the CS form of its graph's Y block; a pencil point
+reads them, and beta its rank, off its values alone.  The relative
+bounds and :func:`operator_part`, the reference that the norm and gamma
+are checked against, solve for the induced operator by least squares.
 
 Conventions for degenerate relations:
-  * D(T) = {0}: the norm is 0 (sup over an empty unit ball).
-  * D(T) inside N(T): gamma is +inf, and inf * 0 = 0 wherever the
-    product appears in radius formulas.
+  * D(T) inside N(T) (D(T) = {0} included): the norm is 0 (sup over a
+    unit ball that T maps into T(0)) and gamma is +inf, and inf * 0 = 0
+    wherever the product appears in radius formulas.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .relation import LinearRelation
 from .tolerances import INEQ_SLACK
 
 __all__ = [
-    "OperatorPart",
     "RelativeBound",
     "HypothesisError",
     "operator_part",
@@ -63,39 +61,17 @@ class HypothesisError(ValueError):
         self.gap_value = gap_value
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorPart:
-    """The injective operator induced by a relation, by least squares.
+def operator_part(t: LinearRelation) -> np.ndarray:
+    """The induced injective operator by least squares: the matrix mapping
+    coordinates of an orthonormal basis of D(T) ^ N(T)-perp to the
+    complement of T(0), with no columns where D(T) is inside N(T).
 
-    ``matrix_quot`` maps coordinates of D(T) ^ N(T)-perp (columns of
-    ``quot_dom_basis``) to the complement of T(0); it is injective
-    whenever that subdomain is nonzero.  This is the reference path, kept
-    for cross-checks of :func:`gamma` and for the perturbation suite's
-    scale, which must not move with gamma's last bits.
+    The reference for :func:`norm` and :func:`gamma`, and for the
+    perturbation suite's scale, which must not move with their last bits.
     """
-
-    quot_dom_basis: np.ndarray
-    matrix_quot: np.ndarray
-
-    @cached_property
-    def quot_svals(self) -> np.ndarray:
-        if self.matrix_quot.shape[1] == 0:
-            return np.zeros(0)
-        return np.linalg.svd(self.matrix_quot, compute_uv=False)
-
-
-def operator_part(t: LinearRelation) -> OperatorPart:
-    """Build (and cache on the relation) the induced operator data."""
-    cached = t.__dict__.get("_operator_part")
-    if cached is not None:
-        return cached
-    dom = t.domain
-    ker = t.kernel
     # N(T) sits inside D(T), so D ^ N-perp is the complement of N within D.
-    quot = sub.span(ker.residual(dom.basis), ambient=t.x_dim)
-    part = OperatorPart(quot.basis, _restricted_quotient_matrix(t, quot.basis))
-    t.__dict__["_operator_part"] = part
-    return part
+    quot = sub.span(t.kernel.residual(t.domain.basis), ambient=t.x_dim)
+    return _restricted_quotient_matrix(t, quot.basis)
 
 
 def relation_norm_at(t: LinearRelation, x) -> float:
@@ -105,12 +81,11 @@ def relation_norm_at(t: LinearRelation, x) -> float:
 
 
 def norm(t: LinearRelation) -> float:
-    """||T||: supremum of ||T x|| over the unit ball of D(T); 0 if D = {0}."""
-    dom = t.domain.basis
-    if dom.shape[1] == 0:
-        return 0.0
-    full = _restricted_quotient_matrix(t, dom)
-    return float(np.linalg.svd(full, compute_uv=False)[0])
+    """||T||: supremum of ||T x|| over the unit ball of D(T), the largest
+    singular value of the induced injective operator; 0 where D(T) is
+    inside N(T)."""
+    svals = t._induced_svals
+    return float(svals.max()) if svals.size else 0.0
 
 
 def gamma(t: LinearRelation) -> float:

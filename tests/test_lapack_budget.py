@@ -7,9 +7,11 @@ rows, and no least-squares solve.  The two kernel gaps are taken once per
 kernel object in a sweep, so once for the family's kernel, which every
 point shares where Z has full column rank.  alpha, beta, gamma and the
 flags the sweep reads come from Z's values, so the loop builds no subspace
-of the graph's ambient x + y.  A point whose kernel grows past the common
-one adds exactly one SVD of Z with vectors, which the graph and the range
-read too, and its own two gaps: 3 + 1 SVDs.  A family with a T(0)
+of the graph's ambient x + y.  The norm and gamma read the induced
+operator's values: a point's from Z, a relation's from its cached split
+of Gy, with no SVD and no least-squares solve.  A point whose kernel
+grows past the common one adds exactly one SVD of Z with vectors, which
+the graph and the range read too, and its own two gaps: 3 + 1 SVDs.  A family with a T(0)
 block, where A(0) or B(0) is not {0}, adds one SVD of that block per
 point.  The domain D(A) ^ D(B) and the common kernel are the pencil
 family's, computed once; each kernel object, one per flag, is built on
@@ -229,13 +231,13 @@ def test_gamma_reads_the_cached_splits(calls):
     a, b, _, grid = _fresh_pair()
     for t in (a, b, rel.pencil(a, b, grid[-1]), rel.adjoint(a)):
         _ = t._y_svd, t.domain  # warm the two cached splits
-        used = _counted(calls, lambda: met.gamma(t))
+        used = _counted(calls, lambda: (met.gamma(t), met.norm(t)))
         assert used == {"svd": 0, "lstsq": 0}, used
     family = rel.pencil_family(a, b)
     for lam in grid:
         p = family(lam)
-        # Z's values alone: no SVD for gamma, beta and the common kernel.
-        used = _counted(calls, lambda: (met.gamma(p), met.beta(p), p.kernel))
+        # Z's values alone: no SVD for gamma, the norm, beta and the common kernel.
+        used = _counted(calls, lambda: (met.gamma(p), met.norm(p), met.beta(p), p.kernel))
         assert used == {"svd": 0, "lstsq": 0}, used
         assert p.kernel is family(lam).kernel
         used = _counted(calls, lambda: (p.range, p.graph))  # one SVD of Z, with vectors

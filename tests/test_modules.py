@@ -9,7 +9,9 @@ its one cut, also where another module supplies a split's values.  In
 ``chains`` only the one step loop and the kappa targets take preimages,
 so both chains keep one loop that keeps its images.  No function in
 ``metrics`` draws random numbers, so every fit and every bound check is
-deterministic.  Only ``relation`` holds weak references, and only its
+deterministic, and in ``metrics`` only the relative-bound bracket and the
+least-squares reference solve for an induced operator, so the norm, gamma
+and alpha-prime read the relation's own singular values.  Only ``relation`` holds weak references, and only its
 ``_pair`` names the per-pair record's slot, so that record is the one
 memo of what a pair has decided.  No function passes a graph block
 (``_gx`` or ``_gy``) to ``Subspace.residual``: an image reads the
@@ -300,6 +302,24 @@ def test_random_draw_detector(source):
     assert _callers(ast.parse(source), _RANDOM_NAMES)
 
 
+_SOLVE = {"_restricted_quotient_matrix"}
+_SOLVERS = {"_sigma_tau", "operator_part"}
+
+
+def test_metrics_solves_only_in_the_bound_and_the_reference():
+    callers = _callers(_tree(SRC / "metrics.py"), _SOLVE)
+    assert set(callers) == _SOLVERS, callers
+
+
+@pytest.mark.parametrize("source", [
+    "def norm(t):\n    return np.linalg.svd(_restricted_quotient_matrix(t, d))[0]",
+    "def gamma(t):\n    return met._restricted_quotient_matrix(t, d)",
+    "def norm(t):\n    solve = _restricted_quotient_matrix\n    return solve(t, d)",
+    "top = _restricted_quotient_matrix(t, d)",
+    "class C:\n    def alpha_prime_eps(self, eps):\n        return _restricted_quotient_matrix(self, d)",
+], ids=["function", "attribute", "alias", "module", "method"])
+def test_quotient_solve_caller_detector(source):
+    assert not set(_callers(ast.parse(source), _SOLVE)) <= _SOLVERS
 
 _SLOT = "_pair_record"
 
