@@ -437,7 +437,7 @@ def image(t: LinearRelation, m: Subspace) -> Subspace:
     # swamp the image's small directions.
     c, injective = imap.coef @ basis, not imap.kr.shape[0]
     if not (injective and imap.limit is not None and imap.spread <= COEF_SPREAD):
-        c = np.linalg.qr(c)[0]
+        c = sub.q_factor(c)
     cols = imap.gv @ c
     if imap.gv0.shape[1]:
         cols = np.hstack([cols, imap.gv0])

@@ -97,8 +97,7 @@ def _sub_subspace(host: Subspace, dim: int, rng) -> Subspace:
     if dim == 0:
         return sub.zero_subspace(host.ambient)
     g = rng.standard_normal((host.dim, dim)) + 1j * rng.standard_normal((host.dim, dim))
-    q, _ = np.linalg.qr(g)
-    return Subspace(host.ambient, host.basis @ q[:, :dim])
+    return Subspace(host.ambient, host.basis @ sub.q_factor(g))
 
 
 def _complement_within(host: Subspace, part: Subspace) -> Subspace:

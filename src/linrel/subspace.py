@@ -17,7 +17,9 @@ angles to m's null block), the span of m c is the one :func:`span`
 gives, with no cut of its own.  Every projection residual x - P_S x is
 :meth:`Subspace.residual`.  A containment verdict is :func:`gap`'s side
 of the tolerance, read off the residual's Frobenius bracket where that
-settles it.
+settles it.  Every reduced QR whose R would go unread is :func:`q_factor`:
+numpy's Q bit for bit, read from LAPACK's reflectors without forming R,
+raising the same ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 
@@ -38,6 +41,7 @@ __all__ = [
     "span",
     "Split",
     "svd_split",
+    "q_factor",
     "values_rank",
     "kernel_limit",
     "certified_span",
@@ -229,6 +233,23 @@ def svd_split(m: np.ndarray) -> Split:
     return Split(u[:, :rank], right[:, rank:], near, s, right, u[:, rank:])
 
 
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def q_factor(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(m)[0]`` of a float64 or complex128 matrix, bit for bit:
+    numpy's own LAPACK gufuncs on a copy of m, with numpy's signatures and
+    error state, so bad input raises the same ``LinAlgError``; R is never
+    formed."""
+    cplx = np.iscomplexobj(m)
+    a = np.array(m, dtype=complex if cplx else float)  # LAPACK overwrites its input
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D" if cplx else "d->d")
+        return _umath_linalg.qr_reduced(a, tau, signature="DD->D" if cplx else "dd->d")
+
+
 def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
     """The rank and flag of a matrix known by its descending singular
     values alone.  No value at or below ``floor``, their rounding level,
@@ -269,7 +290,7 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
     the band's floor times m c's largest value, or ``RANK_ABS`` / 10 where
     nothing is kept."""
     if e is None or np.vdot(e, e).real <= limit:
-        return Subspace(mc.shape[0], np.linalg.qr(mc)[0], sv_near_cut=near)
+        return Subspace(mc.shape[0], q_factor(mc), sv_near_cut=near)
     a, n = mc @ np.linalg.svd(e)[2].conj().T, min(e.shape)
     kept, lost = a[:, n:], np.vdot(a[:, :n], a[:, :n]).real ** 0.5
     if kept.shape[1]:
@@ -279,7 +300,7 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
         floor = RANK_ABS / 10
     if 2 * lost > floor:
         return None
-    return Subspace(mc.shape[0], np.linalg.qr(kept)[0], sv_near_cut=near)
+    return Subspace(mc.shape[0], q_factor(kept), sv_near_cut=near)
 
 
 def sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -391,5 +412,4 @@ def random_subspace(ambient: int, dim: int, seed) -> Subspace:
         return zero_subspace(ambient)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((ambient, dim)) + 1j * rng.standard_normal((ambient, dim))
-    q, _ = np.linalg.qr(g)
-    return Subspace(ambient, q[:, :dim])
+    return Subspace(ambient, q_factor(g))

@@ -1,6 +1,8 @@
 """LAPACK call budgets of the pencil sweep, the chains and the relative-bound check.
 
-``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls.  One lambda
+``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls, and QRs
+are counted at ``numpy.linalg.qr`` and at ``subspace.q_factor``, which
+takes every Q whose R goes unread.  One lambda
 point of a sweep costs one SVD without vectors of the pencil's block Z,
 taken on the complement of the family's common kernel: no more than y_dim
 rows, and no least-squares solve.  The two kernel gaps are taken once per
@@ -254,8 +256,9 @@ def test_check_relative_bound_budget(calls):
 
 def _lapack_calls(monkeypatch) -> list:
     """("svd", shape, full) and ("qr", shape) of every numpy SVD and QR
-    from here on; ``full`` is True for an SVD with both full factors."""
-    seen, svd, qr = [], np.linalg.svd, np.linalg.qr
+    from here on, ``sub.q_factor``'s QRs included; ``full`` is True for an
+    SVD with both full factors."""
+    seen, svd, qr, q_factor = [], np.linalg.svd, np.linalg.qr, sub.q_factor
 
     def counted_svd(m, full_matrices=True, compute_uv=True, **kwargs):
         seen.append(("svd", m.shape, full_matrices and compute_uv))
@@ -265,8 +268,13 @@ def _lapack_calls(monkeypatch) -> list:
         seen.append(("qr", m.shape))
         return qr(m, *args, **kwargs)
 
+    def counted_q_factor(m):
+        seen.append(("qr", m.shape))
+        return q_factor(m)
+
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(sub, "q_factor", counted_q_factor)
     return seen
 
 

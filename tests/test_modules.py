@@ -18,6 +18,9 @@ memo of what a pair has decided.  No function passes a graph block
 relation's cached split of Gx, not a new SVD of a residual of the block.
 No module but ``subspace`` compares a ``gap`` with a tolerance: every such
 verdict is ``contains``, which reads the residual's Frobenius bracket first.
+No reduced-mode ``qr`` has its R thrown away (``qr(m)[0]``, ``qr(m).Q``,
+``q, _ = qr(m)``): such a QR is ``subspace.q_factor``, the one function
+that reads numpy's private ``_umath_linalg``.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
 call counts in ``test_lapack_budget``, whose tests enforce them.
@@ -409,6 +412,79 @@ def test_gap_comparison_detector(source):
 def test_gap_comparison_detector_allows_values_and_verdicts():
     source = "g = sub.gap(m, n)\nok = sub.contains(n, m)\nbad = r['gap_fwd'] > bound"
     assert not _gap_comparisons(ast.parse(source))
+
+
+def _discarded_r(tree: ast.Module) -> list[str]:
+    """Every reduced-mode ``qr`` call whose R is thrown away: indexed by 0,
+    read for ``.Q``, or unpacked into ``(q, _)``."""
+    def reduced_qr(node: ast.AST) -> bool:
+        if not (isinstance(node, ast.Call) and _name(node.func) == "qr"):
+            return False
+        mode = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+        return all(isinstance(m, ast.Constant) and m.value == "reduced" for m in mode)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and reduced_qr(node.value) and (
+                isinstance(node.slice, ast.Constant) and node.slice.value == 0):
+            found.append(f"line {node.lineno}: qr(...)[0]")
+        elif isinstance(node, ast.Attribute) and node.attr == "Q" and reduced_qr(node.value):
+            found.append(f"line {node.lineno}: qr(...).Q")
+        elif isinstance(node, ast.Assign) and reduced_qr(node.value) and any(
+                isinstance(t, ast.Tuple) and len(t.elts) == 2
+                and isinstance(t.elts[1], ast.Name) and t.elts[1].id == "_"
+                for t in node.targets):
+            found.append(f"line {node.lineno}: q, _ = qr(...)")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_q_without_r_is_q_factor(path):
+    found = _discarded_r(_tree(path))
+    assert not found, f"{path.name} forms an R it never reads: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "q = np.linalg.qr(m)[0]",
+    "q, _ = np.linalg.qr(m)",
+    "q = np.linalg.qr(m, mode='reduced')[0]",
+    "q, _ = np.linalg.qr(m, 'reduced')",
+    "q = np.linalg.qr(m).Q",
+    "c = f(qr(c)[0], d)",
+    "def image(t, m):\n    return Subspace(n, linalg.qr(c)[0])",
+], ids=["index", "unpack", "mode-keyword", "mode-positional", "attribute", "nested", "bare"])
+def test_discarded_r_detector(source):
+    assert _discarded_r(ast.parse(source))
+
+
+def test_discarded_r_detector_allows_other_modes_and_r():
+    source = ("r = np.linalg.qr(m, mode='r')\n"
+              "q = np.linalg.qr(m, mode='complete')[0]\n"
+              "q, r = np.linalg.qr(g)\n"
+              "r = np.linalg.qr(g)[1]\n"
+              "q = sub.q_factor(m)\n")
+    assert not _discarded_r(ast.parse(source))
+
+
+_PRIVATE_LAPACK = {"_umath_linalg"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_q_factor_reads_private_lapack(path):
+    callers = _callers(_tree(path), _PRIVATE_LAPACK)
+    if path.name == "subspace.py":
+        assert set(callers) == {"<module>", "q_factor"}, callers
+    else:
+        assert callers == [], f"{path.name} reads numpy's private LAPACK: {callers}"
+
+
+@pytest.mark.parametrize("source", [
+    "from numpy.linalg import _umath_linalg",
+    "import numpy.linalg._umath_linalg as lapack",
+    "def span(m):\n    return np.linalg._umath_linalg.svd_f(m)",
+], ids=["import-from", "import", "attribute"])
+def test_private_lapack_reader_detector(source):
+    assert _callers(ast.parse(source), _PRIVATE_LAPACK)
 
 
 _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")

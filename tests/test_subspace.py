@@ -292,6 +292,53 @@ def test_random_subspace_contract():
         sub.random_subspace(3, 4, 1)
 
 
+def _same_q(m):
+    """q_factor(m) is np.linalg.qr(m)[0] bit for bit, signed zeros and NaN
+    payloads included, or both raise the same exception; m is untouched."""
+    before = m.copy()
+    try:
+        want = np.linalg.qr(m)[0]
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            sub.q_factor(m)
+    else:
+        got = sub.q_factor(m)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.array_equal(got, want) or not np.isfinite(m).all()
+    assert np.array_equal(m, before, equal_nan=True) and m.flags.writeable
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(9, 4), (5, 5), (3, 7), (6, 0), (0, 4), (1, 1)],
+                         ids=["tall", "square", "wide", "no-columns", "no-rows", "scalar"])
+def test_q_factor_is_numpys_q(rng, cplx, shape):
+    def draw(n, k):
+        return _gaussian(rng, n, k) if cplx else rng.standard_normal((n, k))
+
+    m = draw(*shape)
+    _same_q(m)
+    _same_q(np.asfortranarray(m))
+    # A non-contiguous column slice, and one of a Fortran-ordered parent.
+    wide = draw(shape[0], 2 * shape[1] + 1)
+    _same_q(wide[:, ::2])
+    _same_q(np.asfortranarray(wide)[:, 1::2])
+    # Rank-deficient columns: a repeat of the first.
+    if shape[1] > 1 and shape[0]:
+        _same_q(np.hstack([m, m[:, :1]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in ((0, 0), (-1, -1)):
+            if m.size:
+                worse = m.copy()
+                worse[pos] = bad
+                _same_q(worse)
+                if cplx:
+                    worse[pos] = complex(1.0, bad)
+                    _same_q(worse)
+    if m.size:
+        _same_q(np.full_like(m, np.nan))
+
+
 def test_projector_invariants(rng):
     for _ in range(20):
         n = int(rng.integers(1, 9))
