@@ -21,7 +21,6 @@ from . import relation as rel
 from . import subspace as sub
 from .relation import LinearRelation
 from .subspace import Subspace
-from .tolerances import CHAIN_BAND, EQ_TOL
 
 __all__ = [
     "ChainReport",
@@ -32,15 +31,6 @@ __all__ = [
     "verify_nu_duality",
     "chain_report",
 ]
-
-
-def _contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
-    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut
-    side.  The gap is settled against both band ends and ``EQ_TOL``, so the
-    verdict and the flag are those of the exact gap."""
-    g = sub._settled_gap(inner, outer, (*CHAIN_BAND, EQ_TOL))
-    near = outer.sv_near_cut or inner.sv_near_cut
-    return g <= EQ_TOL, near or CHAIN_BAND[0] < g < CHAIN_BAND[1]
 
 
 @dataclass
@@ -135,10 +125,10 @@ class _ChainSet:
         return chains
 
     def contained(self, i: int, k: int) -> tuple[bool, bool]:
-        """``_contained(M_i, N_k)``."""
+        """``subspace.contained(M_i, N_k)``."""
         key = (min(i, len(self.ms) - 1), min(k, len(self.ns)) - 1)
         if key not in self._gaps:
-            self._gaps[key] = _contained(self.ms[key[0]], self.ns[key[1]])
+            self._gaps[key] = sub.contained(self.ms[key[0]], self.ns[key[1]])
         return self._gaps[key]
 
     def row(self, n: int) -> tuple[list[bool], bool]:
@@ -160,7 +150,7 @@ class _ChainSet:
             if k <= len(self.ns):
                 nk = self.ns[k - 1]
                 target = rel.preimage(b, rel.image(a, self.ns[min(k, len(self.ns) - 1)]))
-                (ok1, f1), (ok2, f2) = _contained(target, nk), _contained(b.domain, nk)
+                (ok1, f1), (ok2, f2) = sub.contained(target, nk), sub.contained(b.domain, nk)
                 ok, flag = ok and ok1 and ok2, flag or f1 or f2
             run.append((ok, flag))
         return run[n]
@@ -233,11 +223,8 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
     chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)
     m_len, n_len = min(len(chains.ms), a.x_dim + 2), min(len(chains.ns), a.x_dim + 1)
 
-    # M'_1 = (B(N_1))-perp: with equal dimensions the two directed gaps
-    # agree, so one containment, read off K^T U_D, decides it.
-    b_n1 = chains.ns.image(b, 0)
-    report["equality_m"] = (len(ms_dual) > 1 and ms_dual[1].dim == a.y_dim - b_n1.dim
-                            and sub.in_annihilator(b_n1, ms_dual[1]))
+    # M'_1 = (B(N_1))-perp; both chains have taken a step.
+    report["equality_m"] = sub.is_annihilator(ms_dual[1], chains.ns.image(b, 0))
     report["nu"], report["nu_dual"] = nu(a, b), nu(a_dual, b_dual)
     report["equality_nu"] = (report["nu"] == report["nu_dual"])
 

@@ -112,8 +112,8 @@ def alpha_prime_eps(t: LinearRelation, eps: float) -> int:
     Equals dim N(T) plus the number of singular values of the induced
     injective operator that are at most eps (min-max argument).
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not eps >= 0:
+        raise ValueError("eps must be a non-negative number")
     return alpha(t) + int(np.count_nonzero(t._induced_svals <= eps))
 
 
@@ -257,8 +257,8 @@ def fit_relative_bound(a: LinearRelation, b: LinearRelation,
     sigma is the upper end of :func:`_sigma_tau`'s bracket: never below
     the supremum, apart from rounding.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be finite and non-negative")
     upper, _, witness = _sigma_tau(a, b, tau)
     return RelativeBound(upper, tau, "exact", witness=witness)
 

@@ -15,11 +15,15 @@ whose vectors come later, or never).  Where a split of m already proves
 the cut of m c for orthonormal c (:func:`certified_span`, from c's
 angles to m's null block), the span of m c is the one :func:`span`
 gives, with no cut of its own.  Every projection residual x - P_S x is
-:meth:`Subspace.residual`.  A containment verdict is :func:`gap`'s side
-of the tolerance, read off the residual's Frobenius bracket where that
-settles it.  Every reduced QR whose R would go unread is :func:`q_factor`:
-numpy's Q bit for bit, read from LAPACK's reflectors without forming R,
-raising the same ``LinAlgError``.
+:meth:`Subspace.residual`.  Every containment verdict is decided here by
+one rule, :func:`_settled`: a residual's largest singular value against
+the verdict's cuts, read off its Frobenius bracket where that settles
+every cut.  :func:`contains` and :func:`contained` (a chain cell's
+verdict and ``CHAIN_BAND`` flag) read the residual of the inner basis
+from the outer space, :func:`in_annihilator` and :func:`is_annihilator`
+the product K^T U_D.  Every reduced QR whose R would go unread is
+:func:`q_factor`: numpy's Q bit for bit, read from LAPACK's reflectors
+without forming R, raising the same ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
+from .tolerances import CHAIN_BAND, EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 
 # A Frobenius bound decides a cut it clears by this relative margin, far
 # above LAPACK's backward error: a decided verdict is the SVD's.
@@ -50,9 +54,11 @@ __all__ = [
     "orth_complement",
     "annihilator",
     "in_annihilator",
+    "is_annihilator",
     "distance",
     "gap",
     "contains",
+    "contained",
     "apply_map",
     "random_subspace",
     "full_space",
@@ -336,13 +342,15 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 def in_annihilator(k: Subspace, d: Subspace) -> bool:
-    """``contains(annihilator(k), d)``, read off K^T U_D: I - P over the
-    annihilator is conj(K) K^T.  The two differ by rounding of order
-    ambient * eps, so the product decides where its bracket clears
-    ``EQ_TOL`` by a relative 1e-3, and the annihilator is built only where
-    it does not."""
-    settled = _bracket(k.basis.T @ d.basis, (EQ_TOL,), margin=1e-3)
-    return contains(annihilator(k), d) if settled is None else settled <= EQ_TOL
+    """Whether D lies in the annihilator of K: ||K^T U_D|| <= ``EQ_TOL``,
+    as I - P over the annihilator is conj(K) K^T."""
+    return _settled(k.basis.T @ d.basis, (EQ_TOL,)) <= EQ_TOL
+
+
+def is_annihilator(s: Subspace, k: Subspace) -> bool:
+    """Whether S is the annihilator of K: with equal dimensions the two
+    directed gaps agree, so one containment decides it."""
+    return s.dim == k.ambient - k.dim and in_annihilator(k, s)
 
 
 def distance(v, s: Subspace) -> float:
@@ -359,27 +367,30 @@ def gap(m: Subspace, n: Subspace) -> float:
     Computed as the largest singular value of (I - P_N) U_M; zero when M
     is the zero subspace.  Always lies in [0, 1] and is asymmetric.
     """
-    if m.ambient != n.ambient:
-        raise ValueError(f"ambient mismatch: {m.ambient} vs {n.ambient}")
-    if m.dim == 0:
+    if m.dim == 0 and m.ambient == n.ambient:
         return 0.0
-    s = np.linalg.svd(n.residual(m.basis), compute_uv=False)
-    return float(min(1.0, s[0]))
+    return float(min(1.0, np.linalg.svd(_residual(n, m), compute_uv=False)[0]))
 
 
-def _bracket(r: np.ndarray, cuts, margin: float = BRACKET_MARGIN) -> float | None:
-    """||r||_F when the bracket ||r||_F / sqrt(k) <= sigma_max(r) <= ||r||_F
-    of r's k columns, widened by the relative ``margin``, puts every one of
-    ``cuts`` on one side (sigma_max(r) then shares it); None otherwise."""
-    hi, wide = float(np.linalg.norm(r)), (1 + margin) * r.shape[1] ** 0.5
-    return hi if all(hi <= c * (1 - margin) or hi > c * wide for c in cuts) else None
+def _residual(outer: Subspace, inner: Subspace) -> np.ndarray:
+    """(I - P_outer) U_inner, for two subspaces of one ambient space; the
+    empty basis itself where inner is zero."""
+    if outer.ambient != inner.ambient:
+        raise ValueError(f"ambient mismatch: {inner.ambient} vs {outer.ambient}")
+    return outer.residual(inner.basis) if inner.dim else inner.basis
 
 
-def _settled_gap(m: Subspace, n: Subspace, cuts) -> float:
-    """gap(m, n), or, where the Frobenius bracket of its residual settles
-    every one of ``cuts``, a value on the gap's side of each."""
-    settled = _bracket(n.residual(m.basis), cuts) if m.dim and m.ambient == n.ambient else None
-    return gap(m, n) if settled is None else settled
+def _settled(r: np.ndarray, cuts) -> float:
+    """sigma_max(r), 0 for an empty r, or ||r||_F where the bracket
+    ||r||_F / sqrt(k) <= sigma_max(r) <= ||r||_F of r's k columns, widened
+    by the relative ``BRACKET_MARGIN``, puts every one of ``cuts`` on one
+    side: sigma_max(r) then shares it."""
+    if not r.shape[1]:
+        return 0.0
+    hi, wide = float(np.linalg.norm(r)), (1 + BRACKET_MARGIN) * r.shape[1] ** 0.5
+    if all(hi <= c * (1 - BRACKET_MARGIN) or hi > c * wide for c in cuts):
+        return hi
+    return float(np.linalg.svd(r, compute_uv=False)[0])
 
 
 def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:
@@ -387,7 +398,16 @@ def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:
     A larger inner space (gap 1) is refused below tol 0.5."""
     if inner.dim > outer.dim and tol < 0.5 and inner.ambient == outer.ambient:
         return False
-    return _settled_gap(inner, outer, (tol,)) <= tol
+    return min(1.0, _settled(_residual(outer, inner), (tol,))) <= tol
+
+
+def contained(outer: Subspace, inner: Subspace) -> tuple[bool, bool]:
+    """Containment verdict plus a flag: a gap in ``CHAIN_BAND`` or a near-cut
+    side.  The gap is settled against both band ends and ``EQ_TOL``, so the
+    verdict and the flag are those of the exact gap."""
+    g = _settled(_residual(outer, inner), (*CHAIN_BAND, EQ_TOL))
+    near = outer.sv_near_cut or inner.sv_near_cut
+    return g <= EQ_TOL, near or CHAIN_BAND[0] < g < CHAIN_BAND[1]
 
 
 def apply_map(f, s: Subspace) -> Subspace:

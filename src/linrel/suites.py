@@ -64,45 +64,32 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Tally of verdicts for one case; merged into the suite result."""
+    """One case's verdicts, tallied straight into the suite result; a
+    failure carries the case's payload, up to eight failures a suite."""
 
-    def __init__(self):
-        self.lemmas: dict[str, dict] = {}
-        self.failures: list[dict] = []
+    def __init__(self, result: SuiteResult, payload: dict):
+        self.result, self.payload = result, payload
 
     def record(self, lemma: str, status: str, detail: str = ""):
-        counts = self.lemmas.setdefault(
-            lemma, {s: 0 for s in _STATUSES})
+        counts = self.result.lemmas.setdefault(lemma, {s: 0 for s in _STATUSES})
         counts[status] += 1
-        if status == "fail":
-            self.failures.append({"lemma": lemma, "detail": detail})
+        if status == "fail" and len(self.result.failures) < 8:
+            self.result.failures.append({"lemma": lemma, "detail": detail, "case": self.payload})
 
     def check(self, lemma: str, ok: bool, detail: str = ""):
         self.record(lemma, "pass" if ok else "fail", detail)
 
 
-def _merge(result: SuiteResult, case_payload: dict, rec: _Recorder) -> None:
-    for lemma, counts in rec.lemmas.items():
-        agg = result.lemmas.setdefault(lemma, {s: 0 for s in _STATUSES})
-        for s in _STATUSES:
-            agg[s] += counts[s]
-    for f in rec.failures:
-        if len(result.failures) < 8:
-            result.failures.append({**f, "case": case_payload})
-
-
 def _run_cases(result: SuiteResult, cases, check) -> SuiteResult:
-    """Check and merge each (payload, decoded case) pair in index order.
-    Each payload is encoded once; its canonical text seeds the case RNG
-    and feeds the suite digest."""
+    """Check each (payload, decoded case) pair in index order, recording
+    into ``result``.  Each payload is encoded once; its canonical text
+    seeds the case RNG and feeds the suite digest."""
     digest = hashlib.sha256()
     for payload, case in cases:
         text = ser.canonical_json(payload).encode()
         case_seed = int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
-        rec = _Recorder()
-        check(case, rec, np.random.default_rng(case_seed))
+        check(case, _Recorder(result, payload), np.random.default_rng(case_seed))
         digest.update(text)
-        _merge(result, payload, rec)
     result.instances_digest = digest.hexdigest()
     return result
 
@@ -143,6 +130,11 @@ def _pair_case(seed: int, idx: int, *, everywhere: bool = False,
     return ser.instance_to_dict(a, b)
 
 
+def _mixed_pair_case(seed: int, idx: int) -> dict:
+    """A generated pair, or, every third case, a raw Haar pair."""
+    return _pair_case(seed, idx, raw_every=3)
+
+
 # ---------------------------------------------------------------------------
 # duality suite
 
@@ -154,18 +146,12 @@ def duality_checks(t: LinearRelation) -> list[tuple[str, bool, str]]:
     ga, gt = met.gamma(adj), met.gamma(t)
     same_gamma = (math.isinf(ga) and math.isinf(gt)) or \
         (math.isfinite(ga) and math.isfinite(gt) and abs(ga - gt) <= EQ_TOL)
-
-    def is_annihilator(s, k):
-        # s = annihilator(k): with equal dimensions the two directed gaps
-        # agree, so one containment decides it.
-        return s.dim == k.ambient - k.dim and sub.in_annihilator(k, s)
-
     return [
-        ("null_space_a", is_annihilator(adj.kernel, t.range), "N(T') != R(T)-perp"),
-        ("null_space_b", is_annihilator(adj.multivalued_part, t.domain),
+        ("null_space_a", sub.is_annihilator(adj.kernel, t.range), "N(T') != R(T)-perp"),
+        ("null_space_b", sub.is_annihilator(adj.multivalued_part, t.domain),
          "T'(0) != D(T)-perp"),
-        ("null_space_c", is_annihilator(t.kernel, adj.range), "N(T) != R(T')-pre-perp"),
-        ("null_space_d", is_annihilator(t.multivalued_part, adj.domain),
+        ("null_space_c", sub.is_annihilator(t.kernel, adj.range), "N(T) != R(T')-pre-perp"),
+        ("null_space_d", sub.is_annihilator(t.multivalued_part, adj.domain),
          "T(0) != D(T')-pre-perp"),
         ("alpha_adjoint_equals_beta", aa == bt, f"alpha(T')={aa} beta(T)={bt}"),
         ("norm_adjoint_invariant", abs(na - nt) <= EQ_TOL, f"|T'|={na} |T|={nt}"),
@@ -644,10 +630,8 @@ def _check_eigen_condition(a, b, rec: _Recorder, rng) -> None:
 
 # Each suite builds a case payload, decodes it and checks the decoded case.
 _SUITES = {
-    "duality": (lambda seed, i: _pair_case(seed, i, raw_every=3),
-                ser.instance_from_dict, _check_duality),
-    "algebra": (lambda seed, i: _pair_case(seed, i, raw_every=3),
-                ser.instance_from_dict, _check_algebra),
+    "duality": (_mixed_pair_case, ser.instance_from_dict, _check_duality),
+    "algebra": (_mixed_pair_case, ser.instance_from_dict, _check_algebra),
     "gap": (_gap_case, _decode_gap, _check_gap),
     "chains": (_chains_case, ser.instance_from_dict, _check_chains),
     "perturbation": (_perturbation_case, ser.instance_from_dict, _check_perturbation),

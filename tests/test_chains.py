@@ -195,9 +195,9 @@ def test_chains_clear_of_the_cut_are_not_flagged(identity):
 def test_contained_flags_a_near_cut_side():
     plane = sub.span(np.eye(3)[:, [0, 1]])
     near = sub.Subspace(3, np.eye(3)[:, [0]], sv_near_cut=True)
-    assert chn._contained(plane, near) == (True, True)
-    assert chn._contained(near, plane) == (False, True)
-    assert chn._contained(plane, sub.span(np.eye(3)[:, [0]])) == (True, False)
+    assert sub.contained(plane, near) == (True, True)
+    assert sub.contained(near, plane) == (False, True)
+    assert sub.contained(plane, sub.span(np.eye(3)[:, [0]])) == (True, False)
 
 
 def test_contained_refuses_a_larger_inner_space_without_svd(monkeypatch):
@@ -206,8 +206,8 @@ def test_contained_refuses_a_larger_inner_space_without_svd(monkeypatch):
     real = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *args, **kw: svds.append(1) or real(*args, **kw))
-    assert chn._contained(line, sub.full_space(3)) == (False, False)
-    assert chn._contained(sub.zero_subspace(3), line) == (False, False)
+    assert sub.contained(line, sub.full_space(3)) == (False, False)
+    assert sub.contained(sub.zero_subspace(3), line) == (False, False)
     assert svds == []
 
 
@@ -229,14 +229,14 @@ def _old_conditions(a, b, n):
     n_at = lambda k: ns[min(k, len(ns)) - 1]  # noqa: E731
     ill, conditions = False, []
     for r in range(1, n + 1):
-        ok, flag = chn._contained(m_at(n - r + 1), n_at(r))
+        ok, flag = sub.contained(m_at(n - r + 1), n_at(r))
         conditions.append(ok)
         ill = ill or flag
     kappa = True
     for k in range(1, n + 1):
         target = rel.preimage(b, rel.image(a, n_at(k + 1)))
-        ok1, f1 = chn._contained(target, n_at(k))
-        ok2, f2 = chn._contained(b.domain, n_at(k))
+        ok1, f1 = sub.contained(target, n_at(k))
+        ok2, f2 = sub.contained(b.domain, n_at(k))
         kappa = kappa and ok1 and ok2
         ill = ill or f1 or f2
     return {"n": n, "conditions": conditions, "kappa": kappa,
@@ -253,8 +253,8 @@ def _old_report(a, b, max_n):
     for n in range(1, depth + 1):
         row = []
         for k in range(1, n + 1):
-            ok, flag = chn._contained(ms[min(n - k + 1, len(ms) - 1)],
-                                      ns[min(k, len(ns)) - 1])
+            ok, flag = sub.contained(ms[min(n - k + 1, len(ms) - 1)],
+                                     ns[min(k, len(ns)) - 1])
             row.append(ok)
             ill = ill or flag
         table.append(row)
@@ -425,11 +425,11 @@ def test_equivalent_conditions_do_not_depend_on_call_order(stops, monkeypatch):
             single[n] = chn.check_equivalent_conditions(a, b, n)
         assert ascending == descending == single
         # A second pass reads the kept rows and kappa tally: no verdict again.
-        taken, real = [], chn._contained
-        monkeypatch.setattr(chn, "_contained", lambda *args: taken.append(args) or real(*args))
+        taken, real = [], sub.contained
+        monkeypatch.setattr(sub, "contained", lambda *args: taken.append(args) or real(*args))
         assert {n: chn.check_equivalent_conditions(*up, n) for n in ns} == single
         assert taken == []
-        monkeypatch.setattr(chn, "_contained", real)
+        monkeypatch.setattr(sub, "contained", real)
 
 
 def test_kept_rows_are_not_shared_with_callers():

@@ -549,10 +549,10 @@ def test_stability_case_budget(monkeypatch):
     used = _count_calls(monkeypatch, (
         (met, "check_relative_bound"), (met, "_sigma_tau"), (chn, "nu"),
         (sub, "apply_map")))
-    rec = sts._Recorder()
-    sts._check_stability(case, rec, np.random.default_rng(0))
-    assert rec.lemmas["gap_bound"]["pass"] == 1, rec.lemmas
-    assert rec.lemmas["eigen_kernel_consistency"]["pass"] == 1, rec.lemmas
+    res = sts.SuiteResult("stability", 1, 1)
+    sts._check_stability(case, sts._Recorder(res, {}), np.random.default_rng(0))
+    assert res.lemmas["gap_bound"]["pass"] == 1, res.lemmas
+    assert res.lemmas["eigen_kernel_consistency"]["pass"] == 1, res.lemmas
     assert used == {"check_relative_bound": 1, "_sigma_tau": 1, "nu": 1,
                     "apply_map": 0}, used
     assert len(families) == 2 and len({id(f) for f in families}) == 1, families
@@ -562,10 +562,10 @@ def test_stability_case_budget(monkeypatch):
 def test_perturbation_case_budget(monkeypatch):
     case = ser.instance_from_dict(sts._perturbation_case(1, 1))  # every lemma runs
     families = _families(monkeypatch)
-    rec = sts._Recorder()
-    sts._check_perturbation(case, rec, np.random.default_rng(0))
-    assert rec.lemmas["perturbation_inequalities"]["pass"] == 1, rec.lemmas
-    assert rec.lemmas["norm_difference"]["pass"] == 1, rec.lemmas
+    res = sts.SuiteResult("perturbation", 1, 1)
+    sts._check_perturbation(case, sts._Recorder(res, {}), np.random.default_rng(0))
+    assert res.lemmas["perturbation_inequalities"]["pass"] == 1, res.lemmas
+    assert res.lemmas["norm_difference"]["pass"] == 1, res.lemmas
     assert len(families) == 2 and len({id(f) for f in families}) == 1, families
 
 

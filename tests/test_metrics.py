@@ -181,6 +181,25 @@ def test_alpha_prime_eps_frozen():
         met.alpha_prime_eps(t, -0.1)
 
 
+def test_alpha_prime_eps_refuses_nan():
+    # NaN compares false with every value, so a plain "eps < 0" guard let
+    # it through and alpha(T) came back.
+    t = rel.from_matrix(np.diag([3.0, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="eps"):
+        met.alpha_prime_eps(t, math.nan)
+    assert met.alpha_prime_eps(t, math.inf) == 3
+
+
+def test_fit_relative_bound_refuses_a_tau_that_is_not_finite():
+    # A NaN or infinite tau reached the bracket's eigenvalue solver, which
+    # raised LinAlgError rather than refusing the argument.
+    a = rel.from_matrix(np.diag([2.0, 1.0]))
+    b = rel.from_matrix(np.diag([1.0, 3.0]))
+    for tau in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match="tau"):
+            met.fit_relative_bound(a, b, tau)
+
+
 def test_alpha_prime_matches_brute_force_oracle(rng):
     t = rel.from_matrix(np.diag([3.0, 0.5, 0.0]))
     assert brute_alpha_prime_eps(t, 0.6, rng) == 2

@@ -16,8 +16,10 @@ and alpha-prime read the relation's own singular values.  Only ``relation`` hold
 memo of what a pair has decided.  No function passes a graph block
 (``_gx`` or ``_gy``) to ``Subspace.residual``: an image reads the
 relation's cached split of Gx, not a new SVD of a residual of the block.
-No module but ``subspace`` compares a ``gap`` with a tolerance: every such
-verdict is ``contains``, which reads the residual's Frobenius bracket first.
+No module but ``subspace`` compares a ``gap`` with a tolerance, settles a
+residual against a cut (``_settled``, or a ``_bracket`` of its own) or,
+``tolerances`` apart, reads ``CHAIN_BAND``: every containment verdict is
+decided in ``subspace``, which reads the residual's Frobenius bracket first.
 No reduced-mode ``qr`` has its R thrown away (``qr(m)[0]``, ``qr(m).Q``,
 ``q, _ = qr(m)``): such a QR is ``subspace.q_factor``, the one function
 that reads numpy's private ``_umath_linalg``.
@@ -232,6 +234,39 @@ def test_only_subspace_makes_the_rank_cut(path):
 ])
 def test_rank_cut_caller_detector(source):
     assert _cut_reads(ast.parse(source), {"_rank_cut"})
+
+
+_SETTLING = {"_bracket", "_settled"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_subspace_settles_a_containment(path):
+    settles = _cut_reads(_tree(path), _SETTLING)
+    band = _cut_reads(_tree(path), {"CHAIN_BAND"})
+    if path.name == "subspace.py":
+        assert settles and band
+    else:
+        assert not settles, f"{path.name} settles a containment itself: {settles}"
+        assert path.name == "tolerances.py" or not band, \
+            f"{path.name} reads the chain band: {band}"
+
+
+@pytest.mark.parametrize("source", [
+    "g = sub._settled(r, (EQ_TOL,))",
+    "from .subspace import _bracket",
+    "hi = _bracket(r, cuts)",
+], ids=["attribute", "import", "bare"])
+def test_containment_settler_detector(source):
+    assert _cut_reads(ast.parse(source), _SETTLING)
+
+
+@pytest.mark.parametrize("source", [
+    "from .tolerances import CHAIN_BAND",
+    "flag = tol.CHAIN_BAND[0] < g",
+    "lo, hi = CHAIN_BAND",
+], ids=["import", "attribute", "bare"])
+def test_chain_band_reader_detector(source):
+    assert _cut_reads(ast.parse(source), {"CHAIN_BAND"})
 
 
 _PREIMAGE_CALLERS = {"_steps", "_ChainSet.kappa"}

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrel import chains as chn
 from linrel import subspace as sub
 from linrel.tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 
@@ -230,16 +229,21 @@ def test_contains_verdict_is_the_gap_verdict(rng):
             assert abs(g - sines.max()) <= 1e-14, (g, sines)
             for tol in (t, 1e-10, EQ_TOL, 0.49):
                 assert sub.contains(outer, inner, tol) == (g <= tol), (t, delta, tol, g)
-            assert chn._contained(outer, inner) == (g <= EQ_TOL, 1e-10 < g < 1e-8), (t, g)
+            assert sub.contained(outer, inner) == (g <= EQ_TOL, 1e-10 < g < 1e-8), (t, g)
             # K is outer's complement and D the conjugate of inner, so D
             # leaves the annihilator of K, conj(outer), by the same gap, up
             # to the rounding of another residual: only a gap away from
-            # EQ_TOL gives g's verdict there.
+            # EQ_TOL gives g's verdict there.  in_annihilator is the verdict
+            # of ||K^T U_D|| at every gap, and the annihilator's own away
+            # from EQ_TOL.
             k = sub.orth_complement(outer)
             d = sub.Subspace(inner.ambient, inner.basis.conj())
             verdict = sub.contains(sub.annihilator(k), d)
-            assert sub.in_annihilator(k, d) == verdict, (t, delta, g)
             assert t == EQ_TOL or verdict == (g <= EQ_TOL), (t, delta, g)
+            product = float(np.linalg.svd(k.basis.T @ d.basis, compute_uv=False)[0])
+            assert sub.in_annihilator(k, d) == (product <= EQ_TOL), (t, delta, product)
+            if t != EQ_TOL or abs(delta) >= 1e-6:
+                assert sub.in_annihilator(k, d) == verdict, (t, delta, g)
 
 
 def _planted_gap(rng, sin_top, equal, exact):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -37,6 +38,69 @@ def test_each_case_is_encoded_once(monkeypatch):
         sts.run_suite(name, trials=3, seed=5)
         per_suite[name] = encoded["calls"] - before
     assert per_suite == {name: 3 for name in sts.SUITE_NAMES}
+
+
+_STATUSES = ("pass", "fail", "not_applicable", "indeterminate")
+
+
+def _synthetic_verdicts(i):
+    """Case i's (lemma, status, detail) verdicts: passes, not-applicables,
+    indeterminates and two or three failures, four cases giving ten."""
+    verdicts = [("always", "pass", ""), (f"lemma_{i % 3}", "fail", f"case {i}, first"),
+                ("gated", "not_applicable" if i % 2 else "pass", ""),
+                ("late", "fail", f"case {i}, second")]
+    if i % 2 == 0:
+        verdicts += [("band", "indeterminate", ""), ("always", "fail", f"case {i}, third")]
+    return verdicts
+
+
+def _synthetic_check(case, rec, rng):
+    for lemma, status, detail in _synthetic_verdicts(case):
+        if status in ("pass", "fail"):
+            rec.check(lemma, status == "pass", detail)
+        else:
+            rec.record(lemma, status, detail)
+
+
+def _tally_then_merge(cases) -> sts.SuiteResult:
+    """The reference: each case tallied on its own, then merged into the
+    suite result in case order, at most eight failures kept."""
+    result = sts.SuiteResult("synthetic", len(cases), 0)
+    digest = hashlib.sha256()
+    for payload, case in cases:
+        tally, failures = {}, []
+        for lemma, status, detail in _synthetic_verdicts(case):
+            tally.setdefault(lemma, dict.fromkeys(_STATUSES, 0))[status] += 1
+            if status == "fail":
+                failures.append({"lemma": lemma, "detail": detail})
+        for lemma, counts in tally.items():
+            total = result.lemmas.setdefault(lemma, dict.fromkeys(_STATUSES, 0))
+            for status in _STATUSES:
+                total[status] += counts[status]
+        for failure in failures:
+            if len(result.failures) < 8:
+                result.failures.append({**failure, "case": payload})
+        digest.update(ser.canonical_json(payload).encode())
+    result.instances_digest = digest.hexdigest()
+    return result
+
+
+def test_cases_record_straight_into_the_result():
+    cases = [({"index": i}, i) for i in range(4)]
+    got = sts._run_cases(sts.SuiteResult("synthetic", 4, 0), cases, _synthetic_check)
+    want = _tally_then_merge(cases)
+    assert got.to_dict() == want.to_dict()
+    assert got.lemmas["always"] == {"pass": 4, "fail": 2, "not_applicable": 0,
+                                    "indeterminate": 0}
+    assert got.lemmas["gated"]["not_applicable"] == 2
+    assert got.lemmas["band"]["indeterminate"] == 2
+    # Ten failures, the first eight kept in order, each with its own case.
+    assert [f["detail"] for f in got.failures] == [
+        "case 0, first", "case 0, second", "case 0, third", "case 1, first",
+        "case 1, second", "case 2, first", "case 2, second", "case 2, third"]
+    assert [f["case"]["index"] for f in got.failures] == [0, 0, 0, 1, 1, 2, 2, 2]
+    assert all(list(f) == ["lemma", "detail", "case"] for f in got.failures)
+    assert got.conclusion_failures == 10
 
 
 def test_suite_determinism():
