@@ -387,7 +387,7 @@ class _PencilPoint(LinearRelation):
         values = np.concatenate([np.ones(self._p.shape[1]), s / np.hypot(1.0, s)])
         right = np.eye(values.size, dtype=complex)
         span = np.hstack([self._p, self._vectors[0]])[:, : self._rank]
-        perp = np.linalg.qr(span, mode="complete")[0][:, self._rank:]
+        perp = sub.q_factor(span, complete=True)[:, self._rank:]
         return (Subspace(self.y_dim, span, sv_near_cut=self._near),
                 sub.Split(span, right[:, self._rank:], self._near, values, right, perp))
 

@@ -21,9 +21,11 @@ the verdict's cuts, read off its Frobenius bracket where that settles
 every cut.  :func:`contains` and :func:`contained` (a chain cell's
 verdict and ``CHAIN_BAND`` flag) read the residual of the inner basis
 from the outer space, :func:`in_annihilator` and :func:`is_annihilator`
-the product K^T U_D.  Every reduced QR whose R would go unread is
-:func:`q_factor`: numpy's Q bit for bit, read from LAPACK's reflectors
-without forming R, raising the same ``LinAlgError``.
+the product K^T U_D.  Every QR whose R would go unread is
+:func:`q_factor`: numpy's reduced or complete Q bit for bit, read from
+LAPACK's reflectors without forming R, raising the same ``LinAlgError``.
+A split that cuts no rank is a complete Q, not an SVD: each complement
+(so each annihilator) and :func:`certified_span`'s rotation.
 """
 
 from __future__ import annotations
@@ -102,15 +104,16 @@ class Subspace:
             # An entry above 2 in modulus already breaks orthonormality, so
             # the one bound below refuses it before the Gram product can
             # overflow; only a refusal pays for the finiteness test.
-            if not np.abs(basis).max() <= 2.0:
+            if not np.maximum.reduce(np.abs(basis), None) <= 2.0:
                 if not np.isfinite(basis).all():
                     raise ValueError("non-finite entries are not admitted into a basis")
                 raise ValueError("basis columns are not orthonormal; use span()")
-            # The Gram matrix minus the identity, formed in place: x - 1.0
-            # rounds exactly as x - (1+0j), so the decision is unchanged.
+            # The Gram matrix minus the identity, formed in place through a
+            # view of the new C-ordered product: x - 1.0 rounds exactly as
+            # x - (1+0j), so the decision is unchanged.
             gram = basis.conj().T @ basis
-            gram.flat[::basis.shape[1] + 1] -= 1.0
-            if np.abs(gram).max() > 1e-10:
+            gram.ravel()[::basis.shape[1] + 1] -= 1.0
+            if np.maximum.reduce(np.abs(gram), None) > 1e-10:
                 raise ValueError("basis columns are not orthonormal; use span()")
         basis.setflags(write=False)
         self.ambient = int(ambient)
@@ -131,12 +134,13 @@ class Subspace:
     def _complement(self) -> np.ndarray:
         """An orthonormal basis of the orthogonal complement, read-only:
         columns of the identity where the subspace is {0} or the whole
-        space, else the trailing left singular vectors of its orthonormal
-        basis, all of whose values are 1."""
+        space, else the trailing columns of the complete Householder Q of
+        its orthonormal basis.  The basis has full column rank, so no rank
+        is cut: its leading Q columns span it and the rest its complement."""
         if self.dim in (0, self.ambient):
             c = np.eye(self.ambient, dtype=complex)[:, self.dim:]
         else:
-            c = np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:]
+            c = q_factor(self.basis, complete=True)[:, self.dim:]
         c.setflags(write=False)
         return c
 
@@ -243,17 +247,20 @@ def _qr_failed(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def q_factor(m: np.ndarray) -> np.ndarray:
-    """``np.linalg.qr(m)[0]`` of a float64 or complex128 matrix, bit for bit:
-    numpy's own LAPACK gufuncs on a copy of m, with numpy's signatures and
-    error state, so bad input raises the same ``LinAlgError``; R is never
-    formed."""
+def q_factor(m: np.ndarray, complete: bool = False) -> np.ndarray:
+    """``np.linalg.qr(m, mode="complete" if complete else "reduced")[0]`` of a
+    float64 or complex128 matrix, bit for bit: numpy's own LAPACK gufuncs on
+    a copy of m, with numpy's signatures and error state, so bad input
+    raises the same ``LinAlgError``; R is never formed.  As in numpy, the
+    complete Q of a matrix that is not tall is its reduced Q."""
     cplx = np.iscomplexobj(m)
     a = np.array(m, dtype=complex if cplx else float)  # LAPACK overwrites its input
+    tall = complete and a.shape[0] > a.shape[1]
     with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         tau = _umath_linalg.qr_r_raw(a, signature="D->D" if cplx else "d->d")
-        return _umath_linalg.qr_reduced(a, tau, signature="DD->D" if cplx else "dd->d")
+        return (_umath_linalg.qr_complete if tall else _umath_linalg.qr_reduced)(
+            a, tau, signature="DD->D" if cplx else "dd->d")
 
 
 def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
@@ -289,15 +296,16 @@ def certified_span(mc: np.ndarray, e: np.ndarray | None, limit: float,
     Where ||e||_F^2 <= limit, every unit vector of span(c) keeps a value
     clear of the cut and the band, and :func:`_rank_cut` would keep all of
     m c, unflagged: its span is the Q factor of m c.  Otherwise c is
-    rotated by e's SVD, and E's row-space block, the leading min(n_0, k)
-    columns, is dropped whole; the rest are orthogonal to V_0 by
-    construction.  The dropped images' Frobenius norm bounds the values
-    they add to m c, and twice it must be at most ``RANK_ABS`` / 10 and
-    the band's floor times m c's largest value, or ``RANK_ABS`` / 10 where
-    nothing is kept."""
+    rotated by the complete Q of E^H = [Q_1, Q_2], and Q_1, the leading
+    min(n_0, k) columns, which hold E's row space, is dropped whole: E Q_2
+    = 0 in exact arithmetic, so the columns kept are orthogonal to V_0 for
+    any n_0 and any rank of E.  The dropped images' Frobenius norm bounds
+    the values they add to m c, and twice it must be at most ``RANK_ABS`` /
+    10 and the band's floor times m c's largest value, or ``RANK_ABS`` / 10
+    where nothing is kept."""
     if e is None or np.vdot(e, e).real <= limit:
         return Subspace(mc.shape[0], q_factor(mc), sv_near_cut=near)
-    a, n = mc @ np.linalg.svd(e)[2].conj().T, min(e.shape)
+    a, n = mc @ q_factor(e.conj().T, complete=True), min(e.shape)
     kept, lost = a[:, n:], np.vdot(a[:, :n], a[:, :n]).real ** 0.5
     if kept.shape[1]:
         # m c's largest value is at least the kept columns' root mean square.

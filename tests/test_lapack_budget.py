@@ -36,17 +36,17 @@ orthonormal, and then comes the span of the y x k matrix Gy c:
     as it is;
   * under a relation with a kernel whose kept Gy values are clear of the
     band, at every size, the certificate reads E = N^H c: one QR where
-    ||E||_F^2 is at most the split's limit, else one full SVD of the
-    n_0 x k matrix E, whose row-space block is dropped whole, and one QR
-    of the columns left, which are off N, or, where the certificate
-    fails, one thin SVD in place of that QR;
+    ||E||_F^2 is at most the split's limit, else one complete QR of the
+    k x n_0 matrix E^H, whose leading columns, E's row space, are dropped
+    whole, and one QR of the columns left, which are off N, or, where the
+    certificate fails, one thin SVD in place of that QR;
   * otherwise one thin SVD.
 A preimage is the image under the relation's inverse, which is built
 once and is handed both of the relation's splits, of Gy as its own split
 of Gx and of Gx as its own split of Gy.  Once a relation's domain, range,
 kernel and T(0) are read, those of its inverse cost no SVD.  An
 adjoint's graph is the annihilator of t's graph basis with its blocks
-swapped, one full SVD and no thin one.
+swapped, one complete QR and no SVD.
 
 nu and the chain reports of one pair share its M and N chains, kept in
 the pair's record: each chain step is taken once.  nu grows the M chain
@@ -55,8 +55,9 @@ the kept chains in place.  ``verify_nu_duality`` builds the chains of the
 adjoint pair once more.  The table's rows and the running kappa verdict
 are kept too: ``check_equivalent_conditions`` after a chain report takes
 no containment verdict for its conditions.  A subspace's complement takes
-one SVD however often it is read, and an intersection takes the SVDs of
-the two complements, of their sum and of its complement.  Every
+one complete QR and no SVD however often it is read, and an intersection
+takes the QRs of the two complements, the SVD of their sum and the QR of
+its complement.  Every
 containment verdict reads the Frobenius bracket of its residual first, so
 a gap far from the tolerance takes no SVD: a chain report whose gaps are
 all decisive takes none for its table.
@@ -255,22 +256,22 @@ def test_check_relative_bound_budget(calls):
 
 
 def _lapack_calls(monkeypatch) -> list:
-    """("svd", shape, full) and ("qr", shape) of every numpy SVD and QR
-    from here on, ``sub.q_factor``'s QRs included; ``full`` is True for an
-    SVD with both full factors."""
+    """("svd", shape, full) and ("qr", shape, complete) of every numpy SVD
+    and QR from here on, ``sub.q_factor``'s QRs included; ``full`` is True
+    for an SVD with both full factors, ``complete`` for a complete Q."""
     seen, svd, qr, q_factor = [], np.linalg.svd, np.linalg.qr, sub.q_factor
 
     def counted_svd(m, full_matrices=True, compute_uv=True, **kwargs):
         seen.append(("svd", m.shape, full_matrices and compute_uv))
         return svd(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
-    def counted_qr(m, *args, **kwargs):
-        seen.append(("qr", m.shape))
-        return qr(m, *args, **kwargs)
+    def counted_qr(m, mode="reduced"):
+        seen.append(("qr", m.shape, mode == "complete"))
+        return qr(m, mode)
 
-    def counted_q_factor(m):
-        seen.append(("qr", m.shape))
-        return q_factor(m)
+    def counted_q_factor(m, complete=False):
+        seen.append(("qr", m.shape, complete))
+        return q_factor(m, complete=complete)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
@@ -303,13 +304,13 @@ def test_chain_step_budget(monkeypatch, rng):
             assert thin == [], seen
             if t is a:
                 # N(A) != {0}: the QR that makes c orthonormal and the QR of
-                # Gy c, with the SVD of the n_0 x k matrix E = N^H c between
-                # them where ||E||_F^2 is past the limit and E's row-space
-                # block is dropped.
-                kinds = [call[0] for call in seen]
-                rotated = kinds == ["qr", "svd", "qr"]
-                assert rotated or kinds == ["qr", "qr"], seen
-                assert full == [(a._y_svd[1].null.shape[1], d)] * rotated, seen
+                # Gy c, with the complete QR of the k x n_0 matrix E^H,
+                # E = N^H c, between them where ||E||_F^2 is past the limit
+                # and E's row-space block is dropped.  No SVD.
+                rotated = len(seen) == 3
+                rotation = [("qr", (d, a._y_svd[1].null.shape[1]), True)] * rotated
+                assert seen == [("qr", seen[0][1], False), *rotation,
+                                ("qr", seen[-1][1], False)], seen
                 rotations |= {rotated}
                 continue
             # Under an injective relation the QR of Gy c, after the one that
@@ -320,7 +321,7 @@ def test_chain_step_budget(monkeypatch, rng):
             proper |= {dom.dim < t.x_dim}
         seen.clear()
         rel.adjoint(t)
-        assert seen == [("svd", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
+        assert seen == [("qr", (t.x_dim + t.y_dim, t.graph.dim), True)], seen
     assert proper == {False, True}  # N(A) != {0}, so R(A) != Y
     assert rotations == {False, True}  # M = X holds N(A)
     wider = [t._image_map.spread > rel.COEF_SPREAD for t in relations[1:]]
@@ -329,21 +330,22 @@ def test_chain_step_budget(monkeypatch, rng):
 
 def test_certified_chain_step_budget(monkeypatch):
     # Every image under a is certified from c's angles to N(Gy): one
-    # n_0 x k SVD where c meets N(A), and one QR.  A preimage's domain cut
-    # is one n_d x k SVD.  No image in a chain step or a kappa target takes
-    # an SVD of a matrix with an ambient number of rows, and none takes a
-    # thin SVD.
+    # complete QR of the k x n_0 matrix E^H where c meets N(A), and one QR.
+    # A preimage's domain cut is one n_d x k SVD, the only SVD an image
+    # takes.  No image in a chain step or a kappa target takes an SVD of a
+    # matrix with an ambient number of rows, and none takes a thin SVD.
     a, b = _deep_pair(16, 4, seed=5)
     _ = a._inverse, b._inverse, a.kernel, b.kernel
     n0, nd = a._y_svd[1].null.shape[1], a.y_dim - a.range.dim
     assert (n0, nd) == (1, 1)
     seen, real = _lapack_calls(monkeypatch), rel.image
-    imaged = []
+    imaged, rotations = [], []
 
     def image(t, m):
         before = len(seen)
         out = real(t, m)
         imaged.extend(call for call in seen[before:] if call[0] == "svd")
+        rotations.extend(call for call in seen[before:] if call[0] == "qr" and call[2])
         return out
 
     monkeypatch.setattr(rel, "image", image)
@@ -354,7 +356,8 @@ def test_certified_chain_step_budget(monkeypatch):
     assert [s.dim for s in chains.ns] == [1, 2, 3, 4, 4], chains.ns
     for k in range(1, len(chains.ns)):
         chains.kappa(a, b, k)
-    assert imaged and all(call[1][0] in (n0, nd) and call[2] for call in imaged), imaged
+    assert imaged and all(call[1][0] == nd and call[2] for call in imaged), imaged
+    assert rotations and all(call[1][1] == n0 for call in rotations), rotations
     assert used == {"span": 0}, used
 
 

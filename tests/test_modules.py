@@ -20,9 +20,11 @@ No module but ``subspace`` compares a ``gap`` with a tolerance, settles a
 residual against a cut (``_settled``, or a ``_bracket`` of its own) or,
 ``tolerances`` apart, reads ``CHAIN_BAND``: every containment verdict is
 decided in ``subspace``, which reads the residual's Frobenius bracket first.
-No reduced-mode ``qr`` has its R thrown away (``qr(m)[0]``, ``qr(m).Q``,
-``q, _ = qr(m)``): such a QR is ``subspace.q_factor``, the one function
-that reads numpy's private ``_umath_linalg``.
+No reduced- or complete-mode ``qr`` has its R thrown away (``qr(m)[0]``,
+``qr(m, mode="complete")[0]``, ``qr(m).Q``, ``q, _ = qr(m)``): such a QR is
+``subspace.q_factor``, the one function that reads numpy's private
+``_umath_linalg``.  Only the functions named in ``_SVD_CALLERS``, each of
+which reads singular values or cuts a rank at them, take an SVD.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
 call counts in ``test_lapack_budget``, whose tests enforce them.
@@ -450,22 +452,23 @@ def test_gap_comparison_detector_allows_values_and_verdicts():
 
 
 def _discarded_r(tree: ast.Module) -> list[str]:
-    """Every reduced-mode ``qr`` call whose R is thrown away: indexed by 0,
-    read for ``.Q``, or unpacked into ``(q, _)``."""
-    def reduced_qr(node: ast.AST) -> bool:
+    """Every reduced- or complete-mode ``qr`` call whose R is thrown away:
+    indexed by 0, read for ``.Q``, or unpacked into ``(q, _)``."""
+    def q_mode_qr(node: ast.AST) -> bool:
         if not (isinstance(node, ast.Call) and _name(node.func) == "qr"):
             return False
         mode = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
-        return all(isinstance(m, ast.Constant) and m.value == "reduced" for m in mode)
+        return all(isinstance(m, ast.Constant) and m.value in ("reduced", "complete")
+                   for m in mode)
 
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and reduced_qr(node.value) and (
+        if isinstance(node, ast.Subscript) and q_mode_qr(node.value) and (
                 isinstance(node.slice, ast.Constant) and node.slice.value == 0):
             found.append(f"line {node.lineno}: qr(...)[0]")
-        elif isinstance(node, ast.Attribute) and node.attr == "Q" and reduced_qr(node.value):
+        elif isinstance(node, ast.Attribute) and node.attr == "Q" and q_mode_qr(node.value):
             found.append(f"line {node.lineno}: qr(...).Q")
-        elif isinstance(node, ast.Assign) and reduced_qr(node.value) and any(
+        elif isinstance(node, ast.Assign) and q_mode_qr(node.value) and any(
                 isinstance(t, ast.Tuple) and len(t.elts) == 2
                 and isinstance(t.elts[1], ast.Name) and t.elts[1].id == "_"
                 for t in node.targets):
@@ -487,14 +490,18 @@ def test_every_q_without_r_is_q_factor(path):
     "q = np.linalg.qr(m).Q",
     "c = f(qr(c)[0], d)",
     "def image(t, m):\n    return Subspace(n, linalg.qr(c)[0])",
-], ids=["index", "unpack", "mode-keyword", "mode-positional", "attribute", "nested", "bare"])
+    "q = np.linalg.qr(m, mode='complete')[0]",
+    "perp = np.linalg.qr(span, 'complete')[0][:, rank:]",
+], ids=["index", "unpack", "mode-keyword", "mode-positional", "attribute", "nested", "bare",
+        "complete", "complete-positional"])
 def test_discarded_r_detector(source):
     assert _discarded_r(ast.parse(source))
 
 
 def test_discarded_r_detector_allows_other_modes_and_r():
     source = ("r = np.linalg.qr(m, mode='r')\n"
-              "q = np.linalg.qr(m, mode='complete')[0]\n"
+              "h, tau = np.linalg.qr(m, mode='raw')\n"
+              "q, r = np.linalg.qr(g, mode='complete')\n"
               "q, r = np.linalg.qr(g)\n"
               "r = np.linalg.qr(g)[1]\n"
               "q = sub.q_factor(m)\n")
@@ -520,6 +527,38 @@ def test_only_q_factor_reads_private_lapack(path):
 ], ids=["import-from", "import", "attribute"])
 def test_private_lapack_reader_detector(source):
     assert _callers(ast.parse(source), _PRIVATE_LAPACK)
+
+
+# The functions that may take an SVD: each reads singular values or cuts
+# a rank at them.  An orthonormal split that reads neither, such as a
+# complement or a certificate's rotation, is a complete QR.
+_SVD_CALLERS = {
+    "metrics.py": {"_sigma_tau"},  # ||B|| on D(A) and its top direction
+    "relation.py": {"from_matrix",  # the CS values of the graph
+                    "_PencilPoint.__init__",  # Z's values, cut
+                    "_PencilPoint._vectors"},  # Z's vectors, read in the cut's order
+    "subspace.py": {"span", "svd_split",  # the rank cut
+                    "gap", "_settled"},  # sigma_max
+    "suites.py": {"_perturbation_case",  # gamma and ||B|| for the draw's scale
+                  "_check_perturbation"},  # gamma and the induced inverse's norm
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_value_readers_take_an_svd(path):
+    callers = set(_callers(_tree(path), {"svd"}))
+    assert callers == _SVD_CALLERS.get(path.name, set()), callers
+
+
+@pytest.mark.parametrize("source", [
+    "class Subspace:\n    def _complement(self):\n        return np.linalg.svd(self.basis)[0]",
+    "def certified_span(mc, e, limit):\n    return mc @ np.linalg.svd(e)[2].conj().T",
+    "def span(m):\n    def rotate(e):\n        return svd(e)[2]\n    return rotate(m)",
+    "from numpy.linalg import svd",
+    "def annihilator(s):\n    split = np.linalg.svd\n    return split(s.basis)[0]",
+], ids=["method", "function", "nested", "import-from", "alias"])
+def test_svd_caller_detector(source):
+    assert not set(_callers(ast.parse(source), {"svd"})) <= _SVD_CALLERS["subspace.py"]
 
 
 _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")

@@ -296,17 +296,18 @@ def test_random_subspace_contract():
         sub.random_subspace(3, 4, 1)
 
 
-def _same_q(m):
-    """q_factor(m) is np.linalg.qr(m)[0] bit for bit, signed zeros and NaN
-    payloads included, or both raise the same exception; m is untouched."""
+def _same_q(m, complete=False):
+    """q_factor(m, complete) is numpy's reduced or complete Q bit for bit,
+    signed zeros and NaN payloads included, or both raise the same
+    exception; m is untouched."""
     before = m.copy()
     try:
-        want = np.linalg.qr(m)[0]
+        want = np.linalg.qr(m, mode="complete" if complete else "reduced")[0]
     except Exception as exc:
         with pytest.raises(type(exc)):
-            sub.q_factor(m)
+            sub.q_factor(m, complete=complete)
     else:
-        got = sub.q_factor(m)
+        got = sub.q_factor(m, complete=complete)
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
         assert np.array_equal(got, want) or not np.isfinite(m).all()
@@ -320,27 +321,31 @@ def test_q_factor_is_numpys_q(rng, cplx, shape):
     def draw(n, k):
         return _gaussian(rng, n, k) if cplx else rng.standard_normal((n, k))
 
+    def same_q(m):
+        _same_q(m)
+        _same_q(m, complete=True)
+
     m = draw(*shape)
-    _same_q(m)
-    _same_q(np.asfortranarray(m))
+    same_q(m)
+    same_q(np.asfortranarray(m))
     # A non-contiguous column slice, and one of a Fortran-ordered parent.
     wide = draw(shape[0], 2 * shape[1] + 1)
-    _same_q(wide[:, ::2])
-    _same_q(np.asfortranarray(wide)[:, 1::2])
+    same_q(wide[:, ::2])
+    same_q(np.asfortranarray(wide)[:, 1::2])
     # Rank-deficient columns: a repeat of the first.
     if shape[1] > 1 and shape[0]:
-        _same_q(np.hstack([m, m[:, :1]]))
+        same_q(np.hstack([m, m[:, :1]]))
     for bad in (np.nan, np.inf, -np.inf):
         for pos in ((0, 0), (-1, -1)):
             if m.size:
                 worse = m.copy()
                 worse[pos] = bad
-                _same_q(worse)
+                same_q(worse)
                 if cplx:
                     worse[pos] = complex(1.0, bad)
-                    _same_q(worse)
+                    same_q(worse)
     if m.size:
-        _same_q(np.full_like(m, np.nan))
+        same_q(np.full_like(m, np.nan))
 
 
 def test_projector_invariants(rng):
@@ -525,6 +530,75 @@ def test_constructor_refuses_bases_whose_gram_overflows_to_nan(basis):
     # An overflowing Gram product once held NaN, and NaN > 1e-10 is False.
     with pytest.raises(ValueError, match="not orthonormal"):
         sub.Subspace(2, np.array(basis, dtype=complex))
+
+
+def _reference_check(ambient: int, basis) -> str | None:
+    """The constructor's check as it stood before the identity was cached:
+    the message it raises, or None where it admits the basis."""
+    basis = np.array(basis, dtype=complex).reshape(ambient, -1)
+    if basis.size:
+        if not np.abs(basis).max() <= 2.0:
+            if not np.isfinite(basis).all():
+                return "non-finite entries are not admitted into a basis"
+            return "basis columns are not orthonormal; use span()"
+        gram = basis.conj().T @ basis
+        gram.flat[::basis.shape[1] + 1] -= 1.0
+        if np.abs(gram).max() > 1e-10:
+            return "basis columns are not orthonormal; use span()"
+    return None
+
+
+def _planted_bases():
+    """Bases at the edges of each decision: off-diagonal Gram deviations
+    1e-10 (1 +- 1e-12) and the ulps around 1e-10, real and complex;
+    diagonal deviations exactly k 2^-52 for the two k around 1e-10 2^52,
+    the nearest a squared norm can come; entries of modulus 2 (1 +- 2^-52);
+    huge, NaN and infinite entries; no columns."""
+    edges = [1e-10 * (1 + f) for f in (-1e-12, 0.0, 1e-12)]
+    edges += [np.nextafter(1e-10, 0.0), np.nextafter(1e-10, 1.0)]
+    for t in edges:
+        for off in (t, -t, 1j * t, complex(t, t) / math.sqrt(2)):
+            yield 3, _two_columns(off)
+    # Squares of n 2^-26 and their sums are exact: a column e_1 + sum of
+    # n_i 2^-26 e_i has squared norm 1 + sum(n_i^2) 2^-52 exactly.
+    for tail in ((671, 10, 3, 3), (670, 38, 4)):
+        assert abs(sum(n * n for n in tail) * 2.0 ** -52 - 1e-10) < 2.0 ** -52
+        real = np.eye(6, 2)
+        real[2: 2 + len(tail), 1] = np.array(tail) * 2.0 ** -26
+        for basis in (real, real * 1j):
+            yield 6, basis
+            yield 6, basis[:, 1:].copy()
+    two = 2.0 * (1 + 2.0 ** -52), 2.0 * (1 - 2.0 ** -52), 2.0
+    for v in two:
+        yield 2, np.array([[v, 0.0], [0.0, 1.0]])
+        yield 2, np.array([[complex(0.0, v)], [0.0]])
+        yield 2, np.array([[complex(v * 0.6, v * 0.8)], [0.0]])
+    for v in (1e200, -1e200, complex(1e200, -1e200), np.nan, np.inf, -np.inf,
+              complex(0.0, np.inf), complex(np.nan, 1e300)):
+        yield 2, np.array([[v, 0.0], [0.0, 1.0]])
+        yield 2, np.array([[1.0, 0.0], [0.0, v]])
+    yield 3, np.zeros((3, 0))
+    yield 3, np.zeros((3, 0), dtype=complex)
+
+
+@pytest.mark.filterwarnings("error")
+def test_constructor_decides_as_the_reference_check():
+    # Every planted basis gets the reference's verdict and message, and the
+    # edges fall on both sides.
+    verdicts = set()
+    for ambient, basis in _planted_bases():
+        before = basis.copy()
+        want = _reference_check(ambient, basis)
+        try:
+            sub.Subspace(ambient, basis)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (basis, got, want)
+        assert np.array_equal(basis, before, equal_nan=True)
+        verdicts.add(want)
+    assert verdicts == {None, "non-finite entries are not admitted into a basis",
+                        "basis columns are not orthonormal; use span()"}, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +800,57 @@ def test_certified_span_drops_the_null_block_whole_or_nothing(rng):
     assert outcomes == {"whole", "part"}, outcomes
 
 
+def _svd_certified_span(mc, e, limit):
+    """certified_span with c rotated by E's right singular vectors: the
+    leading min(n_0, k) of them, E's row space, are dropped."""
+    if e is None or np.vdot(e, e).real <= limit:
+        return sub.Subspace(mc.shape[0], np.linalg.qr(mc)[0])
+    a, n = mc @ np.linalg.svd(e)[2].conj().T, min(e.shape)
+    kept, lost = a[:, n:], np.linalg.norm(a[:, :n])
+    floor = RANK_ABS / 10
+    if kept.shape[1]:
+        floor = min(floor, SV_BAND[0] * np.linalg.norm(kept) / kept.shape[1] ** 0.5)
+    return None if 2 * lost > floor else sub.Subspace(mc.shape[0], np.linalg.qr(kept)[0])
+
+
+def test_certified_span_rotates_as_the_svd_reference(rng):
+    # The complete QR of E^H splits off E's row space as E's SVD does: the
+    # certificate refuses where the SVD-rotated reference refuses, and
+    # otherwise gives its dimension, flag and subspace.  Null blocks of one
+    # and of several dimensions; c holds the whole block, part of it or
+    # directions at any angle to it, so ||E||_F^2 falls on both sides of
+    # the limit.
+    outcomes = set()
+    for _ in range(400):
+        y, g = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        n0 = 1 if rng.random() < 0.5 else int(rng.integers(1, g))
+        rho = min(g - n0, y)
+        kept = np.sort(10.0 ** rng.uniform(-5, 0, rho))[::-1]
+        kept[0] = 1.0
+        m, split = _graded_map(rng, y, g, kept, [])
+        limit, null = sub.kernel_limit(split), split.null
+        if limit is None or not null.shape[1]:
+            continue
+        n0 = null.shape[1]
+        inside = int(rng.integers(0, n0 + 1))
+        k = int(rng.integers(max(inside, 1), min(g, inside + rho) + 1))
+        angle = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-12, 0)
+        c = _gaussian(rng, g, k)
+        c[:, :inside] = null @ _gaussian(rng, n0, inside) + angle * c[:, :inside]
+        c = np.linalg.qr(c)[0]
+        e = null.conj().T @ c
+        got, ref = sub.certified_span(m @ c, e, limit), _svd_certified_span(m @ c, e, limit)
+        side = "past" if np.vdot(e, e).real > limit else "within"
+        outcomes.add((n0 > 1, side, got is None))
+        assert (got is None) == (ref is None), (n0, inside, k, angle)
+        if got is not None:
+            assert (got.dim, got.sv_near_cut) == (ref.dim, ref.sv_near_cut)
+            assert got.is_same(ref)
+    assert {(wide, "past", refused) for wide in (False, True)
+            for refused in (False, True)} <= outcomes, outcomes
+    assert {(False, "within", False), (True, "within", False)} <= outcomes, outcomes
+
+
 # ---------------------------------------------------------------------------
 # One complement per subspace
 
@@ -741,14 +866,28 @@ def _svd_log(monkeypatch) -> list:
     return seen
 
 
+def _q_factor_log(monkeypatch) -> list:
+    """(shape, complete) of every ``sub.q_factor`` call from here on."""
+    seen, real = [], sub.q_factor
+
+    def q_factor(m, complete=False):
+        seen.append((m.shape, complete))
+        return real(m, complete=complete)
+
+    monkeypatch.setattr(sub, "q_factor", q_factor)
+    return seen
+
+
 def test_a_second_complement_takes_no_svd(rng, monkeypatch):
-    seen = _svd_log(monkeypatch)
+    # A complement is the complete QR of the basis, which cuts no rank: no
+    # SVD, and one QR however often it is read.
+    svds, qrs = _svd_log(monkeypatch), _q_factor_log(monkeypatch)
     for s in (sub.random_subspace(6, 2, rng), sub.random_subspace(5, 4, rng)):
-        seen.clear()
+        qrs.clear()
         perp, dual = sub.orth_complement(s), sub.annihilator(s)
-        assert len(seen) == 1
+        assert qrs == [(s.basis.shape, True)], qrs
         again, dual_again = sub.orth_complement(s), sub.annihilator(s)
-        assert seen == seen[:1]
+        assert svds == [] and len(qrs) == 1, (svds, qrs)
         assert again.basis.tobytes() == perp.basis.tobytes()
         assert dual_again.basis.tobytes() == dual.basis.tobytes() == perp.basis.conj().tobytes()
         assert not s._complement.flags.writeable
@@ -770,18 +909,20 @@ def test_intersect_takes_the_composition_svds_and_bits(rng, monkeypatch):
              (sub.zero_subspace(3), sub.random_subspace(3, 2, rng)),
              (sub.full_space(4), sub.random_subspace(4, 1, rng)),
              (sub.full_space(3), sub.full_space(3))]
-    seen = _svd_log(monkeypatch)
+    seen, qrs = _svd_log(monkeypatch), _q_factor_log(monkeypatch)
 
     def fresh(s):
         return sub.Subspace(s.ambient, s.basis, s.sv_near_cut)
 
     for s1, s2 in cases:
         seen.clear()
+        qrs.clear()
         ref = _composed_intersect(fresh(s1), fresh(s2))
-        ref_svds = list(seen)
+        ref_svds, ref_qrs = list(seen), list(qrs)
         seen.clear()
+        qrs.clear()
         got = sub.intersect(fresh(s1), fresh(s2))
-        assert seen == ref_svds
+        assert seen == ref_svds and qrs == ref_qrs
         assert got.basis.shape == ref.basis.shape
         assert got.basis.tobytes() == ref.basis.tobytes()
         assert got.sv_near_cut == ref.sv_near_cut
