@@ -8,8 +8,10 @@ our control: dictionaries keep insertion order, no whitespace varies.
 Schemas
 -------
 Subspace        {"ambient": n, "basis": [column, ...]} where a column is
-                a list of [re, im] pairs; columns need not arrive
-                orthonormal (span normalization applies on load).
+                a list of [re, im] pairs.  Columns that pass Subspace's
+                Gram check load as written, unflagged, so a written
+                basis decodes to its own bits; others are spanned on
+                load (columns need not arrive orthonormal).
 LinearRelation  {"x_dim": n, "y_dim": m, "graph": <subspace>} or the
                 {"matrix": [[...]]} shorthand for single-valued
                 everywhere-defined operators (entries numbers or
@@ -151,15 +153,21 @@ def subspace_from_dict(d: dict) -> Subspace:
     except (ValueError, TypeError, OverflowError):
         pairs = np.zeros(0)
     if pairs.dtype.kind in "biuf" and pairs.shape == (len(cols), ambient, 2):
-        return sub.span(pairs.astype(float, copy=False).view(complex)[..., 0].T, ambient=ambient)
-    m = np.zeros((ambient, len(cols)), dtype=complex)
-    for j, col in enumerate(cols):
-        if len(col) != ambient:
-            raise ValueError(f"basis column {j} has length {len(col)}, "
-                             f"ambient is {ambient}")
-        for i, entry in enumerate(col):
-            m[i, j] = _entry_to_complex(entry)
-    return sub.span(m, ambient=ambient)
+        # C order, the layout of every basis the library builds: BLAS may
+        # round a product of another layout differently.
+        m = np.ascontiguousarray(pairs.astype(float, copy=False).view(complex)[..., 0].T)
+    else:
+        m = np.zeros((ambient, len(cols)), dtype=complex)
+        for j, col in enumerate(cols):
+            if len(col) != ambient:
+                raise ValueError(f"basis column {j} has length {len(col)}, "
+                                 f"ambient is {ambient}")
+            for i, entry in enumerate(col):
+                m[i, j] = _entry_to_complex(entry)
+    try:  # columns that pass the Gram check are kept as written, unflagged
+        return Subspace(ambient, m)
+    except ValueError:  # others are spanned; span names non-finite input
+        return sub.span(m, ambient=ambient)
 
 
 def _entry_to_complex(entry) -> complex:

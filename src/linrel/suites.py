@@ -81,8 +81,9 @@ class _Recorder:
 
 
 def _run_cases(result: SuiteResult, cases, check) -> SuiteResult:
-    """Check each (payload, decoded case) pair in index order, recording
-    into ``result``.  Each payload is encoded once; its canonical text
+    """Check each (payload, case) pair in index order, recording into
+    ``result``; the case is what decoding the payload gives, bit for bit
+    and flag for flag.  Each payload is encoded once; its canonical text
     seeds the case RNG and feeds the suite digest."""
     digest = hashlib.sha256()
     for payload, case in cases:
@@ -118,8 +119,10 @@ def _raw_pair(rng, max_dim: int = 6) -> tuple[LinearRelation, LinearRelation]:
 
 
 def _pair_case(seed: int, idx: int, *, everywhere: bool = False,
-               force_nu: bool = False, raw_every: int = 0) -> dict:
-    """Serialized relation-pair case; families alternate deterministically."""
+               force_nu: bool = False, raw_every: int = 0) -> tuple[dict, tuple]:
+    """A relation-pair case, serialized and as built; families alternate
+    deterministically.  Both graphs are unflagged, as decoded: the
+    generator and the raw draw reject flagged ones."""
     rng = np.random.default_rng([seed, idx])
     if raw_every and idx % raw_every == raw_every - 1:
         a, b = _raw_pair(rng)
@@ -127,10 +130,10 @@ def _pair_case(seed: int, idx: int, *, everywhere: bool = False,
         spec = stab.random_feasible_spec(rng, everywhere_defined=everywhere,
                                          force_nu_infinite=force_nu)
         a, b = stab.generate(spec)
-    return ser.instance_to_dict(a, b)
+    return ser.instance_to_dict(a, b), (a, b)
 
 
-def _mixed_pair_case(seed: int, idx: int) -> dict:
+def _mixed_pair_case(seed: int, idx: int) -> tuple[dict, tuple]:
     """A generated pair, or, every third case, a raw Haar pair."""
     return _pair_case(seed, idx, raw_every=3)
 
@@ -329,7 +332,7 @@ def sampled_gap(m: Subspace, n: Subspace, rng, samples: int = 2048,
     return min(1.0, best)
 
 
-def _gap_case(seed: int, idx: int) -> dict:
+def _gap_case(seed: int, idx: int) -> tuple[dict, tuple]:
     rng = np.random.default_rng([seed, idx])
     small = idx % 4 == 0  # oracle-eligible ambient
     ambient = int(rng.integers(1, 5 if small else 9))
@@ -345,7 +348,9 @@ def _gap_case(seed: int, idx: int) -> dict:
             n = sub.random_subspace(ambient, dn, rng)
     else:
         n = sub.random_subspace(ambient, dn, rng)
-    return {"M": ser.subspace_to_dict(m), "N": ser.subspace_to_dict(n)}
+    payload = {"M": ser.subspace_to_dict(m), "N": ser.subspace_to_dict(n)}
+    # Decoding drops the flag the sum may carry: a flagged N goes as decoded.
+    return payload, (m, ser.subspace_from_dict(payload["N"]) if n.sv_near_cut else n)
 
 
 def _decode_gap(payload: dict) -> tuple[Subspace, Subspace]:
@@ -400,7 +405,7 @@ def _check_gap(case, rec: _Recorder, rng) -> None:
 # ---------------------------------------------------------------------------
 # chains suite
 
-def _chains_case(seed: int, idx: int) -> dict:
+def _chains_case(seed: int, idx: int) -> tuple[dict, tuple]:
     # Alternate general pairs with everywhere-defined ones for the duality lemma.
     return _pair_case(seed, idx, everywhere=(idx % 2 == 1),
                       force_nu=(idx % 5 == 0))
@@ -463,7 +468,7 @@ def _check_chains(case, rec: _Recorder, rng) -> None:
 # ---------------------------------------------------------------------------
 # perturbation suite
 
-def _perturbation_case(seed: int, idx: int) -> dict:
+def _perturbation_case(seed: int, idx: int) -> tuple[dict, tuple]:
     rng = np.random.default_rng([seed, idx])
     spec = stab.random_feasible_spec(rng)
     a, b = stab.generate(spec)
@@ -479,7 +484,11 @@ def _perturbation_case(seed: int, idx: int) -> dict:
                                  compute_uv=False)[0]) if dom_b.shape[1] else 0.0
         if nb > 0 and math.isfinite(g):
             b = rel.scalar_mul(float(0.45 * g / nb * rng.uniform(0.5, 1.0)), b)
-    return ser.instance_to_dict(a, b)
+    payload = ser.instance_to_dict(a, b)
+    # The scaled B is spanned, so it may be flagged: then it goes as decoded.
+    if b.graph.sv_near_cut:
+        b = ser.relation_from_dict(payload["B"])
+    return payload, (a, b)
 
 
 def _check_perturbation(case, rec: _Recorder, rng) -> None:
@@ -536,21 +545,17 @@ def _check_perturbation(case, rec: _Recorder, rng) -> None:
 # ---------------------------------------------------------------------------
 # stability suite
 
-def _stability_case(seed: int, idx: int) -> dict:
+def _stability_case(seed: int, idx: int) -> tuple[dict, tuple]:
     rng = np.random.default_rng([seed, idx])
     if idx % 3 == 2:
         # identical pair: sigma = 0, tau = 1 is an exact analytic bound
-        spec = stab.random_feasible_spec(rng)
-        a, _ = stab.generate(spec)
-        payload = ser.instance_to_dict(a, a)
-        payload["bound"] = {"sigma": 0.0, "tau": 1.0, "provenance": "supplied"}
-        return payload
-    spec = stab.random_feasible_spec(rng, force_nu_infinite=True)
-    a, b = stab.generate(spec)
-    payload = ser.instance_to_dict(a, b)
-    fitted = met.fit_relative_bound(a, b, 0.0)
-    payload["bound"] = ser.bound_to_dict(fitted)
-    return payload
+        a = b = stab.generate(stab.random_feasible_spec(rng))[0]
+        bound = {"sigma": 0.0, "tau": 1.0, "provenance": "supplied"}
+    else:
+        a, b = stab.generate(stab.random_feasible_spec(rng, force_nu_infinite=True))
+        bound = ser.bound_to_dict(met.fit_relative_bound(a, b, 0.0))
+    payload = {**ser.instance_to_dict(a, b), "bound": bound}
+    return payload, (a, b, ser.bound_from_dict(bound))
 
 
 def _decode_stability(payload: dict) -> tuple:
@@ -628,7 +633,10 @@ def _check_eigen_condition(a, b, rec: _Recorder, rng) -> None:
 # ---------------------------------------------------------------------------
 # public entry points
 
-# Each suite builds a case payload, decodes it and checks the decoded case.
+# Each suite's builder gives a case payload and the case it was built
+# from, which decoding the payload reproduces bit for bit and flag for
+# flag: ``run_suite`` checks the built case, with the caches its build
+# warmed, and ``run_replay`` the decoded one.
 _SUITES = {
     "duality": (_mixed_pair_case, ser.instance_from_dict, _check_duality),
     "algebra": (_mixed_pair_case, ser.instance_from_dict, _check_algebra),
@@ -646,10 +654,9 @@ class ReplayError(ValueError):
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    build, decode, check = _SUITES[name]
+    build, _, check = _SUITES[name]
     result = SuiteResult(name=name, trials=trials, seed=seed)
-    payloads = (build(seed, i) for i in range(trials))
-    return _run_cases(result, ((p, decode(p)) for p in payloads), check)
+    return _run_cases(result, (build(seed, i) for i in range(trials)), check)
 
 
 def run_replay(payload: dict) -> SuiteResult:

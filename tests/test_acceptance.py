@@ -44,7 +44,7 @@ def test_criterion_1_duality_suite():
     # the mix really contains multivalued and partial-domain relations
     mv = partial = 0
     for i in range(200):
-        a, b = ser.instance_from_dict(sts._pair_case(1, i, raw_every=3))
+        a, b = ser.instance_from_dict(sts._pair_case(1, i, raw_every=3)[0])
         mv += int(a.multivalued_part.dim > 0 or b.multivalued_part.dim > 0)
         partial += int(a.domain.dim < a.x_dim)
     ok = ok and mv >= 20 and partial >= 20

@@ -192,6 +192,18 @@ def test_chains_clear_of_the_cut_are_not_flagged(identity):
         assert not chn.check_equivalent_conditions(a, b, n)["ill_conditioned"], n
 
 
+def test_a_gap_just_over_the_containment_cut_is_flagged():
+    # N(A) = span e1 and N(B) = span(e1 + t e2): at t just over EQ_TOL the
+    # gap decides "not contained" and nu = 1, as fragile a verdict as the
+    # nu = inf one just under the cut, so the report is flagged.
+    a = rel.from_matrix(np.diag([0.0, 1.0]))
+    b = rel.from_matrix(np.array([[1.001e-8, -1.0], [0.0, 0.0]]))
+    rep = chn.chain_report(a, b)
+    assert rep.nu == 1
+    assert rep.ill_conditioned
+    assert chn.check_equivalent_conditions(a, b, 1)["ill_conditioned"]
+
+
 def test_contained_flags_a_near_cut_side():
     plane = sub.span(np.eye(3)[:, [0, 1]])
     near = sub.Subspace(3, np.eye(3)[:, [0]], sv_near_cut=True)

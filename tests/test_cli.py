@@ -293,7 +293,7 @@ def test_verify_replay_round_trip(tmp_path):
     # replay re-runs serialized cases and reproduces the verdict
     from linrel import suites as sts
     payload = {"suite": "duality", "seed": 5,
-               "cases": [sts._pair_case(5, i) for i in range(3)]}
+               "cases": [sts._pair_case(5, i)[0] for i in range(3)]}
     replay_file = tmp_path / "replay.json"
     replay_file.write_text(json.dumps(payload))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -329,7 +329,7 @@ def test_verify_replay_malformed_file_is_input_error(tmp_path, capsys, doc):
 
 
 def test_verify_replay_names_the_malformed_case(tmp_path, capsys):
-    good = sts._gap_case(1, 0)
+    good = sts._gap_case(1, 0)[0]
     doc = {"replay": [{"suite": "gap", "cases": [good]},
                       {"suite": "gap", "cases": [good, {"M": good["M"]}]}]}
     bad = tmp_path / "bad.json"
@@ -347,7 +347,7 @@ def test_verify_replay_check_faults_still_surface(tmp_path, monkeypatch):
 
     monkeypatch.setitem(sts._SUITES, "gap", (sts._gap_case, sts._decode_gap, broken))
     replay = tmp_path / "replay.json"
-    replay.write_text(json.dumps({"suite": "gap", "cases": [sts._gap_case(1, 0)]}))
+    replay.write_text(json.dumps({"suite": "gap", "cases": [sts._gap_case(1, 0)[0]]}))
     with pytest.raises(ValueError, match="fault inside a check"):
         main(["verify", "--replay", str(replay)])
 

@@ -82,6 +82,10 @@ A + B and the suite's norm check share one pencil family.
 
 ``linrel analyze`` and ``linrel sweep`` run the sigma(tau) bracket once:
 the bound they fit holds by construction and is not checked again.
+
+A suite checks each case as its builder built it, with the splits the
+build took: it decodes no payload, so no graph is spanned or split a
+second time.
 """
 
 import functools
@@ -547,7 +551,7 @@ def _hypothesis_gaps(monkeypatch) -> list:
 
 
 def test_stability_case_budget(monkeypatch):
-    case = sts._decode_stability(sts._stability_case(1, 1))  # every lemma runs
+    case = sts._decode_stability(sts._stability_case(1, 1)[0])  # every lemma runs
     families, gaps = _families(monkeypatch), _hypothesis_gaps(monkeypatch)
     used = _count_calls(monkeypatch, (
         (met, "check_relative_bound"), (met, "_sigma_tau"), (chn, "nu"),
@@ -563,7 +567,7 @@ def test_stability_case_budget(monkeypatch):
 
 
 def test_perturbation_case_budget(monkeypatch):
-    case = ser.instance_from_dict(sts._perturbation_case(1, 1))  # every lemma runs
+    case = ser.instance_from_dict(sts._perturbation_case(1, 1)[0])  # every lemma runs
     families = _families(monkeypatch)
     res = sts.SuiteResult("perturbation", 1, 1)
     sts._check_perturbation(case, sts._Recorder(res, {}), np.random.default_rng(0))
@@ -573,10 +577,18 @@ def test_perturbation_case_budget(monkeypatch):
 
 
 def test_perturbation_verifier_reads_no_norm(monkeypatch):
-    a, b = ser.instance_from_dict(sts._perturbation_case(1, 0))
+    a, b = ser.instance_from_dict(sts._perturbation_case(1, 0)[0])
     used = _count_calls(monkeypatch, ((met, "norm"),))
     assert stab.verify_perturbation(a, b)["applicable"]
     assert used == {"norm": 0}, used
+
+
+def test_a_suite_checks_the_cases_it_built(calls, monkeypatch):
+    decoded = _count_calls(monkeypatch, ((ser, "subspace_from_dict"),))
+    sts.run_suite("duality", 2, 1)
+    assert decoded == {"subspace_from_dict": 0}, decoded
+    # Decoding each payload, and splitting the decoded graphs again, took 35.
+    assert calls == {"svd": 26, "lstsq": 0}, calls
 
 
 @pytest.fixture(scope="module")

@@ -47,7 +47,7 @@ def test_subspace_round_trip(rng):
     d = ser.subspace_to_dict(s)
     back = ser.subspace_from_dict(d)
     assert back.is_same(s)
-    # non-orthonormal columns are normalized on load
+    # columns that fail the Gram check are spanned on load
     skewed = {"ambient": 2, "basis": [[[1.0, 0.0], [0.0, 0.0]],
                                       [[3.0, 0.0], [1e-14, 0.0]]]}
     loaded = ser.subspace_from_dict(skewed)
@@ -171,7 +171,7 @@ def _oracle_json(obj) -> str:
 def _reports() -> list:
     """A verify_stability and a sweep report on a stability case with
     finite gamma(A) and fitted sigma > 0."""
-    payload = sts._stability_case(1, 1)
+    payload = sts._stability_case(1, 1)[0]
     a, b = ser.instance_from_dict(payload)
     bound = ser.bound_from_dict(payload["bound"])
     gamma_a = met.gamma(a)
@@ -185,7 +185,7 @@ def _reports() -> list:
 def test_canonical_json_matches_oracle_on_case_payloads(suite):
     build = sts._SUITES[suite][0]
     for i in range(3):
-        payload = build(3, i)
+        payload = build(3, i)[0]
         assert ser.canonical_json(payload) == _oracle_json(payload)
 
 
@@ -261,7 +261,10 @@ def _entrywise_from_dict(d: dict) -> sub.Subspace:
                              f"ambient is {ambient}")
         for i, entry in enumerate(col):
             m[i, j] = _entrywise_entry(entry)
-    return sub.span(m, ambient=ambient)
+    try:  # columns that pass the Gram check load as written
+        return sub.Subspace(ambient, m)
+    except ValueError:
+        return sub.span(m, ambient=ambient)
 
 
 def _outcome(fn, *args):
@@ -308,6 +311,71 @@ def test_bulk_encode_gives_the_entrywise_bytes_and_bits(s):
     assert text == _oracle_json(ref)
     back = json.loads(text)
     assert _outcome(ser.subspace_from_dict, back) == _outcome(_entrywise_from_dict, back)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases())
+def test_a_written_basis_decodes_to_its_own_bits(s):
+    d = ser.subspace_to_dict(s)
+    back = ser.subspace_from_dict(d)
+    assert (back.ambient, back.basis.shape) == (s.ambient, s.basis.shape)
+    assert back.basis.tobytes() == s.basis.tobytes()
+    assert back.sv_near_cut is False
+    # Through the text too, but JSON reads "-0" as the integer 0: a signed
+    # zero keeps its value and loses its sign.
+    back = ser.subspace_from_dict(json.loads(ser.canonical_json(d)))
+    assert np.array_equal(back.basis, s.basis) and back.sv_near_cut is False
+    # span would keep the dimension and the flag, and moves only the bits.
+    spanned = sub.span(s.basis, ambient=s.ambient)
+    assert (spanned.dim, spanned.sv_near_cut) == (s.dim, False)
+
+
+def _fingerprint(obj, exact=True):
+    """Shapes, layouts, basis bytes (values where not ``exact``, so a
+    signed zero equals zero) and flags of a case's subspaces and relations;
+    anything else, such as a bound, as it compares.  The layout counts, as
+    BLAS may round a product of another layout differently."""
+    if isinstance(obj, sub.Subspace):
+        bits = obj.basis.tobytes() if exact else obj.basis.tolist()
+        return obj.ambient, obj.basis.shape, obj.basis.strides, bits, obj.sv_near_cut
+    if isinstance(obj, rel.LinearRelation):
+        return obj.x_dim, obj.y_dim, _fingerprint(obj.graph, exact)
+    if isinstance(obj, tuple):
+        return tuple(_fingerprint(x, exact) for x in obj)
+    return obj
+
+
+@pytest.mark.parametrize("suite", sts.SUITE_NAMES)
+def test_each_built_case_is_its_decoded_payload(suite):
+    build, decode, _ = sts._SUITES[suite]
+    for seed in (1, 2, 3):
+        for i in range(8):
+            payload, case = build(seed, i)
+            assert _fingerprint(decode(payload)) == _fingerprint(case), (seed, i)
+            # Through the text, a signed zero comes back as the integer 0.
+            text = json.loads(ser.canonical_json(payload))
+            assert _fingerprint(decode(text), False) == _fingerprint(case, False), (seed, i)
+
+
+def test_a_flagged_build_goes_as_decoded(monkeypatch):
+    # The sum of a nested gap case and the scaled B of a perturbation case
+    # are spanned; flagged, each is handed over as its payload decodes.
+    flagged = []
+
+    def flag(s):
+        flagged.append(s)
+        return sub.Subspace(s.ambient, s.basis, sv_near_cut=True)
+
+    real_sum, real_mul = sub.sum, rel.scalar_mul
+    monkeypatch.setattr(sub, "sum", lambda s1, s2: flag(real_sum(s1, s2)))
+    monkeypatch.setattr(rel, "scalar_mul", lambda lam, t: rel.from_graph(
+        flag(real_mul(lam, t).graph), t.x_dim, t.y_dim))
+    for build, decode in ((sts._gap_case, sts._decode_gap),
+                          (sts._perturbation_case, ser.instance_from_dict)):
+        flagged.clear()
+        payload, case = build(1, 1)
+        assert len(flagged) == 1, build
+        assert _fingerprint(case) == _fingerprint(decode(payload))
 
 
 @settings(max_examples=150, deadline=None)

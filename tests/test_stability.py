@@ -132,7 +132,7 @@ def test_sigma_gate_subsumes_the_norm_gate(seed):
     # every pair with ||B|| < gamma(A) passes the gate sigma < gamma(A).
     admitted = 0
     for i in range(200):
-        a, b = ser.instance_from_dict(sts._perturbation_case(seed, i))
+        a, b = ser.instance_from_dict(sts._perturbation_case(seed, i)[0])
         sigma, norm_b = met.fit_relative_bound(a, b).sigma, met.norm(b)
         assert sigma <= norm_b * (1 + 1e-12) + 1e-15, (i, sigma, norm_b)
         if norm_b < met.gamma(a):

@@ -110,11 +110,20 @@ def test_suite_determinism():
 
 
 def test_replay_reproduces_cases():
-    cases = [sts._gap_case(7, i) for i in range(5)]
+    cases = [sts._gap_case(7, i)[0] for i in range(5)]
     replay = sts.run_replay({"suite": "gap", "seed": 7, "cases": cases})
     assert replay.conclusion_failures == 0
     again = sts.run_replay({"suite": "gap", "seed": 7, "cases": cases})
     assert ser.canonical_json(replay.to_dict()) == ser.canonical_json(again.to_dict())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("suite", sts.SUITE_NAMES)
+def test_replaying_the_built_payloads_gives_the_suite_result(suite, seed):
+    # run_suite checks the cases as built, run_replay as decoded.
+    payloads = [sts._SUITES[suite][0](seed, i)[0] for i in range(10)]
+    replay = sts.run_replay({"suite": suite, "seed": seed, "cases": payloads})
+    assert replay.to_dict() == sts.run_suite(suite, 10, seed).to_dict()
 
 
 def test_sampled_gap_oracle_known_values(rng):
@@ -131,7 +140,7 @@ def test_sampled_gap_oracle_known_values(rng):
 def test_case_families_cover_degenerate_shapes():
     mv = partial = 0
     for i in range(60):
-        a, b = ser.instance_from_dict(sts._pair_case(1, i, raw_every=3))
+        a, b = ser.instance_from_dict(sts._pair_case(1, i, raw_every=3)[0])
         if a.multivalued_part.dim > 0:
             mv += 1
         if a.domain.dim < a.x_dim:
@@ -144,7 +153,7 @@ def test_case_payloads_do_not_read_gamma(monkeypatch):
     # A case payload is hashed into instances_digest, so a last-bit change
     # in gamma must not reach it.
     def build_all():
-        return [ser.canonical_json(build(1, i))
+        return [ser.canonical_json(build(1, i)[0])
                 for build, *_ in sts._SUITES.values() for i in range(8)]
 
     before = build_all()
