@@ -48,7 +48,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return ser.loads(fh.read())
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(_EXIT_INPUT)

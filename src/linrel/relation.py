@@ -189,7 +189,13 @@ def from_matrix(a) -> LinearRelation:
 
     The matrix maps X to Y, so it has y_dim rows and x_dim columns.  The
     graph is stored in CS form, A = U S V^H: v_j maps to s_j u_j, each to
-    its own relative precision.  No rank is cut.
+    its own relative precision.  No rank is cut in the graph.  The same
+    SVD splits both graph blocks in closed form
+    (:func:`subspace.diagonal_split`), each cut as its values say: Gx = V C
+    has the values C reversed, left factor V with its columns reversed and
+    right factor the reversal; Gy = U S C has the values S C, left factor
+    U and right factor I.  N(T) is V's columns past Gy's cut, flagged as
+    that cut is.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -199,7 +205,15 @@ def from_matrix(a) -> LinearRelation:
     y_dim, x_dim = a.shape
     u, s, vh = np.linalg.svd(a, full_matrices=x_dim > y_dim)
     s = np.concatenate([s, np.zeros(x_dim - s.size)])  # past min(x, y), v_j maps to 0
-    return LinearRelation(x_dim, y_dim, Subspace(x_dim + y_dim, _cs_columns(vh.conj().T, u, s)))
+    v, c = vh.conj().T, 1.0 / np.hypot(1.0, s)
+    t = LinearRelation(x_dim, y_dim, Subspace(x_dim + y_dim, _cs_columns(v, u, s)))
+    eye = np.eye(x_dim, dtype=complex)
+    x_split = sub.diagonal_split(v[:, ::-1], c[::-1], eye[:, ::-1])
+    y_split = sub.diagonal_split(u, (s * c)[: u.shape[1]], eye)
+    t.__dict__["_x_svd"] = Subspace(x_dim, x_split.span, x_split.near), x_split
+    t.__dict__["_y_svd"] = Subspace(y_dim, y_split.span, y_split.near), y_split
+    t.__dict__["kernel"] = Subspace(x_dim, v[:, y_split.span.shape[1]:], y_split.near)
+    return t
 
 
 def _cs_columns(v: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -343,7 +357,8 @@ class _PencilPoint(LinearRelation):
         values, floor = self._s / np.hypot(1.0, self._s), fam.noise * (1 + abs(lam))
         if t0.dim:
             values = np.concatenate([np.ones(t0.dim), values])
-        self._rank, self._near = sub.values_rank(values, floor / np.hypot(1.0, floor))
+        self._floor = floor / np.hypot(1.0, floor)
+        self._rank, self._near = sub.values_rank(values, self._floor)
         self._flag = flag or fam.k0_near  # the graph's
         self.__dict__["multivalued_part"] = t0
         if self._rank - t0.dim == fam.r - fam.k0:  # Z has full column rank
@@ -381,15 +396,13 @@ class _PencilPoint(LinearRelation):
 
     @cached_property
     def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the closed-form split of Gy = [P, U] diag([1, sC, 0]) I;
-        R(T)-perp is completed from R(T)'s basis."""
+        """R(T) and the closed-form split of Gy = [P, U] diag([1, sC, 0]) I,
+        cut at the point's floor as its values were."""
         s = self._vectors[2]
         values = np.concatenate([np.ones(self._p.shape[1]), s / np.hypot(1.0, s)])
-        right = np.eye(values.size, dtype=complex)
-        span = np.hstack([self._p, self._vectors[0]])[:, : self._rank]
-        perp = sub.q_factor(span, complete=True)[:, self._rank:]
-        return (Subspace(self.y_dim, span, sv_near_cut=self._near),
-                sub.Split(span, right[:, self._rank:], self._near, values, right, perp))
+        split = sub.diagonal_split(np.hstack([self._p, self._vectors[0]]), values,
+                                   np.eye(values.size, dtype=complex), self._floor)
+        return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
 
     @cached_property
     def kernel(self) -> Subspace:

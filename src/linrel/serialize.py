@@ -1,7 +1,8 @@
 """File formats: canonical JSON, subspace/relation schemas, sweep CSV.
 
 Numbers are written with 17 significant digits (round-trip exact for
-doubles); infinities serialize as the strings "inf" / "-inf".  The
+doubles, -0.0 included, when read back with :func:`loads`); infinities
+serialize as the strings "inf" / "-inf".  The
 encoder is deliberately hand-rolled so byte-identical output is under
 our control: dictionaries keep insertion order, no whitespace varies.
 
@@ -45,6 +46,7 @@ from .subspace import Subspace
 __all__ = [
     "fmt_float",
     "canonical_json",
+    "loads",
     "subspace_to_dict",
     "subspace_from_dict",
     "relation_to_dict",
@@ -79,6 +81,17 @@ def canonical_json(obj) -> str:
     pieces: list[str] = []
     _encode(obj, pieces)
     return "".join(pieces)
+
+
+def loads(text: str):
+    """Read JSON text as :func:`canonical_json` writes it: the literal
+    ``-0``, which :func:`fmt_float` writes for -0.0, reads back as -0.0,
+    not as the integer 0, so a payload re-encodes to its own text."""
+    return json.loads(text, parse_int=_parse_int)
+
+
+def _parse_int(text: str):
+    return -0.0 if text == "-0" else int(text)
 
 
 def _encode(obj, out: list[str]) -> None:

@@ -10,7 +10,8 @@ singular values); nothing here samples spheres.
 
 Every rank decision in the library is made by :func:`_rank_cut`, reached
 through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span,
-its complement and null space) or :func:`values_rank` (singular values
+its complement and null space), :func:`diagonal_split` (the same split
+of an SVD known in closed form) or :func:`values_rank` (singular values
 whose vectors come later, or never).  Where a split of m already proves
 the cut of m c for orthonormal c (:func:`certified_span`, from c's
 angles to m's null block), the span of m c is the one :func:`span`
@@ -47,6 +48,7 @@ __all__ = [
     "span",
     "Split",
     "svd_split",
+    "diagonal_split",
     "q_factor",
     "values_rank",
     "kernel_limit",
@@ -241,6 +243,23 @@ def svd_split(m: np.ndarray) -> Split:
     rank, near = _rank_cut(s)
     right = vh.conj().T
     return Split(u[:, :rank], right[:, rank:], near, s, right, u[:, rank:])
+
+
+def diagonal_split(left: np.ndarray, values: np.ndarray, right: np.ndarray,
+                   floor: float = 0.0) -> Split:
+    """The split of m = left diag(values) right^H, an SVD known in closed
+    form: ``values`` descend, ``right`` is unitary and ``left`` has
+    orthonormal columns, at least one per value kept.  The rank is cut at
+    ``floor`` as :func:`values_rank` cuts it.  The span's complement is
+    the trailing columns of the span's complete Householder Q, and empty
+    where the span is the whole space."""
+    rank, near = _rank_cut(values, floor)
+    span = left[:, :rank]
+    if rank == left.shape[0]:
+        perp = left[:, rank:]
+    else:
+        perp = q_factor(span, complete=True)[:, rank:]
+    return Split(span, right[:, rank:], near, values, right, perp)
 
 
 def _qr_failed(err, flag):

@@ -304,6 +304,21 @@ def test_verify_replay_round_trip(tmp_path):
     assert doc["suites"]["duality"]["trials"] == 3
 
 
+def test_verify_replay_of_the_written_text_gives_the_suite_result(tmp_path):
+    # A payload written as canonical JSON, "-0" entries and all, replays to
+    # the run that wrote it: the same instance digest and the same tallies.
+    from linrel import serialize as ser
+    payload = {"suite": "duality", "seed": 1,
+               "cases": [sts._SUITES["duality"][0](1, i)[0] for i in range(30)]}
+    replay_file = tmp_path / "replay.json"
+    replay_file.write_text(ser.canonical_json(payload))
+    assert '-0,' in replay_file.read_text()
+    out = tmp_path / "out.json"
+    assert main(["verify", "--replay", str(replay_file), "--out", str(out)]) == 0
+    doc = ser.loads(out.read_text())
+    assert doc["suites"]["duality"] == sts.run_suite("duality", 30, 1).to_dict()
+
+
 def test_verify_replay_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))

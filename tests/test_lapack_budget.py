@@ -21,6 +21,13 @@ first read.  A point of a family with no T(0) block shares the family's
 one empty T(0), and its rank decision reads Z's values alone: it builds
 no identity, no split and no subspace until its range or graph is read.
 
+A relation from ``from_matrix`` takes one SVD, of A, for its domain,
+range, kernel, T(0), norm and gamma together, and no least-squares
+solve: the splits of both graph blocks and N(T) are read off that SVD in
+closed form, and T(0) is {0} unless Gx's cut drops a value.  Where R(T) is
+not all of Y, because A is tall or of lower rank, R(T)-perp adds one
+complete QR of R(T)'s basis.
+
 One chain step is an image and a preimage.  On a relation whose splits
 of Gx = U S V^H and of Gy are cached, an image takes no SVD of a graph
 block, and one whose cut Gy's split proves none of any matrix with an
@@ -249,6 +256,23 @@ def test_gamma_reads_the_cached_splits(calls):
         assert p.kernel is family(lam).kernel
         used = _counted(calls, lambda: (p.range, p.graph))  # one SVD of Z, with vectors
         assert used == {"svd": 1, "lstsq": 0}, used
+
+
+@pytest.mark.parametrize("shape, rank", [((6, 6), 6), ((6, 6), 4), ((4, 7), 4), ((7, 4), 4)],
+                         ids=["square", "square-deficient", "wide", "tall"])
+def test_a_matrix_operator_takes_one_svd(monkeypatch, rng, shape, rank):
+    # D, R, N, T(0), ||T|| and gamma of from_matrix(A) all read the SVD of A.
+    m = ((rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank)))
+         @ rng.standard_normal((rank, shape[1])))
+    seen = _lapack_calls(monkeypatch)
+    lstsq = _count_calls(monkeypatch, ((np.linalg, "lstsq"),))
+    t = rel.from_matrix(m)
+    _ = t.domain, t.range, t.kernel, t.multivalued_part, met.norm(t), met.gamma(t)
+    assert [c[0] for c in seen if c[0] == "svd"] == ["svd"] and lstsq == {"lstsq": 0}, seen
+    # R(T)-perp is completed by one complete QR where R(T) is not all of Y.
+    qrs = [c for c in seen if c[0] == "qr"]
+    assert qrs == ([("qr", (shape[0], rank), True)] if rank < shape[0] else []), qrs
+    assert (t.range.dim, t.kernel.dim, t.domain.dim) == (rank, shape[1] - rank, shape[1])
 
 
 def test_check_relative_bound_budget(calls):

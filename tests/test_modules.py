@@ -27,13 +27,17 @@ No reduced- or complete-mode ``qr`` has its R thrown away (``qr(m)[0]``,
 which reads singular values or cuts a rank at them, take an SVD.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
-call counts in ``test_lapack_budget``, whose tests enforce them.
+call counts in ``test_lapack_budget``, whose tests enforce them.  Every
+float literal below 1e-3 outside ``tolerances`` is a site in the table of
+cuts, ``_SMALL_LITERALS``, with its reason: a new threshold reads
+``tolerances`` or joins the table.
 """
 
 import ast
 import io
 import re
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -646,3 +650,84 @@ def test_call_count_detector_allows_contracts_and_code():
               'n = "one SVD"  # a string in code, not a docstring\n'
               "def f(s):\n    \"\"\"An image is cut by its own thin SVD.\"\"\"\n")
     assert not _call_counts(source)
+
+
+# The table of cuts: every float literal below 1e-3 in src/ outside
+# tolerances.py, by module, the function around it and its value, one
+# entry a site.  A threshold not listed here reads tolerances.py.
+_SMALL_LITERALS = [
+    ("metrics.py", "_sigma_tau", 1e-10, "the sigma(tau) bracket's relative stopping width"),
+    ("metrics.py", "_sigma_tau", 1e-7, "the bracket's sector floor, in radians"),
+    ("stability.py", "default_grid", 1e-4, "the grid's least modulus per its largest: a grid "
+     "shape, not a cut"),
+    ("stability.py", "sweep", 1e-12, "shrinks the pencil radius by rounding, so |lam| = rho "
+     "is not counted inside"),
+    ("stability.py", "verify_stability", 1e-9, "how far inside a radius a point must be for "
+     "a jump to be a violation"),
+    ("subspace.py", "<module>", 1e-10, "BRACKET_MARGIN, explained where it is defined"),
+    ("subspace.py", "Subspace.__init__", 1e-10, "the Gram check's orthonormality cut"),
+    ("suites.py", "sampled_gap", 1e-12, "a sampled gap zero to rounding needs no refinement"),
+    ("suites.py", "sampled_gap", 1e-300, "a divide-by-zero guard in the squaring loop"),
+    ("suites.py", "sampled_gap", 1e-150, "a divide-by-zero guard for the refined vector"),
+    ("suites.py", "_check_gap", 1e-12, "gap(M, M) is zero to rounding"),
+    ("suites.py", "_check_gap", 1e-6, "a gap this close to 1 does not bound dim M <= dim N"),
+    ("suites.py", "_check_gap", 1e-6, "above this gap 'not contained' is decisive; between "
+     "EQ_TOL and it, indeterminate"),
+    ("suites.py", "_check_gap", 1e-10, "such a gap is not contained at a tolerance below it"),
+    ("suites.py", "_check_gap", 1e-10, "P^2 = P to rounding, for an orthonormal basis"),
+    ("suites.py", "_check_gap", 1e-10, "P = P^H to rounding, for an orthonormal basis"),
+    ("suites.py", "_check_gap", 1e-9, "a tolerance just under 1, the largest a gap can be"),
+    ("suites.py", "_check_gap", 1e-6, "the sampled oracle's accuracy"),
+    ("suites.py", "_check_stability", 1e-12, "the radii's order, up to their rounding"),
+    ("suites.py", "_check_stability", 1e-12, "the radii's order, up to their rounding"),
+    ("suites.py", "_check_eigen_condition", 1e-10, "the lower end of SV_BAND's span, typed "
+     "inline: suites may not read the rank-cut tolerances, and resid is a distance"),
+    ("suites.py", "_check_eigen_condition", 1e-6, "the upper end of SV_BAND's span, typed "
+     "inline for the same reason"),
+    ("suites.py", "_check_eigen_condition", 1e-10, "the membership cut, the band's lower end"),
+]
+
+
+def _small_floats(tree: ast.Module) -> list[tuple[str, float]]:
+    """(qualified function name, value) of every float literal of modulus
+    in (0, 1e-3), negated ones included; "<module>" at the top level."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Constant) and type(child.value) is float
+                    and 0 < child.value < 1e-3):
+                found.append((where, child.value))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_small_literal_is_in_the_table_of_cuts():
+    found = Counter((path.name, where, value) for path in MODULES if path.name != "tolerances.py"
+                    for where, value in _small_floats(_tree(path)))
+    listed = Counter(site[:3] for site in _SMALL_LITERALS)
+    assert found - listed == Counter(), f"unlisted small literals: {found - listed}"
+    assert listed - found == Counter(), f"stale table entries: {listed - found}"
+    assert all(reason for *_, reason in _SMALL_LITERALS)
+
+
+@pytest.mark.parametrize("source, site", [
+    ("x = 1e-4", ("<module>", 1e-4)),
+    ("def f(y):\n    return y < 2.5e-7", ("f", 2.5e-7)),
+    ("a = -1e-12", ("<module>", 1e-12)),
+    ("class C:\n    def m(self):\n        return (1e-10, 1e-6)", ("C.m", 1e-10)),
+    ("def f():\n    def g():\n        return 1e-300", ("f.g", 1e-300)),
+], ids=["module", "function", "negated", "method", "nested"])
+def test_small_literal_detector(source, site):
+    assert site in _small_floats(ast.parse(source))
+
+
+def test_small_literal_detector_allows_others():
+    source = ('x = 1e-3\ny = 0.0\nz = 0.5 * 1e3\nn = 1\nw = 1e-10j\n'
+              's = "1e-10"\ndef f():\n    """Cut at 1e-10."""\n    return 2 ** -40\n')
+    assert _small_floats(ast.parse(source)) == []

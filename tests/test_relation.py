@@ -36,6 +36,62 @@ def test_from_matrix_diag_kernel_range_oracle():
     assert t.domain.dim == 2 and t.multivalued_part.dim == 0
 
 
+def _matrix_cases(rng):
+    """(matrix, kind) pairs: random shapes up to 8 x 8, some of lower
+    rank, scaled over 1e-3..1e3; each again with one value planted at 1e-8
+    of the largest, inside SV_BAND and two decades from both its ends; and
+    each again with a value whose Gx value is 1e-13 of the largest, far
+    below the cut, so that D(T) loses v_1 and T(0) gains u_1."""
+    def g(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    cases = []
+    for _ in range(60):
+        y, x = (int(n) for n in rng.integers(1, 9, size=2))
+        rank = int(rng.integers(0, min(x, y) + 1))
+        m = g(y, rank) @ g(rank, x) * 10.0 ** rng.uniform(-3, 3)
+        cases.append((m, "random"))
+        if min(x, y) >= 2:
+            u, s, vh = np.linalg.svd(g(y, x), full_matrices=False)
+            s = np.linspace(1.0, 0.5, s.size) * 10.0 ** rng.uniform(-3, 3)
+            s[-1] = 1e-8 * s[0] / math.sqrt(1 + s[0] ** 2)  # Gy's values: s / sqrt(1 + s^2)
+            cases.append(((u * s) @ vh, "planted"))
+            s[-1] = s[-2]  # Gx's values: 1 / sqrt(1 + s^2), the largest at s[-1]
+            s[0] = 1e13 * math.hypot(1.0, s[-1])
+            cases.append(((u * s) @ vh, "huge"))
+    return cases
+
+
+def test_from_matrix_parts_match_the_generic_path(rng):
+    # from_matrix splits both graph blocks from its own SVD in closed form;
+    # the generic path takes the SVDs of the stored blocks.
+    cases = _matrix_cases(rng)
+    assert [kind for _, kind in cases].count("planted") > 20
+    for m, kind in cases:
+        t = rel.from_matrix(m)
+        ref = rel.from_graph(t.graph, t.x_dim, t.y_dim)
+        for name in ("domain", "range", "kernel", "multivalued_part"):
+            mine, theirs = getattr(t, name), getattr(ref, name)
+            assert (mine.dim, mine.sv_near_cut) == (theirs.dim, theirs.sv_near_cut), name
+            # A part cut next to a value at 1e-8 of the top is known to the
+            # SVD of its block only to about eps / 1e-8, above EQ_TOL.
+            assert mine.is_same(theirs, 1e-6 if mine.sv_near_cut else EQ_TOL), name
+        if kind == "huge":
+            assert (t.domain.dim, t.multivalued_part.dim) == (t.x_dim - 1, 1)
+        if kind == "planted":
+            assert t.range.sv_near_cut and t.kernel.sv_near_cut
+            assert t.range.dim == min(m.shape)  # the planted value is kept
+            assert not (t.domain.sv_near_cut or t.multivalued_part.sv_near_cut)
+        # A planted gamma is known to the SVD of Gy only to its absolute
+        # rounding, relative to Gy's largest value; the closed form reads it
+        # off the values the graph was built from.
+        gy_top = np.linalg.norm(ref._gy, 2) if kind == "planted" else 0.0
+        for f, scale in ((met.norm, 0.0), (met.gamma, gy_top)):
+            mine, theirs = f(t), f(ref)
+            assert mine == theirs or abs(mine - theirs) <= 1e-13 * max(abs(theirs), scale), \
+                (f, mine, theirs)
+
+
 def test_from_graph_edges():
     zero_graph = rel.from_graph(sub.zero_subspace(4), 2, 2)
     for part in (zero_graph.domain, zero_graph.range, zero_graph.kernel,

@@ -35,6 +35,19 @@ def test_canonical_json_shapes():
     assert parsed["inf"] == "inf"
 
 
+def test_loads_reads_its_own_signed_zero():
+    # fmt_float writes -0.0 as "-0", which json.loads reads as the integer 0.
+    text = ser.canonical_json({"z": [-0.0, 0.0, [-0.0, 1.5]], "n": 0, "m": -3})
+    assert '"z":[-0,0,[-0,1.5]]' in text
+    doc = ser.loads(text)
+    z = doc["z"]  # 0.0 is written "0" and reads back as 0, which writes "0"
+    assert [type(v) for v in (z[0], z[1], z[2][0])] == [float, int, float]
+    assert [math.copysign(1.0, v) for v in (z[0], z[1], z[2][0])] == [-1.0, 1.0, -1.0]
+    assert (doc["n"], type(doc["n"]), doc["m"], type(doc["m"])) == (0, int, -3, int)
+    assert ser.canonical_json(doc) == text
+    assert ser.canonical_json(json.loads(text)) != text
+
+
 def test_canonical_json_rejects_unknown():
     with pytest.raises(TypeError):
         ser.canonical_json({"x": object()})
@@ -322,9 +335,11 @@ def test_a_written_basis_decodes_to_its_own_bits(s):
     assert back.basis.tobytes() == s.basis.tobytes()
     assert back.sv_near_cut is False
     # Through the text too, but JSON reads "-0" as the integer 0: a signed
-    # zero keeps its value and loses its sign.
+    # zero keeps its value and loses its sign.  ser.loads keeps the sign.
     back = ser.subspace_from_dict(json.loads(ser.canonical_json(d)))
     assert np.array_equal(back.basis, s.basis) and back.sv_near_cut is False
+    back = ser.subspace_from_dict(ser.loads(ser.canonical_json(d)))
+    assert back.basis.tobytes() == s.basis.tobytes() and back.sv_near_cut is False
     # span would keep the dimension and the flag, and moves only the bits.
     spanned = sub.span(s.basis, ambient=s.ambient)
     assert (spanned.dim, spanned.sv_near_cut) == (s.dim, False)
@@ -352,9 +367,14 @@ def test_each_built_case_is_its_decoded_payload(suite):
         for i in range(8):
             payload, case = build(seed, i)
             assert _fingerprint(decode(payload)) == _fingerprint(case), (seed, i)
-            # Through the text, a signed zero comes back as the integer 0.
-            text = json.loads(ser.canonical_json(payload))
-            assert _fingerprint(decode(text), False) == _fingerprint(case, False), (seed, i)
+            # Through the text, a signed zero comes back as the integer 0;
+            # read by ser.loads, it comes back as itself.
+            text = ser.canonical_json(payload)
+            loaded = json.loads(text)
+            assert _fingerprint(decode(loaded), False) == _fingerprint(case, False), (seed, i)
+            back = ser.loads(text)
+            assert ser.canonical_json(back) == text, (seed, i)
+            assert _fingerprint(decode(back)) == _fingerprint(case), (seed, i)
 
 
 def test_a_flagged_build_goes_as_decoded(monkeypatch):

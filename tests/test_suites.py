@@ -126,6 +126,17 @@ def test_replaying_the_built_payloads_gives_the_suite_result(suite, seed):
     assert replay.to_dict() == sts.run_suite(suite, 10, seed).to_dict()
 
 
+def test_a_replay_read_from_text_gives_the_suite_result():
+    # The 30 duality cases at seed 1 write five "-0" entries; read back as
+    # the integer 0 they re-encode to another text, and so to another digest.
+    payloads = [sts._SUITES["duality"][0](1, i)[0] for i in range(30)]
+    text = ser.canonical_json({"suite": "duality", "seed": 1, "cases": payloads})
+    assert text.count("-0,") + text.count("-0]") == 5
+    replay = sts.run_replay(ser.loads(text))
+    assert replay.instances_digest.startswith("c60234e6")
+    assert replay.to_dict() == sts.run_suite("duality", 30, 1).to_dict()
+
+
 def test_sampled_gap_oracle_known_values(rng):
     e1 = sub.span(np.eye(2)[:, [0]])
     diag = sub.span(np.array([[1.0], [1.0]]) / math.sqrt(2))
