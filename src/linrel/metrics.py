@@ -12,6 +12,8 @@ relation keeps, off the CS form of its graph's Y block; a pencil point
 reads them, and beta its rank, off its values alone.  The relative
 bounds and :func:`operator_part`, the reference that the norm and gamma
 are checked against, solve for the induced operator by least squares.
+Their floats are hashed, so until ROADMAP.md's item 5 they span T(0) and
+N(T) from the relation's splits by thin SVD, not read its Q factors.
 
 Conventions for degenerate relations:
   * D(T) inside N(T) (D(T) = {0} included): the norm is 0 (sup over a
@@ -69,8 +71,10 @@ def operator_part(t: LinearRelation) -> np.ndarray:
     The reference for :func:`norm` and :func:`gamma`, and for the
     perturbation suite's scale, which must not move with their last bits.
     """
+    # N(T) as spanned until ROADMAP item 5: the perturbation scale is hashed.
+    kernel = sub.span(t._gx @ t._y_svd[1].null, ambient=t.x_dim)
     # N(T) sits inside D(T), so D ^ N-perp is the complement of N within D.
-    quot = sub.span(t.kernel.residual(t.domain.basis), ambient=t.x_dim)
+    quot = sub.span(kernel.residual(t.domain.basis), ambient=t.x_dim)
     return _restricted_quotient_matrix(t, quot.basis)
 
 
@@ -177,7 +181,8 @@ def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndar
         return np.zeros((t.y_dim, 0), dtype=complex)
     coeff, *_ = np.linalg.lstsq(t.graph.basis[: t.x_dim, :], basis, rcond=None)
     y = t.graph.basis[t.x_dim:, :] @ coeff
-    return t.multivalued_part.residual(y)
+    # T(0) as spanned until ROADMAP item 5: the stability case's sigma is hashed.
+    return sub.span(t._gy @ t._x_svd[1].null, ambient=t.y_dim).residual(y)
 
 
 def _sigma_tau(a: LinearRelation, b: LinearRelation,

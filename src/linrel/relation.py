@@ -111,15 +111,21 @@ class LinearRelation:
 
     @cached_property
     def kernel(self) -> Subspace:
-        """Vectors x with (x, 0) in the graph; the X slice of G ^ (X (+) 0)."""
-        split = self._y_svd[1]  # a cut near the threshold here or in G flags it
-        return sub.span(self._gx @ split.null, self.x_dim, split.near or self.graph.sv_near_cut)
+        """N(T): vectors x with (x, 0) in the graph, Gx on Gy's null block."""
+        return self._null_image(self._gx, self._y_svd[1], self.x_dim)
 
     @cached_property
     def multivalued_part(self) -> Subspace:
-        """T(0): vectors y with (0, y) in the graph; flagged as the kernel is."""
-        split = self._x_svd[1]
-        return sub.span(self._gy @ split.null, self.y_dim, split.near or self.graph.sv_near_cut)
+        """T(0): vectors y with (0, y) in the graph, Gy on Gx's null block."""
+        return self._null_image(self._gy, self._x_svd[1], self.y_dim)
+
+    def _null_image(self, block: np.ndarray, split: sub.Split, ambient: int) -> Subspace:
+        """span(block N), N the other block's null block: G is orthonormal, so
+        these columns are too up to its rounding (the CS form; Paige & Wei, 1994),
+        and their Householder Q spans them with no cut, flagged as N's split and G."""
+        cols = block @ split.null
+        return Subspace(ambient, sub.q_factor(cols) if cols.shape[1] else cols,
+                        sv_near_cut=split.near or self.graph.sv_near_cut)
 
     @cached_property
     def _induced_svals(self) -> np.ndarray:
@@ -194,8 +200,8 @@ def from_matrix(a) -> LinearRelation:
     (:func:`subspace.diagonal_split`), each cut as its values say: Gx = V C
     has the values C reversed, left factor V with its columns reversed and
     right factor the reversal; Gy = U S C has the values S C, left factor
-    U and right factor I.  N(T) is V's columns past Gy's cut, flagged as
-    that cut is.
+    U and right factor I.  N(T) and T(0) are read off those splits as any
+    relation's are.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -212,7 +218,6 @@ def from_matrix(a) -> LinearRelation:
     y_split = sub.diagonal_split(u, (s * c)[: u.shape[1]], eye)
     t.__dict__["_x_svd"] = Subspace(x_dim, x_split.span, x_split.near), x_split
     t.__dict__["_y_svd"] = Subspace(y_dim, y_split.span, y_split.near), y_split
-    t.__dict__["kernel"] = Subspace(x_dim, v[:, y_split.span.shape[1]:], y_split.near)
     return t
 
 

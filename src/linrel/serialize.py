@@ -161,22 +161,12 @@ def subspace_from_dict(d: dict) -> Subspace:
     cols = d.get("basis", [])
     if not cols:
         return sub.zero_subspace(ambient)
-    try:  # [re, im] number pairs convert at once; the loop names any fault
-        pairs = np.array(cols)
-    except (ValueError, TypeError, OverflowError):
-        pairs = np.zeros(0)
-    if pairs.dtype.kind in "biuf" and pairs.shape == (len(cols), ambient, 2):
-        # C order, the layout of every basis the library builds: BLAS may
-        # round a product of another layout differently.
-        m = np.ascontiguousarray(pairs.astype(float, copy=False).view(complex)[..., 0].T)
-    else:
-        m = np.zeros((ambient, len(cols)), dtype=complex)
-        for j, col in enumerate(cols):
-            if len(col) != ambient:
-                raise ValueError(f"basis column {j} has length {len(col)}, "
-                                 f"ambient is {ambient}")
-            for i, entry in enumerate(col):
-                m[i, j] = _entry_to_complex(entry)
+    m = np.zeros((ambient, len(cols)), dtype=complex)
+    for j, col in enumerate(cols):
+        if len(col) != ambient:
+            raise ValueError(f"basis column {j} has length {len(col)}, ambient is {ambient}")
+        for i, entry in enumerate(col):
+            m[i, j] = _entry_to_complex(entry)
     try:  # columns that pass the Gram check are kept as written, unflagged
         return Subspace(ambient, m)
     except ValueError:  # others are spanned; span names non-finite input

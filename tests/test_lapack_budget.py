@@ -21,12 +21,16 @@ first read.  A point of a family with no T(0) block shares the family's
 one empty T(0), and its rank decision reads Z's values alone: it builds
 no identity, no split and no subspace until its range or graph is read.
 
-A relation from ``from_matrix`` takes one SVD, of A, for its domain,
-range, kernel, T(0), norm and gamma together, and no least-squares
-solve: the splits of both graph blocks and N(T) are read off that SVD in
-closed form, and T(0) is {0} unless Gx's cut drops a value.  Where R(T) is
-not all of Y, because A is tall or of lower rank, R(T)-perp adds one
-complete QR of R(T)'s basis.
+A relation from ``from_graph`` takes two full SVDs, of Gx and of Gy, for
+its domain, range, kernel, T(0), norm and gamma together, and no
+least-squares solve: N(T) is the reduced QR of Gx on the null block of
+Gy's split, and T(0) that of Gy on the null block of Gx's split, with no
+QR where that block is empty.  A relation from ``from_matrix`` takes one
+SVD, of A, and no least-squares solve: the splits of both graph blocks are
+read off that SVD in closed form, and N(T) adds one reduced QR of V's
+trailing columns where it is not {0}; T(0) is {0} unless Gx's cut drops a
+value.  Where R(T) is not all of Y, because A is tall or of lower rank,
+R(T)-perp adds one complete QR of R(T)'s basis.
 
 One chain step is an image and a preimage.  On a relation whose splits
 of Gx = U S V^H and of Gy are cached, an image takes no SVD of a graph
@@ -269,10 +273,28 @@ def test_a_matrix_operator_takes_one_svd(monkeypatch, rng, shape, rank):
     t = rel.from_matrix(m)
     _ = t.domain, t.range, t.kernel, t.multivalued_part, met.norm(t), met.gamma(t)
     assert [c[0] for c in seen if c[0] == "svd"] == ["svd"] and lstsq == {"lstsq": 0}, seen
-    # R(T)-perp is completed by one complete QR where R(T) is not all of Y.
+    # R(T)-perp is completed by one complete QR where R(T) is not all of Y,
+    # and N(T) is the reduced Q of V's trailing columns where it is not {0}.
     qrs = [c for c in seen if c[0] == "qr"]
-    assert qrs == ([("qr", (shape[0], rank), True)] if rank < shape[0] else []), qrs
+    assert qrs == (([("qr", (shape[0], rank), True)] if rank < shape[0] else [])
+                   + ([("qr", (shape[1], shape[1] - rank), False)] if rank < shape[1]
+                      else [])), qrs
     assert (t.range.dim, t.kernel.dim, t.domain.dim) == (rank, shape[1] - rank, shape[1])
+
+
+@pytest.mark.parametrize("spec", [
+    stab.InstanceSpec(6, 5, alpha=2, beta=1, mv_dim=1, dom_codim=1, seed=3),
+    stab.InstanceSpec(4, 7, alpha=1, beta=4, seed=4),
+], ids=["kernel-and-t0", "kernel"])
+def test_a_graph_relation_takes_two_svds(calls, spec):
+    # D, R, N, T(0), ||T|| and gamma of from_graph(G) read the full SVDs of
+    # Gx and Gy; N(T) and T(0) are Q factors of the blocks on their null blocks.
+    a = stab.generate(spec)[0]
+    t = rel.from_graph(a.graph, a.x_dim, a.y_dim)
+    used = _counted(calls, lambda: (t.domain, t.range, t.kernel, t.multivalued_part,
+                                    met.norm(t), met.gamma(t)))
+    assert used == {"svd": 2, "lstsq": 0}, used
+    assert (t.kernel.dim, t.multivalued_part.dim) == (spec.alpha, spec.mv_dim)
 
 
 def test_check_relative_bound_budget(calls):
@@ -611,8 +633,9 @@ def test_a_suite_checks_the_cases_it_built(calls, monkeypatch):
     decoded = _count_calls(monkeypatch, ((ser, "subspace_from_dict"),))
     sts.run_suite("duality", 2, 1)
     assert decoded == {"subspace_from_dict": 0}, decoded
-    # Decoding each payload, and splitting the decoded graphs again, took 35.
-    assert calls == {"svd": 26, "lstsq": 0}, calls
+    # Decoding each payload, and splitting the decoded graphs again, took
+    # 35; spanning N(T) and T(0) on top of the splits took 26.
+    assert calls == {"svd": 19, "lstsq": 0}, calls
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,9 @@ No reduced- or complete-mode ``qr`` has its R thrown away (``qr(m)[0]``,
 ``qr(m, mode="complete")[0]``, ``qr(m).Q``, ``q, _ = qr(m)``): such a QR is
 ``subspace.q_factor``, the one function that reads numpy's private
 ``_umath_linalg``.  Only the functions named in ``_SVD_CALLERS``, each of
-which reads singular values or cuts a rank at them, take an SVD.
+which reads singular values or cuts a rank at them, take an SVD, and
+outside ``subspace`` only those named in ``_SPAN_CALLERS`` call ``span``:
+N(T) and T(0) take no rank cut of their own.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
 call counts in ``test_lapack_budget``, whose tests enforce them.  Every
@@ -563,6 +565,68 @@ def test_only_value_readers_take_an_svd(path):
 ], ids=["method", "function", "nested", "import-from", "alias"])
 def test_svd_caller_detector(source):
     assert not set(_callers(ast.parse(source), {"svd"})) <= _SVD_CALLERS["subspace.py"]
+
+
+_SPAN_CALLERS = {
+    "metrics.py": {"operator_part",  # N(T) as spanned until item 5
+                   "_restricted_quotient_matrix"},  # T(0) as spanned until item 5
+    "relation.py": {"image",  # Gy c where no split proves its cut
+                    "scalar_mul"},  # [Gx; lam Gy]
+    "serialize.py": {"subspace_from_dict"},  # a written basis off orthonormal
+    "stability.py": {"_complement_within", "_generate_once"},  # generated graphs
+}
+
+
+def _span_callers(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around every mention of
+    ``subspace.span``: a bare ``span``, ``sub.span``, any call of a
+    ``.span``, an import of it or the string "span".  A ``Split``'s
+    ``.span`` field, read and not called, is not one."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == "span"
+                    or isinstance(child, ast.alias) and child.name.split(".")[-1] == "span"
+                    or isinstance(child, ast.Attribute) and child.attr == "span"
+                    and _name(child.value) in {"sub", "subspace"}
+                    or isinstance(child, ast.Call) and _name(child.func) == "span"
+                    or isinstance(child, ast.Constant) and child.value == "span"):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "subspace.py"],
+                         ids=lambda p: p.name)
+def test_only_listed_functions_cut_a_span(path):
+    # N(T) and T(0) are Q factors of the graph blocks on the splits' null
+    # blocks: a span in ``kernel`` or ``multivalued_part`` would cut again.
+    # ``subspace``, which defines span, builds its own primitives on it.
+    callers = set(_span_callers(_tree(path)))
+    assert callers == _SPAN_CALLERS.get(path.name, set()), callers
+
+
+@pytest.mark.parametrize("source", [
+    "class LinearRelation:\n    def kernel(self):\n        return sub.span(self._gx, 3)",
+    "def multivalued_part(t):\n    return span(t._gy)",
+    "from .subspace import span",
+    "def kernel(t):\n    cut = sub.span\n    return cut(t._gx)",
+    "def kernel(t):\n    return getattr(sub, 'span')(t._gx)",
+    "def kernel(t):\n    return linrel.subspace.span(t._gx)",
+], ids=["method", "bare", "import-from", "alias", "getattr", "qualified"])
+def test_span_caller_detector(source):
+    assert _span_callers(ast.parse(source))
+
+
+def test_span_caller_detector_allows_a_split_field():
+    source = "def domain(t):\n    return Subspace(3, split.span, split.near)"
+    assert not _span_callers(ast.parse(source))
 
 
 _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")
