@@ -217,7 +217,10 @@ def verify_nu_duality(a: LinearRelation, b: LinearRelation) -> dict:
         report["applicable"] = False
         return report
 
-    a_dual, b_dual = rel.adjoint(a), rel.adjoint(b)  # the pair of Y'
+    record = rel._pair(a, b)  # the pair of Y', kept: its chains grow once
+    if "adjoints" not in record:
+        record["adjoints"] = rel.adjoint(a), rel.adjoint(b)
+    a_dual, b_dual = record["adjoints"]
     dual = _ChainSet.of(a_dual, b_dual, a.y_dim + 1, a.y_dim + 1)
     ms_dual, ns_dual = dual.ms, dual.ns
     chains = _ChainSet.of(a, b, a.x_dim + 1, a.x_dim + 1)

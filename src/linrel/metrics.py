@@ -72,7 +72,7 @@ def operator_part(t: LinearRelation) -> np.ndarray:
     perturbation suite's scale, which must not move with their last bits.
     """
     # N(T) as spanned until ROADMAP item 5: the perturbation scale is hashed.
-    kernel = sub.span(t._gx @ t._y_svd[1].null, ambient=t.x_dim)
+    kernel = sub.span(t._gx @ t._y_svd.null, ambient=t.x_dim)
     # N(T) sits inside D(T), so D ^ N-perp is the complement of N within D.
     quot = sub.span(kernel.residual(t.domain.basis), ambient=t.x_dim)
     return _restricted_quotient_matrix(t, quot.basis)
@@ -182,7 +182,7 @@ def _restricted_quotient_matrix(t: LinearRelation, basis: np.ndarray) -> np.ndar
     coeff, *_ = np.linalg.lstsq(t.graph.basis[: t.x_dim, :], basis, rcond=None)
     y = t.graph.basis[t.x_dim:, :] @ coeff
     # T(0) as spanned until ROADMAP item 5: the stability case's sigma is hashed.
-    return sub.span(t._gy @ t._x_svd[1].null, ambient=t.y_dim).residual(y)
+    return sub.span(t._gy @ t._x_svd.null, ambient=t.y_dim).residual(y)
 
 
 def _sigma_tau(a: LinearRelation, b: LinearRelation,

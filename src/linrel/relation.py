@@ -83,26 +83,29 @@ class LinearRelation:
         return self.graph.basis[self.x_dim:, :]
 
     @cached_property
-    def _x_svd(self) -> tuple[Subspace, sub.Split]:
-        """The span of Gx and the full SVD it was cut from; T(0) reads the
-        null space."""
-        split = sub.svd_split(self._gx)
-        return Subspace(self.x_dim, split.span, sv_near_cut=split.near), split
+    def _x_svd(self) -> sub.Split:
+        """The split of Gx: D(T) reads its span, T(0) its null block."""
+        return sub.svd_split(self._gx)
 
     @cached_property
-    def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the full SVD of Gy it was cut from."""
-        split = sub.svd_split(self._gy)
-        return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
+    def _y_svd(self) -> sub.Split:
+        """The split of Gy: R(T) reads its span, N(T) its null block."""
+        return sub.svd_split(self._gy)
 
-    @property
+    @cached_property
     def domain(self) -> Subspace:
         """D(T), the span of Gx."""
-        return self._x_svd[0]
+        return Subspace(self.x_dim, self._x_svd.span, sv_near_cut=self._x_svd.near)
+
+    @cached_property
+    def range(self) -> Subspace:
+        """R(T), the span of Gy."""
+        return Subspace(self.y_dim, self._y_svd.span, sv_near_cut=self._y_svd.near)
 
     @property
-    def range(self) -> Subspace:
-        return self._y_svd[0]
+    def _gx_span(self) -> Subspace:
+        """D(T) in the basis of T's own split of Gx, which the image map reads."""
+        return self.domain
 
     @property
     def _range_dim(self) -> int:
@@ -112,12 +115,12 @@ class LinearRelation:
     @cached_property
     def kernel(self) -> Subspace:
         """N(T): vectors x with (x, 0) in the graph, Gx on Gy's null block."""
-        return self._null_image(self._gx, self._y_svd[1], self.x_dim)
+        return self._null_image(self._gx, self._y_svd, self.x_dim)
 
     @cached_property
     def multivalued_part(self) -> Subspace:
         """T(0): vectors y with (0, y) in the graph, Gy on Gx's null block."""
-        return self._null_image(self._gy, self._x_svd[1], self.y_dim)
+        return self._null_image(self._gy, self._x_svd, self.y_dim)
 
     def _null_image(self, block: np.ndarray, split: sub.Split, ambient: int) -> Subspace:
         """span(block N), N the other block's null block: G is orthonormal, so
@@ -138,7 +141,7 @@ class LinearRelation:
         1) span {0} (+) T(0); the rest map the orthonormal Gx v_j / ||Gx v_j||
         of D(T) ^ N(T)-perp to orthogonal images, of norm s_j / ||Gx v_j||,
         orthogonal to T(0)."""
-        split = self._y_svd[1]
+        split = self._y_svd
         drop, hi = self.graph.dim - self.domain.dim, self.range.dim
         if hi <= drop:
             return np.zeros(0)
@@ -151,12 +154,12 @@ class LinearRelation:
 
     @cached_property
     def _image_map(self) -> "_ImageMap":
-        """What every image under T reads of its two cached splits; the
-        split of Gy is computed first where it is not yet cached."""
-        dom, split = self._x_svd
-        y_split = self._y_svd[1]
+        """What every image under T reads of its two cached splits, and
+        D(T)-perp^H where D(T) is not X: the conjugate of the cached
+        complement of the Gx split's span, D(T)'s own but for a pencil point."""
+        dom, split, y_split = self._gx_span, self._x_svd, self._y_svd
         gv, kv = self._gy @ split.right, y_split.null.conj().T @ split.right
-        perp = split.perp.conj().T if dom.dim < self.x_dim else None
+        perp = dom._complement.conj().T if dom.dim < self.x_dim else None
         return _ImageMap(dom.basis.conj().T / split.svals[: dom.dim, None],
                          gv[:, : dom.dim], gv[:, dom.dim:],
                          split.near or self.graph.sv_near_cut, perp,
@@ -200,8 +203,9 @@ def from_matrix(a) -> LinearRelation:
     (:func:`subspace.diagonal_split`), each cut as its values say: Gx = V C
     has the values C reversed, left factor V with its columns reversed and
     right factor the reversal; Gy = U S C has the values S C, left factor
-    U and right factor I.  N(T) and T(0) are read off those splits as any
-    relation's are.
+    U and right factor I.  D(T), R(T), N(T) and T(0) are read off those
+    two splits as any relation's are; R(T)-perp is completed, from R(T)'s
+    own basis, only where an image under the inverse needs it.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -214,10 +218,8 @@ def from_matrix(a) -> LinearRelation:
     v, c = vh.conj().T, 1.0 / np.hypot(1.0, s)
     t = LinearRelation(x_dim, y_dim, Subspace(x_dim + y_dim, _cs_columns(v, u, s)))
     eye = np.eye(x_dim, dtype=complex)
-    x_split = sub.diagonal_split(v[:, ::-1], c[::-1], eye[:, ::-1])
-    y_split = sub.diagonal_split(u, (s * c)[: u.shape[1]], eye)
-    t.__dict__["_x_svd"] = Subspace(x_dim, x_split.span, x_split.near), x_split
-    t.__dict__["_y_svd"] = Subspace(y_dim, y_split.span, y_split.near), y_split
+    t.__dict__["_x_svd"] = sub.diagonal_split(v[:, ::-1], c[::-1], eye[:, ::-1])
+    t.__dict__["_y_svd"] = sub.diagonal_split(u, (s * c)[: u.shape[1]], eye)
     return t
 
 
@@ -240,9 +242,10 @@ def from_graph(s: Subspace, x_dim: int, y_dim: int) -> LinearRelation:
 
 def _pair(a: LinearRelation, b: LinearRelation) -> dict:
     """The record of what has been decided about the pair (A, B): its pencil
-    family, standing-hypothesis verdict and chains.  It is kept on ``a``
-    beside a weak reference to ``b``, and holds no reference to either; a
-    new partner, or one reusing a dead ``b``'s id, starts an empty record."""
+    family, standing-hypothesis verdict, chains and adjoint pair.  It is
+    kept on ``a`` beside a weak reference to ``b``, and holds no reference
+    to either; a new partner, or one reusing a dead ``b``'s id, starts an
+    empty record."""
     slot = a.__dict__.get("_pair_record")
     if slot is None or slot[0]() is not b:
         slot = a.__dict__["_pair_record"] = (weakref.ref(b), {})
@@ -250,15 +253,15 @@ def _pair(a: LinearRelation, b: LinearRelation) -> dict:
 
 
 def inverse(t: LinearRelation) -> LinearRelation:
-    """Block-swapped graph: (x, y) -> (y, x).  An involution.  The splits,
-    kernel and T(0) t has computed are handed over, swapped."""
+    """Block-swapped graph: (x, y) -> (y, x).  An involution.  The splits
+    and the four parts t has computed are handed over, swapped."""
     graph = Subspace(t.y_dim + t.x_dim, np.vstack([t._gy, t._gx]),
                      sv_near_cut=t.graph.sv_near_cut)
     inv = LinearRelation(t.y_dim, t.x_dim, graph)
-    for mine, theirs in (("_x_svd", "_y_svd"), ("_y_svd", "_x_svd"),
-                         ("kernel", "multivalued_part"), ("multivalued_part", "kernel")):
-        if theirs in t.__dict__:
-            inv.__dict__[mine] = t.__dict__[theirs]
+    for pair in (("_x_svd", "_y_svd"), ("domain", "range"), ("kernel", "multivalued_part")):
+        for mine, theirs in (pair, pair[::-1]):
+            if theirs in t.__dict__:
+                inv.__dict__[mine] = t.__dict__[theirs]
     return inv
 
 
@@ -375,6 +378,11 @@ class _PencilPoint(LinearRelation):
         return self._fam.domain
 
     @property
+    def _gx_span(self) -> Subspace:
+        """D(T) in the basis of the point's own split of Gx, not the family's."""
+        return Subspace(self.x_dim, self._x_svd.span, sv_near_cut=self._x_svd.near)
+
+    @property
     def _range_dim(self) -> int:
         return self._rank
 
@@ -400,14 +408,13 @@ class _PencilPoint(LinearRelation):
                         sv_near_cut=self._flag)
 
     @cached_property
-    def _y_svd(self) -> tuple[Subspace, sub.Split]:
-        """R(T) and the closed-form split of Gy = [P, U] diag([1, sC, 0]) I,
-        cut at the point's floor as its values were."""
+    def _y_svd(self) -> sub.Split:
+        """The closed-form split of Gy = [P, U] diag([1, sC, 0]) I, cut at
+        the point's floor as its values were."""
         s = self._vectors[2]
         values = np.concatenate([np.ones(self._p.shape[1]), s / np.hypot(1.0, s)])
-        split = sub.diagonal_split(np.hstack([self._p, self._vectors[0]]), values,
-                                   np.eye(values.size, dtype=complex), self._floor)
-        return Subspace(self.y_dim, split.span, sv_near_cut=split.near), split
+        return sub.diagonal_split(np.hstack([self._p, self._vectors[0]]), values,
+                                  np.eye(values.size, dtype=complex), self._floor)
 
     @cached_property
     def kernel(self) -> Subspace:

@@ -9,13 +9,13 @@ All suprema over unit spheres are computed spectrally (largest/smallest
 singular values); nothing here samples spheres.
 
 Every rank decision in the library is made by :func:`_rank_cut`, reached
-through :func:`span` (thin SVD), :func:`svd_split` (full SVD: span,
-its complement and null space), :func:`diagonal_split` (the same split
-of an SVD known in closed form) or :func:`values_rank` (singular values
-whose vectors come later, or never).  Where a split of m already proves
-the cut of m c for orthonormal c (:func:`certified_span`, from c's
-angles to m's null block), the span of m c is the one :func:`span`
-gives, with no cut of its own.  Every projection residual x - P_S x is
+through :func:`span` (thin SVD), :func:`diagonal_split` (the span and
+null space of an SVD, computed by :func:`svd_split` or known in closed
+form) or :func:`values_rank` (singular values whose vectors come later,
+or never).  Where a split of m already proves the cut of m c for
+orthonormal c (:func:`certified_span`, from c's angles to m's null
+block), the span of m c is the one :func:`span` gives, with no cut of
+its own.  Every projection residual x - P_S x is
 :meth:`Subspace.residual`.  Every containment verdict is decided here by
 one rule, :func:`_settled`: a residual's largest singular value against
 the verdict's cuts, read off its Frobenius bracket where that settles
@@ -25,8 +25,9 @@ from the outer space, :func:`in_annihilator` and :func:`is_annihilator`
 the product K^T U_D.  Every QR whose R would go unread is
 :func:`q_factor`: numpy's reduced or complete Q bit for bit, read from
 LAPACK's reflectors without forming R, raising the same ``LinAlgError``.
-A split that cuts no rank is a complete Q, not an SVD: each complement
-(so each annihilator) and :func:`certified_span`'s rotation.
+A split that cuts no rank is a complete Q, not an SVD: a subspace's one
+cached complement, which every complement, annihilator and split's
+complement reads, and :func:`certified_span`'s rotation.
 """
 
 from __future__ import annotations
@@ -221,45 +222,34 @@ def span(vectors, ambient: int | None = None, near: bool = False) -> Subspace:
 
 class Split(NamedTuple):
     """An SVD m = U diag(svals) V^H and its rank cut: orthonormal bases of
-    the column span, of the null space (the trailing columns of ``right``,
-    which holds all of V) and of the span's orthogonal complement
-    (``perp``), the cut's flag and the descending svals."""
+    the column span and of the null space (the trailing columns of
+    ``right``, which holds all of V), the cut's flag and the descending
+    svals.  No complement is kept: a Subspace of the span takes its own."""
 
     span: np.ndarray
     null: np.ndarray
     near: bool
     svals: np.ndarray
     right: np.ndarray
-    perp: np.ndarray
 
 
 def svd_split(m: np.ndarray) -> Split:
-    """The column span, its complement and the null space of a (possibly
-    empty) matrix, all cut at one rank."""
+    """The column span and the null space of a (possibly empty) matrix,
+    cut at one rank: :func:`diagonal_split` of its SVD, U full where m is wide."""
     if m.shape[1] == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return Split(m, empty, False, np.zeros(0), empty, np.eye(m.shape[0], dtype=complex))
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank, near = _rank_cut(s)
-    right = vh.conj().T
-    return Split(u[:, :rank], right[:, rank:], near, s, right, u[:, rank:])
+        return diagonal_split(m, np.zeros(0), np.zeros((0, 0), dtype=complex))
+    u, s, vh = np.linalg.svd(m, full_matrices=m.shape[1] > m.shape[0])
+    return diagonal_split(u, s, vh.conj().T)
 
 
 def diagonal_split(left: np.ndarray, values: np.ndarray, right: np.ndarray,
                    floor: float = 0.0) -> Split:
-    """The split of m = left diag(values) right^H, an SVD known in closed
-    form: ``values`` descend, ``right`` is unitary and ``left`` has
-    orthonormal columns, at least one per value kept.  The rank is cut at
-    ``floor`` as :func:`values_rank` cuts it.  The span's complement is
-    the trailing columns of the span's complete Householder Q, and empty
-    where the span is the whole space."""
+    """The split of m = left diag(values) right^H, an SVD computed or known
+    in closed form: ``values`` descend, ``right`` is unitary and ``left``
+    has orthonormal columns, at least one per value kept.  The rank is cut
+    at ``floor`` as :func:`values_rank` cuts it."""
     rank, near = _rank_cut(values, floor)
-    span = left[:, :rank]
-    if rank == left.shape[0]:
-        perp = left[:, rank:]
-    else:
-        perp = q_factor(span, complete=True)[:, rank:]
-    return Split(span, right[:, rank:], near, values, right, perp)
+    return Split(left[:, :rank], right[:, rank:], near, values, right)
 
 
 def _qr_failed(err, flag):

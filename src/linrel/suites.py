@@ -37,6 +37,9 @@ SUITE_NAMES = ("algebra", "duality", "gap", "chains", "perturbation", "stability
 
 _STATUSES = ("pass", "fail", "not_applicable", "indeterminate")
 
+RAW_MAX_DIM = 6  # the largest X and Y of a raw pair
+GAP_SAMPLES, GAP_SQUARINGS = 2048, 60  # sampled_gap's unit vectors and refining squarings
+
 
 @dataclass
 class SuiteResult:
@@ -104,11 +107,11 @@ def _well_conditioned(t: LinearRelation) -> bool:
                 or t.multivalued_part.sv_near_cut)
 
 
-def _raw_pair(rng, max_dim: int = 6) -> tuple[LinearRelation, LinearRelation]:
+def _raw_pair(rng) -> tuple[LinearRelation, LinearRelation]:
     """Generic pair: Haar graphs of random dimension in matching spaces."""
     for _ in range(64):
-        x = int(rng.integers(1, max_dim + 1))
-        y = int(rng.integers(1, max_dim + 1))
+        x = int(rng.integers(1, RAW_MAX_DIM + 1))
+        y = int(rng.integers(1, RAW_MAX_DIM + 1))
         a = rel.from_graph(
             sub.random_subspace(x + y, int(rng.integers(0, x + y + 1)), rng), x, y)
         b = rel.from_graph(
@@ -302,14 +305,13 @@ def _check_difference_lemma(a, b, rec: _Recorder, rng) -> None:
 # ---------------------------------------------------------------------------
 # gap suite
 
-def sampled_gap(m: Subspace, n: Subspace, rng, samples: int = 2048,
-                squarings: int = 60) -> float:
+def sampled_gap(m: Subspace, n: Subspace, rng) -> float:
     """Dense-sampling estimate of the directed gap, refined by iterated
     squaring of the residual form (independent of the production SVD path)."""
     if m.dim == 0:
         return 0.0
     resid = m.basis - n.basis @ (n.basis.conj().T @ m.basis) if n.dim else m.basis
-    c = rng.standard_normal((m.dim, samples)) + 1j * rng.standard_normal((m.dim, samples))
+    c = rng.standard_normal((m.dim, GAP_SAMPLES)) + 1j * rng.standard_normal((m.dim, GAP_SAMPLES))
     c /= np.linalg.norm(c, axis=0, keepdims=True)
     vals = np.linalg.norm(resid @ c, axis=0)
     best = float(vals.max())
@@ -317,7 +319,7 @@ def sampled_gap(m: Subspace, n: Subspace, rng, samples: int = 2048,
         return best
     w = resid.conj().T @ resid
     w = w / np.linalg.norm(w)
-    for _ in range(squarings):
+    for _ in range(GAP_SQUARINGS):
         w = w @ w
         norm_w = np.linalg.norm(w)
         if norm_w < 1e-300:
@@ -648,7 +650,7 @@ _SUITES = {
 
 
 class ReplayError(ValueError):
-    """A replay case that its suite's decoders reject."""
+    """A malformed replay payload, or a case its suite's decoders reject."""
 
 
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
@@ -662,14 +664,17 @@ def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
 def run_replay(payload: dict) -> SuiteResult:
     """Re-run the named suite's checks on previously serialized cases.
 
-    Every case is decoded before any check runs; a case that the suite's
-    decoders reject raises :class:`ReplayError` naming its index.
-    """
-    name = payload["suite"]
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+    Every case is decoded before any check runs.  A payload that is not a
+    dict of a ``suite`` in ``SUITE_NAMES``, a list of ``cases`` and an
+    integer ``seed``, if any, raises :class:`ReplayError`, as does a case
+    that the suite's decoders reject, named by its index."""
+    if not (isinstance(payload, dict) and payload.get("suite") in SUITE_NAMES
+            and isinstance(payload.get("cases"), list)
+            and isinstance(payload.get("seed", 0), int)):
+        raise ReplayError("each payload needs a 'suite', a list of 'cases' "
+                          "and an integer 'seed' if any")
+    name, cases = payload["suite"], payload["cases"]
     _, decode, check = _SUITES[name]
-    cases = payload["cases"]
     decoded = []
     for i, case in enumerate(cases):
         try:

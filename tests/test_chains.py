@@ -376,7 +376,7 @@ def test_shared_chains_match_when_chains_never_stabilize(rng, monkeypatch):
 
 def _built_pair():
     """A pair whose record holds all it keeps: pencil family, hypothesis
-    verdict and chains."""
+    verdict, chains and adjoint pair."""
     spec = stab.InstanceSpec(4, 4, alpha=1, beta=1, seed=5)
     a, b = stab.generate(spec)
     rel.pencil(a, b, 0.5)
@@ -384,7 +384,7 @@ def _built_pair():
     chn.chain_report(a, b)
     chn.check_equivalent_conditions(a, b, 2)
     chn.verify_nu_duality(a, b)
-    assert set(rel._pair(a, b)) == {"pencil", "hypotheses", "chains"}
+    assert set(rel._pair(a, b)) == {"pencil", "hypotheses", "chains", "adjoints"}
     return a, b
 
 

@@ -21,7 +21,7 @@ first read.  A point of a family with no T(0) block shares the family's
 one empty T(0), and its rank decision reads Z's values alone: it builds
 no identity, no split and no subspace until its range or graph is read.
 
-A relation from ``from_graph`` takes two full SVDs, of Gx and of Gy, for
+A relation from ``from_graph`` takes two SVDs, of Gx and of Gy, for
 its domain, range, kernel, T(0), norm and gamma together, and no
 least-squares solve: N(T) is the reduced QR of Gx on the null block of
 Gy's split, and T(0) that of Gy on the null block of Gx's split, with no
@@ -29,16 +29,20 @@ QR where that block is empty.  A relation from ``from_matrix`` takes one
 SVD, of A, and no least-squares solve: the splits of both graph blocks are
 read off that SVD in closed form, and N(T) adds one reduced QR of V's
 trailing columns where it is not {0}; T(0) is {0} unless Gx's cut drops a
-value.  Where R(T) is not all of Y, because A is tall or of lower rank,
-R(T)-perp adds one complete QR of R(T)'s basis.
+value.  No split builds a complement: where R(T) is not all of Y, R(T)-perp
+is the complement of R(T)'s own basis, one complete QR taken when an image
+under the inverse first needs it, and never for the parts, the norm or
+gamma.
 
 One chain step is an image and a preimage.  On a relation whose splits
 of Gx = U S V^H and of Gy are cached, an image takes no SVD of a graph
 block, and one whose cut Gy's split proves none of any matrix with an
 ambient number of rows.  It reads the relation's image map (S_r^-1
 U_r^H, Gy V_r, Gy V_0, D(T)-perp^H and N^H V for the null block N of Gy's
-split), built once per relation.  A relation whose domain is not all of X cuts M ^ D(T) out of M with one
-full SVD of the n_d x dim M matrix D(T)-perp^H M, n_d = codim D(T).  One
+split), built once per relation; D(T)-perp is D(T)'s own complement, one
+complete QR of D(T)'s basis where D(T) is not X, taken with the map unless
+it was read before.  A relation whose domain is not all of X cuts M ^ D(T) out of M with one
+SVD of the n_d x dim M matrix D(T)-perp^H M, n_d = codim D(T).  One
 QR of the r x dim M' matrix S_r^-1 U_r^H M' makes the coefficients c
 orthonormal, and then comes the span of the y x k matrix Gy c:
   * under an injective relation whose Gy is clear of the rank cut's band,
@@ -62,8 +66,9 @@ swapped, one complete QR and no SVD.
 nu and the chain reports of one pair share its M and N chains, kept in
 the pair's record: each chain step is taken once.  nu grows the M chain
 and reads the containment table's first column; a longer limit extends
-the kept chains in place.  ``verify_nu_duality`` builds the chains of the
-adjoint pair once more.  The table's rows and the running kappa verdict
+the kept chains in place.  ``verify_nu_duality`` builds the adjoint pair
+once, kept in the pair's record with its chains, so a second check takes
+no chain step.  The table's rows and the running kappa verdict
 are kept too: ``check_equivalent_conditions`` after a chain report takes
 no containment verdict for its conditions.  A subspace's complement takes
 one complete QR and no SVD however often it is read, and an intersection
@@ -115,6 +120,7 @@ from linrel import stability as stab
 from linrel import subspace as sub
 from linrel import suites as sts
 
+from matrix_shapes import MATRIX_SHAPES, rank_matrix
 from test_chains import _deep_pair, _never_stable
 
 
@@ -262,24 +268,35 @@ def test_gamma_reads_the_cached_splits(calls):
         assert used == {"svd": 1, "lstsq": 0}, used
 
 
-@pytest.mark.parametrize("shape, rank", [((6, 6), 6), ((6, 6), 4), ((4, 7), 4), ((7, 4), 4)],
-                         ids=["square", "square-deficient", "wide", "tall"])
+@pytest.mark.parametrize("shape, rank", MATRIX_SHAPES.values(), ids=MATRIX_SHAPES)
 def test_a_matrix_operator_takes_one_svd(monkeypatch, rng, shape, rank):
     # D, R, N, T(0), ||T|| and gamma of from_matrix(A) all read the SVD of A.
-    m = ((rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank)))
-         @ rng.standard_normal((rank, shape[1])))
+    m = rank_matrix(rng, shape, rank)
     seen = _lapack_calls(monkeypatch)
     lstsq = _count_calls(monkeypatch, ((np.linalg, "lstsq"),))
     t = rel.from_matrix(m)
     _ = t.domain, t.range, t.kernel, t.multivalued_part, met.norm(t), met.gamma(t)
     assert [c[0] for c in seen if c[0] == "svd"] == ["svd"] and lstsq == {"lstsq": 0}, seen
-    # R(T)-perp is completed by one complete QR where R(T) is not all of Y,
-    # and N(T) is the reduced Q of V's trailing columns where it is not {0}.
+    # N(T) is the reduced Q of V's trailing columns where it is not {0}; no
+    # complement is built, of R(T) or of anything else.
     qrs = [c for c in seen if c[0] == "qr"]
-    assert qrs == (([("qr", (shape[0], rank), True)] if rank < shape[0] else [])
-                   + ([("qr", (shape[1], shape[1] - rank), False)] if rank < shape[1]
-                      else [])), qrs
+    assert qrs == ([("qr", (shape[1], shape[1] - rank), False)] if rank < shape[1]
+                   else []), qrs
     assert (t.range.dim, t.kernel.dim, t.domain.dim) == (rank, shape[1] - rank, shape[1])
+
+
+def test_a_pencil_point_range_takes_no_complete_qr(monkeypatch):
+    # R(T)-perp of a point is R(T)'s own complement, taken where an image
+    # under the point's inverse reads it, not beside the range.
+    a, b, _, grid = _fresh_pair()
+    c, d = stab.generate(stab.InstanceSpec(6, 5, alpha=1, beta=0, mv_dim=1, dom_codim=1,
+                                           force_nu_infinite=True, seed=11))
+    points = ([rel.pencil(a, b, lam) for lam in grid]
+              + [rel.pencil(c, d, lam) for lam in (0.0, 0.3 - 0.2j)])
+    seen = _lapack_calls(monkeypatch)
+    ranges = [p.range for p in points]
+    assert [call for call in seen if call[0] == "qr" and call[2]] == [], seen
+    assert any(r.dim < r.ambient for r in ranges) and any(p.multivalued_part.dim for p in points)
 
 
 @pytest.mark.parametrize("spec", [
@@ -287,7 +304,7 @@ def test_a_matrix_operator_takes_one_svd(monkeypatch, rng, shape, rank):
     stab.InstanceSpec(4, 7, alpha=1, beta=4, seed=4),
 ], ids=["kernel-and-t0", "kernel"])
 def test_a_graph_relation_takes_two_svds(calls, spec):
-    # D, R, N, T(0), ||T|| and gamma of from_graph(G) read the full SVDs of
+    # D, R, N, T(0), ||T|| and gamma of from_graph(G) read the SVDs of
     # Gx and Gy; N(T) and T(0) are Q factors of the blocks on their null blocks.
     a = stab.generate(spec)[0]
     t = rel.from_graph(a.graph, a.x_dim, a.y_dim)
@@ -337,28 +354,32 @@ def test_chain_step_budget(monkeypatch, rng):
     wide = rel.from_matrix(u @ np.diag(np.geomspace(1e3, 1e-3, 5)) @ v.T)
     # Building the inverses computes both splits of a and b and hands them
     # over, and wide's image map both of its own: no relation here computes
-    # a split inside an image.
+    # a split inside an image.  Each image map is built first, and where
+    # D(T) is not X it takes D(T)-perp, D(T)'s own complement: one complete
+    # QR of D(T)'s basis, the map's only call.
     relations = (a, b, a._inverse, b._inverse, wide)
-    _ = wide._image_map
     seen = _lapack_calls(monkeypatch)
+    for t in relations:
+        seen.clear()
+        dom, _ = t.domain, t._image_map
+        assert seen == ([("qr", (t.x_dim, dom.dim), True)] if 0 < dom.dim < t.x_dim
+                        else []), seen
     proper, rotations = set(), set()
     for t in relations:
-        dom = t._x_svd[0]
+        dom = t.domain
         for d in range(1, t.x_dim + 1):
             m = sub.random_subspace(t.x_dim, d, rng)
             seen.clear()
             rel.image(t, m)
-            full = [call[1] for call in seen if call[0] == "svd" and call[2]]
-            thin = [call[1] for call in seen if call[0] == "svd" and not call[2]]
-            # No thin SVD: the certificate proves every cut here.
-            assert thin == [], seen
+            # No SVD but the domain cut: the certificate proves every cut here.
+            svds = [call[1] for call in seen if call[0] == "svd"]
             if t is a:
                 # N(A) != {0}: the QR that makes c orthonormal and the QR of
                 # Gy c, with the complete QR of the k x n_0 matrix E^H,
                 # E = N^H c, between them where ||E||_F^2 is past the limit
                 # and E's row-space block is dropped.  No SVD.
                 rotated = len(seen) == 3
-                rotation = [("qr", (d, a._y_svd[1].null.shape[1]), True)] * rotated
+                rotation = [("qr", (d, a._y_svd.null.shape[1]), True)] * rotated
                 assert seen == [("qr", seen[0][1], False), *rotation,
                                 ("qr", seen[-1][1], False)], seen
                 rotations |= {rotated}
@@ -367,7 +388,7 @@ def test_chain_step_budget(monkeypatch, rng):
             # makes c orthonormal only where the Gx spread is past COEF_SPREAD.
             assert [call[0] for call in seen].count("qr") == 1 + (t is wide), seen
             # M ^ D(T) from D(T)-perp^H M where D(T) is not all of X.
-            assert full == ([(t.x_dim - dom.dim, d)] if dom.dim < t.x_dim else []), seen
+            assert svds == ([(t.x_dim - dom.dim, d)] if dom.dim < t.x_dim else []), seen
             proper |= {dom.dim < t.x_dim}
         seen.clear()
         rel.adjoint(t)
@@ -385,8 +406,11 @@ def test_certified_chain_step_budget(monkeypatch):
     # takes.  No image in a chain step or a kappa target takes an SVD of a
     # matrix with an ambient number of rows, and none takes a thin SVD.
     a, b = _deep_pair(16, 4, seed=5)
-    _ = a._inverse, b._inverse, a.kernel, b.kernel
-    n0, nd = a._y_svd[1].null.shape[1], a.y_dim - a.range.dim
+    # The image maps, with the complete QR of D(T)-perp where D(T) is not X,
+    # are built before the chains, so every complete QR counted below is a
+    # certificate's rotation.
+    _ = [t._image_map for t in (a, b, a._inverse, b._inverse)], a.kernel, b.kernel
+    n0, nd = a._y_svd.null.shape[1], a.y_dim - a.range.dim
     assert (n0, nd) == (1, 1)
     seen, real = _lapack_calls(monkeypatch), rel.image
     imaged, rotations = [], []
@@ -406,7 +430,7 @@ def test_certified_chain_step_budget(monkeypatch):
     assert [s.dim for s in chains.ns] == [1, 2, 3, 4, 4], chains.ns
     for k in range(1, len(chains.ns)):
         chains.kappa(a, b, k)
-    assert imaged and all(call[1][0] == nd and call[2] for call in imaged), imaged
+    assert imaged and all(call[1][0] == nd for call in imaged), imaged
     assert rotations and all(call[1][1] == n0 for call in rotations), rotations
     assert used == {"span": 0}, used
 
@@ -510,6 +534,16 @@ def test_nu_duality_reads_the_kept_images(monkeypatch):
     seen.clear()  # the last entries' images are kept too
     assert chn.verify_nu_duality(a, b)["adjoint_sequences_hold"]
     assert seen == [], seen
+
+
+def test_nu_duality_keeps_the_adjoint_pair(monkeypatch):
+    # The adjoint pair, and with it its chains, is kept in the pair's
+    # record: a second check grows no dual chain.
+    a, b = _deep_pair(7, 5, seed=3)
+    first = chn.verify_nu_duality(a, b)
+    used = _count_calls(monkeypatch, ((rel, "preimage"), (rel, "adjoint")))
+    assert chn.verify_nu_duality(a, b) == first and first["applicable"]
+    assert used == {"preimage": 0, "adjoint": 0}, used
 
 
 def test_nu_duality_builds_no_annihilator_target(calls, monkeypatch):

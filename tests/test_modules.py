@@ -26,7 +26,9 @@ No reduced- or complete-mode ``qr`` has its R thrown away (``qr(m)[0]``,
 ``_umath_linalg``.  Only the functions named in ``_SVD_CALLERS``, each of
 which reads singular values or cuts a rank at them, take an SVD, and
 outside ``subspace`` only those named in ``_SPAN_CALLERS`` call ``span``:
-N(T) and T(0) take no rank cut of their own.
+N(T) and T(0) take no rank cut of their own.  Only the functions named in
+``_COMPLETE_Q_CALLERS`` take a complete Q: a subspace's complement is
+built once, by ``Subspace._complement``, and never by a split or a relation.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
 call counts in ``test_lapack_budget``, whose tests enforce them.  Every
@@ -627,6 +629,66 @@ def test_span_caller_detector(source):
 def test_span_caller_detector_allows_a_split_field():
     source = "def domain(t):\n    return Subspace(3, split.span, split.near)"
     assert not _span_callers(ast.parse(source))
+
+
+# The functions that may take a complete Q: a subspace's one cached
+# complement, which every complement, annihilator and split's complement
+# reads, and the certificate's rotation.
+_COMPLETE_Q_CALLERS = {"subspace.py": {"Subspace._complement", "certified_span"}}
+
+
+def _complete_q_callers(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around every ``q_factor`` call
+    whose ``complete`` (keyword or second argument) is not the constant
+    False, and every ``qr`` call in "complete" mode."""
+    def complete_q(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        if _name(node.func) == "q_factor":
+            flag = [k.value for k in node.keywords if k.arg == "complete"] + node.args[1:2]
+            return any(not (isinstance(f, ast.Constant) and f.value is False) for f in flag)
+        mode = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+        return _name(node.func) == "qr" and any(
+            isinstance(m, ast.Constant) and m.value == "complete" for m in mode)
+
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if complete_q(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_listed_functions_take_a_complete_q(path):
+    # A split or a relation that completed its own span would build a
+    # second copy of the subspace's cached complement.
+    callers = set(_complete_q_callers(_tree(path)))
+    assert callers == _COMPLETE_Q_CALLERS.get(path.name, set()), callers
+
+
+@pytest.mark.parametrize("source", [
+    "def diagonal_split(left, values, right):\n    return q_factor(left, complete=True)",
+    "class LinearRelation:\n    def _image_map(self):\n        return sub.q_factor(g, True)",
+    "def f(m, flag):\n    return sub.q_factor(m, complete=flag)",
+    "perp = np.linalg.qr(span, mode='complete')[0][:, 3:]",
+    "def f(g):\n    q, r = np.linalg.qr(g, 'complete')",
+], ids=["keyword", "positional", "variable", "qr-keyword", "qr-positional"])
+def test_complete_q_caller_detector(source):
+    assert _complete_q_callers(ast.parse(source))
+
+
+def test_complete_q_caller_detector_allows_reduced_qs():
+    source = ("q = sub.q_factor(m)\nq = q_factor(m, complete=False)\nq = q_factor(m, False)\n"
+              "r = np.linalg.qr(m, mode='r')\nq, r = np.linalg.qr(m)\n")
+    assert not _complete_q_callers(ast.parse(source))
 
 
 _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")

@@ -11,6 +11,7 @@ from linrel import stability as stab
 from linrel import subspace as sub
 from linrel.tolerances import EQ_TOL
 
+from matrix_shapes import MATRIX_SHAPES, rank_matrix
 from oracles import lift_add_oracle, nullspace_oracle, slice_oracle
 
 
@@ -308,8 +309,19 @@ def test_image_matches_the_residual_image(rng):
             for t in (base, rel.inverse(base), rel.adjoint(base),
                       rel.scalar_mul(1e5, base), rel.scalar_mul(1e-5, base)):
                 cases += _every_dimension(t, rng)
+    # Pencil points and sums read their own split of Gx, whose basis is not
+    # the family's D(A) ^ D(B) basis where Z has distinct values; their
+    # inverses read the closed-form split of Gy.
+    seen = set()
+    for _ in range(40):
+        a, b = stab.generate(stab.random_feasible_spec(rng, max_dim=6))
+        for p in (rel.pencil(a, b, 0.3 - 0.2j), rel.pencil(a, b, 2.0), rel.add(a, b)):
+            cases += _every_dimension(p, rng) + _every_dimension(rel.inverse(p), rng)
+            seen |= {"K0"} if p._fam.k0 else set()
+            seen |= {"distinct Z"} if p._s.size and np.ptp(p._s) > 1e-6 else set()
+    assert seen == {"K0", "distinct Z"}, seen
     for t, m, new, old in _against_residual_image(cases):
-        dom, split = t._x_svd
+        dom, split = t._gx_span, t._x_svd
         if dom.dim and split.svals[dom.dim - 1] < np.finfo(float).eps / EQ_TOL:
             loose += 1
             continue
@@ -343,7 +355,7 @@ def _span_image(t, m):
     orthonormalised by one QR, then one thin SVD of Gy c, all read off t's
     image map.  This is the construction the coefficient-space domain cut
     and the certified span replaced."""
-    imap, dom = t._image_map, t._x_svd[0]
+    imap, dom = t._image_map, t.domain
     basis, near = m.basis, imap.near or m.sv_near_cut
     if dom.dim < t.x_dim:
         cut = sub.svd_split(dom.residual(basis))
@@ -394,7 +406,7 @@ def _two_qr_image(t, m):
 def _certifies_every_column(t):
     """t's split of Gy proves the cut of Gy c for every orthonormal c: Gy
     has no null block and :func:`subspace.kernel_limit` is set."""
-    split = t._y_svd[1]
+    split = t._y_svd
     return split.null.shape[1] == 0 and sub.kernel_limit(split) is not None
 
 
@@ -740,7 +752,7 @@ def _exact_image(t, m, d1, dim):
     same directions may lie that far from the leading ones."""
     with mpmath.workdps(50):
         gx, gy, u = _mp(t._gx), _mp(t._gy), _mp(m.basis)
-        if t._gx.shape[0] == t._gx.shape[1] and t._x_svd[0].dim == t.x_dim:
+        if t._gx.shape[0] == t._gx.shape[1] and t.domain.dim == t.x_dim:
             c = mpmath.qr(mpmath.inverse(gx) * u, mode="skinny")[0]
         else:
             r = gx - u * (mpmath.inverse(u.H * u) * (u.H * gx))
@@ -842,13 +854,13 @@ def test_coefficient_space_cuts_match_the_exact_image(rng, monkeypatch):
         paths.clear()
         new, old = rel.image(t, m), _span_image(t, m)
         assert (new.dim, new.sv_near_cut) == (old.dim, old.sv_near_cut), (t, paths)
-        dom, d1 = t._x_svd[0], m.dim
+        dom, d1 = t.domain, m.dim
         if dom.dim < t.x_dim:
             d1 = sub.svd_split(dom.residual(m.basis)).null.shape[1]
             assert sub.svd_split(t._image_map.perp @ m.basis).null.shape[1] == d1
             paths.append("D != X")
         if not new.sv_near_cut:
-            exact, ratio = _exact_image(t, m, d1 + t._x_svd[1].null.shape[1], new.dim)
+            exact, ratio = _exact_image(t, m, d1 + t._x_svd.null.shape[1], new.dim)
             g_new, g_old = _gap_to_exact(new, exact), _gap_to_exact(old, exact)
             assert g_new <= 4 * g_old + 16 * eps + ratio, (g_new, g_old, ratio, paths)
             seen |= {f"exact {path}" for path in paths}
@@ -1031,7 +1043,7 @@ def test_reference_pencils_cover_every_block():
 @pytest.mark.parametrize("name,a,b,lam", _reference_pencils())
 def test_closed_form_split_is_the_svd_of_gy(name, a, b, lam):
     p = rel.pencil(a, b, lam)
-    seeded, fresh = p._y_svd[1], sub.svd_split(p._gy)
+    seeded, fresh = p._y_svd, sub.svd_split(p._gy)
     k = fresh.svals.size
     assert np.allclose(seeded.svals[:k], fresh.svals, rtol=0, atol=1e-13)
     assert not np.any(seeded.svals[k:])
@@ -1119,7 +1131,7 @@ def _vectors_reference(a, b, lam):
 
 def _reference_point(fam, lam):
     """alpha, beta, gamma, the range dimension, the graph, kernel and range
-    flags, T(0) and Gy's split of fam(lam) by the construction that cut Z's
+    flags, T(0), Gy's split and R(T)-perp of fam(lam) by the construction that cut Z's
     values with the zeros of K0 appended, read them as diag(values) with
     columns of I for vectors, and built a T(0) for every point."""
     z, p, flag, perp = fam.z1 - lam * fam.z2, np.zeros((fam.y_dim, 0)), fam.near, None
@@ -1140,8 +1152,8 @@ def _reference_point(fam, lam):
     return {"alpha": fam.r - kept.size, "beta": fam.y_dim - rank,
             "gamma": float(kept.min()) if kept.size else math.inf, "range_dim": rank,
             "flags": (graph, graph or near, near), "t0": (p, flag),
-            "split": sub.Split(left[:, :rank], right[:, rank:], near, values, right,
-                               complement)}
+            "split": sub.Split(left[:, :rank], right[:, rank:], near, values, right),
+            "complement": complement}
 
 
 def _reference_point_cases():
@@ -1167,18 +1179,75 @@ def test_values_first_point_matches_the_reference_point():
         assert flags == ref["flags"], (flags, ref["flags"])
         t0 = p.multivalued_part
         assert np.array_equal(t0.basis, ref["t0"][0]) and t0.sv_near_cut == ref["t0"][1]
-        split = p._y_svd[1]
-        frame = np.hstack([split.span, split.perp])
+        split, perp = p._y_svd, p.range._complement
+        frame = np.hstack([p.range.basis, perp])
         assert np.abs(frame.conj().T @ frame - np.eye(p.y_dim)).max() <= 1e-12
-        for name in split._fields:
-            mine, theirs = getattr(split, name), getattr(ref["split"], name)
+        for mine, theirs in [*zip(split, ref["split"]), (perp, ref["complement"])]:
             assert np.array_equal(mine, theirs) and np.asarray(mine).dtype == np.asarray(
-                theirs).dtype, name
+                theirs).dtype
         seen |= {"T(0)"} if t0.dim else set()
         seen |= {"K0"} if fam.k0 else set()
         seen |= {"grown"} if p.kernel.dim > fam.k0 else set()
         seen |= {"flagged"} if any(flags) else set()
     assert seen == {"T(0)", "K0", "grown", "flagged"}, seen
+
+
+def _image_map_cases(rng):
+    """(construction, relation) of every construction a relation comes from."""
+    cases = [(f"from_matrix {name}", rel.from_matrix(rank_matrix(rng, *shape)))
+             for name, shape in MATRIX_SHAPES.items()]
+    cases += [("inverse", rel.inverse(t)) for _, t in cases]
+    a, b = stab.generate(stab.InstanceSpec(6, 5, alpha=1, beta=0, mv_dim=1, dom_codim=1,
+                                           force_nu_infinite=True, seed=11))
+    cases += [("from_graph", rel.from_graph(a.graph, a.x_dim, a.y_dim)),
+              ("adjoint", rel.adjoint(a)), ("adjoint", rel.adjoint(cases[0][1])),
+              ("pencil", rel.pencil(a, b, 0.3 - 0.2j)), ("add", rel.add(a, b))]
+    return cases
+
+
+def test_image_map_reads_the_domain_complement(rng):
+    # D(T)-perp^H is the conjugate of the complement of the Gx split's span,
+    # the one that orth_complement reads, and completes that span to a
+    # unitary frame.  The span is D(T) itself, but for a pencil point, whose
+    # D(T) is its family's in another basis.
+    seen = set()
+    for name, t in _image_map_cases(rng):
+        perp, dom = t._image_map.perp, t._gx_span
+        if name in ("pencil", "add"):
+            assert dom is not t.domain and dom.is_same(t.domain), name
+        else:
+            assert dom is t.domain, name
+        if dom.dim == t.x_dim:
+            assert perp is None, name
+        else:
+            assert np.array_equal(perp, sub.orth_complement(dom).basis.conj().T), name
+            frame = np.hstack([dom.basis, perp.conj().T])
+            assert np.abs(frame.conj().T @ frame - np.eye(t.x_dim)).max() <= 1e-12, name
+        seen |= {(name.split()[0], dom.dim == t.x_dim)}
+    assert seen >= {("from_matrix", True), ("inverse", True), ("inverse", False),
+                    ("from_graph", False), ("adjoint", True), ("adjoint", False),
+                    ("pencil", False), ("add", False)}, seen
+
+
+def _old_split_complement(split):
+    """The split's span completed as the closed-form split once did it: the
+    trailing columns of the span's complete Householder Q."""
+    rank = split.span.shape[1]
+    return sub.q_factor(split.span, complete=True)[:, rank:]
+
+
+def test_closed_form_range_complement_is_the_old_split_field(rng):
+    # Under a closed-form split of Gy, R(T)'s complement is the one that
+    # split once built beside its span, bit for bit, where R(T) is not Y.
+    relations = [rel.from_matrix(rank_matrix(rng, *MATRIX_SHAPES[name]))
+                 for name in ("tall", "square-deficient")]
+    relations += [rel.pencil(a, b, lam) for _, a, b, lam in _reference_pencils()]
+    proper = [t for t in relations if t.range.dim < t.y_dim]
+    assert relations[:2] == proper[:2] and len(proper) > 2
+    for t in proper:
+        mine, old = t.range._complement, _old_split_complement(t._y_svd)
+        assert mine.shape == old.shape and mine.dtype == old.dtype
+        assert mine.tobytes() == old.tobytes()
 
 
 def _equivalence_cases():
@@ -1222,7 +1291,7 @@ def _spanned_parts(t):
     """N(T) and T(0) as thin-SVD spans with rank cuts of their own, flagged
     as their splits and the graph are: the construction the Q factors of
     the splits' null blocks replaced, kept here as their reference."""
-    ys, xs, flag = t._y_svd[1], t._x_svd[1], t.graph.sv_near_cut
+    ys, xs, flag = t._y_svd, t._x_svd, t.graph.sv_near_cut
     return (sub.span(t._gx @ ys.null, t.x_dim, ys.near or flag),
             sub.span(t._gy @ xs.null, t.y_dim, xs.near or flag))
 
@@ -1319,7 +1388,7 @@ def test_parts_of_a_decoded_near_edge_graph_construct(seed):
     t = ser.relation_from_dict(ser.loads(text))
     assert np.array_equal(t.graph.basis, g) and not t.graph.sv_near_cut
     for r in (t, rel.inverse(t)):
-        cols = (r._gx @ r._y_svd[1].null, r._gy @ r._x_svd[1].null)
+        cols = (r._gx @ r._y_svd.null, r._gy @ r._x_svd.null)
         assert all(np.abs(m.conj().T @ m - 1).max() > 3e-10 for m in cols)
         for part, ref in zip((r.kernel, r.multivalued_part), _spanned_parts(r)):
             assert part.dim == ref.dim == 1 and part.is_same(ref)

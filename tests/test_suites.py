@@ -137,6 +137,19 @@ def test_a_replay_read_from_text_gives_the_suite_result():
     assert replay.to_dict() == sts.run_suite("duality", 30, 1).to_dict()
 
 
+@pytest.mark.parametrize("payload", [
+    [], {"cases": []}, {"suite": "nosuch", "cases": []}, {"suite": "gap"},
+    {"suite": "gap", "cases": 3}, {"suite": "gap", "seed": "x", "cases": []},
+    {"suite": "gap", "seed": 1.0, "cases": []}, {"suite": "gap", "cases": [{"M": 3}]},
+], ids=["not-a-dict", "no-suite", "unknown-suite", "no-cases", "cases-not-a-list",
+        "seed-not-int", "seed-float", "case-body"])
+def test_a_malformed_replay_payload_is_a_replay_error(payload):
+    # The payload's structure is checked where it is read: a library caller
+    # gets ReplayError, not the KeyError or TypeError of the first bad read.
+    with pytest.raises(sts.ReplayError):
+        sts.run_replay(payload)
+
+
 def test_sampled_gap_oracle_known_values(rng):
     e1 = sub.span(np.eye(2)[:, [0]])
     diag = sub.span(np.array([[1.0], [1.0]]) / math.sqrt(2))
