@@ -213,7 +213,7 @@ def from_matrix(a) -> LinearRelation:
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries are not admitted into a basis")
     y_dim, x_dim = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=x_dim > y_dim)
+    u, s, vh = sub.svd_factors(a, full=x_dim > y_dim)
     s = np.concatenate([s, np.zeros(x_dim - s.size)])  # past min(x, y), v_j maps to 0
     v, c = vh.conj().T, 1.0 / np.hypot(1.0, s)
     t = LinearRelation(x_dim, y_dim, Subspace(x_dim + y_dim, _cs_columns(v, u, s)))
@@ -361,7 +361,7 @@ class _PencilPoint(LinearRelation):
             ts = sub.svd_split((fam.m1 - lam * fam.m2).conj().T)
             self._perp, flag, z = ts.null, fam.near or ts.near, ts.null.conj().T @ z
             t0 = Subspace(fam.y_dim, ts.right[:, : fam.y_dim - ts.null.shape[1]], flag)
-        self._p, self._z, self._s = t0.basis, z, np.linalg.svd(z, compute_uv=False)
+        self._p, self._z, self._s = t0.basis, z, sub.svd_values(z)
         values, floor = self._s / np.hypot(1.0, self._s), fam.noise * (1 + abs(lam))
         if t0.dim:
             values = np.concatenate([np.ones(t0.dim), values])
@@ -395,7 +395,7 @@ class _PencilPoint(LinearRelation):
     def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U, in Y coordinates, and Q [W V, K0] from Z W = U S V^H, and
         the values first cut, with a 0 for each further column of Q [W V, K0]."""
-        u, _, vh = np.linalg.svd(self._z, full_matrices=self._z.shape[1] > self._z.shape[0])
+        u, _, vh = sub.svd_factors(self._z, full=self._z.shape[1] > self._z.shape[0])
         qv = np.hstack([self._fam.qw @ vh.conj().T, self._fam.qk0])
         s = np.concatenate([self._s, np.zeros(self._fam.r - self._s.size)])
         return (u if self._perp is None else self._perp @ u), qv, s
@@ -513,7 +513,7 @@ def particular_solution(t: LinearRelation, x, tol: float = EQ_TOL) -> np.ndarray
     if x.shape[0] != t.x_dim:
         raise ValueError(f"vector length {x.shape[0]} != x_dim {t.x_dim}")
     c, *_ = np.linalg.lstsq(t._gx, x, rcond=None)
-    residual = float(np.linalg.norm(t._gx @ c - x))
-    if residual > tol * max(1.0, float(np.linalg.norm(x))):
+    residual = sub.frobenius(t._gx @ c - x)
+    if residual > tol * max(1.0, sub.frobenius(x)):
         raise DomainError("vector outside the domain", residual)
     return t._gy @ c

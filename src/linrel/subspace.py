@@ -25,6 +25,11 @@ from the outer space, :func:`in_annihilator` and :func:`is_annihilator`
 the product K^T U_D.  Every QR whose R would go unread is
 :func:`q_factor`: numpy's reduced or complete Q bit for bit, read from
 LAPACK's reflectors without forming R, raising the same ``LinAlgError``.
+Every SVD here and in ``relation`` is :func:`svd_values` or
+:func:`svd_factors`, and every norm of a whole array :func:`frobenius`:
+numpy's values, factors and norm bit for bit, from the same LAPACK
+gufuncs and dot products without numpy's wrapper, raising the same
+``LinAlgError``.
 A split that cuts no rank is a complete Q, not an SVD: a subspace's one
 cached complement, which every complement, annihilator and split's
 complement reads, and :func:`certified_span`'s rotation.
@@ -32,6 +37,7 @@ complement reads, and :func:`certified_span`'s rotation.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -51,6 +57,9 @@ __all__ = [
     "svd_split",
     "diagonal_split",
     "q_factor",
+    "svd_values",
+    "svd_factors",
+    "frobenius",
     "values_rank",
     "kernel_limit",
     "certified_span",
@@ -215,7 +224,7 @@ def span(vectors, ambient: int | None = None, near: bool = False) -> Subspace:
         raise ValueError(f"vectors have {m.shape[0]} rows, ambient is {n}")
     if m.shape[1] == 0:
         return Subspace(n, m, sv_near_cut=near)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = svd_factors(m)
     rank, cut_near = _rank_cut(s)
     return Subspace(n, u[:, :rank], sv_near_cut=near or cut_near)
 
@@ -238,7 +247,7 @@ def svd_split(m: np.ndarray) -> Split:
     cut at one rank: :func:`diagonal_split` of its SVD, U full where m is wide."""
     if m.shape[1] == 0:
         return diagonal_split(m, np.zeros(0), np.zeros((0, 0), dtype=complex))
-    u, s, vh = np.linalg.svd(m, full_matrices=m.shape[1] > m.shape[0])
+    u, s, vh = svd_factors(m, full=m.shape[1] > m.shape[0])
     return diagonal_split(u, s, vh.conj().T)
 
 
@@ -270,6 +279,40 @@ def q_factor(m: np.ndarray, complete: bool = False) -> np.ndarray:
         tau = _umath_linalg.qr_r_raw(a, signature="D->D" if cplx else "d->d")
         return (_umath_linalg.qr_complete if tall else _umath_linalg.qr_reduced)(
             a, tau, signature="DD->D" if cplx else "dd->d")
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def svd_values(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(m, compute_uv=False)`` of a float64 or complex128
+    matrix, bit for bit: numpy's own LAPACK gufunc, which leaves m as it
+    is, with numpy's signature and error state, so a matrix LAPACK cannot
+    split raises the same ``LinAlgError``."""
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.svd(m, signature="D->d" if np.iscomplexobj(m) else "d->d")
+
+
+def svd_factors(m: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(m, full_matrices=full)``'s u, s and vh, bit for bit,
+    as :func:`svd_values` takes the values alone."""
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return (_umath_linalg.svd_f if full else _umath_linalg.svd_s)(
+            m, signature="D->DdD" if np.iscomplexobj(m) else "d->ddd")
+
+
+def frobenius(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` of a float64 or complex128 array, bit
+    for bit: the root of the dot products of its raveled real and
+    imaginary parts."""
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def values_rank(svals: np.ndarray, floor: float = 0.0) -> tuple[int, bool]:
@@ -375,7 +418,7 @@ def distance(v, s: Subspace) -> float:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != s.ambient:
         raise ValueError(f"vector length {v.shape[0]} != ambient {s.ambient}")
-    return float(np.linalg.norm(s.residual(v)))
+    return frobenius(s.residual(v))
 
 
 def gap(m: Subspace, n: Subspace) -> float:
@@ -386,7 +429,7 @@ def gap(m: Subspace, n: Subspace) -> float:
     """
     if m.dim == 0 and m.ambient == n.ambient:
         return 0.0
-    return float(min(1.0, np.linalg.svd(_residual(n, m), compute_uv=False)[0]))
+    return float(min(1.0, svd_values(_residual(n, m))[0]))
 
 
 def _residual(outer: Subspace, inner: Subspace) -> np.ndarray:
@@ -404,10 +447,10 @@ def _settled(r: np.ndarray, cuts) -> float:
     side: sigma_max(r) then shares it."""
     if not r.shape[1]:
         return 0.0
-    hi, wide = float(np.linalg.norm(r)), (1 + BRACKET_MARGIN) * r.shape[1] ** 0.5
+    hi, wide = frobenius(r), (1 + BRACKET_MARGIN) * r.shape[1] ** 0.5
     if all(hi <= c * (1 - BRACKET_MARGIN) or hi > c * wide for c in cuts):
         return hi
-    return float(np.linalg.svd(r, compute_uv=False)[0])
+    return float(svd_values(r)[0])
 
 
 def contains(outer: Subspace, inner: Subspace, tol: float = EQ_TOL) -> bool:

@@ -1,6 +1,8 @@
 """LAPACK call budgets of the pencil sweep, the chains and the relative-bound check.
 
-``numpy.linalg.svd`` and ``lstsq`` are wrapped to count calls, and QRs
+SVDs are counted at numpy's LAPACK gufuncs (``lapack_svds``), which
+``numpy.linalg.svd`` and the ``subspace`` helpers that skip its wrapper
+both call; ``numpy.linalg.lstsq`` is wrapped to count calls, and QRs
 are counted at ``numpy.linalg.qr`` and at ``subspace.q_factor``, which
 takes every Q whose R goes unread.  One lambda
 point of a sweep costs one SVD without vectors of the pencil's block Z,
@@ -120,6 +122,7 @@ from linrel import stability as stab
 from linrel import subspace as sub
 from linrel import suites as sts
 
+from lapack_svds import watch_svds
 from matrix_shapes import MATRIX_SHAPES, rank_matrix
 from test_chains import _deep_pair, _never_stable
 
@@ -127,15 +130,34 @@ from test_chains import _deep_pair, _never_stable
 @pytest.fixture
 def calls(monkeypatch):
     counts = {"svd": 0, "lstsq": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
+    real = np.linalg.lstsq
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
+    def svd(m, kind):
+        counts["svd"] += 1
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    def lstsq(*args, **kwargs):
+        counts["lstsq"] += 1
+        return real(*args, **kwargs)
+
+    watch_svds(monkeypatch, svd)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     return counts
+
+
+def test_the_svd_counter_sees_every_path(monkeypatch, rng):
+    # numpy's wrapper and the subspace helpers that skip it reach the same
+    # gufuncs: one SVD each, of the matrix passed, with its kind of factors.
+    seen, m = [], rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    watch_svds(monkeypatch, lambda a, kind: seen.append((a, kind)))
+    for svd, kind in ((lambda: np.linalg.svd(m, compute_uv=False), "values"),
+                      (lambda: np.linalg.svd(m, full_matrices=False), "thin"),
+                      (lambda: np.linalg.svd(m), "full"),
+                      (lambda: sub.svd_values(m), "values"),
+                      (lambda: sub.svd_factors(m), "thin"),
+                      (lambda: sub.svd_factors(m, full=True), "full")):
+        seen.clear()
+        svd()
+        assert len(seen) == 1 and seen[0][0] is m and seen[0][1] == kind, (kind, seen)
 
 
 def _fresh_pair():
@@ -159,13 +181,8 @@ def _counted(calls, fn) -> dict:
 
 def _svd_shapes(monkeypatch) -> list:
     """(shape, compute_uv) of every numpy SVD from here on."""
-    seen, real = [], np.linalg.svd
-
-    def svd(m, *args, **kwargs):
-        seen.append((m.shape, kwargs.get("compute_uv", args[1] if len(args) > 1 else True)))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    seen = []
+    watch_svds(monkeypatch, lambda m, kind: seen.append((m.shape, kind != "values")))
     return seen
 
 
@@ -326,11 +343,7 @@ def _lapack_calls(monkeypatch) -> list:
     """("svd", shape, full) and ("qr", shape, complete) of every numpy SVD
     and QR from here on, ``sub.q_factor``'s QRs included; ``full`` is True
     for an SVD with both full factors, ``complete`` for a complete Q."""
-    seen, svd, qr, q_factor = [], np.linalg.svd, np.linalg.qr, sub.q_factor
-
-    def counted_svd(m, full_matrices=True, compute_uv=True, **kwargs):
-        seen.append(("svd", m.shape, full_matrices and compute_uv))
-        return svd(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+    seen, qr, q_factor = [], np.linalg.qr, sub.q_factor
 
     def counted_qr(m, mode="reduced"):
         seen.append(("qr", m.shape, mode == "complete"))
@@ -340,7 +353,7 @@ def _lapack_calls(monkeypatch) -> list:
         seen.append(("qr", m.shape, complete))
         return q_factor(m, complete=complete)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    watch_svds(monkeypatch, lambda m, kind: seen.append(("svd", m.shape, kind == "full")))
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(sub, "q_factor", counted_q_factor)
     return seen
@@ -558,13 +571,12 @@ def test_nu_duality_builds_no_annihilator_target(calls, monkeypatch):
         ambients.append(s.ambient)
         return real(s)
 
-    def svd(m, *args, _real=np.linalg.svd, **kwargs):
-        if kwargs.get("full_matrices", True) and kwargs.get("compute_uv", True):
+    def svd(m, kind):
+        if kind == "full":
             full.append(m)
-        return _real(m, *args, **kwargs)
 
     monkeypatch.setattr(sub, "annihilator", annihilator)
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    watch_svds(monkeypatch, svd)
     report = chn.verify_nu_duality(a, b)
     assert report["adjoint_sequences_hold"] and report["equality_m"]
     # The two adjoint graphs; M'_1 = (B(N_1))-perp and the containment

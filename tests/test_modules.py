@@ -22,9 +22,13 @@ residual against a cut (``_settled``, or a ``_bracket`` of its own) or,
 decided in ``subspace``, which reads the residual's Frobenius bracket first.
 No reduced- or complete-mode ``qr`` has its R thrown away (``qr(m)[0]``,
 ``qr(m, mode="complete")[0]``, ``qr(m).Q``, ``q, _ = qr(m)``): such a QR is
-``subspace.q_factor``, the one function that reads numpy's private
-``_umath_linalg``.  Only the functions named in ``_SVD_CALLERS``, each of
-which reads singular values or cuts a rank at them, take an SVD, and
+``subspace.q_factor``.  Only ``q_factor`` and the SVD helpers
+``svd_values`` and ``svd_factors`` read numpy's private ``_umath_linalg``,
+and ``subspace`` and ``relation`` take every SVD and axis-free norm
+through those helpers and ``frobenius``, while ``metrics`` and ``suites``,
+the reference and the oracles, keep numpy's own.  Only the functions
+named in ``_SVD_CALLERS``, each of which reads singular values or cuts a
+rank at them, take an SVD, and
 outside ``subspace`` only those named in ``_SPAN_CALLERS`` call ``span``:
 N(T) and T(0) take no rank cut of their own.  Only the functions named in
 ``_COMPLETE_Q_CALLERS`` take a complete Q: a subspace's complement is
@@ -517,13 +521,16 @@ def test_discarded_r_detector_allows_other_modes_and_r():
 
 
 _PRIVATE_LAPACK = {"_umath_linalg"}
+# The helpers in ``subspace`` that call numpy's SVD gufuncs directly, as
+# ``q_factor`` calls its QR gufuncs.
+_SVD_HELPERS = {"svd_values", "svd_factors"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_q_factor_reads_private_lapack(path):
     callers = _callers(_tree(path), _PRIVATE_LAPACK)
     if path.name == "subspace.py":
-        assert set(callers) == {"<module>", "q_factor"}, callers
+        assert set(callers) == {"<module>", "q_factor"} | _SVD_HELPERS, callers
     else:
         assert callers == [], f"{path.name} reads numpy's private LAPACK: {callers}"
 
@@ -532,7 +539,8 @@ def test_only_q_factor_reads_private_lapack(path):
     "from numpy.linalg import _umath_linalg",
     "import numpy.linalg._umath_linalg as lapack",
     "def span(m):\n    return np.linalg._umath_linalg.svd_f(m)",
-], ids=["import-from", "import", "attribute"])
+    "def gap(m, n):\n    return _umath_linalg.svd(r, signature='D->d')[0]",
+], ids=["import-from", "import", "attribute", "values"])
 def test_private_lapack_reader_detector(source):
     assert _callers(ast.parse(source), _PRIVATE_LAPACK)
 
@@ -552,9 +560,20 @@ _SVD_CALLERS = {
 }
 
 
+def _svd_callers(tree: ast.Module) -> list[str]:
+    """The callers of an SVD, numpy's or a ``subspace`` helper's, but for
+    the helpers' own bodies, which are the SVD, and the names ``__all__``
+    lists."""
+    body = [node for node in tree.body
+            if not (isinstance(node, ast.FunctionDef) and node.name in _SVD_HELPERS)
+            and not (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))]
+    return _callers(ast.Module(body=body, type_ignores=[]), {"svd"} | _SVD_HELPERS)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_value_readers_take_an_svd(path):
-    callers = set(_callers(_tree(path), {"svd"}))
+    callers = set(_svd_callers(_tree(path)))
     assert callers == _SVD_CALLERS.get(path.name, set()), callers
 
 
@@ -564,9 +583,100 @@ def test_only_value_readers_take_an_svd(path):
     "def span(m):\n    def rotate(e):\n        return svd(e)[2]\n    return rotate(m)",
     "from numpy.linalg import svd",
     "def annihilator(s):\n    split = np.linalg.svd\n    return split(s.basis)[0]",
-], ids=["method", "function", "nested", "import-from", "alias"])
+    "class Subspace:\n    def _complement(self):\n        return svd_factors(self.basis, True)[0]",
+    "def certified_span(mc, e, limit):\n    return mc @ sub.svd_factors(e)[2].conj().T",
+    "from .subspace import svd_values",
+    "def kernel_limit(split):\n    top = svd_values\n    return top(split.span)[0]",
+], ids=["method", "function", "nested", "import-from", "alias", "helper-method",
+        "helper-function", "helper-import", "helper-alias"])
 def test_svd_caller_detector(source):
-    assert not set(_callers(ast.parse(source), {"svd"})) <= _SVD_CALLERS["subspace.py"]
+    assert not set(_svd_callers(ast.parse(source))) <= _SVD_CALLERS["subspace.py"]
+
+
+def test_svd_caller_detector_allows_the_helpers_and_all():
+    source = ("__all__ = ['svd_values', 'svd_factors']\n"
+              "def svd_values(m):\n    return _umath_linalg.svd(m, signature='d->d')\n"
+              "def svd_factors(m, full=False):\n    return _umath_linalg.svd_s(m)\n")
+    assert _svd_callers(ast.parse(source)) == []
+
+
+# Where every SVD and axis-free norm goes through the helpers, and where
+# none does: the least-squares reference and the suite oracles keep
+# numpy's own, so that they share no code path with what they check.
+_HELPER_USERS = ("subspace.py", "relation.py")
+_HELPER_FREE = ("metrics.py", "suites.py")
+_NUMERIC_HELPERS = _SVD_HELPERS | {"frobenius"}
+
+
+def _numpy_svds_and_norms(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around every mention of ``svd``
+    (``np.linalg.svd``, a bare ``svd``, called, aliased or imported) and
+    of ``norm``, but for a ``norm`` call given an axis (a keyword or the
+    third argument)."""
+    with_axis = {id(node.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _name(node.func) == "norm"
+                 and (len(node.args) > 2 or any(k.arg == "axis" for k in node.keywords))}
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            name = (child.name.split(".")[-1] if isinstance(child, ast.alias)
+                    else _name(child) if isinstance(child, (ast.Attribute, ast.Name)) else "")
+            if name == "svd" or name == "norm" and id(child) not in with_axis:
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("name", _HELPER_USERS)
+def test_production_svds_and_norms_take_the_helpers(name):
+    found = set(_numpy_svds_and_norms(_tree(SRC / name)))
+    assert found <= _NUMERIC_HELPERS, f"{name} calls numpy's SVD or norm: {found}"
+
+
+@pytest.mark.parametrize("name", _HELPER_FREE)
+def test_references_keep_numpys_svd_and_norm(name):
+    found = _callers(_tree(SRC / name), _NUMERIC_HELPERS)
+    assert found == [], f"{name} reads a subspace helper: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "def gap(m, n):\n    return np.linalg.svd(r, compute_uv=False)[0]",
+    "def span(m):\n    u, s, _ = linalg.svd(m, full_matrices=False)",
+    "from numpy.linalg import svd",
+    "def distance(v, s):\n    return float(np.linalg.norm(s.residual(v)))",
+    "def _settled(r, cuts):\n    hi = np.linalg.norm(r, 'fro')",
+    "from numpy.linalg import norm",
+    "class _PencilPoint:\n    def _vectors(self):\n        size = np.linalg.norm\n"
+    "        return size(self._z)",
+], ids=["svd-values", "svd-factors", "svd-import", "norm", "norm-ord", "norm-import",
+        "norm-alias"])
+def test_numpy_svd_and_norm_detector(source):
+    assert set(_numpy_svds_and_norms(ast.parse(source))) - _NUMERIC_HELPERS
+
+
+def test_numpy_svd_and_norm_detector_allows_helpers_and_axes():
+    source = ("def gap(m, n):\n    return sub.svd_values(r)[0]\n"
+              "def distance(v, s):\n    return frobenius(s.residual(v))\n"
+              "def _induced_svals(self):\n    return np.linalg.norm(g, axis=0)\n"
+              "def columns(g):\n    return np.linalg.norm(g, None, 0)\n"
+              "def svd_values(m):\n    return _umath_linalg.svd(m, signature='D->d')\n")
+    # The helper's own gufunc call is the one mention left.
+    assert _numpy_svds_and_norms(ast.parse(source)) == ["svd_values"]
+
+
+@pytest.mark.parametrize("source", [
+    "def _sigma_tau(a, b, tau):\n    return sub.svd_factors(mat_b)[1]",
+    "def _check_gap(case, rec):\n    return sub.frobenius(p @ p - p)",
+    "from .subspace import svd_values",
+], ids=["factors", "frobenius", "import"])
+def test_helper_reader_detector(source):
+    assert _callers(ast.parse(source), _NUMERIC_HELPERS)
 
 
 _SPAN_CALLERS = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linrel import subspace as sub
 from linrel.tolerances import EQ_TOL, RANK_ABS, RANK_REL, SV_BAND
 
+from lapack_svds import svd_counter, watch_svds
 from oracles import intersect_oracle, sampled_sup_distance
 
 
@@ -164,10 +165,7 @@ def test_contains():
 
 
 def test_contains_refuses_a_larger_inner_space_without_svd(monkeypatch):
-    svds = []
-    real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *args, **kw: svds.append(1) or real(*args, **kw))
+    svds = svd_counter(monkeypatch)
     g = np.random.default_rng(3)
     pairs = [(sub.random_subspace(6, lo, g), sub.random_subspace(6, hi, g))
              for lo in range(6) for hi in range(lo + 1, 7)]
@@ -179,10 +177,7 @@ def test_contains_refuses_a_larger_inner_space_without_svd(monkeypatch):
 
 
 def test_is_same_refuses_two_dimensions_without_svd(monkeypatch):
-    svds = []
-    real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *args, **kw: svds.append(1) or real(*args, **kw))
+    svds = svd_counter(monkeypatch)
     g = np.random.default_rng(3)
     spaces = [sub.random_subspace(6, dim, g) for dim in range(7)]
     for s1 in spaces:
@@ -347,6 +342,70 @@ def test_q_factor_is_numpys_q(rng, cplx, shape):
                     same_q(worse)
     if m.size:
         same_q(np.full_like(m, np.nan))
+
+
+def _same_svd(m):
+    """svd_values(m) and svd_factors(m, full) are numpy's values, thin
+    factors and full factors bit for bit, or raise numpy's exception with
+    its message; m is untouched."""
+    before = m.copy()
+    calls = [(lambda: (np.linalg.svd(m, compute_uv=False),), lambda: (sub.svd_values(m),))]
+    calls += [(lambda full=full: np.linalg.svd(m, full_matrices=full),
+               lambda full=full: sub.svd_factors(m, full=full)) for full in (False, True)]
+    for numpy_svd, helper in calls:
+        try:
+            want = numpy_svd()
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{exc}$"):
+                helper()
+            continue
+        got = helper()
+        assert len(got) == len(want)
+        for w, g in zip(want, got):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert np.array_equal(g, w)
+            assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+    assert np.array_equal(m, before, equal_nan=True) and m.flags.writeable
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(9, 4), (5, 5), (3, 7), (6, 0), (1, 1)],
+                         ids=["tall", "square", "wide", "no-columns", "scalar"])
+def test_svd_helpers_are_numpys_svd(rng, cplx, shape):
+    def draw(n, k):
+        return _gaussian(rng, n, k) if cplx else rng.standard_normal((n, k))
+
+    m = draw(*shape)
+    _same_svd(m)
+    _same_svd(np.asfortranarray(m))
+    _same_svd(m.T)  # wide for tall, and no rows for no columns
+    _same_svd(draw(shape[0], 2 * shape[1] + 1)[:, ::2])  # a non-contiguous column slice
+    if shape[1] > 1:
+        _same_svd(np.hstack([m, m[:, :1]]))  # rank-deficient columns
+    # NaN input raises numpy's error; an infinite entry is left out, as
+    # LAPACK need not return on it.
+    if m.size:
+        worse = m.copy()
+        worse[0, 0] = np.nan
+        for bad in (worse, np.full_like(m, np.nan)):
+            _same_svd(bad)
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                sub.svd_values(bad)
+
+
+def test_frobenius_is_numpys_norm(rng):
+    cases = [np.zeros(0), np.zeros((3, 0), dtype=complex), np.zeros((0, 0)),
+             rng.standard_normal(7), _gaussian(rng, 7, 1)[:, 0], rng.standard_normal((5, 3)),
+             _gaussian(rng, 4, 6), np.asfortranarray(_gaussian(rng, 6, 4)),
+             _gaussian(rng, 6, 9)[:, ::2], 1e-200 * rng.standard_normal((3, 3))]
+    cases += [_gaussian(rng, int(n), int(k)) * scale
+              for n, k, scale in zip(rng.integers(1, 17, 200), rng.integers(0, 17, 200),
+                                     np.exp(rng.uniform(-30, 30, 200)))]
+    for x in cases:
+        before = x.copy()
+        want, got = float(np.linalg.norm(x)), sub.frobenius(x)
+        assert type(got) is float and got == want and math.copysign(1, got) == 1, (x, got, want)
+        assert np.array_equal(x, before)
 
 
 def test_projector_invariants(rng):
@@ -855,14 +914,9 @@ def test_certified_span_rotates_as_the_svd_reference(rng):
 # One complement per subspace
 
 def _svd_log(monkeypatch) -> list:
-    """(shape, args, kwargs) of every numpy SVD from here on."""
-    seen, real = [], np.linalg.svd
-
-    def svd(m, *args, **kwargs):
-        seen.append((m.shape, args, sorted(kwargs.items())))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    """(shape, kind of factors) of every numpy SVD from here on."""
+    seen = []
+    watch_svds(monkeypatch, lambda m, kind: seen.append((m.shape, kind)))
     return seen
 
 
