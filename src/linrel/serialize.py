@@ -12,7 +12,14 @@ Subspace        {"ambient": n, "basis": [column, ...]} where a column is
                 a list of [re, im] pairs.  Columns that pass Subspace's
                 Gram check load as written, unflagged, so a written
                 basis decodes to its own bits; others are spanned on
-                load (columns need not arrive orthonormal).
+                load (columns need not arrive orthonormal).  In a
+                document built in process a <subspace> may be the
+                Subspace value itself, as relation_to_dict leaves the
+                graph: canonical_json writes it with one %.17g format over
+                its basis's real and imaginary parts in column order, the
+                text of subspace_to_dict (the JSON-native form) byte for
+                byte, and the readers decode it through subspace_to_dict,
+                so it loads as its text does.
 LinearRelation  {"x_dim": n, "y_dim": m, "graph": <subspace>} or the
                 {"matrix": [[...]]} shorthand for single-valued
                 everywhere-defined operators (entries numbers or
@@ -123,6 +130,8 @@ def _encode(obj, out: list[str]) -> None:
             out.append(":")
             _encode(v, out)
         out.append("}")
+    elif isinstance(obj, Subspace):
+        out.append(_subspace_json(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -156,7 +165,17 @@ def subspace_to_dict(s: Subspace) -> dict:
     return {"ambient": s.ambient, "basis": cols}
 
 
-def subspace_from_dict(d: dict) -> Subspace:
+def _subspace_json(s: Subspace) -> str:
+    # The text of subspace_to_dict(s) in one format: a checked basis is
+    # finite, so every entry is fmt_float's %.17g, -0.0 included.
+    column = "[" + ",".join(["[%.17g,%.17g]"] * s.ambient) + "]"
+    parts = tuple(s.basis.T.ravel().view(float).tolist())
+    return '{"ambient":%d,"basis":[%s]}' % (s.ambient, ",".join([column] * s.dim) % parts)
+
+
+def subspace_from_dict(d: dict | Subspace) -> Subspace:
+    if isinstance(d, Subspace):  # a live payload decodes as its text does
+        d = subspace_to_dict(d)
     ambient = int(d["ambient"])
     cols = d.get("basis", [])
     if not cols:
@@ -183,7 +202,7 @@ def _entry_to_complex(entry) -> complex:
 
 def relation_to_dict(t: LinearRelation) -> dict:
     return {"x_dim": t.x_dim, "y_dim": t.y_dim,
-            "graph": subspace_to_dict(t.graph)}
+            "graph": t.graph}
 
 
 def relation_from_dict(d: dict) -> LinearRelation:

@@ -68,7 +68,8 @@ class SuiteResult:
 
 class _Recorder:
     """One case's verdicts, tallied straight into the suite result; a
-    failure carries the case's payload, up to eight failures a suite."""
+    failure carries the case's payload as its canonical text reads back,
+    plain JSON, up to eight failures a suite."""
 
     def __init__(self, result: SuiteResult, payload: dict):
         self.result, self.payload = result, payload
@@ -77,7 +78,8 @@ class _Recorder:
         counts = self.result.lemmas.setdefault(lemma, {s: 0 for s in _STATUSES})
         counts[status] += 1
         if status == "fail" and len(self.result.failures) < 8:
-            self.result.failures.append({"lemma": lemma, "detail": detail, "case": self.payload})
+            case = ser.loads(ser.canonical_json(self.payload))
+            self.result.failures.append({"lemma": lemma, "detail": detail, "case": case})
 
     def check(self, lemma: str, ok: bool, detail: str = ""):
         self.record(lemma, "pass" if ok else "fail", detail)
@@ -350,7 +352,7 @@ def _gap_case(seed: int, idx: int) -> tuple[dict, tuple]:
             n = sub.random_subspace(ambient, dn, rng)
     else:
         n = sub.random_subspace(ambient, dn, rng)
-    payload = {"M": ser.subspace_to_dict(m), "N": ser.subspace_to_dict(n)}
+    payload = {"M": m, "N": n}
     # Decoding drops the flag the sum may carry: a flagged N goes as decoded.
     return payload, (m, ser.subspace_from_dict(payload["N"]) if n.sv_near_cut else n)
 

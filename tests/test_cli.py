@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from linrel import cli
+from linrel import serialize as ser
 from linrel import suites as sts
 from linrel.cli import main
 
@@ -295,7 +296,7 @@ def test_verify_replay_round_trip(tmp_path):
     payload = {"suite": "duality", "seed": 5,
                "cases": [sts._pair_case(5, i)[0] for i in range(3)]}
     replay_file = tmp_path / "replay.json"
-    replay_file.write_text(json.dumps(payload))
+    replay_file.write_text(ser.canonical_json(payload))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["verify", "--replay", str(replay_file), "--out", str(out1)]) == 0
     assert main(["verify", "--replay", str(replay_file), "--out", str(out2)]) == 0
@@ -348,7 +349,7 @@ def test_verify_replay_names_the_malformed_case(tmp_path, capsys):
     doc = {"replay": [{"suite": "gap", "cases": [good]},
                       {"suite": "gap", "cases": [good, {"M": good["M"]}]}]}
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(ser.canonical_json(doc))
     assert main(["verify", "--replay", str(bad)]) == 2
     captured = capsys.readouterr()
     assert "gap case 1: KeyError: 'N'" in captured.err
@@ -362,9 +363,36 @@ def test_verify_replay_check_faults_still_surface(tmp_path, monkeypatch):
 
     monkeypatch.setitem(sts._SUITES, "gap", (sts._gap_case, sts._decode_gap, broken))
     replay = tmp_path / "replay.json"
-    replay.write_text(json.dumps({"suite": "gap", "cases": [sts._gap_case(1, 0)[0]]}))
+    replay.write_text(ser.canonical_json({"suite": "gap", "cases": [sts._gap_case(1, 0)[0]]}))
     with pytest.raises(ValueError, match="fault inside a check"):
         main(["verify", "--replay", str(replay)])
+
+
+def test_a_forced_failure_is_stored_as_plain_json_and_replays(tmp_path, monkeypatch):
+    # A case payload holds Subspace values; the failure it records holds
+    # the case as its text reads back, so the result passes json.dumps and
+    # the summary's replay list reproduces the failure.
+    build, decode, check = sts._SUITES["algebra"]
+
+    def failing(case, rec, rng):
+        check(case, rec, rng)
+        rec.check("forced", False, "forced failure")
+
+    monkeypatch.setitem(sts._SUITES, "algebra", (build, decode, failing))
+    result = sts.run_suite("algebra", 4, 1)
+    assert [f["lemma"] for f in result.failures] == ["forced"] * 4
+    json.dumps(result.to_dict())
+    for i, failure in enumerate(result.failures):
+        assert ser.canonical_json(failure["case"]) == ser.canonical_json(build(1, i)[0])
+    summary, replayed = tmp_path / "summary.json", tmp_path / "replayed.json"
+    assert main(["verify", "--suite", "algebra", "--trials", "4", "--seed", "1",
+                 "--out", str(summary)]) == 1
+    assert main(["verify", "--replay", str(summary), "--out", str(replayed)]) == 1
+    want = ser.loads(summary.read_text())["suites"]["algebra"]
+    got = ser.loads(replayed.read_text())["suites"]["algebra"]
+    assert got["lemmas"]["forced"] == {"pass": 0, "fail": 4, "not_applicable": 0,
+                                       "indeterminate": 0}
+    assert got == want
 
 
 def test_cli_import_leaves_scipy_unloaded():

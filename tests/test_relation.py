@@ -890,6 +890,22 @@ def test_image_of_the_kernel_is_zero_or_flagged():
         assert image.dim == 0 or image.sv_near_cut, (seed, image.dim)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="past |lambda| ~ 1e22 a pencil point's normalised values and "
+                          "floor both round to 1.0, so it keeps no rank, unflagged")
+@pytest.mark.parametrize("lam", [1e23, 1e24, 1e300])
+def test_a_pencil_at_large_lambda_matches_its_rescaled_pencil(lam):
+    # A - lam B and (1/lam) A - B have the same kernel and range, so the
+    # same alpha and beta; the rescaled pencil gives 0 and 0 on this pair.
+    a, b = stab.generate(stab.InstanceSpec(6, 6, alpha=2, beta=2, seed=7))
+    ref = rel.pencil(rel.scalar_mul(1 / lam, a), b, 1)
+    if (met.alpha(ref), met.beta(ref), ref.kernel.sv_near_cut) != (0, 0, False):
+        pytest.fail(f"the rescaled pencil at {lam:g} moved")  # a broken set-up fails
+    p = rel.pencil(a, b, lam)
+    assert (met.alpha(p), met.beta(p)) == (0, 0) or p.kernel.sv_near_cut, \
+        (lam, met.alpha(p), met.beta(p))
+
+
 def _mp_operator(t):
     """The matrix Gy Gx^-1 of a single-valued, everywhere-defined relation,
     from its stored graph basis, at 40 digits."""

@@ -181,6 +181,16 @@ def _oracle_json(obj) -> str:
     return "".join(pieces)
 
 
+def _json_native(obj):
+    """A document with each Subspace value replaced by its schema dict,
+    so the oracle writes it entry by entry."""
+    if isinstance(obj, sub.Subspace):
+        return ser.subspace_to_dict(obj)
+    if isinstance(obj, dict):
+        return {k: _json_native(v) for k, v in obj.items()}
+    return obj
+
+
 def _reports() -> list:
     """A verify_stability and a sweep report on a stability case with
     finite gamma(A) and fitted sigma > 0."""
@@ -199,7 +209,7 @@ def test_canonical_json_matches_oracle_on_case_payloads(suite):
     build = sts._SUITES[suite][0]
     for i in range(3):
         payload = build(3, i)[0]
-        assert ser.canonical_json(payload) == _oracle_json(payload)
+        assert ser.canonical_json(payload) == _oracle_json(_json_native(payload))
 
 
 def test_canonical_json_matches_oracle_on_reports_and_edges():
@@ -461,3 +471,95 @@ def test_payload_edge_cases_keep_their_text_and_errors():
     infinite = {"ambient": 1, "basis": [[["inf", 0.0]]]}
     with pytest.raises(ValueError, match="non-finite"):
         ser.subspace_from_dict(infinite)
+
+
+# ---------------------------------------------------------------------------
+# a Subspace value, written straight from its array
+
+# Entries a checked basis can hold: signed zeros, the smallest subnormal,
+# tiny normals, and unit moduli up to the Gram check's slack.
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+_UNITS = [1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(1.0, -0.0), 1 - 4e-11,
+          -(1 + 4e-11), math.nextafter(1.0, 0.0), complex(0.6, -0.8)]
+
+
+@st.composite
+def _checked_bases(draw):
+    """Checked bases from n x 0 to 16 x 16: complex Haar, real Haar, and
+    signed unit columns whose other entries are signed zeros and tiny
+    numbers, in real and imaginary parts alike."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["complex", "real", "units"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "complex":
+        return sub.random_subspace(n, k, seed)
+    if kind == "real":
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+        return sub.Subspace(n, q[:, :k])
+    basis = np.empty((n, k), dtype=complex)
+    basis.real = np.reshape(draw(st.lists(st.sampled_from(_TINY), min_size=n * k,
+                                          max_size=n * k)), (n, k))
+    basis.imag = np.reshape(draw(st.lists(st.sampled_from(_TINY), min_size=n * k,
+                                          max_size=n * k)), (n, k))
+    for j, i in enumerate(draw(st.permutations(range(n)))[:k]):
+        basis[i, j] = draw(st.sampled_from(_UNITS))
+    return sub.Subspace(n, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_checked_bases())
+def test_a_subspace_value_writes_the_text_of_its_dict(s):
+    d = ser.subspace_to_dict(s)
+    text = ser.canonical_json(s)
+    assert text == ser.canonical_json(d) == _oracle_json(d)
+    assert ser.canonical_json({"M": s, "L": [s, 0.5]}) == _oracle_json({"M": d, "L": [d, 0.5]})
+    # A live value decodes to what its text decodes to: bits, strides, flag.
+    live, read = ser.subspace_from_dict(s), ser.subspace_from_dict(ser.loads(text))
+    assert _fingerprint(live) == _fingerprint(read)
+
+
+_NEAR_TWO = [2.0, -2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1.9999999999999996]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 16),
+       st.lists(st.one_of(st.sampled_from(_NEAR_TWO + _TINY + [0.1, 1 / 3, 1e300]),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=32))
+def test_the_basis_format_writes_any_finite_entry_as_fmt_float(n, k, values):
+    # The constructor refuses entries near 2, so the format itself is held
+    # to fmt_float on an unchecked value: any finite array, the drawn
+    # values repeated to fill it, is written as its dict is.
+    parts = np.resize(np.array(values), (2, n, k))
+    basis = np.empty((n, k), dtype=complex)
+    basis.real, basis.imag = parts
+    s = object.__new__(sub.Subspace)
+    s.ambient, s.basis, s.sv_near_cut = n, basis, False
+    d = ser.subspace_to_dict(s)
+    assert ser.canonical_json(s) == ser.canonical_json(d) == _oracle_json(d)
+
+
+@pytest.mark.parametrize("suite", sts.SUITE_NAMES)
+def test_built_payload_texts_reencode_through_loads(suite):
+    build = sts._SUITES[suite][0]
+    for seed in (1, 2, 3):
+        for i in range(8):
+            payload = build(seed, i)[0]
+            text = ser.canonical_json(payload)
+            assert text == _oracle_json(_json_native(payload)), (seed, i)
+            assert ser.canonical_json(ser.loads(text)) == text, (seed, i)
+
+
+def test_suites_format_no_basis_entry_one_by_one(monkeypatch):
+    # Every basis of a gap or algebra payload is a Subspace value, written
+    # in one format, and those payloads hold no other float.
+    calls = []
+    real_fmt = ser.fmt_float
+    monkeypatch.setattr(ser, "fmt_float", lambda x: calls.append(x) or real_fmt(x))
+    assert ser.canonical_json({"x": [0.5, [0.25, -0.0]]}) == '{"x":[0.5,[0.25,-0]]}'
+    assert calls == [0.5, 0.25, -0.0]  # the wrapper sees the encoder's calls
+    calls.clear()
+    assert sts.run_suite("gap", 24, 1).conclusion_failures == 0
+    assert sts.run_suite("algebra", 4, 1).conclusion_failures == 0
+    assert calls == []

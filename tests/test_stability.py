@@ -222,3 +222,28 @@ def test_sweep_report_determinism(diag01):
     r1 = stab.sweep(diag01, diag01, bound, grid)
     r2 = stab.sweep(diag01, diag01, bound, grid)
     assert ser.canonical_json(r1.to_dict()) == ser.canonical_json(r2.to_dict())
+
+
+def test_the_theorem_on_pairs_whose_kernel_starts_a_chain():
+    # nu = inf through a Jordan chain, not through N(A) inside N(B): the
+    # chains suite's generators give such pairs, the stability suite's do
+    # not.  The count is pinned so a generator change cannot empty the set.
+    pairs = []
+    for i in range(200):
+        a, b = sts._chains_case(1, i)[1]
+        try:
+            met._check_standing_hypotheses(a, b)
+        except met.HypothesisError:
+            continue
+        if chn.nu(a, b) == math.inf and not b.kernel.contains(a.kernel):
+            pairs.append((i, a, b))
+    assert len(pairs) == 29
+    for i, a, b in pairs:
+        bound = met.fit_relative_bound(a, b, 0.0)
+        gamma_a = met.gamma(a)
+        grid = stab.default_grid(met.stability_radius(gamma_a, bound, "full"), gamma_a,
+                                 points=16, phases=8)
+        rep = stab.verify_stability(a, b, bound, grid)
+        assert rep["applicable"], i
+        assert rep["ok"] and rep["failures"] == [], (i, rep["failures"])
+        assert rep["gap_bound"]["ok"] and rep["degenerate_violations"] == 0, i
