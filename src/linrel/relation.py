@@ -102,12 +102,7 @@ class LinearRelation:
         """R(T), the span of Gy."""
         return Subspace(self.y_dim, self._y_svd.span, sv_near_cut=self._y_svd.near)
 
-    @property
-    def _gx_span(self) -> Subspace:
-        """D(T) in the basis of T's own split of Gx, which the image map reads."""
-        return self.domain
-
-    @property
+    @cached_property
     def _range_dim(self) -> int:
         """dim R(T), the rank of Gy."""
         return self.range.dim
@@ -155,16 +150,18 @@ class LinearRelation:
     @cached_property
     def _image_map(self) -> "_ImageMap":
         """What every image under T reads of its two cached splits, and
-        D(T)-perp^H where D(T) is not X: the conjugate of the cached
-        complement of the Gx split's span, D(T)'s own but for a pencil point."""
-        dom, split, y_split = self._gx_span, self._x_svd, self._y_svd
+        D(T)-perp^H where D(T) is not X: the conjugate of D(T)'s cached
+        complement.  Flagged where the Gx split keeps less than D(T), as a
+        pencil point's can at large |lam|: it reads the rest as T(0)."""
+        dom, split, y_split = self.domain, self._x_svd, self._y_svd
+        rank = split.span.shape[1]
         gv, kv = self._gy @ split.right, y_split.null.conj().T @ split.right
         perp = dom._complement.conj().T if dom.dim < self.x_dim else None
-        return _ImageMap(dom.basis.conj().T / split.svals[: dom.dim, None],
-                         gv[:, : dom.dim], gv[:, dom.dim:],
-                         split.near or self.graph.sv_near_cut, perp,
-                         kv[:, : dom.dim], kv[:, dom.dim:], sub.kernel_limit(y_split),
-                         split.svals[0] / split.svals[dom.dim - 1] if dom.dim else 1.0)
+        return _ImageMap(split.span.conj().T / split.svals[:rank, None],
+                         gv[:, :rank], gv[:, rank:],
+                         split.near or self.graph.sv_near_cut or rank < dom.dim, perp,
+                         kv[:, :rank], kv[:, rank:], sub.kernel_limit(y_split),
+                         split.svals[0] / split.svals[rank - 1] if rank else 1.0)
 
     @cached_property
     def _inverse(self) -> "LinearRelation":
@@ -292,11 +289,12 @@ def pencil_family(a: LinearRelation, b: LinearRelation) -> Callable:
     where it vanishes there to rounding, on the complement of the common
     kernel K0 = null([Z1; Z2]) (a staircase step; Van Dooren, 1979).  With
     Z = U diag(s) V^H and C = (1 + s^2)^-1/2, [[0, QVC, QK0], [P, UsC, 0]]
-    is orthonormal (the CS form; Paige & Wei, 1994).  A point's one rank
-    decision cuts [1, sC] no lower than Z's rounding level eps (1 + |lam|)
-    / s_r; alpha, beta, gamma, the kernel (the family's span(QK0), one
-    object per flag, where Z has full column rank) and every flag read it,
-    and the graph and range keep it.  Graphs, domain and T(0) carry the
+    is orthonormal (the CS form; Paige & Wei, 1994).  A point is a relation
+    whose record, the family's D(T) among it, is seeded from its one rank
+    decision, which cuts [1, sC] no lower than Z's rounding level eps (1 +
+    |lam|) / s_r; alpha, beta, gamma, the kernel (the family's span(QK0),
+    one object per flag, where Z has full column rank) and every flag read
+    it, and the graph and range keep it.  Graphs, domain and T(0) carry the
     flags of these splits and of both input graphs; graphs and kernels also
     that of K0.  The family is kept in the pair's :func:`_pair` record.
     """
@@ -350,9 +348,10 @@ class _PencilFamily:
 
 
 class _PencilPoint(LinearRelation):
-    """A - lam*B of a :func:`pencil_family`, values first: alpha, beta,
-    gamma and every flag read the one cut of Z's singular values; U, V, the
-    graph and the range, read later, keep that rank."""
+    """A - lam*B of a :func:`pencil_family`, values first: D(T), the
+    family's, and dim R(T), the induced values and T(0), off the one cut of
+    Z's singular values, seed its record; U, V, the graph and the range,
+    read later, keep that rank."""
 
     def __init__(self, fam: _PencilFamily, lam: complex):
         self.x_dim, self.y_dim, self._fam = fam.x_dim, fam.y_dim, fam
@@ -362,34 +361,18 @@ class _PencilPoint(LinearRelation):
             self._perp, flag, z = ts.null, fam.near or ts.near, ts.null.conj().T @ z
             t0 = Subspace(fam.y_dim, ts.right[:, : fam.y_dim - ts.null.shape[1]], flag)
         self._p, self._z, self._s = t0.basis, z, sub.svd_values(z)
-        values, floor = self._s / np.hypot(1.0, self._s), fam.noise * (1 + abs(lam))
-        if t0.dim:
-            values = np.concatenate([np.ones(t0.dim), values])
+        s = np.concatenate([self._s, np.zeros(fam.r - self._s.size)])  # 0 past Z's values
+        self._values = np.concatenate([np.ones(t0.dim), s / np.hypot(1.0, s)])  # [1, sC, 0]
+        floor = fam.noise * (1 + abs(lam))
         self._floor = floor / np.hypot(1.0, floor)
-        self._rank, self._near = sub.values_rank(values, self._floor)
+        rank, self._near = sub.values_rank(self._values, self._floor)
         self._flag = flag or fam.k0_near  # the graph's
-        self.__dict__["multivalued_part"] = t0
-        if self._rank - t0.dim == fam.r - fam.k0:  # Z has full column rank
+        svals = self._s[: max(rank - t0.dim, 0)]
+        svals.setflags(write=False)
+        self.__dict__.update(domain=fam.domain, _range_dim=rank, _induced_svals=svals,
+                             multivalued_part=t0)
+        if svals.size == fam.r - fam.k0:  # Z has full column rank
             self.__dict__["kernel"] = fam.kernel(self._flag or self._near)
-
-    @property
-    def domain(self) -> Subspace:
-        """The family's D(A) ^ D(B), shared by every point."""
-        return self._fam.domain
-
-    @property
-    def _gx_span(self) -> Subspace:
-        """D(T) in the basis of the point's own split of Gx, not the family's."""
-        return Subspace(self.x_dim, self._x_svd.span, sv_near_cut=self._x_svd.near)
-
-    @property
-    def _range_dim(self) -> int:
-        return self._rank
-
-    @property
-    def _induced_svals(self) -> np.ndarray:
-        """The kept singular values of Z."""
-        return self._s[: self._rank - self._p.shape[1]]
 
     @cached_property
     def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,17 +394,14 @@ class _PencilPoint(LinearRelation):
     def _y_svd(self) -> sub.Split:
         """The closed-form split of Gy = [P, U] diag([1, sC, 0]) I, cut at
         the point's floor as its values were."""
-        s = self._vectors[2]
-        values = np.concatenate([np.ones(self._p.shape[1]), s / np.hypot(1.0, s)])
-        return sub.diagonal_split(np.hstack([self._p, self._vectors[0]]), values,
-                                  np.eye(values.size, dtype=complex), self._floor)
+        return sub.diagonal_split(np.hstack([self._p, self._vectors[0]]), self._values,
+                                  np.eye(self._values.size, dtype=complex), self._floor)
 
     @cached_property
     def kernel(self) -> Subspace:
         """Q [W V, K0]'s columns past the kept values, where Z loses rank;
         the family's span(Q K0), set at construction, where it does not."""
-        kept = self._rank - self._p.shape[1]
-        return Subspace(self.x_dim, self._vectors[1][:, kept:],
+        return Subspace(self.x_dim, self._vectors[1][:, self._induced_svals.size:],
                         sv_near_cut=self._flag or self._near)
 
 

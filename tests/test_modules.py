@@ -33,6 +33,9 @@ outside ``subspace`` only those named in ``_SPAN_CALLERS`` call ``span``:
 N(T) and T(0) take no rank cut of their own.  Only the functions named in
 ``_COMPLETE_Q_CALLERS`` take a complete Q: a subspace's complement is
 built once, by ``Subspace._complement``, and never by a split or a relation.
+A pencil point defines only the parts named in ``_POINT_MEMBERS``, which
+make it values first, and no name in ``_RETIRED`` is left: every relation,
+pencil points included, reads D(T) and its image map through one record.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
 call counts in ``test_lapack_budget``, whose tests enforce them.  Every
@@ -799,6 +802,78 @@ def test_complete_q_caller_detector_allows_reduced_qs():
     source = ("q = sub.q_factor(m)\nq = q_factor(m, complete=False)\nq = q_factor(m, False)\n"
               "r = np.linalg.qr(m, mode='r')\nq, r = np.linalg.qr(m)\n")
     assert not _complete_q_callers(ast.parse(source))
+
+
+# A pencil point is a relation seeded at construction: it defines only
+# what makes it values first, and reads every other part of the record,
+# D(T), the image map and the inverse's hand-over included, as any
+# relation does.
+_POINT_MEMBERS = {"__init__",  # seeds D(T), dim R(T), the induced values and T(0)
+                  "_vectors", "graph", "_y_svd",  # U, V and the graph, in the cut's order
+                  "kernel"}  # Q [W V, K0] past the kept values
+_RETIRED = {"_gx_span"}  # D(T) in a second basis, which only a pencil point had
+
+
+def _class_members(tree: ast.Module, cls: str) -> set[str]:
+    """The names a top-level class binds in its own body: methods,
+    properties and class attributes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target] if isinstance(item, ast.AnnAssign) else [])
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+    return names
+
+
+def _retired_names(tree: ast.Module) -> list[str]:
+    """Every definition and every mention of a ``_RETIRED`` name."""
+    return [f"def {node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name in _RETIRED] + _callers(tree, _RETIRED)
+
+
+def test_a_pencil_point_defines_only_its_values_first_parts():
+    members = _class_members(_tree(SRC / "relation.py"), "_PencilPoint")
+    assert members == _POINT_MEMBERS, members
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_retired_record_name_is_left(path):
+    found = _retired_names(_tree(path))
+    assert not found, f"{path.name} keeps a retired name: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "class _PencilPoint(LinearRelation):\n    @property\n    def domain(self):\n"
+    "        return self._fam.domain",
+    "class _PencilPoint(LinearRelation):\n    @cached_property\n    def _induced_svals(self):\n"
+    "        return self._s",
+    "class _PencilPoint(LinearRelation):\n    _range_dim = property(lambda self: self._rank)",
+    "class _PencilPoint(LinearRelation):\n    domain: Subspace = None",
+], ids=["property", "cached", "assigned", "annotated"])
+def test_pencil_point_member_detector(source):
+    assert _class_members(ast.parse(source), "_PencilPoint") - _POINT_MEMBERS
+
+
+def test_pencil_point_member_detector_reads_only_the_class_body():
+    source = ("class _PencilPoint(LinearRelation):\n    def __init__(self, fam, lam):\n"
+              "        def domain():\n            return fam.domain\n"
+              "        self.__dict__['domain'] = domain()\n"
+              "class LinearRelation:\n    def domain(self):\n        return d\n")
+    assert _class_members(ast.parse(source), "_PencilPoint") == {"__init__"}
+
+
+@pytest.mark.parametrize("source", [
+    "class LinearRelation:\n    @property\n    def _gx_span(self):\n        return self.domain",
+    "def _image_map(self):\n    dom = self._gx_span",
+    "name = '_gx_span'",
+], ids=["defined", "read", "string"])
+def test_retired_name_detector(source):
+    assert _retired_names(ast.parse(source))
 
 
 _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")

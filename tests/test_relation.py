@@ -310,8 +310,8 @@ def test_image_matches_the_residual_image(rng):
                       rel.scalar_mul(1e5, base), rel.scalar_mul(1e-5, base)):
                 cases += _every_dimension(t, rng)
     # Pencil points and sums read their own split of Gx, whose basis is not
-    # the family's D(A) ^ D(B) basis where Z has distinct values; their
-    # inverses read the closed-form split of Gy.
+    # the family's D(A) ^ D(B) basis where Z has distinct values, and that
+    # family's D(T)-perp; their inverses read the closed-form split of Gy.
     seen = set()
     for _ in range(40):
         a, b = stab.generate(stab.random_feasible_spec(rng, max_dim=6))
@@ -321,8 +321,9 @@ def test_image_matches_the_residual_image(rng):
             seen |= {"distinct Z"} if p._s.size and np.ptp(p._s) > 1e-6 else set()
     assert seen == {"K0", "distinct Z"}, seen
     for t, m, new, old in _against_residual_image(cases):
-        dom, split = t._gx_span, t._x_svd
-        if dom.dim and split.svals[dom.dim - 1] < np.finfo(float).eps / EQ_TOL:
+        split = t._x_svd
+        rank = split.span.shape[1]
+        if rank and split.svals[rank - 1] < np.finfo(float).eps / EQ_TOL:
             loose += 1
             continue
         assert new.dim == old.dim and new.is_same(old), (t, m.dim)
@@ -906,6 +907,76 @@ def test_a_pencil_at_large_lambda_matches_its_rescaled_pencil(lam):
         (lam, met.alpha(p), met.beta(p))
 
 
+@pytest.mark.parametrize("lam", [1e12, 1e15, 1e18])
+def test_the_inverse_of_a_pencil_point_matches_its_rescaled_pencil(lam):
+    # R(inverse(A - lam B)) is D(A - lam B), the family's D(A) ^ D(B) at
+    # every lam: the inverse reads it, not the point's own split of Gx,
+    # which keeps fewer directions as |lam| grows.
+    for seed in range(6):
+        a, b = stab.generate(stab.InstanceSpec(6, 6, alpha=2, beta=2, seed=seed))
+        got = rel.inverse(rel.pencil(a, b, lam))
+        ref = rel.inverse(rel.pencil(rel.scalar_mul(1 / lam, a), b, 1))
+        assert met.beta(got) == met.beta(ref), (seed, met.beta(got), met.beta(ref))
+        assert got.range.dim == ref.range.dim and got.range.is_same(ref.range), seed
+
+
+def _image_against_rescaled(lam):
+    """T(M) under A - lam B and under (1/lam) A - B, which has the same
+    graph, on a pair whose rescaled image is 3-dimensional, unflagged."""
+    a, b = stab.generate(stab.InstanceSpec(6, 6, alpha=2, beta=2, seed=5))
+    m = sub.random_subspace(6, 3, np.random.default_rng(0))
+    ref = rel.image(rel.pencil(rel.scalar_mul(1 / lam, a), b, 1), m)
+    if (ref.dim, ref.sv_near_cut) != (3, False):
+        pytest.fail(f"the rescaled image at {lam:g} moved")  # a broken set-up fails
+    return rel.image(rel.pencil(a, b, lam), m), ref
+
+
+@pytest.mark.parametrize("lam", [1e10, 1e12, 1e15, 1e16])
+def test_an_image_under_a_pencil_point_matches_its_rescaled_pencil_or_is_flagged(lam):
+    # From 1e12 the point's own split of Gx keeps fewer directions than
+    # D(T), the family's, so the image map flags what it reads.
+    got, ref = _image_against_rescaled(lam)
+    assert got.dim == ref.dim or got.sv_near_cut, (lam, got.dim)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the point's own split of Gx keeps no direction of D(T), so "
+                          "the image map takes all of M ^ D(T) for T(0), flagged")
+@pytest.mark.parametrize("lam", [1e15, 1e16])
+def test_an_image_under_a_pencil_point_keeps_its_rescaled_dimension(lam):
+    got, ref = _image_against_rescaled(lam)
+    assert got.dim == ref.dim, (lam, got.dim)
+
+
+@pytest.mark.parametrize("lam", [
+    1e8, 1e16,
+    *(pytest.param(lam, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="past |lambda| ~ 1e22 a pencil point keeps no rank, unflagged"))
+      for lam in (1e24, 1e300))])
+def test_a_random_pencil_at_large_lambda_matches_its_rescaled_pencil(lam):
+    # A drawn 5 x 5 pair with no multivalued part, whose rescaled pencil
+    # keeps alpha, beta and an unflagged kernel at every lam here.
+    a, b = stab.generate(stab.random_feasible_spec(np.random.default_rng(5), max_dim=6))
+    ref = rel.pencil(rel.scalar_mul(1 / lam, a), b, 1)
+    if ref.kernel.sv_near_cut:
+        pytest.fail(f"the rescaled pencil at {lam:g} is flagged")  # a broken set-up fails
+    p = rel.pencil(a, b, lam)
+    assert (met.alpha(p), met.beta(p)) == (met.alpha(ref), met.beta(ref)) \
+        or p.kernel.sv_near_cut, (lam, met.alpha(p), met.beta(p))
+
+
+def test_a_pencil_points_kernel_and_induced_values_fill_its_domain():
+    # dim D(T) = dim N(T) + the number of induced singular values, at every
+    # lam, also past ~1e22, where a point can keep no rank: then nothing is
+    # induced and all of D(T) is kernel.
+    for seed in range(30):
+        a, b = stab.generate(stab.random_feasible_spec(np.random.default_rng(seed), max_dim=6))
+        for lam in (0.3, 1e8, 1e16, 1e24, 1e300):
+            p = rel.pencil(a, b, lam)
+            assert met.alpha(p) + p._induced_svals.size == p.domain.dim, (seed, lam)
+
+
 def _mp_operator(t):
     """The matrix Gy Gx^-1 of a single-valued, everywhere-defined relation,
     from its stored graph basis, at 40 digits."""
@@ -1222,17 +1293,14 @@ def _image_map_cases(rng):
 
 
 def test_image_map_reads_the_domain_complement(rng):
-    # D(T)-perp^H is the conjugate of the complement of the Gx split's span,
-    # the one that orth_complement reads, and completes that span to a
-    # unitary frame.  The span is D(T) itself, but for a pencil point, whose
-    # D(T) is its family's in another basis.
+    # For every construction, D(T)-perp^H is the conjugate of D(T)'s cached
+    # complement, the one that orth_complement reads, and completes D(T)'s
+    # basis to a unitary frame.  A pencil point's D(T) is its family's.
     seen = set()
     for name, t in _image_map_cases(rng):
-        perp, dom = t._image_map.perp, t._gx_span
+        perp, dom = t._image_map.perp, t.domain
         if name in ("pencil", "add"):
-            assert dom is not t.domain and dom.is_same(t.domain), name
-        else:
-            assert dom is t.domain, name
+            assert dom is t._fam.domain, name
         if dom.dim == t.x_dim:
             assert perp is None, name
         else:
