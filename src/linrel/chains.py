@@ -110,7 +110,7 @@ class _ChainSet:
 
     def __init__(self, a: LinearRelation, b: LinearRelation):
         self.ms, self.ns = m_chain(a, b, 0), n_chain(a, b, 0)  # [M_0], [N_1]
-        self._gaps, self._rows, self._kappa = {}, {}, [(True, False)]
+        self._gaps, self._kappa = {}, [(True, False)]
 
     @classmethod
     def of(cls, a: LinearRelation, b: LinearRelation, m: int, n: int) -> "_ChainSet":
@@ -134,10 +134,8 @@ class _ChainSet:
     def row(self, n: int) -> tuple[list[bool], bool]:
         """Row n of the containment table, [N_k inside M_{n-k+1} for
         k = 1..n], as a new list, and whether any of its verdicts is flagged."""
-        if n not in self._rows:
-            cells = [self.contained(n - k + 1, k) for k in range(1, n + 1)]
-            self._rows[n] = [ok for ok, _ in cells], any([flag for _, flag in cells])
-        return [*self._rows[n][0]], self._rows[n][1]
+        cells = [self.contained(n - k + 1, k) for k in range(1, n + 1)]
+        return [ok for ok, _ in cells], any([flag for _, flag in cells])
 
     def kappa(self, a: LinearRelation, b: LinearRelation, n: int) -> tuple[bool, bool]:
         """Whether N_k lies in B^{-1}(A(N_{k+1})) and in D(B) for every

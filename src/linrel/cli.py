@@ -49,8 +49,12 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ser.loads(fh.read())
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(_EXIT_INPUT)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+              file=sys.stderr)
         raise SystemExit(_EXIT_INPUT)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON in {path} at line {exc.lineno} "
@@ -124,9 +128,7 @@ def cmd_analyze(args) -> int:
         ok = args.sigma is None or met.check_relative_bound(a, b, bound)[0]
         pair["bound"] = ser.bound_to_dict(bound)
         pair["bound_valid"] = ok
-        gamma_a = met.gamma(a)
-        pair["radii"] = {k: met.stability_radius(gamma_a, bound, k)
-                         for k in met.RADIUS_KINDS}
+        pair["radii"] = met.stability_radii(met.gamma(a), bound)
         pair["hypotheses_ok"] = True
     except met.HypothesisError as exc:
         pair["hypotheses_ok"] = False
@@ -156,10 +158,8 @@ def cmd_sweep(args) -> int:
     doc = {"header": _header(instance_hash=ser.instance_hash(a, b),
                              grid_points=args.grid_points, phases=args.phases)}
     doc.update(report.to_dict())
-    base = args.out
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        fh.write(ser.canonical_json(doc) + "\n")
-    with open(base + ".csv", "w", encoding="utf-8") as fh:
+    _emit(doc, args.out + ".json")
+    with open(args.out + ".csv", "w", encoding="utf-8") as fh:
         fh.write(ser.sweep_csv(report.records))
     return _EXIT_OK
 
@@ -178,31 +178,30 @@ def cmd_chains(args) -> int:
     return _EXIT_OK
 
 
+def _summary(header: dict, results: list) -> dict:
+    """A verify summary: each suite's result and the conclusion failures of all."""
+    return {"header": header, "suites": {r.name: r.to_dict() for r in results},
+            "conclusion_failures": sum(r.conclusion_failures for r in results)}
+
+
 def cmd_verify(args) -> int:
     if args.replay:
         return _run_replay(args)
     names = list(sts.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    results = {name: sts.run_suite(name, args.trials, args.seed)
-               for name in names}
-    total_failures = sum(r.conclusion_failures for r in results.values())
-    doc = {
-        "header": _header(seed=args.seed, trials=args.trials, suite=args.suite),
-        "suites": {name: results[name].to_dict() for name in names},
-        "conclusion_failures": total_failures,
-    }
-    if total_failures:
-        doc["replay"] = [
-            {"suite": name, "seed": args.seed,
-             "cases": [f["case"] for f in results[name].failures]}
-            for name in names if results[name].failures]
+    results = [sts.run_suite(name, args.trials, args.seed) for name in names]
+    doc = _summary(_header(seed=args.seed, trials=args.trials, suite=args.suite),
+                   results)
+    if doc["conclusion_failures"]:
+        doc["replay"] = [{"suite": r.name, "seed": args.seed,
+                          "cases": [f["case"] for f in r.failures]}
+                         for r in results if r.failures]
     _emit(doc, args.out)
     if args.out:
         # keep stdout summary short and deterministic
-        for name in names:
-            r = results[name]
-            print(f"{name}: {r.conclusion_failures} conclusion failure(s) "
+        for r in results:
+            print(f"{r.name}: {r.conclusion_failures} conclusion failure(s) "
                   f"in {r.trials} trials")
-    return _EXIT_FALSIFIED if total_failures else _EXIT_OK
+    return _EXIT_FALSIFIED if doc["conclusion_failures"] else _EXIT_OK
 
 
 def _run_replay(args) -> int:
@@ -216,10 +215,9 @@ def _run_replay(args) -> int:
     except sts.ReplayError as exc:
         print(f"error: {args.replay} is not a replay file: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    total = sum(r.conclusion_failures for r in results)
-    _emit({"header": _header(), "suites": {r.name: r.to_dict() for r in results},
-           "conclusion_failures": total}, args.out)
-    return _EXIT_FALSIFIED if total else _EXIT_OK
+    doc = _summary(_header(), results)
+    _emit(doc, args.out)
+    return _EXIT_FALSIFIED if doc["conclusion_failures"] else _EXIT_OK
 
 
 def _nonneg_float(text: str) -> float:

@@ -49,6 +49,7 @@ __all__ = [
     "fit_relative_bound",
     "check_relative_bound",
     "stability_radius",
+    "stability_radii",
     "finishing_bound",
     "RADIUS_KINDS",
 ]
@@ -301,6 +302,11 @@ def stability_radius(gamma_val: float, bound: RelativeBound, kind: str) -> float
         return math.inf if bound.tau == 0 else 1.0 / bound.tau
     denom = k * bound.sigma + bound.tau * gamma_val
     return math.inf if denom == 0 else gamma_val / denom
+
+
+def stability_radii(gamma_val: float, bound: RelativeBound) -> dict:
+    """Every :func:`stability_radius`, keyed by kind in RADIUS_KINDS order."""
+    return {kind: stability_radius(gamma_val, bound, kind) for kind in RADIUS_KINDS}
 
 
 def finishing_bound(gamma_val: float, bound: RelativeBound,

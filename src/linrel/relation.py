@@ -360,8 +360,9 @@ class _PencilPoint(LinearRelation):
             ts = sub.svd_split((fam.m1 - lam * fam.m2).conj().T)
             self._perp, flag, z = ts.null, fam.near or ts.near, ts.null.conj().T @ z
             t0 = Subspace(fam.y_dim, ts.right[:, : fam.y_dim - ts.null.shape[1]], flag)
-        self._p, self._z, self._s = t0.basis, z, sub.svd_values(z)
-        s = np.concatenate([self._s, np.zeros(fam.r - self._s.size)])  # 0 past Z's values
+        s = sub.svd_values(z)
+        s = np.concatenate([s, np.zeros(fam.r - s.size)])  # 0 past Z's values
+        self._p, self._z, self._s = t0.basis, z, s
         self._values = np.concatenate([np.ones(t0.dim), s / np.hypot(1.0, s)])  # [1, sC, 0]
         floor = fam.noise * (1 + abs(lam))
         self._floor = floor / np.hypot(1.0, floor)
@@ -375,19 +376,17 @@ class _PencilPoint(LinearRelation):
             self.__dict__["kernel"] = fam.kernel(self._flag or self._near)
 
     @cached_property
-    def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """U, in Y coordinates, and Q [W V, K0] from Z W = U S V^H, and
-        the values first cut, with a 0 for each further column of Q [W V, K0]."""
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """U, in Y coordinates, and Q [W V, K0] from Z W = U S V^H."""
         u, _, vh = sub.svd_factors(self._z, full=self._z.shape[1] > self._z.shape[0])
         qv = np.hstack([self._fam.qw @ vh.conj().T, self._fam.qk0])
-        s = np.concatenate([self._s, np.zeros(self._fam.r - self._s.size)])
-        return (u if self._perp is None else self._perp @ u), qv, s
+        return (u if self._perp is None else self._perp @ u), qv
 
     @cached_property
     def graph(self) -> Subspace:
-        u, qv, s = self._vectors
+        u, qv = self._vectors
         t0 = np.vstack([np.zeros((self.x_dim, self._p.shape[1])), self._p])
-        return Subspace(self.x_dim + self.y_dim, np.hstack([t0, _cs_columns(qv, u, s)]),
+        return Subspace(self.x_dim + self.y_dim, np.hstack([t0, _cs_columns(qv, u, self._s)]),
                         sv_near_cut=self._flag)
 
     @cached_property

@@ -28,11 +28,12 @@ Instance        {"A": <relation>, "B": <relation>, "spec": ..., "measured": ...}
 RelativeBound   {"sigma": s, "tau": t, "provenance": "exact" (fitted) or
                 "supplied"}; an older file's "sigma_upper" is ignored.
 
-Sweep CSV columns (fixed order):
+Sweep CSV columns: SWEEP_CSV_HEADER, in its order,
     re, im, alpha, beta, gamma, gap_fwd, gap_bwd, bound,
     inside_pencil, inside_alpha, inside_full, indeterminate
-with booleans as 0/1, infinite gamma as "inf" and an empty bound cell
-when the predicted denominator is not positive.
+the keys of a sweep record: the numbers, then the flags as 0/1, with
+infinite gamma as "inf" and an empty bound cell when the predicted
+denominator is not positive.
 """
 
 from __future__ import annotations
@@ -102,9 +103,8 @@ def _parse_int(text: str):
 
 
 def _encode(obj, out: list[str]) -> None:
-    # Floats first, and inline inside lists: they are most of a payload.
-    # Lists and dicts next; every later test rejects them anyway.  An
-    # [re, im] float pair, a basis entry, is written inline as well.
+    # Floats first: they are most of a payload that is not a Subspace.
+    # Lists and dicts next; every later test rejects them anyway.
     if type(obj) is float:
         out.append(fmt_float(obj))
     elif isinstance(obj, (list, tuple)):
@@ -112,12 +112,7 @@ def _encode(obj, out: list[str]) -> None:
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            if type(v) is float:
-                out.append(fmt_float(v))
-            elif type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
-                out.append("[" + fmt_float(v[0]) + "," + fmt_float(v[1]) + "]")
-            else:
-                _encode(v, out)
+            _encode(v, out)
         out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
@@ -245,12 +240,13 @@ def instance_from_dict(d: dict) -> tuple[LinearRelation, LinearRelation]:
 
 
 def instance_hash(a: LinearRelation, b: LinearRelation) -> str:
-    payload = canonical_json({"A": relation_to_dict(a), "B": relation_to_dict(b)})
+    payload = canonical_json(instance_to_dict(a, b))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-SWEEP_CSV_HEADER = ("re,im,alpha,beta,gamma,gap_fwd,gap_bwd,bound,"
-                    "inside_pencil,inside_alpha,inside_full,indeterminate")
+_CSV_NUMBERS = ("re", "im", "alpha", "beta", "gamma", "gap_fwd", "gap_bwd", "bound")
+_CSV_FLAGS = ("inside_pencil", "inside_alpha", "inside_full", "indeterminate")
+SWEEP_CSV_HEADER = ",".join(_CSV_NUMBERS + _CSV_FLAGS)
 
 
 def _csv_number(x) -> str:
@@ -265,13 +261,6 @@ def sweep_csv(records: list[dict]) -> str:
     """One row per lambda, plot-ready; header always present."""
     lines = [SWEEP_CSV_HEADER]
     for r in records:
-        lines.append(",".join([
-            _csv_number(r["re"]), _csv_number(r["im"]),
-            _csv_number(r["alpha"]), _csv_number(r["beta"]),
-            _csv_number(r["gamma"]),
-            _csv_number(r["gap_fwd"]), _csv_number(r["gap_bwd"]),
-            _csv_number(r["bound"]),
-            str(int(r["inside_pencil"])), str(int(r["inside_alpha"])),
-            str(int(r["inside_full"])), str(int(r["indeterminate"])),
-        ]))
+        lines.append(",".join([*(_csv_number(r[k]) for k in _CSV_NUMBERS),
+                               *(str(int(r[k])) for k in _CSV_FLAGS)]))
     return "\n".join(lines) + "\n"

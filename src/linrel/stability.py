@@ -15,13 +15,14 @@ latter falsifies anything).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import chains as chn
 from . import metrics as met
 from . import relation as rel
+from . import serialize as ser
 from . import subspace as sub
 from .metrics import RelativeBound
 from .relation import LinearRelation
@@ -84,12 +85,7 @@ class InstanceSpec:
                 f"(y_dim - beta) + alpha = {rhs}")
 
     def to_dict(self) -> dict:
-        return {
-            "x_dim": self.x_dim, "y_dim": self.y_dim,
-            "alpha": self.alpha, "beta": self.beta,
-            "mv_dim": self.mv_dim, "dom_codim": self.dom_codim,
-            "force_nu_infinite": self.force_nu_infinite, "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _sub_subspace(host: Subspace, dim: int, rng) -> Subspace:
@@ -249,31 +245,22 @@ def default_grid(radius_full: float, gamma_a: float, points: int = 64,
 
 @dataclass
 class SweepReport:
-    """Per-lambda metrics of the pencil A - lambda B plus predicted radii."""
+    """Per-lambda metrics of the pencil A - lambda B plus predicted radii,
+    its fields in the order :meth:`to_dict` writes them."""
 
-    records: list[dict]
-    radii: dict
-    bound: RelativeBound
     alpha_a: int
     beta_a: int
     gamma_a: float
+    radii: dict
+    bound: RelativeBound
     range_exceeds_mv: bool
-    indeterminate_count: int = 0
-    degenerate_violations: int = 0
+    indeterminate_count: int
+    degenerate_violations: int
+    records: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_a": self.alpha_a,
-            "beta_a": self.beta_a,
-            "gamma_a": self.gamma_a,
-            "radii": dict(self.radii),
-            "bound": {"sigma": self.bound.sigma, "tau": self.bound.tau,
-                      "provenance": self.bound.provenance},
-            "range_exceeds_mv": self.range_exceeds_mv,
-            "indeterminate_count": self.indeterminate_count,
-            "degenerate_violations": self.degenerate_violations,
-            "records": self.records,
-        }
+        return {**vars(self), "radii": dict(self.radii),
+                "bound": ser.bound_to_dict(self.bound)}
 
 
 def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
@@ -296,8 +283,7 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
     gamma_a = met.gamma(a)
     alpha_a, beta_a = met.alpha(a), met.beta(a)
     kernel_a = a.kernel
-    radii = {kind: met.stability_radius(gamma_a, bound, kind)
-             for kind in met.RADIUS_KINDS}
+    radii = met.stability_radii(gamma_a, bound)
     range_exceeds_mv = a.range.dim > a.multivalued_part.dim
 
     records, gaps = [], {}  # gaps per kernel object: most points share the family's
@@ -329,9 +315,8 @@ def sweep(a: LinearRelation, b: LinearRelation, bound: RelativeBound,
             "inside_full": flags["full"],
             "indeterminate": shaky,
         })
-    return SweepReport(records, radii, bound, alpha_a, beta_a,
-                       gamma_a, range_exceeds_mv, indeterminate,
-                       degenerate_violations)
+    return SweepReport(alpha_a, beta_a, gamma_a, radii, bound, range_exceeds_mv,
+                       indeterminate, degenerate_violations, records)
 
 
 def verify_perturbation(a: LinearRelation, b: LinearRelation) -> dict:

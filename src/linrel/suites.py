@@ -554,12 +554,12 @@ def _stability_case(seed: int, idx: int) -> tuple[dict, tuple]:
     if idx % 3 == 2:
         # identical pair: sigma = 0, tau = 1 is an exact analytic bound
         a = b = stab.generate(stab.random_feasible_spec(rng))[0]
-        bound = {"sigma": 0.0, "tau": 1.0, "provenance": "supplied"}
+        bound = met.RelativeBound(0.0, 1.0)
     else:
         a, b = stab.generate(stab.random_feasible_spec(rng, force_nu_infinite=True))
-        bound = ser.bound_to_dict(met.fit_relative_bound(a, b, 0.0))
-    payload = {**ser.instance_to_dict(a, b), "bound": bound}
-    return payload, (a, b, ser.bound_from_dict(bound))
+        bound = met.fit_relative_bound(a, b, 0.0)
+    payload = {**ser.instance_to_dict(a, b), "bound": ser.bound_to_dict(bound)}
+    return payload, (a, b, ser.bound_from_dict(payload["bound"]))
 
 
 def _decode_stability(payload: dict) -> tuple:
@@ -569,8 +569,7 @@ def _decode_stability(payload: dict) -> tuple:
 def _check_stability(case, rec: _Recorder, rng) -> None:
     a, b, bound = case
     gamma_a = met.gamma(a)
-    radii = {k: met.stability_radius(gamma_a, bound, k)
-             for k in met.RADIUS_KINDS}
+    radii = met.stability_radii(gamma_a, bound)
     rec.check("radii_ordering",
               radii["full"] <= radii["alpha"] * (1 + 1e-12)
               and radii["alpha"] <= radii["pencil"] * (1 + 1e-12),

@@ -102,6 +102,21 @@ def test_analyze_malformed_json_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "--replay"]])
+def test_unreadable_input_is_input_error(tmp_path, capsys, kind, command):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_analyze_duality_keys_match_suite_lemmas(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

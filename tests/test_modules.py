@@ -36,6 +36,9 @@ built once, by ``Subspace._complement``, and never by a split or a relation.
 A pencil point defines only the parts named in ``_POINT_MEMBERS``, which
 make it values first, and no name in ``_RETIRED`` is left: every relation,
 pencil points included, reads D(T) and its image map through one record.
+Only ``serialize.bound_to_dict`` builds a dict with the keys ``sigma``,
+``tau`` and ``provenance``, and only ``metrics.stability_radii`` iterates
+over ``RADIUS_KINDS``: each report schema has one writer.
 No docstring or comment quotes a timing or a benchmark measurement, nor
 counts calls ("one SVD", "no QR"): measurements belong in CHANGES.md, and
 call counts in ``test_lapack_budget``, whose tests enforce them.  Every
@@ -874,6 +877,80 @@ def test_pencil_point_member_detector_reads_only_the_class_body():
 ], ids=["defined", "read", "string"])
 def test_retired_name_detector(source):
     assert _retired_names(ast.parse(source))
+
+
+# Each report schema has one writer, so a new field changes one function:
+# the bound's dict is serialize's, and the radii, one per kind, metrics'.
+_BOUND_KEYS = {"sigma", "tau", "provenance"}
+_SCHEMA_WRITERS = {"bound": {("serialize.py", "bound_to_dict")},
+                   "radii": {("metrics.py", "stability_radii")}}
+
+
+def _sites(tree: ast.Module, hit) -> list[str]:
+    """The qualified name of the function around every node for which
+    ``hit`` holds; "<module>" at the top level."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if hit(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _builds_bound_dict(node: ast.AST) -> bool:
+    """A dict display, or a ``dict(...)`` call, with the bound's three keys."""
+    if isinstance(node, ast.Dict):
+        keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    elif isinstance(node, ast.Call) and _name(node.func) == "dict":
+        keys = {k.arg for k in node.keywords}
+    else:
+        return False
+    return _BOUND_KEYS <= keys
+
+
+def _iterates_radius_kinds(node: ast.AST) -> bool:
+    """A loop or comprehension whose iterable mentions ``RADIUS_KINDS``."""
+    return (isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+            and any(_name(n) == "RADIUS_KINDS" for n in ast.walk(node.iter)))
+
+
+_SCHEMA_DETECTORS = {"bound": _builds_bound_dict, "radii": _iterates_radius_kinds}
+
+
+@pytest.mark.parametrize("schema", sorted(_SCHEMA_WRITERS))
+def test_each_report_schema_has_one_writer(schema):
+    found = {(path.name, where) for path in MODULES
+             for where in _sites(_tree(path), _SCHEMA_DETECTORS[schema])}
+    assert found == _SCHEMA_WRITERS[schema], found
+
+
+@pytest.mark.parametrize("schema, source", [
+    ("bound", "def to_dict(self):\n    return {'sigma': s, 'tau': t, 'provenance': p}"),
+    ("bound", "class R:\n    def to_dict(self):\n"
+              "        return {'a': 1, 'sigma': s, 'tau': t, 'provenance': p}"),
+    ("bound", "bound = dict(sigma=0.0, tau=1.0, provenance='supplied')"),
+    ("radii", "def sweep(g, b):\n    return {k: met.stability_radius(g, b, k)\n"
+              "            for k in met.RADIUS_KINDS}"),
+    ("radii", "def analyze(g, b):\n    for k, _ in RADIUS_KINDS.items():\n        pass"),
+    ("radii", "radii = [r(g, b, k) for k in list(met.RADIUS_KINDS)]"),
+], ids=["display", "method-superset", "dict-call", "comprehension", "loop", "module"])
+def test_schema_writer_detectors(schema, source):
+    assert _sites(ast.parse(source), _SCHEMA_DETECTORS[schema])
+
+
+def test_schema_writer_detectors_allow_reads():
+    source = ("def f(d, kind):\n    s, t = d['sigma'], d['tau']\n"
+              "    ok = kind in RADIUS_KINDS\n    k = RADIUS_KINDS[kind]\n"
+              "    return {'sigma': s, 'tau': t}, [x for x in radii]\n")
+    tree = ast.parse(source)
+    assert [_sites(tree, detect) for detect in _SCHEMA_DETECTORS.values()] == [[], []]
 
 
 _TIMING = re.compile(r"\b\d+(?:\.\d+)?\s*(?:ms|µs|us|ns|s)\b")

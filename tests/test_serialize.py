@@ -120,9 +120,28 @@ def test_sweep_csv_golden():
     }]
     text = ser.sweep_csv(records)
     lines = text.strip().split("\n")
-    assert lines[0] == ser.SWEEP_CSV_HEADER
+    assert lines[0] == ("re,im,alpha,beta,gamma,gap_fwd,gap_bwd,bound,"
+                        "inside_pencil,inside_alpha,inside_full,indeterminate")
     assert lines[1] == "0.5,-0.25,1,2,inf,0.125,0,,1,0,0,0"
     assert ser.sweep_csv([]).strip() == ser.SWEEP_CSV_HEADER
+
+
+def test_sweep_schema_on_a_generated_pair():
+    # The CSV's columns are a record's keys, and the report's fields come
+    # in the order the JSON writes them, records last.
+    a, b = stab.generate(stab.InstanceSpec(4, 4, 1, 1, seed=3))
+    bound = met.fit_relative_bound(a, b)
+    gamma_a = met.gamma(a)
+    grid = stab.default_grid(met.stability_radius(gamma_a, bound, "full"), gamma_a,
+                             points=2, phases=2)
+    report = stab.sweep(a, b, bound, grid)
+    header = ser.sweep_csv(report.records).split("\n")[0].split(",")
+    assert [list(r) for r in report.records] == [header] * len(grid)
+    assert list(report.to_dict()) == [
+        "alpha_a", "beta_a", "gamma_a", "radii", "bound", "range_exceeds_mv",
+        "indeterminate_count", "degenerate_violations", "records"]
+    assert list(report.to_dict()["radii"]) == list(met.RADIUS_KINDS)
+    assert report.to_dict()["bound"] == ser.bound_to_dict(bound)
 
 
 # ---------------------------------------------------------------------------
